@@ -5,13 +5,14 @@ projection intrinsic volumes, plus the numerical machinery to check it.
 import os as _os
 
 # BLAS pools read these at first numpy import, so pin them before any
-# submodule pulls numpy in.  Results are thread-count independent either
-# way; this only keeps CPU usage predictable.
+# submodule pulls numpy in.  An explicit CONVEXLAB_THREADS overrides values
+# already exported.  Results are thread-count independent either way; this
+# only keeps CPU usage predictable.
 _threads = _os.environ.get("CONVEXLAB_THREADS")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+        _os.environ[_var] = _threads
 
 from .bodies import (
     BUMP_PEAK,

@@ -167,13 +167,43 @@ def make_revolution_spec(n: int = 3, epsilon: float = 1e-3, delta: float = 0.1,
     raise BodyError(f"no valid epsilon found below {epsilon} for delta={delta}")
 
 
+_NEWTON_STEPS = 8
+# Profile derivatives are singular at t = +-1; evaluate them no closer than
+# two ulps, where 1 - t*t is still positive.  A wider margin costs accuracy
+# near the poles: at 1 - 1e-12, supports with |xi'| ~ 1e-6 came out 4e-13 low.
+_T_CLIP = 1.0 - 2.0 ** -52
+
+
+def _safeguarded_newton(fun, x, lo, hi) -> np.ndarray:
+    """Elementwise root of increasing functions on brackets [lo, hi].
+
+    fun(x) returns (value, slope).  Each step moves one bracket end to x by
+    the sign of the value, then takes the Newton step, or bisects when that
+    step is not finite or leaves the bracket (rtsafe, Numerical Recipes
+    9.4).  A step landing on the bracket is kept, since a root can sit
+    exactly on it.  The fixed step count makes every row's result
+    independent of the batch it arrives in.
+    """
+    for _ in range(_NEWTON_STEPS):
+        g, dg = fun(x)
+        below = g < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - g / dg
+        ok = np.isfinite(step) & (step >= lo) & (step <= hi)
+        x = np.where(ok, step, 0.5 * (lo + hi))
+    return x
+
+
 def revolution_radial(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
-    """Radial function along unit directions, by bisection on each ray.
+    """Radial function along unit directions, by safeguarded Newton on each ray.
 
     Along theta = (theta', theta_n) the boundary crossing solves
-    r*|theta'| = profile(r*theta_n); the left side grows linearly while the
-    right side is bounded, so the bracket [0, min(1/|theta_n|, 1+eps)]
-    always contains the root.
+    g(r) = r*|theta'| - profile(r*theta_n) = 0.  g is convex (the profile is
+    concave) and negative at 0, and the bracket [0, min(1/|theta_n|, 1+eps)]
+    always contains its root.  Newton starts from the unit-sphere root r = 1,
+    which is exact for rays that miss both bumps.
     """
     d = np.asarray(dirs, dtype=float)
     single = d.ndim == 1
@@ -187,22 +217,24 @@ def revolution_radial(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
         with np.errstate(divide="ignore"):
             hi = np.minimum(np.where(np.abs(tni) > 0, 1.0 / np.abs(tni), np.inf),
                             1.0 + max(spec.epsilon, 1e-8))
-        lo = np.zeros_like(hi)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            gap = mid * tpi - _profile_extended(spec, mid * tni)
-            below = gap < 0.0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        r[off_axis] = 0.5 * (lo + hi)
+
+        def gap(rr):
+            t = rr * tni
+            slope = tpi - tni * _profile_terms(spec, np.clip(t, -_T_CLIP, _T_CLIP), 1)
+            return rr * tpi - _profile_extended(spec, t), slope
+
+        r[off_axis] = _safeguarded_newton(gap, np.minimum(1.0, hi),
+                                          np.zeros_like(hi), hi)
     return float(r[0]) if single else r
 
 
 def revolution_support(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
     """Support function h(xi) = max_t [ |xi'| f(t) + xi_n t ] over t in [-1, 1].
 
-    The objective is strictly concave for |xi'| > 0 (f'' < 0), so golden
-    section search converges; both endpoints are checked as well.
+    The objective is strictly concave for |xi'| > 0 (f'' < 0), so its
+    stationary point |xi'| f'(t) + xi_n = 0 is found by safeguarded Newton,
+    starting from the spherical cap's maximiser t = xi_n/|xi|; both
+    endpoints are checked as well.
     """
     d = np.asarray(dirs, dtype=float)
     single = d.ndim == 1
@@ -213,24 +245,16 @@ def revolution_support(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
     def objective(t):
         return xp * _profile_terms(spec, t, 0) + xn * t
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = np.full(d2.shape[0], -1.0)
-    hi = np.full(d2.shape[0], 1.0)
-    a = hi - inv_phi * (hi - lo)
-    b = lo + inv_phi * (hi - lo)
-    fa, fb = objective(a), objective(b)
-    for _ in range(75):
-        move_lo = fa < fb  # maximum lies right of a
-        lo = np.where(move_lo, a, lo)
-        hi = np.where(move_lo, hi, b)
-        a_next = np.where(move_lo, b, hi - inv_phi * (hi - lo))
-        b_next = np.where(move_lo, lo + inv_phi * (hi - lo), a)
-        f_fresh = objective(np.where(move_lo, b_next, a_next))
-        fa, fb = np.where(move_lo, fb, f_fresh), np.where(move_lo, f_fresh, fa)
-        a, b = a_next, b_next
-    best = objective(0.5 * (a + b))
+    def falling_slope(t):
+        tc = np.clip(t, -_T_CLIP, _T_CLIP)
+        return (-(xp * _profile_terms(spec, tc, 1) + xn),
+                -xp * _profile_terms(spec, tc, 2))
+
+    t0 = xn / np.maximum(np.hypot(xp, xn), 1e-300)
+    t = _safeguarded_newton(falling_slope, t0, np.full_like(xn, -1.0),
+                            np.ones_like(xn))
     ends = np.maximum(objective(np.full_like(xn, -1.0)), objective(np.ones_like(xn)))
-    h = np.maximum(best, ends)
+    h = np.maximum(objective(t), ends)
     return float(h[0]) if single else h
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,7 @@ def _run_single(args) -> tuple:
     tol = args.tol if args.tol is not None else _default_tol(cmd, pair, args)
     samples = args.samples if getattr(args, "samples", None) else _DEFAULT_SAMPLES.get(cmd, 100)
     snaps = pair.snapshots
+    t0 = time.perf_counter()
     if cmd == "lemma1":
         report = lemma1_check(pair.oracle_K, pair.oracle_L, samples, tol, rng, snaps)
     elif cmd == "sections":
@@ -201,6 +203,7 @@ def _run_single(args) -> tuple:
         report = certify_report(pair)
     else:
         raise CliError(f"unknown command '{cmd}'")
+    report.runtime_seconds = time.perf_counter() - t0
     return report, pair
 
 
@@ -345,7 +348,9 @@ def _run_all(args, written: list) -> int:
     entries = []
     named_reports = []
     for name, pair_name, expected, thunk in _suite_plan(args.seed):
+        t0 = time.perf_counter()
         report = thunk()
+        report.runtime_seconds = time.perf_counter() - t0
         actual = bool(report.summary["pass"])
         entries.append({
             "name": name,

@@ -496,11 +496,14 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
 
 
 def _orthogonal_complement(xi: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to xi."""
-    from scipy.linalg import null_space
+    """Deterministic orthonormal basis of the hyperplane orthogonal to xi.
 
+    The trailing right singular vectors of the 1 x n matrix u^T: the basis
+    scipy.linalg.null_space returns, without the memory of importing
+    scipy.linalg (about 35 MB resident).
+    """
     u = xi / np.linalg.norm(xi)
-    return null_space(u.reshape(1, -1))
+    return np.linalg.svd(u[None], full_matrices=True)[2][1:].T
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +529,21 @@ def _verdict(statistic: float, threshold: float) -> str:
     return "noncongruent" if statistic > threshold else "inconclusive"
 
 
+def _distance_signature(vertices: np.ndarray) -> np.ndarray:
+    """Sorted pairwise distances of the centred vertices.
+
+    Distances come in scipy's pdist order and bytes, without importing
+    scipy.spatial.
+    """
+    centered = vertices - vertices.mean(axis=0)
+    i, j = np.triu_indices(len(centered), k=1)
+    return np.sort(np.linalg.norm(centered[i] - centered[j], axis=1))
+
+
 def _vertex_distance_certificate(vrep_K, vrep_L) -> NoncongruenceCertificate:
     """Isometries preserve the multiset of pairwise vertex distances."""
-    from scipy.spatial.distance import pdist
-
-    def signature(v):
-        centered = v - v.mean(axis=0)
-        return np.sort(pdist(centered))
-
-    sig_k, sig_l = signature(vrep_K.vertices), signature(vrep_L.vertices)
+    sig_k = _distance_signature(vrep_K.vertices)
+    sig_l = _distance_signature(vrep_L.vertices)
     if sig_k.size != sig_l.size:
         stat = 1.0
     else:

@@ -300,12 +300,8 @@ def test_criterion_11_determinism(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(
             [pkg_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
                           if p])
-        # convexlab only fills in the BLAS thread variables that are unset,
-        # so drop inherited ones to make CONVEXLAB_THREADS take effect.
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            env.pop(var, None)
+        # convexlab copies CONVEXLAB_THREADS over any inherited BLAS
+        # thread variables, so each child really runs at its own count.
         env["CONVEXLAB_THREADS"] = threads
         proc = subprocess.run(
             [sys.executable, "-m", "convexlab.cli", "all", "--seed", "7",

@@ -5,6 +5,7 @@ import pytest
 
 from convexlab.bodies import (
     BUMP_PEAK,
+    SMOOTH_EVAL_TOL,
     BodyError,
     RevolutionBodySpec,
     ball_oracle,
@@ -17,6 +18,7 @@ from convexlab.bodies import (
     revolution_support,
     validate_revolution_spec,
 )
+from convexlab.bodies import _profile_extended, _profile_terms
 from convexlab.grassmann import RngStream
 
 
@@ -208,6 +210,90 @@ def test_oracle_member_consistency():
     outside = oracle.member(1.01 * rho[:, None] * dirs)
     assert np.all(inside)
     assert not np.any(outside)
+
+
+# Reference solvers: the fixed-length bisection and golden-section search
+# that the safeguarded Newton iterations replaced, kept to check them.
+
+
+def _bisection_radial(spec, dirs):
+    tn = dirs[:, -1]
+    tp = np.linalg.norm(dirs[:, :-1], axis=1)
+    r = np.ones(dirs.shape[0])
+    off_axis = tp > 1e-15
+    tni, tpi = tn[off_axis], tp[off_axis]
+    with np.errstate(divide="ignore"):
+        hi = np.minimum(np.where(np.abs(tni) > 0, 1.0 / np.abs(tni), np.inf),
+                        1.0 + max(spec.epsilon, 1e-8))
+    lo = np.zeros_like(hi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = mid * tpi - _profile_extended(spec, mid * tni) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    r[off_axis] = 0.5 * (lo + hi)
+    return r
+
+
+def _golden_support(spec, dirs):
+    xn = dirs[:, -1]
+    xp = np.linalg.norm(dirs[:, :-1], axis=1)
+
+    def objective(t):
+        return xp * _profile_terms(spec, t, 0) + xn * t
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo = np.full(dirs.shape[0], -1.0)
+    hi = np.full(dirs.shape[0], 1.0)
+    a = hi - inv_phi * (hi - lo)
+    b = lo + inv_phi * (hi - lo)
+    fa, fb = objective(a), objective(b)
+    for _ in range(75):
+        move_lo = fa < fb
+        lo = np.where(move_lo, a, lo)
+        hi = np.where(move_lo, hi, b)
+        a_next = np.where(move_lo, b, hi - inv_phi * (hi - lo))
+        b_next = np.where(move_lo, lo + inv_phi * (hi - lo), a)
+        f_fresh = objective(np.where(move_lo, b_next, a_next))
+        fa, fb = np.where(move_lo, fb, f_fresh), np.where(move_lo, f_fresh, fa)
+        a, b = a_next, b_next
+    ends = np.maximum(objective(np.full_like(xn, -1.0)), objective(np.ones_like(xn)))
+    return np.maximum(objective(0.5 * (a + b)), ends)
+
+
+def _sweep_directions(n, seed):
+    """Random unit directions plus the axis, near-pole rays, the equator and
+    a dense meridian through both bumps."""
+    rand = RngStream(seed, n).generator().standard_normal((3000, n))
+    special = [np.eye(n)[0]]
+    for s in (1.0, -1.0):
+        special.append(s * np.eye(n)[-1])
+        for p in 10.0 ** -np.arange(1.0, 9.5, 0.5):  # |theta'| from 0.1 to 1e-9
+            v = np.zeros(n)
+            v[0], v[-1] = p, s * math.sqrt(1.0 - p * p)
+            special.append(v)
+    ts = np.linspace(-1.0, 1.0, 601)
+    meridian = np.zeros((ts.size, n))
+    meridian[:, 0], meridian[:, -1] = np.sqrt(1.0 - ts * ts), ts
+    dirs = np.vstack([rand, np.array(special), meridian])
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("variant", ["K", "L"])
+@pytest.mark.parametrize("epsilon,delta", [(1e-3, 0.1), (1e-2, 0.05),
+                                           (5e-3, 0.15), (0.0, 0.1)])
+def test_newton_oracles_match_bracketing_references(n, variant, epsilon, delta):
+    spec = make_revolution_spec(n, epsilon, delta, variant)
+    dirs = _sweep_directions(n, seed=25)
+    rho = revolution_radial(spec, dirs)
+    h = revolution_support(spec, dirs)
+    assert np.max(np.abs(rho - _bisection_radial(spec, dirs))) <= SMOOTH_EVAL_TOL
+    assert np.max(np.abs(h - _golden_support(spec, dirs))) <= SMOOTH_EVAL_TOL
+    # a row's value must not depend on the batch it arrives in
+    for j in list(range(10)) + list(range(3000, 3038)):
+        assert revolution_radial(spec, dirs[j]) == rho[j]
+        assert revolution_support(spec, dirs[j]) == h[j]
 
 
 # ---------------------------------------------------------------------------

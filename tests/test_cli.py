@@ -1,13 +1,19 @@
 """CLI behavior: exit codes, output files, spec parsing, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import convexlab
+from convexlab import cli
 from convexlab.bodies import RevolutionBodySpec
 from convexlab.cli import (CliError, build_parser, construct_pair_specs, main,
                            parse_body_spec)
+from convexlab.experiments import certify_report, make_pair
 from convexlab.polykernel import HPolytope
 
 SCHEMA = json.loads(
@@ -175,6 +181,66 @@ def test_convergence_and_certify_cli(tmp_path, capsys):
     # a congruent control certifies as inconclusive, which counts as a pass
     assert main(["certify", "--pair", "control-rotated",
                  "--out", str(tmp_path / "r")]) == 0
+
+
+def _child_env(**extra) -> dict:
+    """Environment for a child interpreter that imports this convexlab."""
+    env = os.environ.copy()
+    pkg_root = str(Path(convexlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env.update(extra)
+    return env
+
+
+def test_polytope_runs_do_not_import_scipy_linalg_or_spatial(tmp_path):
+    code = (
+        "import sys\n"
+        "from convexlab.cli import main\n"
+        "for cmd in ('convergence', 'certify'):\n"
+        "    code = main([cmd, '--pair', 'polytope', '--out', sys.argv[1] + '/' + cmd])\n"
+        "    assert code == 0, cmd\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.spatial') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=_child_env(), capture_output=True, text=True,
+                          cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_convexlab_threads_overrides_exported_blas_variables(tmp_path):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    code = ("import os, convexlab\n"
+            f"print([os.environ.get(v) for v in {names!r}])\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_child_env(OPENBLAS_NUM_THREADS="1", CONVEXLAB_THREADS="2"),
+        capture_output=True, text=True, cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["2"] * len(names))
+
+
+def test_reports_carry_runtime(tmp_path, monkeypatch, capsys):
+    args = build_parser().parse_args(["certify", "--pair", "polytope",
+                                      "--out", str(tmp_path / "one")])
+    report, _ = cli._run_single(args)
+    assert report.runtime_seconds > 0.0
+
+    made = []
+
+    def plan(seed):
+        def thunk():
+            made.append(certify_report(make_pair("polytope")))
+            return made[-1]
+        return [("certify-polytope", "polytope", True, thunk)]
+
+    monkeypatch.setattr(cli, "_suite_plan", plan)
+    out = tmp_path / "suite"
+    assert main(["all", "--out", str(out)]) == 0
+    assert made[0].runtime_seconds > 0.0
+    for path in (out / "report.json", out / "certify-polytope" / "report.json"):
+        assert "runtime" not in path.read_text(encoding="utf-8")
 
 
 def test_parser_defaults():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convexlab.bodies import ball_oracle
+from convexlab.experiments import _distance_signature, _orthogonal_complement
 from convexlab.experiments import (BodyPair, ExperimentError,
                                    NoncongruenceCertificate, PAIR_NAMES,
                                    certify_report, convergence_experiment,
@@ -300,3 +301,20 @@ def test_report_serialization_round_trip(tmp_path, smooth_pair):
 
     with pytest.raises(ValueError):
         canonical_json({"bad": float("nan")})
+
+
+def test_numpy_replacements_equal_scipy_bitwise():
+    # the suite avoids importing scipy.linalg and scipy.spatial; these two
+    # helpers stand in for null_space and pdist with identical bytes
+    from scipy.linalg import null_space
+    from scipy.spatial.distance import pdist
+
+    gen = RngStream(26, 0).generator()
+    for _ in range(500):
+        n = int(gen.integers(2, 6))
+        xi = gen.standard_normal(n) * gen.uniform(0.1, 10.0)
+        u = xi / np.linalg.norm(xi)
+        assert np.array_equal(_orthogonal_complement(xi), null_space(u.reshape(1, -1)))
+        verts = gen.standard_normal((int(gen.integers(2, 30)), n))
+        centered = verts - verts.mean(axis=0)
+        assert np.array_equal(_distance_signature(verts), np.sort(pdist(centered)))

@@ -1,0 +1,14 @@
+"""The README's library example must run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
+    assert capsys.readouterr().out.strip()
