@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .grassmann import rowwise
 from .polykernel import (HPolytope, VRep, _vertex_candidates,
                          enumerate_vertices, polytope_radial)
 
@@ -196,6 +197,7 @@ def _safeguarded_newton(fun, x, lo, hi) -> np.ndarray:
     return x
 
 
+@rowwise
 def revolution_radial(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
     """Radial function along unit directions, by safeguarded Newton on each ray.
 
@@ -205,12 +207,9 @@ def revolution_radial(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
     always contains its root.  Newton starts from the unit-sphere root r = 1,
     which is exact for rays that miss both bumps.
     """
-    d = np.asarray(dirs, dtype=float)
-    single = d.ndim == 1
-    d2 = d.reshape(1, -1) if single else d
-    tn = d2[:, -1]
-    tp = np.linalg.norm(d2[:, :-1], axis=1)
-    r = np.ones(d2.shape[0])
+    tn = dirs[:, -1]
+    tp = np.linalg.norm(dirs[:, :-1], axis=1)
+    r = np.ones(dirs.shape[0])
     off_axis = tp > 1e-15
     if np.any(off_axis):
         tni, tpi = tn[off_axis], tp[off_axis]
@@ -225,9 +224,10 @@ def revolution_radial(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
 
         r[off_axis] = _safeguarded_newton(gap, np.minimum(1.0, hi),
                                           np.zeros_like(hi), hi)
-    return float(r[0]) if single else r
+    return r
 
 
+@rowwise
 def revolution_support(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
     """Support function h(xi) = max_t [ |xi'| f(t) + xi_n t ] over t in [-1, 1].
 
@@ -236,11 +236,8 @@ def revolution_support(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
     starting from the spherical cap's maximiser t = xi_n/|xi|; both
     endpoints are checked as well.
     """
-    d = np.asarray(dirs, dtype=float)
-    single = d.ndim == 1
-    d2 = d.reshape(1, -1) if single else d
-    xn = d2[:, -1]
-    xp = np.linalg.norm(d2[:, :-1], axis=1)
+    xn = dirs[:, -1]
+    xp = np.linalg.norm(dirs[:, :-1], axis=1)
 
     def objective(t):
         return xp * _profile_terms(spec, t, 0) + xn * t
@@ -254,8 +251,7 @@ def revolution_support(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
     t = _safeguarded_newton(falling_slope, t0, np.full_like(xn, -1.0),
                             np.ones_like(xn))
     ends = np.maximum(objective(np.full_like(xn, -1.0)), objective(np.ones_like(xn)))
-    h = np.maximum(objective(t), ends)
-    return float(h[0]) if single else h
+    return np.maximum(objective(t), ends)
 
 
 @dataclass(frozen=True)
@@ -421,6 +417,7 @@ class ConvexBodyOracle:
         return {"type": "derived", "kind": self.kind, "label": self.label}
 
 
+@rowwise
 def _revolution_member(spec: RevolutionBodySpec, pts: np.ndarray) -> np.ndarray:
     tn = pts[:, -1]
     tp = np.linalg.norm(pts[:, :-1], axis=1)
@@ -439,18 +436,11 @@ def oracle_of(body) -> ConvexBodyOracle:
     """
     if isinstance(body, RevolutionBodySpec):
         spec = body
-
-        def member(x):
-            pts = np.asarray(x, dtype=float)
-            single = pts.ndim == 1
-            res = _revolution_member(spec, pts.reshape(1, -1) if single else pts)
-            return bool(res[0]) if single else res
-
         return ConvexBodyOracle(
             dim=spec.n,
             radial=lambda d: revolution_radial(spec, d),
             support=lambda d: revolution_support(spec, d),
-            member=member,
+            member=lambda x: _revolution_member(spec, x),
             eval_tol=SMOOTH_EVAL_TOL,
             kind="revolution",
             label=f"revolution-{spec.variant}",
@@ -461,19 +451,13 @@ def oracle_of(body) -> ConvexBodyOracle:
         vrep = enumerate_vertices(poly)
         verts = vrep.vertices
 
+        @rowwise
         def support(d):
-            arr = np.asarray(d, dtype=float)
-            single = arr.ndim == 1
-            vals = (arr.reshape(1, -1) if single else arr) @ verts.T
-            h = vals.max(axis=1)
-            return float(h[0]) if single else h
+            return (d @ verts.T).max(axis=1)
 
-        def member(x):
-            arr = np.asarray(x, dtype=float)
-            single = arr.ndim == 1
-            pts = arr.reshape(1, -1) if single else arr
-            ok = np.all(pts @ poly.normals.T <= poly.offsets + POLY_EVAL_TOL, axis=1)
-            return bool(ok[0]) if single else ok
+        @rowwise
+        def member(pts):
+            return np.all(pts @ poly.normals.T <= poly.offsets + POLY_EVAL_TOL, axis=1)
 
         return ConvexBodyOracle(
             dim=poly.ambient_dim,
@@ -494,22 +478,17 @@ def ball_oracle(dim: int, radius: float = 1.0) -> ConvexBodyOracle:
         raise BodyError("ball needs a positive dimension and radius")
     r = float(radius)
 
+    @rowwise
     def radial(d):
-        arr = np.asarray(d, dtype=float)
-        return r if arr.ndim == 1 else np.full(arr.shape[0], r)
+        return np.full(d.shape[0], r)
 
+    @rowwise
     def support(d):
-        arr = np.asarray(d, dtype=float)
-        single = arr.ndim == 1
-        h = r * np.linalg.norm(arr.reshape(1, -1) if single else arr, axis=1)
-        return float(h[0]) if single else h
+        return r * np.linalg.norm(d, axis=1)
 
-    def member(x):
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        pts = arr.reshape(1, -1) if single else arr
-        ok = np.linalg.norm(pts, axis=1) <= r + POLY_EVAL_TOL
-        return bool(ok[0]) if single else ok
+    @rowwise
+    def member(pts):
+        return np.linalg.norm(pts, axis=1) <= r + POLY_EVAL_TOL
 
     return ConvexBodyOracle(
         dim=dim, radial=radial, support=support, member=member,

@@ -27,7 +27,7 @@ from .experiments import (
     sections_experiment,
     slab_experiment,
 )
-from .grassmann import RngStream, sample_haar_subspace, sample_sphere
+from .grassmann import RngStream, Subspace, sample_sphere
 from .intrinsic import boundary_polyline
 from .polykernel import section_polygon
 from .report import canonical_json, write_report_json, write_samples_csv, write_suite_csv
@@ -173,36 +173,40 @@ def _default_tol(command: str, pair: BodyPair, args) -> float:
 # single-experiment runs
 
 
+def _experiment(cmd: str, pair: BodyPair, rng: RngStream, samples=None, tol=None,
+                k=None, i=None, t=None, **options):
+    """Run one experiment command on a pair: the one dispatch behind single
+    commands and suite entries.  An absent i or t takes the command's
+    default; options go to the experiment function."""
+    K, L, snaps = pair.oracle_K, pair.oracle_L, pair.snapshots
+    if cmd == "lemma1":
+        return lemma1_check(K, L, samples, tol, rng, snaps)
+    if cmd == "sections":
+        return sections_experiment(K, L, k, k if i is None else i, samples, rng,
+                                   tol, snapshots=snaps, **options)
+    if cmd == "slabs":
+        return slab_experiment(K, L, t, K.dim if i is None else i, samples, rng,
+                               tol, snapshots=snaps, **options)
+    if cmd == "projections":
+        return projections_experiment(K, L, k, samples, rng, tol, snapshots=snaps)
+    if cmd == "convergence":
+        return convergence_experiment(K, sample_sphere(K.dim, rng), i,
+                                      t or DEFAULT_T_SEQUENCE, snapshots=snaps,
+                                      **options)
+    if cmd == "certify":
+        return certify_report(pair)
+    raise CliError(f"unknown command '{cmd}'")
+
+
 def _run_single(args) -> tuple:
     pair = _resolve_pair(args)
     cmd = args.command
-    rng = RngStream(args.seed, _STREAM_OF.get(cmd, 0))
     tol = args.tol if args.tol is not None else _default_tol(cmd, pair, args)
-    samples = args.samples if getattr(args, "samples", None) else _DEFAULT_SAMPLES.get(cmd, 100)
-    snaps = pair.snapshots
+    samples = getattr(args, "samples", None) or _DEFAULT_SAMPLES.get(cmd)
     t0 = time.perf_counter()
-    if cmd == "lemma1":
-        report = lemma1_check(pair.oracle_K, pair.oracle_L, samples, tol, rng, snaps)
-    elif cmd == "sections":
-        i = args.i if args.i is not None else args.k
-        report = sections_experiment(pair.oracle_K, pair.oracle_L, args.k, i,
-                                     samples, rng, tol, snapshots=snaps)
-    elif cmd == "slabs":
-        i = args.i if args.i is not None else pair.oracle_K.dim
-        report = slab_experiment(pair.oracle_K, pair.oracle_L, args.t, i,
-                                 samples, rng, tol, snapshots=snaps)
-    elif cmd == "projections":
-        report = projections_experiment(pair.oracle_K, pair.oracle_L, args.k,
-                                        samples, rng, tol, snapshots=snaps)
-    elif cmd == "convergence":
-        ts = tuple(args.t) if args.t else DEFAULT_T_SEQUENCE
-        xi = sample_sphere(pair.oracle_K.dim, rng)
-        report = convergence_experiment(pair.oracle_K, xi, args.i, ts,
-                                        snapshots=snaps)
-    elif cmd == "certify":
-        report = certify_report(pair)
-    else:
-        raise CliError(f"unknown command '{cmd}'")
+    report = _experiment(cmd, pair, RngStream(args.seed, _STREAM_OF.get(cmd, 0)),
+                         samples, tol, k=getattr(args, "k", None),
+                         i=getattr(args, "i", None), t=getattr(args, "t", None))
     report.runtime_seconds = time.perf_counter() - t0
     return report, pair
 
@@ -213,22 +217,29 @@ def _section_loop(oracle, sub) -> np.ndarray:
     return boundary_polyline(section_oracle(oracle, sub), 512).vertices
 
 
-def _emit_single(report, pair, args, out: Path, written: list) -> None:
+def _write_report(out: Path, report, written: list) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rp, cp = out / "report.json", out / "samples.csv"
     written.extend([rp, cp])
     write_report_json(rp, report)
     write_samples_csv(cp, report)
+
+
+def _write_profiles(path: Path, spec_k, spec_l, written: list) -> None:
+    written.append(path)
+    ts = np.linspace(-1.0, 1.0, 1025)
+    render_series_svg(path, "generating profiles", [
+        ("f (body K)", ts, profile(spec_k, ts)),
+        ("g (body L)", ts, profile(spec_l, ts)),
+    ])
+
+
+def _emit_single(report, pair, args, out: Path, written: list) -> None:
+    _write_report(out, report, written)
     if not args.svg:
         return
     if pair.smooth_specs is not None:
-        pp = out / "profiles.svg"
-        written.append(pp)
-        ts = np.linspace(-1.0, 1.0, 1025)
-        render_series_svg(pp, "generating profiles", [
-            ("f (body K)", ts, profile(pair.smooth_specs[0], ts)),
-            ("g (body L)", ts, profile(pair.smooth_specs[1], ts)),
-        ])
+        _write_profiles(out / "profiles.svg", *pair.smooth_specs, written)
     sp = out / "rel_diff.svg"
     written.append(sp)
     render_scatter_svg(sp, f"{report.experiment}: per-sample rel_diff",
@@ -237,10 +248,9 @@ def _emit_single(report, pair, args, out: Path, written: list) -> None:
     if report.experiment == "sections" and args.k == 2 and pair.oracle_K.dim == 3:
         gp = out / "sections.svg"
         written.append(gp)
-        rng = RngStream(args.seed, _STREAM_OF["sections"])
         polys = []
         for j in range(min(3, len(report.samples))):
-            sub = sample_haar_subspace(3, 2, rng.substream(j))
+            sub = Subspace(np.reshape(report.samples[j].basis, (3, 2)))
             polys.append((f"K section {j}", _section_loop(pair.oracle_K, sub)))
             polys.append((f"L section {j}", _section_loop(pair.oracle_L, sub)))
         render_polygons_svg(gp, "section overlays", polys)
@@ -250,96 +260,43 @@ def _emit_single(report, pair, args, out: Path, written: list) -> None:
 # the aggregate suite
 
 
-def _suite_plan(seed: int) -> list:
-    """(name, pair, expected_pass, thunk) rows covering every experiment.
-
-    Controls are expected to FAIL their equality checks; the suite is wrong
-    if they pass.
-    """
-    pairs: dict[str, BodyPair] = {}
-
-    def P(name: str) -> BodyPair:
-        if name not in pairs:
-            pairs[name] = make_pair(name)
-        return pairs[name]
-
-    def R(idx: int) -> RngStream:
-        return RngStream(seed, idx)
-
-    def lemma1(pair_name, m, tol, idx):
-        p = P(pair_name)
-        return lambda: lemma1_check(p.oracle_K, p.oracle_L, m, tol, R(idx),
-                                    p.snapshots)
-
-    def sections(pair_name, k, i, m, tol, idx):
-        p = P(pair_name)
-        return lambda: sections_experiment(p.oracle_K, p.oracle_L, k, i, m,
-                                           R(idx), tol, snapshots=p.snapshots)
-
-    def slabs(pair_name, t, i, m, tol, idx, vol_nodes=200_000):
-        p = P(pair_name)
-        return lambda: slab_experiment(p.oracle_K, p.oracle_L, t, i, m, R(idx),
-                                       tol, vol_nodes=vol_nodes,
-                                       snapshots=p.snapshots)
-
-    def projections(pair_name, k, m, tol, idx):
-        p = P(pair_name)
-        return lambda: projections_experiment(p.oracle_K, p.oracle_L, k, m,
-                                              R(idx), tol, snapshots=p.snapshots)
-
-    def convergence(pair_name, i, idx, **kw):
-        p = P(pair_name)
-        xi = sample_sphere(p.oracle_K.dim, R(idx))
-        return lambda: convergence_experiment(p.oracle_K, xi, i,
-                                              DEFAULT_T_SEQUENCE,
-                                              snapshots=p.snapshots, **kw)
-
-    def certify(pair_name):
-        p = P(pair_name)
-        return lambda: certify_report(p)
-
-    return [
-        ("lemma1-smooth", "smooth", True, lemma1("smooth", 1000, 1e-8, 10)),
-        ("lemma1-polytope", "polytope", True, lemma1("polytope", 1000, 1e-11, 11)),
-        ("lemma1-control-shifted", "control-shifted", False,
-         lemma1("control-shifted", 500, 1e-8, 12)),
-        ("sections-polytope-k2-i1", "polytope", True,
-         sections("polytope", 2, 1, 50, 1e-9, 20)),
-        ("sections-polytope-k2-i2", "polytope", True,
-         sections("polytope", 2, 2, 50, 1e-9, 21)),
-        ("sections-smooth-k2-i1", "smooth", True,
-         sections("smooth", 2, 1, 30, 1e-5, 22)),
-        ("sections-smooth-k2-i2", "smooth", True,
-         sections("smooth", 2, 2, 30, 1e-5, 23)),
-        ("sections-control-rotated-k2-i2", "control-rotated", False,
-         sections("control-rotated", 2, 2, 20, 1e-9, 24)),
-        ("sections-control-shifted-k2-i2", "control-shifted", False,
-         sections("control-shifted", 2, 2, 20, 1e-5, 25)),
-        ("slabs-polytope-i1", "polytope", True,
-         slabs("polytope", 0.5, 1, 25, 1e-9, 30)),
-        ("slabs-polytope-i2", "polytope", True,
-         slabs("polytope", 0.5, 2, 25, 1e-9, 31)),
-        ("slabs-polytope-i3", "polytope", True,
-         slabs("polytope", 0.5, 3, 25, 1e-9, 32)),
-        ("slabs-smooth-i3", "smooth", True,
-         slabs("smooth", 0.5, 3, 8, 1e-4, 33, vol_nodes=50_000)),
-        ("projections-smooth-k1", "smooth", True,
-         projections("smooth", 1, 300, 1e-8, 40)),
-        ("projections-smooth-k2", "smooth", True,
-         projections("smooth", 2, 30, 1e-4, 41)),
-        ("projections-polytope-k1", "polytope", True,
-         projections("polytope", 1, 300, 1e-8, 42)),
-        ("projections-polytope-k2", "polytope", True,
-         projections("polytope", 2, 50, 1e-9, 43)),
-        ("projections-control-shifted-k1", "control-shifted", True,
-         projections("control-shifted", 1, 100, 1e-8, 44)),
-        ("convergence-polytope-i2", "polytope", True,
-         convergence("polytope", 2, 50)),
-        ("convergence-smooth-i1", "smooth", True,
-         convergence("smooth", 1, 51, width_nodes=256)),
-        ("certify-smooth", "smooth", True, certify("smooth")),
-        ("certify-polytope", "polytope", True, certify("polytope")),
-    ]
+# (entry, pair, expected pass, command, stream index, arguments).  Controls
+# are expected to FAIL their equality checks; the suite is wrong if they pass.
+_SUITE = (
+    ("lemma1-smooth", "smooth", True, "lemma1", 10, dict(samples=1000, tol=1e-8)),
+    ("lemma1-polytope", "polytope", True, "lemma1", 11, dict(samples=1000, tol=1e-11)),
+    ("lemma1-control-shifted", "control-shifted", False, "lemma1", 12,
+     dict(samples=500, tol=1e-8)),
+    ("sections-polytope-k2-i1", "polytope", True, "sections", 20,
+     dict(k=2, i=1, samples=50, tol=1e-9)),
+    ("sections-polytope-k2-i2", "polytope", True, "sections", 21,
+     dict(k=2, i=2, samples=50, tol=1e-9)),
+    ("sections-smooth-k2-i1", "smooth", True, "sections", 22,
+     dict(k=2, i=1, samples=30, tol=1e-5)),
+    ("sections-smooth-k2-i2", "smooth", True, "sections", 23,
+     dict(k=2, i=2, samples=30, tol=1e-5)),
+    ("sections-control-rotated-k2-i2", "control-rotated", False, "sections", 24,
+     dict(k=2, i=2, samples=20, tol=1e-9)),
+    ("sections-control-shifted-k2-i2", "control-shifted", False, "sections", 25,
+     dict(k=2, i=2, samples=20, tol=1e-5)),
+    ("slabs-polytope-i1", "polytope", True, "slabs", 30, dict(t=0.5, i=1, samples=25, tol=1e-9)),
+    ("slabs-polytope-i2", "polytope", True, "slabs", 31, dict(t=0.5, i=2, samples=25, tol=1e-9)),
+    ("slabs-polytope-i3", "polytope", True, "slabs", 32, dict(t=0.5, i=3, samples=25, tol=1e-9)),
+    ("slabs-smooth-i3", "smooth", True, "slabs", 33,
+     dict(t=0.5, i=3, samples=8, tol=1e-4, vol_nodes=50_000)),
+    ("projections-smooth-k1", "smooth", True, "projections", 40, dict(k=1, samples=300, tol=1e-8)),
+    ("projections-smooth-k2", "smooth", True, "projections", 41, dict(k=2, samples=30, tol=1e-4)),
+    ("projections-polytope-k1", "polytope", True, "projections", 42,
+     dict(k=1, samples=300, tol=1e-8)),
+    ("projections-polytope-k2", "polytope", True, "projections", 43,
+     dict(k=2, samples=50, tol=1e-9)),
+    ("projections-control-shifted-k1", "control-shifted", True, "projections", 44,
+     dict(k=1, samples=100, tol=1e-8)),
+    ("convergence-polytope-i2", "polytope", True, "convergence", 50, dict(i=2)),
+    ("convergence-smooth-i1", "smooth", True, "convergence", 51, dict(i=1, width_nodes=256)),
+    ("certify-smooth", "smooth", True, "certify", 0, {}),
+    ("certify-polytope", "polytope", True, "certify", 0, {}),
+)
 
 
 def _run_all(args, written: list) -> int:
@@ -347,9 +304,13 @@ def _run_all(args, written: list) -> int:
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     named_reports = []
-    for name, pair_name, expected, thunk in _suite_plan(args.seed):
+    pairs: dict[str, BodyPair] = {}
+    for name, pair_name, expected, cmd, stream, arguments in _SUITE:
+        if pair_name not in pairs:
+            pairs[pair_name] = make_pair(pair_name)
         t0 = time.perf_counter()
-        report = thunk()
+        report = _experiment(cmd, pairs[pair_name], RngStream(args.seed, stream),
+                             **arguments)
         report.runtime_seconds = time.perf_counter() - t0
         actual = bool(report.summary["pass"])
         entries.append({
@@ -362,12 +323,7 @@ def _run_all(args, written: list) -> int:
             "summary": report.summary,
         })
         named_reports.append((name, report))
-        sub = out / name
-        sub.mkdir(parents=True, exist_ok=True)
-        rp, cp = sub / "report.json", sub / "samples.csv"
-        written.extend([rp, cp])
-        write_report_json(rp, report)
-        write_samples_csv(cp, report)
+        _write_report(out / name, report, written)
     ok_count = sum(1 for e in entries if e["ok"])
     suite = {
         "experiment": "all",
@@ -384,14 +340,8 @@ def _run_all(args, written: list) -> int:
     write_report_json(rp, suite)
     write_suite_csv(cp, named_reports)
     if args.svg:
-        pp = out / "profiles.svg"
-        written.append(pp)
         spec_k = make_revolution_spec()
-        ts = np.linspace(-1.0, 1.0, 1025)
-        render_series_svg(pp, "generating profiles", [
-            ("f (body K)", ts, profile(spec_k, ts)),
-            ("g (body L)", ts, profile(spec_k.partner(), ts)),
-        ])
+        _write_profiles(out / "profiles.svg", spec_k, spec_k.partner(), written)
     for e in entries:
         marker = "ok" if e["ok"] else "UNEXPECTED"
         expect = "pass" if e["expected_pass"] else "fail"

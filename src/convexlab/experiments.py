@@ -20,14 +20,12 @@ from .bodies import (ConvexBodyOracle, PolytopeConstruction,
                      RevolutionBodySpec, ball_oracle, build_polytope_pair,
                      make_revolution_spec, oracle_of, profile)
 from .grassmann import RngStream, Subspace, sample_haar_subspace, sample_sphere
-from .intrinsic import (area_from_support_2d, centroid_3d, hull_surface_v2,
-                        kubota_intrinsic_volume, mean_width_v1,
-                        planar_metrics_from_oracle, volume_radial)
+from .intrinsic import (centroid_3d, hull_surface_v2, kubota_intrinsic_volume,
+                        mean_width_v1, planar_metrics_from_oracle,
+                        projection_volume, volume_radial)
 from .polykernel import (HPolytope, convex_hull_2d, polygon_metrics,
-                         poly3_intrinsic_volumes, projection_polygon,
-                         section_polygon)
-from .transforms import (SlabSpec, max_slab_halfwidth,
-                         projection_support_oracle, section_oracle,
+                         poly3_intrinsic_volumes, section_polygon)
+from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                          slab_oracle, translate_oracle)
 
 
@@ -82,6 +80,34 @@ def _judge(samples: list, tol: float) -> dict:
         "tolerance": tol,
         "rule": rule,
     }
+
+
+def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
+                oracle_L: ConvexBodyOracle, bases: list, value, rng: RngStream,
+                tol: float, parameters: dict,
+                snapshots: dict | None) -> ExperimentReport:
+    """Compare one functional on K and on L, sample by sample.
+
+    value(oracle, j, side) gives (value, stderr, method) of sample j, with
+    side 1 for K and 2 for L; bases[j] is the sample's subspace basis or
+    normal, recorded row-major.
+    """
+    samples = []
+    methods = set()
+    for j, basis in enumerate(bases):
+        vk, sk, mk = value(oracle_K, j, 1)
+        vl, sl, ml = value(oracle_L, j, 2)
+        methods.update((mk, ml))
+        diff = abs(vk - vl)
+        samples.append(SampleRecord(
+            j, tuple(float(x) for x in np.ravel(basis)), vk, vl, diff,
+            _rel(diff, vk, vl), sk + sl))
+    summary = _judge(samples, tol)
+    summary["methods"] = sorted(methods)
+    return ExperimentReport(experiment, snapshots or {}, {
+        **parameters, "samples": len(bases), "seed": rng.seed, "tol": tol,
+        "dimension": oracle_K.dim,
+    }, samples, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -281,52 +307,31 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         raise ExperimentError("oracles must share a dimension")
     if not 1 <= i <= k <= n - 1:
         raise ExperimentError(f"need 1 <= i <= k <= n-1, got i={i}, k={k}, n={n}")
-    samples = []
-    methods = set()
-    for j in range(num_h):
-        sub_rng = rng.substream(j)
-        sub = sample_haar_subspace(n, k, sub_rng)
-        vk, sk, mk = _section_value(oracle_K, sub, i, polyline_n, kubota_m,
-                                    sub_rng.substream(1))
-        vl, sl, ml = _section_value(oracle_L, sub, i, polyline_n, kubota_m,
-                                    sub_rng.substream(2))
-        methods.update((mk, ml))
-        diff = abs(vk - vl)
-        samples.append(SampleRecord(
-            j, tuple(float(x) for x in sub.basis.flatten()),
-            vk, vl, diff, _rel(diff, vk, vl), sk + sl))
-    summary = _judge(samples, tol)
-    summary["methods"] = sorted(methods)
-    return ExperimentReport(
-        "sections", snapshots or {}, {
-            "k": k, "i": i, "samples": num_h, "seed": rng.seed, "tol": tol,
-            "polyline_n": polyline_n, "dimension": n,
-        }, samples, summary)
+    subs = [sample_haar_subspace(n, k, rng.substream(j)) for j in range(num_h)]
+
+    def value(oracle, j, side):
+        return _section_value(oracle, subs[j], i, polyline_n, kubota_m,
+                              rng.substream(j).substream(side))
+
+    return _paired_run("sections", oracle_K, oracle_L, [s.basis for s in subs],
+                       value, rng, tol, {"k": k, "i": i, "polyline_n": polyline_n},
+                       snapshots)
 
 
 # ---------------------------------------------------------------------------
 # Slabs
 
 
-def _poly_slab_values(oracle: ConvexBodyOracle, spec: SlabSpec) -> tuple[float, float, float]:
-    slab = slab_oracle(oracle, spec)
-    if slab.dim == 3:
-        return poly3_intrinsic_volumes(slab.polytope, slab.vrep)
-    if slab.dim == 2:
-        hull = convex_hull_2d(slab.vrep.vertices)
-        area, perim = polygon_metrics(hull)
-        return (perim / 2.0, area, 0.0)
-    raise ExperimentError("exact slab path supports dimensions 2 and 3")
-
-
 def _slab_value(oracle: ConvexBodyOracle, spec: SlabSpec, i: int,
                 vol_nodes: int, width_nodes: int,
                 hull_nodes: int) -> tuple[float, float, str]:
     n = oracle.dim
-    if oracle.polytope is not None and n in (2, 3):
-        vals = _poly_slab_values(oracle, spec)
-        return vals[i - 1], 0.0, "exact-poly3" if n == 3 else "exact-polygon"
     slab = slab_oracle(oracle, spec)
+    if oracle.polytope is not None and n == 3:
+        return poly3_intrinsic_volumes(slab.polytope, slab.vrep)[i - 1], 0.0, "exact-poly3"
+    if oracle.polytope is not None and n == 2:
+        area, perim = polygon_metrics(convex_hull_2d(slab.vrep.vertices))
+        return (perim / 2.0, area)[i - 1], 0.0, "exact-polygon"
     if i == n:
         est = volume_radial(slab, n, nodes=vol_nodes)
     elif i == 1 and n == 3:
@@ -351,47 +356,18 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     if not 0.0 < t <= t_max:
         raise ExperimentError(
             f"slab half-width {t} outside (0, {t_max:.9g}] (max admissible t)")
-    samples = []
-    methods = set()
-    for j in range(num_xi):
-        xi = sample_sphere(n, rng.substream(j))
-        spec = SlabSpec(xi, t)
-        vk, sk, mk = _slab_value(oracle_K, spec, i, vol_nodes, width_nodes, hull_nodes)
-        vl, sl, ml = _slab_value(oracle_L, spec, i, vol_nodes, width_nodes, hull_nodes)
-        methods.update((mk, ml))
-        diff = abs(vk - vl)
-        samples.append(SampleRecord(
-            j, tuple(float(x) for x in xi), vk, vl, diff,
-            _rel(diff, vk, vl), sk + sl))
-    summary = _judge(samples, tol)
-    summary["methods"] = sorted(methods)
-    return ExperimentReport(
-        "slabs", snapshots or {}, {
-            "t": t, "i": i, "samples": num_xi, "seed": rng.seed, "tol": tol,
-            "dimension": n,
-        }, samples, summary)
+    xis = [sample_sphere(n, rng.substream(j)) for j in range(num_xi)]
+
+    def value(oracle, j, side):
+        return _slab_value(oracle, SlabSpec(xis[j], t), i, vol_nodes,
+                           width_nodes, hull_nodes)
+
+    return _paired_run("slabs", oracle_K, oracle_L, xis, value, rng, tol,
+                       {"t": t, "i": i}, snapshots)
 
 
 # ---------------------------------------------------------------------------
 # Projections
-
-
-def _projection_value(oracle: ConvexBodyOracle, sub: Subspace, area_n: int) -> tuple[float, float, str]:
-    k = sub.dim
-    if k == 1:
-        u = sub.basis[:, 0]
-        w = float(oracle.support(u)) + float(oracle.support(-u))
-        return w, 0.0, "exact-width"
-    if k == 2:
-        if oracle.vrep is not None:
-            q = projection_polygon(oracle.vrep, sub)
-            return polygon_metrics(q)[0], 0.0, "exact-polygon"
-        proj = projection_support_oracle(oracle, sub)
-        return area_from_support_2d(proj, area_n), 0.0, "quadrature"
-    if k == 3 and oracle.vrep is not None:
-        from scipy.spatial import ConvexHull
-        return float(ConvexHull(oracle.vrep.vertices @ sub.basis).volume), 0.0, "exact-hull"
-    raise ExperimentError(f"no projection-volume path for k={k} on {oracle.kind}")
 
 
 def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
@@ -402,24 +378,14 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     n = oracle_K.dim
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    samples = []
-    methods = set()
-    for j in range(num_h):
-        sub = sample_haar_subspace(n, k, rng.substream(j))
-        vk, sk, mk = _projection_value(oracle_K, sub, area_n)
-        vl, sl, ml = _projection_value(oracle_L, sub, area_n)
-        methods.update((mk, ml))
-        diff = abs(vk - vl)
-        samples.append(SampleRecord(
-            j, tuple(float(x) for x in sub.basis.flatten()), vk, vl, diff,
-            _rel(diff, vk, vl), sk + sl))
-    summary = _judge(samples, tol)
-    summary["methods"] = sorted(methods)
-    return ExperimentReport(
-        "projections", snapshots or {}, {
-            "k": k, "samples": num_h, "seed": rng.seed, "tol": tol,
-            "dimension": n,
-        }, samples, summary)
+    subs = [sample_haar_subspace(n, k, rng.substream(j)) for j in range(num_h)]
+
+    def value(oracle, j, side):
+        vol, method = projection_volume(oracle, subs[j], area_n)
+        return vol, 0.0, method
+
+    return _paired_run("projections", oracle_K, oracle_L, [s.basis for s in subs],
+                       value, rng, tol, {"k": k}, snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +413,11 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
         raise ExperimentError(f"largest t {ts[0]} exceeds max admissible {t_max:.9g}")
     xi = np.asarray(xi, dtype=float)
 
-    # section value through the hyperplane orthogonal to xi
-    comp = _orthogonal_complement(xi)
-    sub = Subspace(comp)
-    if oracle.polytope is not None and sub.dim == 2:
-        area, perim = polygon_metrics(section_polygon(oracle.polytope, sub))
-        sec_value, sec_err = (area if i == 2 else perim / 2.0), 0.0
-    elif sub.dim == 2:
-        est = planar_metrics_from_oracle(section_oracle(oracle, sub), polyline_n)[i - 1]
-        sec_value, sec_err = est.value, est.stderr
-    else:
+    if n != 3:
         raise ExperimentError("convergence experiment supports n = 3")
+    # section value through the plane orthogonal to xi
+    sec_value, sec_err, _ = _section_value(oracle, Subspace(_orthogonal_complement(xi)),
+                                           i, polyline_n, kubota_m=0, rng=None)
 
     samples = []
     diffs, errs = [], []

@@ -35,6 +35,28 @@ def unit_vector(coords) -> np.ndarray:
     return v
 
 
+def rowwise(fn):
+    """Lift fn(..., rows), which maps an (m, n) stack to m values, to the
+    scalar/batch convention of every oracle: a stack of rows gives fn's
+    array, a single vector is evaluated as a 1 x n stack and gives a Python
+    float or bool.
+
+    The lifted function carries no __wrapped__ attribute, so tracers that
+    skip already-wrapped callables still wrap it.
+    """
+
+    def lifted(*args, **kwargs):
+        *head, x = args
+        rows = np.asarray(x, dtype=float)
+        if rows.ndim != 1:
+            return fn(*head, rows, **kwargs)
+        return fn(*head, rows.reshape(1, -1), **kwargs)[0].item()
+
+    lifted.__name__, lifted.__qualname__ = fn.__name__, fn.__qualname__
+    lifted.__doc__ = fn.__doc__
+    return lifted
+
+
 def normalize(coords) -> np.ndarray:
     """Scale a nonzero vector to unit length."""
     v = np.asarray(coords, dtype=float)
@@ -95,18 +117,6 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
-
-    @staticmethod
-    def from_columns(columns) -> "Subspace":
-        return Subspace(np.column_stack([np.asarray(c, dtype=float) for c in columns]))
-
-    @staticmethod
-    def coordinate(n: int, axes) -> "Subspace":
-        """Subspace spanned by the given coordinate axes of R^n."""
-        b = np.zeros((n, len(axes)))
-        for j, a in enumerate(axes):
-            b[a, j] = 1.0
-        return Subspace(b)
 
 
 def sample_haar_subspace(n: int, k: int, rng: RngStream) -> Subspace:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grassmann import RngStream, Subspace, embed, kappa, sample_haar_subspace
-from .polykernel import Polygon, convex_hull_2d, polygon_metrics, projection_polygon
+from .grassmann import RngStream, Subspace, embed, kappa, rowwise, sample_haar_subspace
+from .polykernel import Polygon, polygon_metrics, projection_polygon
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -139,6 +139,7 @@ def _zoom_extremum_s2(score, centers: np.ndarray, radius: float, rounds: int,
     return best_pts, best_val
 
 
+@rowwise
 def support_from_radial(oracle, xi, grid: int = 2048, rounds: int = 24,
                         shrink: float = 0.4):
     """Support values h(xi) = max_theta rho(theta) <theta, xi> by grid + zoom.
@@ -146,13 +147,9 @@ def support_from_radial(oracle, xi, grid: int = 2048, rounds: int = 24,
     The coarse grid locates the maximizing basin; local grid-shrinking
     refines the argument to ~1e-10.  Works for planar and spatial oracles.
     """
-    x = np.asarray(xi, dtype=float)
-    single = x.ndim == 1
-    xs = x.reshape(1, -1) if single else x
     dim = oracle.dim
     if dim == 2:
-        h = _support2d_from_radial(oracle, xs, grid)
-        return float(h[0]) if single else h
+        return _support2d_from_radial(oracle, xi, grid)
     if dim != 3:
         raise EstimateError("support_from_radial handles dimensions 2 and 3")
 
@@ -160,11 +157,11 @@ def support_from_radial(oracle, xi, grid: int = 2048, rounds: int = 24,
     rho_base = np.asarray(oracle.radial(base), dtype=float)
     pts_base = base * rho_base[:, None]
 
-    out = np.empty(xs.shape[0])
+    out = np.empty(xi.shape[0])
     block = 512
     spacing = 2.0 * math.sqrt(4.0 * math.pi / grid)
-    for s in range(0, xs.shape[0], block):
-        blk = xs[s:s + block]
+    for s in range(0, xi.shape[0], block):
+        blk = xi[s:s + block]
         coarse = pts_base @ blk.T                       # (grid, b)
         centers = base[np.argmax(coarse, axis=0)]
 
@@ -176,7 +173,7 @@ def support_from_radial(oracle, xi, grid: int = 2048, rounds: int = 24,
 
         _, best = _zoom_extremum_s2(score_rows, centers, spacing, rounds, shrink, +1.0)
         out[s:s + block] = np.maximum(best, coarse.max(axis=0))
-    return float(out[0]) if single else out
+    return out
 
 
 def _support2d_from_radial(oracle, xs: np.ndarray, grid: int) -> np.ndarray:
@@ -209,14 +206,11 @@ def _support2d_from_radial(oracle, xs: np.ndarray, grid: int) -> np.ndarray:
     return np.maximum(val(0.5 * (a + b)), coarse.max(axis=0))
 
 
+@rowwise
 def support_from_polyline(oracle, xi, n: int = 8192):
     """Planar support via the inscribed polyline: h(xi) ~ max_j <p_j, xi>."""
     pts = boundary_polyline(oracle, n).vertices
-    x = np.asarray(xi, dtype=float)
-    single = x.ndim == 1
-    vals = (x.reshape(1, -1) if single else x) @ pts.T
-    h = vals.max(axis=1)
-    return float(h[0]) if single else h
+    return (xi @ pts.T).max(axis=1)
 
 
 def radial_from_support(support_fn, dirs, grid: int = 512, rounds: int = 14,
@@ -255,16 +249,9 @@ def volume_radial(oracle, k: int, nodes: int | None = None,
     """
     if k != oracle.dim:
         raise EstimateError("volume_radial needs k equal to the oracle dimension")
-    if k == 2:
-        n = nodes or 8192
-        full = _disc_integral(oracle, n)
-        half = _disc_integral(oracle, n // 2)
-        return IVEstimate(2, full, abs(full - half), "quadrature", n)
-    if k == 3:
-        n = nodes or 200_000
-        full = _ball_integral(oracle, n)
-        half = _ball_integral(oracle, n // 2)
-        return IVEstimate(3, full, abs(full - half), "quadrature", n)
+    if k in (2, 3):
+        return _halving(k, lambda n: _polar_volume(oracle, k, n),
+                        nodes or (8192 if k == 2 else 200_000))
     if rng is None:
         raise EstimateError("volume_radial needs an RngStream for k > 3")
     n = nodes or 200_000
@@ -277,14 +264,17 @@ def volume_radial(oracle, k: int, nodes: int | None = None,
                       float(vals.std(ddof=1) / math.sqrt(n)), "quadrature", n)
 
 
-def _disc_integral(oracle, n: int) -> float:
-    rho = np.asarray(oracle.radial(circle_grid(n)), dtype=float)
-    return float(np.sum(rho * rho) * (2.0 * np.pi / n) / 2.0)
+def _halving(index: int, value, n: int) -> IVEstimate:
+    """Deterministic quadrature value(n), with |value(n) - value(n/2)| as stderr."""
+    full, half = value(n), value(n // 2)
+    return IVEstimate(index, full, abs(full - half), "quadrature", n)
 
 
-def _ball_integral(oracle, n: int) -> float:
-    rho = np.asarray(oracle.radial(fibonacci_sphere(n)), dtype=float)
-    return float(np.sum(rho ** 3) * (4.0 * np.pi / n) / 3.0)
+def _polar_volume(oracle, k: int, n: int) -> float:
+    """(1/k) * integral of rho^k over the unit circle (k = 2) or sphere (k = 3)."""
+    dirs, area = (circle_grid(n), 2.0 * np.pi) if k == 2 else (fibonacci_sphere(n), 4.0 * np.pi)
+    rho = np.asarray(oracle.radial(dirs), dtype=float)
+    return float(np.sum(rho ** k) * (area / n) / k)
 
 
 def area_from_support_2d(h_fn, n: int = 8192) -> float:
@@ -316,14 +306,8 @@ def mean_width_v1(oracle, nodes: int = 2048) -> IVEstimate:
     """V_1 of a 3-d body: 4 times the spherical mean of its support function."""
     if oracle.dim != 3:
         raise EstimateError("mean_width_v1 handles dimension 3")
-    full = _mean_support(oracle, nodes)
-    half = _mean_support(oracle, nodes // 2)
-    return IVEstimate(1, 4.0 * full, 4.0 * abs(full - half), "quadrature", nodes)
-
-
-def _mean_support(oracle, n: int) -> float:
-    h = np.asarray(oracle.support(fibonacci_sphere(n)), dtype=float)
-    return float(h.mean())
+    return _halving(1, lambda n: 4.0 * float(np.mean(oracle.support(fibonacci_sphere(n)))),
+                    nodes)
 
 
 def hull_surface_v2(oracle, nodes: int = 20_000) -> IVEstimate:
@@ -338,9 +322,7 @@ def hull_surface_v2(oracle, nodes: int = 20_000) -> IVEstimate:
         rho = np.asarray(oracle.radial(dirs), dtype=float)
         return ConvexHull(dirs * rho[:, None]).area / 2.0
 
-    full = half_area(nodes)
-    half = half_area(nodes // 2)
-    return IVEstimate(2, full, abs(full - half), "quadrature", nodes)
+    return _halving(2, half_area, nodes)
 
 
 def centroid_3d(oracle, nodes: int = 20_000) -> np.ndarray:
@@ -353,33 +335,41 @@ def centroid_3d(oracle, nodes: int = 20_000) -> np.ndarray:
     return first / vol
 
 
-def _projection_volume(body, subspace: Subspace, area_grid: int) -> float:
-    """vol_i of body|subspace for i = subspace.dim in {1, 2, 3}."""
-    i = subspace.dim
-    vrep = getattr(body, "vrep", None)
-    if vrep is None and hasattr(body, "vertices"):
-        vrep = body
-    if i == 1:
-        u = subspace.basis[:, 0]
+def _vrep_of(body):
+    return body if hasattr(body, "vertices") else getattr(body, "vrep", None)
+
+
+def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
+    """(vol_k of body|sub, method) for k = sub.dim in {1, 2, 3}.
+
+    `body` is a ConvexBodyOracle or a VRep; vertex data routes every
+    dimension through an exact path, support-only bodies have paths for
+    k = 1 and 2.
+    """
+    k = sub.dim
+    vrep = _vrep_of(body)
+    if k == 1:
+        u = sub.basis[:, 0]
         if vrep is not None:
             vals = vrep.vertices @ u
-            return float(vals.max() - vals.min())
-        return float(body.support(u) + body.support(-u))
-    if i == 2:
+            return float(vals.max() - vals.min()), "exact-width"
+        return float(body.support(u)) + float(body.support(-u)), "exact-width"
+    if k == 2:
         if vrep is not None:
-            q = projection_polygon(vrep, subspace)
-            return polygon_metrics(q)[0]
-        h = lambda d: body.support(embed(subspace, d))
-        return area_from_support_2d(h, area_grid)
-    if i == 3:
-        if vrep is not None:
-            from scipy.spatial import ConvexHull
-            return float(ConvexHull(vrep.vertices @ subspace.basis).volume)
-        h = lambda d: body.support(embed(subspace, d))
-        lattice = fibonacci_sphere(512)
-        rho = radial_from_support(h, lattice)
-        return float(np.sum(rho ** 3) * (4.0 * np.pi / 512) / 3.0)
-    raise EstimateError("projection volumes implemented for i <= 3")
+            return polygon_metrics(projection_polygon(vrep, sub))[0], "exact-polygon"
+        area = area_from_support_2d(lambda d: body.support(embed(sub, d)), area_n)
+        return area, "quadrature"
+    if k == 3 and vrep is not None:
+        from scipy.spatial import ConvexHull
+        return float(ConvexHull(vrep.vertices @ sub.basis).volume), "exact-hull"
+    kind = getattr(body, "kind", type(body).__name__)
+    raise EstimateError(f"no projection-volume path for k={k} on {kind}")
+
+
+def _shadow_volume_from_support(body, sub: Subspace) -> float:
+    """vol_3 of body|sub from support values alone, via its radial function."""
+    rho = radial_from_support(lambda d: body.support(embed(sub, d)), fibonacci_sphere(512))
+    return float(np.sum(rho ** 3) * (4.0 * np.pi / 512) / 3.0)
 
 
 def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream,
@@ -402,7 +392,10 @@ def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream,
     vols = np.empty(m)
     for j in range(m):
         sub = sample_haar_subspace(k, i, rng.substream(j))
-        vols[j] = _projection_volume(body, sub, area_grid)
+        if i == 3 and _vrep_of(body) is None:
+            vols[j] = _shadow_volume_from_support(body, sub)
+        else:
+            vols[j] = projection_volume(body, sub, area_grid)[0]
     c = flag_coefficient(k, i)
     value = c * float(vols.mean())
     stderr = c * float(vols.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0

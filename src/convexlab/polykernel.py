@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grassmann import rowwise
+
 FEAS_TOL = 1e-9       # feasibility slack when accepting candidate vertices
 DEDUP_TOL = 1e-8      # vertices closer than this are numerical twins
 ACTIVE_TOL = 1e-9     # facet counts as active at a vertex within this
@@ -194,16 +196,13 @@ def enumerate_vertices(poly: HPolytope) -> VRep:
     return VRep(verts, tuple(active))
 
 
+@rowwise
 def polytope_radial(poly: HPolytope, dirs) -> np.ndarray | float:
     """Radial function: distance along each unit direction to the boundary."""
-    d = np.asarray(dirs, dtype=float)
-    single = d.ndim == 1
-    d2 = d.reshape(1, -1) if single else d
-    dots = d2 @ poly.normals.T
+    dots = dirs @ poly.normals.T
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dots > 1e-14, poly.offsets / dots, np.inf)
-    r = ratios.min(axis=1)
-    return float(r[0]) if single else r
+    return ratios.min(axis=1)
 
 
 def _clip_halfplane(pts: list[np.ndarray], m: np.ndarray, b: float) -> list[np.ndarray]:

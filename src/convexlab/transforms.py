@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bodies import BodyError, ConvexBodyOracle, oracle_of
-from .grassmann import Subspace, embed
+from .grassmann import Subspace, embed, rowwise
 from .intrinsic import sphere_grid, support_from_polyline, support_from_radial
 
 SECTION_SUPPORT_TOL = 1e-6
@@ -68,18 +68,6 @@ def max_slab_halfwidth(oracle: ConvexBodyOracle, grid: int = 10_000) -> float:
     return best - 1e-9
 
 
-def _batchify(fn):
-    """Wrap a batch-array function to honor the scalar-in scalar-out contract."""
-
-    def wrapped(x):
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        out = fn(arr.reshape(1, -1) if single else arr)
-        return out[0] if single else out
-
-    return wrapped
-
-
 def section_oracle(body: ConvexBodyOracle, subspace: Subspace) -> ConvexBodyOracle:
     """The section body intersect span(B), in subspace coordinates.
 
@@ -91,13 +79,10 @@ def section_oracle(body: ConvexBodyOracle, subspace: Subspace) -> ConvexBodyOrac
         raise BodyError("subspace ambient dimension must match the body")
     k = subspace.dim
 
-    radial = _batchify(lambda u: np.asarray(body.radial(embed(subspace, u)), dtype=float))
-    member = _batchify(lambda y: np.asarray(body.member(embed(subspace, y))))
-
-    holder: dict = {}
+    radial = rowwise(lambda u: np.asarray(body.radial(embed(subspace, u)), dtype=float))
+    member = rowwise(lambda y: np.asarray(body.member(embed(subspace, y))))
 
     def support(d):
-        oracle = holder["self"]
         if k == 2:
             return support_from_polyline(oracle, d)
         return support_from_radial(oracle, d)
@@ -111,7 +96,6 @@ def section_oracle(body: ConvexBodyOracle, subspace: Subspace) -> ConvexBodyOrac
         kind="section",
         label=f"section[{body.kind}]",
     )
-    holder["self"] = oracle
     return oracle
 
 
@@ -130,7 +114,7 @@ def projection_support_oracle(body: ConvexBodyOracle, subspace: Subspace) -> Sup
     """Orthogonal projection onto span(B): support is the exact restriction."""
     if subspace.ambient_dim != body.dim:
         raise BodyError("subspace ambient dimension must match the body")
-    support = _batchify(lambda u: np.asarray(body.support(embed(subspace, u)), dtype=float))
+    support = rowwise(lambda u: np.asarray(body.support(embed(subspace, u)), dtype=float))
     return SupportOracle(dim=subspace.dim, support=support,
                          eval_tol=body.eval_tol,
                          label=f"projection[{body.kind}]")
@@ -160,39 +144,29 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
 
     xi, t = slab.xi, slab.half_width
 
-    def radial(theta):
-        arr = np.asarray(theta, dtype=float)
-        single = arr.ndim == 1
-        th = arr.reshape(1, -1) if single else arr
+    @rowwise
+    def radial(th):
         rho = np.asarray(body.radial(th), dtype=float)
         dots = np.abs(th @ xi)
         with np.errstate(divide="ignore"):
             cap = np.where(dots > DOT_GUARD, t / np.maximum(dots, DOT_GUARD), np.inf)
-        out = np.minimum(rho, cap)
-        return float(out[0]) if single else out
+        return np.minimum(rho, cap)
 
-    def member(x):
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        pts = arr.reshape(1, -1) if single else arr
-        ok = np.asarray(body.member(pts)) & (np.abs(pts @ xi) <= t + body.eval_tol)
-        return bool(ok[0]) if single else ok
-
-    holder: dict = {}
+    @rowwise
+    def member(pts):
+        return np.asarray(body.member(pts)) & (np.abs(pts @ xi) <= t + body.eval_tol)
 
     def support(d):
         # the maximizer often sits on the slab rim (a kink), so extra zoom
         # rounds buy little: ~1e-7 argument accuracy suffices for the
         # quadrature consumers of slab supports
-        return support_from_radial(holder["self"], d, grid=1024, rounds=16,
-                                   shrink=0.45)
+        return support_from_radial(oracle, d, grid=1024, rounds=16, shrink=0.45)
 
     oracle = ConvexBodyOracle(
         dim=body.dim, radial=radial, support=support, member=member,
         eval_tol=max(body.eval_tol, SLAB_SUPPORT_TOL), kind="slab",
         label=f"slab[{body.kind}]",
     )
-    holder["self"] = oracle
     return oracle
 
 
@@ -212,28 +186,20 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
         if margin < 1e-9:
             raise BodyError(f"shift must be interior with margin 1e-9 (margin {margin:.3e})")
 
-    def member(x):
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        pts = arr.reshape(1, -1) if single else arr
-        ok = np.asarray(body.member(pts + s))
-        return bool(ok[0]) if single else ok
+    @rowwise
+    def member(pts):
+        return np.asarray(body.member(pts + s))
 
-    def support(d):
-        arr = np.asarray(d, dtype=float)
-        single = arr.ndim == 1
-        ds = arr.reshape(1, -1) if single else arr
-        h = np.asarray(body.support(ds), dtype=float) - ds @ s
-        return float(h[0]) if single else h
+    @rowwise
+    def support(ds):
+        return np.asarray(body.support(ds), dtype=float) - ds @ s
 
     # any point of the shifted body lies within the parent's circumradius
     probe = sphere_grid(body.dim, 256)
     outer = float(np.asarray(body.radial(probe), dtype=float).max()) + norm + 1.0
 
-    def radial(theta):
-        arr = np.asarray(theta, dtype=float)
-        single = arr.ndim == 1
-        th = arr.reshape(1, -1) if single else arr
+    @rowwise
+    def radial(th):
         lo = np.zeros(th.shape[0])
         hi = np.full(th.shape[0], outer)
         for _ in range(50):
@@ -241,8 +207,7 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
             inside = np.asarray(body.member(mid[:, None] * th + s))
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if single else out
+        return 0.5 * (lo + hi)
 
     return ConvexBodyOracle(
         dim=body.dim, radial=radial, support=support, member=member,

@@ -13,7 +13,6 @@ from convexlab import cli
 from convexlab.bodies import RevolutionBodySpec
 from convexlab.cli import (CliError, build_parser, construct_pair_specs, main,
                            parse_body_spec)
-from convexlab.experiments import certify_report, make_pair
 from convexlab.polykernel import HPolytope
 
 SCHEMA = json.loads(
@@ -111,6 +110,16 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
     assert "max admissible" in capsys.readouterr().err
     assert not (out / "report.json").exists()
     assert not (out / "samples.csv").exists()
+
+
+def test_projections_k3_on_smooth_n4_exits_1(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["projections", "--pair", "smooth", "--n", "4", "--k", "3",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: no projection-volume path for k=3 on revolution\n")
+    assert not out.exists()
 
 
 def test_partial_outputs_are_removed_on_error(tmp_path, capsys):
@@ -228,14 +237,15 @@ def test_reports_carry_runtime(tmp_path, monkeypatch, capsys):
     assert report.runtime_seconds > 0.0
 
     made = []
+    experiment = cli._experiment
 
-    def plan(seed):
-        def thunk():
-            made.append(certify_report(make_pair("polytope")))
-            return made[-1]
-        return [("certify-polytope", "polytope", True, thunk)]
+    def recording(*args, **kwargs):
+        made.append(experiment(*args, **kwargs))
+        return made[-1]
 
-    monkeypatch.setattr(cli, "_suite_plan", plan)
+    monkeypatch.setattr(cli, "_experiment", recording)
+    monkeypatch.setattr(cli, "_SUITE",
+                        (("certify-polytope", "polytope", True, "certify", 0, {}),))
     out = tmp_path / "suite"
     assert main(["all", "--out", str(out)]) == 0
     assert made[0].runtime_seconds > 0.0

@@ -318,3 +318,27 @@ def test_numpy_replacements_equal_scipy_bitwise():
         verts = gen.standard_normal((int(gen.integers(2, 30)), n))
         centered = verts - verts.mean(axis=0)
         assert np.array_equal(_distance_signature(verts), np.sort(pdist(centered)))
+
+
+def test_sample_j_draws_from_substream_j(polytope_pair):
+    """Sample j of sections/projections gets the Haar subspace of
+    rng.substream(j), and sample j of slabs the normal of rng.substream(j)."""
+    from convexlab.grassmann import sample_haar_subspace
+    K, L = polytope_pair.oracle_K, polytope_pair.oracle_L
+    rng = RngStream(13, 2)
+    for k in (1, 2):
+        for rep in (sections_experiment(K, L, k, 1, 4, rng, 1e-9),
+                    projections_experiment(K, L, k, 4, rng, 1e-9)):
+            assert [s.id for s in rep.samples] == [0, 1, 2, 3]
+            for s in rep.samples:
+                expect = sample_haar_subspace(3, k, rng.substream(s.id)).basis
+                assert s.basis == tuple(float(x) for x in expect.flatten())
+    rep = slab_experiment(K, L, 0.5, 3, 4, rng, 1e-9)
+    for s in rep.samples:
+        assert s.basis == tuple(float(x) for x in sample_sphere(3, rng.substream(s.id)))
+
+
+def test_projections_have_no_support_only_path_for_k3():
+    pair = make_pair("smooth", n=4)
+    with pytest.raises(ValueError, match="no projection-volume path for k=3 on revolution"):
+        projections_experiment(pair.oracle_K, pair.oracle_L, 3, 2, RngStream(0), 1e-4)
