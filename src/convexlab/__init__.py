@@ -68,7 +68,6 @@ from .intrinsic import (
     planar_metrics_from_oracle,
     radial_from_support,
     steiner_disc_area,
-    support_from_polyline,
     support_from_radial,
     volume_radial,
 )
@@ -94,9 +93,7 @@ from .report import (
 )
 from .transforms import (
     SlabSpec,
-    SupportOracle,
     max_slab_halfwidth,
-    projection_support_oracle,
     section_oracle,
     slab_oracle,
     translate_oracle,
@@ -110,21 +107,20 @@ __all__ = [
     "NoncongruenceCertificate", "PAIR_NAMES", "Polygon",
     "PolytopeConstruction", "PolytopeError", "ProfileValidation",
     "RevolutionBodySpec", "RngStream", "SampleRecord", "SlabSpec", "Subspace",
-    "SupportOracle", "VRep", "area_from_support_2d", "ball_intrinsic_volume",
-    "ball_oracle", "boundary_polyline", "build_polytope_pair", "bump",
+    "VRep", "area_from_support_2d", "ball_intrinsic_volume", "ball_oracle",
+    "boundary_polyline", "build_polytope_pair", "bump",
     "canonical_json", "certify_report", "convergence_experiment",
     "convex_hull_2d", "embed", "enumerate_vertices", "flag_coefficient",
     "hull_surface_v2", "kappa", "kubota_intrinsic_volume", "lemma1_check",
     "make_pair", "make_revolution_spec", "max_slab_halfwidth",
     "mean_width_v1", "noncongruence_certificates", "oracle_of",
     "planar_metrics_from_oracle", "poly3_intrinsic_volumes",
-    "polygon_metrics", "polytope_radial", "profile",
-    "projection_polygon", "projection_support_oracle",
+    "polygon_metrics", "polytope_radial", "profile", "projection_polygon",
     "projections_experiment", "radial_from_support", "report_to_dict",
     "revolution_radial", "revolution_support", "sample_haar_subspace",
     "sample_sphere", "section_oracle", "section_polygon",
     "sections_experiment", "slab_experiment", "slab_oracle",
-    "steiner_disc_area", "support_from_polyline", "support_from_radial",
-    "translate_oracle", "validate_revolution_spec", "volume_radial",
+    "steiner_disc_area", "support_from_radial", "translate_oracle",
+    "validate_revolution_spec", "volume_radial",
     "write_report_json", "write_samples_csv", "write_suite_csv",
 ]

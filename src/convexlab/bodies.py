@@ -290,17 +290,8 @@ def _cut_region_empty(box: HPolytope, n1, off1, n2, off2) -> bool:
     """
     normals = np.vstack([box.normals, -np.atleast_2d(n1), -np.atleast_2d(n2)])
     offsets = np.concatenate([box.offsets, [-off1, -off2]])
-    probe = _RawHRep(normals, offsets)
-    verts, _ = _vertex_candidates(probe)
+    verts, _ = _vertex_candidates(normals, offsets)
     return verts.shape[0] == 0
-
-
-@dataclass(frozen=True)
-class _RawHRep:
-    """Unvalidated half-space list, duck-typed for _vertex_candidates."""
-
-    normals: np.ndarray
-    offsets: np.ndarray
 
 
 def build_polytope_pair(a, u_signs, v_signs, lam: float | None = None) -> PolytopeConstruction:

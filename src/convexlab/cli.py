@@ -107,24 +107,6 @@ def parse_body_spec(text: str):
     raise CliError("body spec field 'type' must be 'revolution' or 'polytope'")
 
 
-def construct_pair_specs(pair_name: str, n: int) -> tuple[dict, dict]:
-    """Writable spec dicts for the two bodies of a named fixture pair."""
-    if pair_name == "smooth":
-        spec = make_revolution_spec(n=n)
-        base = {"type": "revolution", "n": spec.n, "epsilon": spec.epsilon,
-                "delta": spec.delta}
-        return {**base, "variant": "K"}, {**base, "variant": "L"}
-    if pair_name == "polytope":
-        from .experiments import DEFAULT_HALF_WIDTHS
-        a = list(DEFAULT_HALF_WIDTHS[:n])
-        cons = build_polytope_pair(a, [1] * n, [1] * (n - 1) + [-1])
-        base = {"type": "polytope", "a": a, "u_signs": [1] * n,
-                "v_signs": [1] * (n - 1) + [-1], "lambda": cons.lam}
-        return {**base, "variant": "K"}, {**base, "variant": "L"}
-    raise CliError("construct supports the primitive pairs 'smooth' and "
-                   "'polytope'; control pairs are derived at run time")
-
-
 def _resolve_pair(args) -> BodyPair:
     spec_k = getattr(args, "spec_k", None)
     spec_l = getattr(args, "spec_l", None)
@@ -353,8 +335,8 @@ def _run_all(args, written: list) -> int:
 def _run_construct(args, written: list) -> int:
     if args.out is None or len(args.out) != 2:
         raise CliError("construct requires --out K_PATH L_PATH")
-    dk, dl = construct_pair_specs(args.pair, args.n)
-    for path_str, spec in zip(args.out, (dk, dl)):
+    snaps = make_pair(args.pair, args.n).snapshots
+    for path_str, spec in zip(args.out, (snaps["K"], snaps["L"])):
         p = Path(path_str)
         if p.parent != Path(""):
             p.parent.mkdir(parents=True, exist_ok=True)
@@ -367,6 +349,16 @@ def _run_construct(args, written: list) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="RNG seed (default: 0)")
         if with_samples:
-            p.add_argument("--samples", type=int, default=None,
+            p.add_argument("--samples", type=_positive_int, default=None,
                            help="number of sampled directions/subspaces")
         p.add_argument("--tol", type=float, default=None,
                        help="override the pair-dependent default tolerance")

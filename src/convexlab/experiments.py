@@ -144,22 +144,18 @@ def make_pair(name: str, n: int = 3) -> BodyPair:
             expect_equal_values=True, expect_noncongruent=True,
             smooth_specs=(spec_k, spec_l),
         )
-    if name == "polytope":
-        a = DEFAULT_HALF_WIDTHS[:n]
-        us = [1] * n
-        vs = [1] * (n - 1) + [-1]
-        cons = build_polytope_pair(a, us, vs)
-        return BodyPair(
-            name, oracle_of(cons.body_K), oracle_of(cons.body_L),
-            {"K": cons.snapshot("K"), "L": cons.snapshot("L")},
-            expect_equal_values=True, expect_noncongruent=True,
-            construction=cons,
-        )
-    if name == "control-rotated":
-        if n < 2:
-            raise ExperimentError("rotation control needs dimension >= 2")
+    if name in ("polytope", "control-rotated"):
+        if n not in (3, 4):
+            raise ExperimentError(f"pair '{name}' supports n = 3 or 4, got n={n}")
         cons = build_polytope_pair(DEFAULT_HALF_WIDTHS[:n], [1] * n,
                                    [1] * (n - 1) + [-1])
+        if name == "polytope":
+            return BodyPair(
+                name, oracle_of(cons.body_K), oracle_of(cons.body_L),
+                {"K": cons.snapshot("K"), "L": cons.snapshot("L")},
+                expect_equal_values=True, expect_noncongruent=True,
+                construction=cons,
+            )
         q = np.eye(n)
         q[n - 2:, n - 2:] = np.array([[0.0, -1.0], [1.0, 0.0]])
         rotated = cons.body_K.rotated(q)

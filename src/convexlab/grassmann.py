@@ -1,4 +1,5 @@
-"""Unit vectors, orthonormal subspaces, Haar sampling, and ball-volume constants.
+"""Orthonormal subspaces, Haar sampling, the scalar/batch convention, and
+ball-volume constants.
 
 Everything here is deterministic given an :class:`RngStream`: the same
 (seed, stream_index) produces the same draws regardless of platform or
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-UNIT_NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
 
 
@@ -22,17 +22,6 @@ def kappa(d: int) -> float:
     if d < 0:
         raise ValueError(f"ball dimension must be >= 0, got {d}")
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-def unit_vector(coords) -> np.ndarray:
-    """Validate and return a unit vector (norm within 1e-12 of 1)."""
-    v = np.asarray(coords, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("direction must be a 1-D vector")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"direction norm {nrm!r} deviates from 1 by more than {UNIT_NORM_TOL}")
-    return v
 
 
 def rowwise(fn):
@@ -55,15 +44,6 @@ def rowwise(fn):
     lifted.__name__, lifted.__qualname__ = fn.__name__, fn.__qualname__
     lifted.__doc__ = fn.__doc__
     return lifted
-
-
-def normalize(coords) -> np.ndarray:
-    """Scale a nonzero vector to unit length."""
-    v = np.asarray(coords, dtype=float)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / nrm
 
 
 @dataclass(frozen=True)
@@ -115,9 +95,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
 
 def sample_haar_subspace(n: int, k: int, rng: RngStream) -> Subspace:
     """Draw a Haar(rotation-invariant) random k-subspace of R^n.
@@ -152,11 +129,3 @@ def embed(subspace: Subspace, u) -> np.ndarray:
     if a.shape[-1] != subspace.dim:
         raise ValueError(f"expected vectors of length {subspace.dim}, got shape {a.shape}")
     return a @ subspace.basis.T
-
-
-def coords(subspace: Subspace, x) -> np.ndarray:
-    """Adjoint of :func:`embed`: ambient vector(s) to subspace coordinates."""
-    a = np.asarray(x, dtype=float)
-    if a.shape[-1] != subspace.ambient_dim:
-        raise ValueError(f"expected vectors of length {subspace.ambient_dim}, got shape {a.shape}")
-    return a @ subspace.basis

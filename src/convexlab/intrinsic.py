@@ -206,13 +206,6 @@ def _support2d_from_radial(oracle, xs: np.ndarray, grid: int) -> np.ndarray:
     return np.maximum(val(0.5 * (a + b)), coarse.max(axis=0))
 
 
-@rowwise
-def support_from_polyline(oracle, xi, n: int = 8192):
-    """Planar support via the inscribed polyline: h(xi) ~ max_j <p_j, xi>."""
-    pts = boundary_polyline(oracle, n).vertices
-    return (xi @ pts.T).max(axis=1)
-
-
 def radial_from_support(support_fn, dirs, grid: int = 512, rounds: int = 14,
                         shrink: float = 0.4) -> np.ndarray:
     """Radial function of a 3-d convex body given only its support function.
@@ -277,14 +270,13 @@ def _polar_volume(oracle, k: int, n: int) -> float:
     return float(np.sum(rho ** k) * (area / n) / k)
 
 
-def area_from_support_2d(h_fn, n: int = 8192) -> float:
+def area_from_support_2d(support, n: int = 8192) -> float:
     """Projection-body area from its planar support function.
 
     area = (1/2) integral of (h^2 - h'^2); h' by centered differences.  The
     integrand identity holds for C^1 support functions, so polytopal
     projections should use the exact polygon path instead.
     """
-    support = h_fn.support if hasattr(h_fn, "support") else h_fn
     hs = np.asarray(support(circle_grid(n)), dtype=float)
     step = 2.0 * np.pi / n
     hp = (np.roll(hs, -1) - np.roll(hs, 1)) / (2.0 * step)
@@ -335,19 +327,14 @@ def centroid_3d(oracle, nodes: int = 20_000) -> np.ndarray:
     return first / vol
 
 
-def _vrep_of(body):
-    return body if hasattr(body, "vertices") else getattr(body, "vrep", None)
-
-
 def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
     """(vol_k of body|sub, method) for k = sub.dim in {1, 2, 3}.
 
-    `body` is a ConvexBodyOracle or a VRep; vertex data routes every
-    dimension through an exact path, support-only bodies have paths for
-    k = 1 and 2.
+    A body with vertex data (body.vrep) takes an exact path in every
+    dimension; other bodies have support-based paths for k = 1 and 2.
     """
     k = sub.dim
-    vrep = _vrep_of(body)
+    vrep = body.vrep
     if k == 1:
         u = sub.basis[:, 0]
         if vrep is not None:
@@ -362,8 +349,7 @@ def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
     if k == 3 and vrep is not None:
         from scipy.spatial import ConvexHull
         return float(ConvexHull(vrep.vertices @ sub.basis).volume), "exact-hull"
-    kind = getattr(body, "kind", type(body).__name__)
-    raise EstimateError(f"no projection-volume path for k={k} on {kind}")
+    raise EstimateError(f"no projection-volume path for k={k} on {body.kind}")
 
 
 def _shadow_volume_from_support(body, sub: Subspace) -> float:
@@ -377,22 +363,21 @@ def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream,
     """V_i via Kubota's recursion: flag coefficient times the Haar average
     of i-dimensional projection volumes over G(k, i).
 
-    `body` is a ConvexBodyOracle or a VRep living in dimension k; VRep input
-    routes every projection through the exact polytope paths.
+    `body` lives in dimension k; a body with vertex data (body.vrep) takes
+    the exact polytope path for every projection.
     """
     if not 1 <= i <= k:
         raise EstimateError(f"invalid Kubota indices i={i}, k={k}")
-    dim = body.dim if hasattr(body, "dim") else body.vertices.shape[1]
-    if dim != k:
+    if body.dim != k:
         raise EstimateError("body must live in dimension k")
-    if i == k and hasattr(body, "radial"):
+    if i == k:
         return volume_radial(body, k, rng=rng)
     if m < 1:
         raise EstimateError("need at least one subspace sample")
     vols = np.empty(m)
     for j in range(m):
         sub = sample_haar_subspace(k, i, rng.substream(j))
-        if i == 3 and _vrep_of(body) is None:
+        if i == 3 and body.vrep is None:
             vols[j] = _shadow_volume_from_support(body, sub)
         else:
             vols[j] = projection_volume(body, sub, area_grid)[0]

@@ -134,9 +134,9 @@ class Polygon:
         return self.vertices.shape[0] < 3
 
 
-def _vertex_candidates(poly: HPolytope) -> tuple[np.ndarray, list[frozenset]]:
-    """All feasible basic solutions, deduplicated; may be empty (no raising)."""
-    nrm, off = poly.normals, poly.offsets
+def _vertex_candidates(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, list[frozenset]]:
+    """All feasible basic solutions of {x : nrm x <= off}, deduplicated; may
+    be empty (no raising).  The half-spaces are not validated."""
     m, n = nrm.shape
     if m < n:
         return np.zeros((0, n)), []
@@ -188,7 +188,7 @@ def enumerate_vertices(poly: HPolytope) -> VRep:
         raise PolytopeError("vertex enumeration supports ambient dimension <= 4")
     if not _is_bounded(poly):
         raise PolytopeError("polytope is unbounded")
-    verts, active = _vertex_candidates(poly)
+    verts, active = _vertex_candidates(poly.normals, poly.offsets)
     if verts.shape[0] == 0:
         raise PolytopeError("polytope is empty")
     if verts.shape[0] < n + 1:

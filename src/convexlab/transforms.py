@@ -1,22 +1,21 @@
-"""Derived bodies as new oracles: sections, projections, slabs, translates.
+"""Derived bodies as new oracles: sections, slabs, translates.
 
-Sections restrict the radial function, projections restrict the support
-function, and slabs clip the radial function by t/|<theta, xi>|; each of
-these identities is exact, so derived radial/support data inherit the parent
+Sections restrict the radial function and slabs clip it by t/|<theta, xi>|;
+both identities are exact, so derived radial data inherit the parent
 oracle's accuracy.  Only support functions of sections and slabs have no
-closed form and are recovered numerically (with a degraded eval_tol).
+closed form; both are recovered from radial data by support_from_radial
+(with a degraded eval_tol).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bodies import BodyError, ConvexBodyOracle, oracle_of
 from .grassmann import Subspace, embed, rowwise
-from .intrinsic import sphere_grid, support_from_polyline, support_from_radial
+from .intrinsic import _zoom_extremum_s2, sphere_grid, support_from_radial
 
 SECTION_SUPPORT_TOL = 1e-6
 SLAB_SUPPORT_TOL = 1e-6  # support maximizers can sit on the slab rim (a kink)
@@ -51,8 +50,6 @@ def max_slab_halfwidth(oracle: ConvexBodyOracle, grid: int = 10_000) -> float:
     best = float(rho.min())
     center = dirs[int(np.argmin(rho))]
     if oracle.dim == 3:
-        from .intrinsic import _zoom_extremum_s2
-
         def score(d):
             return np.asarray(oracle.radial(d), dtype=float)
 
@@ -72,52 +69,25 @@ def section_oracle(body: ConvexBodyOracle, subspace: Subspace) -> ConvexBodyOrac
     """The section body intersect span(B), in subspace coordinates.
 
     Radial and membership are exact restrictions.  The support function is
-    recovered from radial data (polyline for planar sections, spherical
-    maximization otherwise), so eval_tol is degraded accordingly.
+    recovered from radial data by support_from_radial, so eval_tol is
+    degraded accordingly.
     """
     if subspace.ambient_dim != body.dim:
         raise BodyError("subspace ambient dimension must match the body")
-    k = subspace.dim
 
     radial = rowwise(lambda u: np.asarray(body.radial(embed(subspace, u)), dtype=float))
     member = rowwise(lambda y: np.asarray(body.member(embed(subspace, y))))
 
-    def support(d):
-        if k == 2:
-            return support_from_polyline(oracle, d)
-        return support_from_radial(oracle, d)
-
     oracle = ConvexBodyOracle(
-        dim=k,
+        dim=subspace.dim,
         radial=radial,
-        support=support,
+        support=lambda d: support_from_radial(oracle, d),
         member=member,
         eval_tol=max(body.eval_tol, SECTION_SUPPORT_TOL),
         kind="section",
         label=f"section[{body.kind}]",
     )
     return oracle
-
-
-@dataclass(frozen=True)
-class SupportOracle:
-    """Support-only view of a projected body (no radial or membership)."""
-
-    dim: int
-    support: Callable
-    eval_tol: float
-    kind: str = "projection"
-    label: str = ""
-
-
-def projection_support_oracle(body: ConvexBodyOracle, subspace: Subspace) -> SupportOracle:
-    """Orthogonal projection onto span(B): support is the exact restriction."""
-    if subspace.ambient_dim != body.dim:
-        raise BodyError("subspace ambient dimension must match the body")
-    support = rowwise(lambda u: np.asarray(body.support(embed(subspace, u)), dtype=float))
-    return SupportOracle(dim=subspace.dim, support=support,
-                         eval_tol=body.eval_tol,
-                         label=f"projection[{body.kind}]")
 
 
 def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:

@@ -11,8 +11,7 @@ import pytest
 import convexlab
 from convexlab import cli
 from convexlab.bodies import RevolutionBodySpec
-from convexlab.cli import (CliError, build_parser, construct_pair_specs, main,
-                           parse_body_spec)
+from convexlab.cli import CliError, build_parser, main, parse_body_spec
 from convexlab.polykernel import HPolytope
 
 SCHEMA = json.loads(
@@ -52,8 +51,10 @@ def test_parse_body_spec():
 
 
 def test_construct_pair_specs_rejects_controls():
-    with pytest.raises(CliError, match="primitive pairs"):
-        construct_pair_specs("control-rotated", 3)
+    # control pairs are derived at run time and have no writable spec
+    with pytest.raises(CliError, match="invalid choice: 'control-rotated'"):
+        build_parser().parse_args(["construct", "--pair", "control-rotated",
+                                   "--out", "k.json", "l.json"])
 
 
 def test_construct_round_trip(tmp_path, capsys):
@@ -110,6 +111,23 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
     assert "max admissible" in capsys.readouterr().err
     assert not (out / "report.json").exists()
     assert not (out / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lemma1", "--pair", "smooth", "--samples", "0"],
+     "error: argument --samples: must be at least 1, got 0\n"),
+    (["lemma1", "--pair", "smooth", "--samples", "-3"],
+     "error: argument --samples: must be at least 1, got -3\n"),
+    (["sections", "--pair", "polytope", "--n", "2"],
+     "error: pair 'polytope' supports n = 3 or 4, got n=2\n"),
+    (["sections", "--pair", "control-rotated", "--n", "2"],
+     "error: pair 'control-rotated' supports n = 3 or 4, got n=2\n"),
+])
+def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_projections_k3_on_smooth_n4_exits_1(tmp_path, capsys):

@@ -6,13 +6,10 @@ import pytest
 from convexlab.grassmann import (
     RngStream,
     Subspace,
-    coords,
     embed,
     kappa,
-    normalize,
     sample_haar_subspace,
     sample_sphere,
-    unit_vector,
 )
 
 
@@ -27,17 +24,6 @@ def test_kappa_closed_forms():
 def test_kappa_rejects_negative_dimension():
     with pytest.raises(ValueError):
         kappa(-1)
-
-
-def test_unit_vector_and_normalize():
-    v = unit_vector([0.6, 0.8])
-    assert np.allclose(v, [0.6, 0.8])
-    assert np.allclose(normalize([3.0, 4.0]), [0.6, 0.8])
-    assert normalize([0.0, 2.0, 0.0])[1] == 1.0
-    with pytest.raises(ValueError):
-        unit_vector([3.0, 4.0])
-    with pytest.raises(ValueError):
-        normalize([0.0, 0.0])
 
 
 def test_rng_stream_reproducible():
@@ -71,14 +57,6 @@ def test_subspace_requires_orthonormal_columns():
         Subspace(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
 
 
-def test_subspace_projector_idempotent():
-    sub = sample_haar_subspace(4, 2, RngStream(1, 1))
-    p = sub.projector()
-    assert np.allclose(p @ p, p, atol=1e-12)
-    assert np.allclose(p.T, p, atol=1e-12)
-    assert np.trace(p) == pytest.approx(2.0, abs=1e-12)
-
-
 def test_haar_subspace_orthonormal_and_deterministic():
     a = sample_haar_subspace(5, 3, RngStream(9, 2))
     b = sample_haar_subspace(5, 3, RngStream(9, 2))
@@ -107,4 +85,4 @@ def test_embed_coords_roundtrip():
     u = np.array([[0.3, -0.4], [1.0, 2.0]])
     x = embed(sub, u)
     assert x.shape == (2, 4)
-    assert np.allclose(coords(sub, x), u, atol=1e-12)
+    assert np.allclose(x @ sub.basis, u, atol=1e-12)

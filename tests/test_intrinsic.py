@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from convexlab.bodies import ball_oracle
+from convexlab.bodies import ball_oracle, oracle_of
 from convexlab.grassmann import RngStream, kappa
 from convexlab.intrinsic import (EstimateError, IVEstimate, area_from_support_2d,
                                  ball_intrinsic_volume, boundary_polyline,
@@ -14,8 +14,7 @@ from convexlab.intrinsic import (EstimateError, IVEstimate, area_from_support_2d
                                  kubota_intrinsic_volume, mean_width_v1,
                                  planar_metrics_from_oracle, radial_from_support,
                                  sphere_grid, steiner_disc_area,
-                                 support_from_polyline, support_from_radial,
-                                 volume_radial)
+                                 support_from_radial, volume_radial)
 from convexlab.polykernel import (HPolytope, Polygon, enumerate_vertices,
                                   poly3_intrinsic_volumes, polygon_metrics)
 from convexlab.transforms import translate_oracle
@@ -107,12 +106,6 @@ def test_support_from_radial_matches_exact_support():
         support_from_radial(ball_oracle(4), np.ones(4) / 2.0)
 
 
-def test_support_from_polyline_disc():
-    h = support_from_polyline(ball_oracle(2), circle_grid(33))
-    assert np.all(h <= 1.0 + 1e-14)  # inscribed polyline underestimates
-    assert np.allclose(h, 1.0, atol=1e-6)
-
-
 def test_radial_from_support():
     ones = lambda d: np.ones(np.asarray(d).reshape(-1, 3).shape[0])
     dirs = fibonacci_sphere(40)
@@ -146,8 +139,7 @@ def test_volume_radial_balls():
 def test_area_from_support_2d():
     const = lambda d: np.ones(np.asarray(d).reshape(-1, 2).shape[0])
     assert area_from_support_2d(const) == pytest.approx(math.pi, abs=1e-10)
-    # oracle objects route through their .support attribute
-    assert area_from_support_2d(ball_oracle(2)) == pytest.approx(math.pi, abs=1e-10)
+    assert area_from_support_2d(ball_oracle(2).support) == pytest.approx(math.pi, abs=1e-10)
 
     def shifted(d):
         arr = np.asarray(d).reshape(-1, 2)
@@ -228,7 +220,7 @@ def test_kubota_vrep_path_against_exact_box():
     box = HPolytope.box([1.0, 1.2, 1.5])
     vrep = enumerate_vertices(box)
     exact = poly3_intrinsic_volumes(box, vrep)
-    est = kubota_intrinsic_volume(vrep, 3, 1, 400, RngStream(5, 6))
+    est = kubota_intrinsic_volume(oracle_of(box), 3, 1, 400, RngStream(5, 6))
     assert abs(est.value - exact[0]) <= 4.0 * est.stderr
     assert est.stderr > 0.0
 

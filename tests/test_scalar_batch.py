@@ -13,11 +13,10 @@ from convexlab.bodies import (ball_oracle, make_revolution_spec,
 from convexlab.experiments import make_pair
 from convexlab.grassmann import (RngStream, rowwise, sample_haar_subspace,
                                  sample_sphere)
-from convexlab.intrinsic import (fibonacci_sphere, support_from_polyline,
-                                 support_from_radial)
+from convexlab.intrinsic import fibonacci_sphere, support_from_radial
 from convexlab.polykernel import polytope_radial
-from convexlab.transforms import (SlabSpec, projection_support_oracle,
-                                  section_oracle, slab_oracle, translate_oracle)
+from convexlab.transforms import (SlabSpec, section_oracle, slab_oracle,
+                                  translate_oracle)
 
 
 def _directions(dim: int, m: int = 5) -> np.ndarray:
@@ -40,8 +39,6 @@ def _oracles():
         "slab-smooth": slab_oracle(smooth.oracle_K, SlabSpec(xi, 0.5)),
         "slab-polytope": slab_oracle(poly.oracle_L, SlabSpec(xi, 0.5)),
         "translate": translate_oracle(ball_oracle(3), [0.3, 0.0, 0.0]),
-        "projection": projection_support_oracle(
-            smooth.oracle_K, sample_haar_subspace(3, 2, RngStream(4))),
     }
 
 
@@ -52,13 +49,10 @@ ORACLES = _oracles()
 def test_oracle_scalar_matches_batch_row(name):
     oracle = ORACLES[name]
     dirs = _directions(oracle.dim)
-    methods = [m for m in ("radial", "support", "member") if hasattr(oracle, m)]
-    assert "support" in methods
-    if hasattr(oracle, "radial"):
-        rho = np.asarray(oracle.radial(dirs))
-        # one point inside and one outside along each ray
-        points = np.vstack([0.5 * rho[:, None] * dirs, 1.5 * rho[:, None] * dirs])
-    for method in methods:
+    rho = np.asarray(oracle.radial(dirs))
+    # one point inside and one outside along each ray
+    points = np.vstack([0.5 * rho[:, None] * dirs, 1.5 * rho[:, None] * dirs])
+    for method in ("radial", "support", "member"):
         fn = getattr(oracle, method)
         assert not hasattr(fn, "__wrapped__"), f"{name}.{method}"
         rows, kind = (points, bool) if method == "member" else (dirs, float)
@@ -67,9 +61,8 @@ def test_oracle_scalar_matches_batch_row(name):
         single = fn(rows[0])
         assert type(single) is kind, f"{name}.{method} gave {type(single)}"
         assert single == batch[0], f"{name}.{method}"
-    if "member" in methods:
-        assert oracle.member(points[0]) is True
-        assert oracle.member(points[-1]) is False
+    assert oracle.member(points[0]) is True
+    assert oracle.member(points[-1]) is False
 
 
 def test_public_batch_functions_follow_the_convention():
@@ -82,7 +75,6 @@ def test_public_batch_functions_follow_the_convention():
         (lambda d: polytope_radial(poly, d), _directions(3)),
         (lambda d: support_from_radial(ball_oracle(3), d), _directions(3)),
         (lambda d: support_from_radial(disc, d), _directions(2)),
-        (lambda d: support_from_polyline(disc, d), _directions(2)),
     ]
     for fn, rows in cases:
         batch = fn(rows)

@@ -1,4 +1,4 @@
-"""Derived-oracle identities: sections, projections, slabs, translates."""
+"""Derived-oracle identities: sections, slabs, translates."""
 
 import math
 from dataclasses import replace
@@ -9,8 +9,7 @@ import pytest
 from convexlab.bodies import BodyError, ball_oracle
 from convexlab.grassmann import RngStream, Subspace, embed, sample_haar_subspace
 from convexlab.intrinsic import circle_grid, fibonacci_sphere
-from convexlab.transforms import (SlabSpec, max_slab_halfwidth,
-                                  projection_support_oracle, section_oracle,
+from convexlab.transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                                   slab_oracle, translate_oracle)
 
 
@@ -63,26 +62,14 @@ def test_section_support_recovery():
         section_oracle(ball, Subspace(np.eye(4)[:, :2]))
 
 
-def test_projection_support_is_exact_restriction(smooth_pair):
-    body = smooth_pair.oracle_K
-    sub = sample_haar_subspace(3, 2, RngStream(21, 2))
-    proj = projection_support_oracle(body, sub)
-    us = circle_grid(64)
-    assert np.array_equal(np.asarray(proj.support(us)),
-                          np.asarray(body.support(embed(sub, us))))
-    with pytest.raises(BodyError, match="ambient dimension"):
-        projection_support_oracle(body, Subspace(np.eye(4)[:, :2]))
-
-
 def test_section_inside_projection(smooth_pair):
     body = smooth_pair.oracle_K
     for j in range(4):
         sub = sample_haar_subspace(3, 2, RngStream(21, 3).substream(j))
         sec = section_oracle(body, sub)
-        proj = projection_support_oracle(body, sub)
         us = circle_grid(64)
         rho = np.asarray(sec.radial(us))
-        h = np.asarray(proj.support(us))
+        h = np.asarray(body.support(embed(sub, us)))  # support of the shadow
         assert np.all(rho <= h + 1e-9)
 
 
