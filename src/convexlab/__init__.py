@@ -82,6 +82,7 @@ from .polykernel import (
     polygon_metrics,
     polytope_radial,
     projection_polygon,
+    section_hpolytope,
     section_polygon,
 )
 from .report import (
@@ -118,7 +119,7 @@ __all__ = [
     "polygon_metrics", "polytope_radial", "profile", "projection_polygon",
     "projections_experiment", "radial_from_support", "report_to_dict",
     "revolution_radial", "revolution_support", "sample_haar_subspace",
-    "sample_sphere", "section_oracle", "section_polygon",
+    "sample_sphere", "section_hpolytope", "section_oracle", "section_polygon",
     "sections_experiment", "slab_experiment", "slab_oracle",
     "steiner_disc_area", "support_from_radial", "translate_oracle",
     "validate_revolution_spec", "volume_radial",

@@ -23,8 +23,7 @@ from .grassmann import RngStream, Subspace, sample_haar_subspace, sample_sphere
 from .intrinsic import (centroid_3d, hull_surface_v2, kubota_intrinsic_volume,
                         mean_width_v1, planar_metrics_from_oracle,
                         projection_volume, volume_radial)
-from .polykernel import (HPolytope, convex_hull_2d, polygon_metrics,
-                         poly3_intrinsic_volumes, section_polygon)
+from .polykernel import poly3_intrinsic_volumes, polygon_by_angle, polygon_metrics
 from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                          slab_oracle, translate_oracle)
 
@@ -258,16 +257,16 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         }, samples, summary)
 
 
+def _exact_value(body: ConvexBodyOracle, i: int) -> tuple[float, float, str]:
+    """(V_i, 0, method) of a derived polytope oracle in dimension 2 or 3."""
+    if body.dim == 2:
+        area, perim = polygon_metrics(polygon_by_angle(body.vrep.vertices))
+        return (perim / 2.0, area)[i - 1], 0.0, "exact-polygon"
+    return poly3_intrinsic_volumes(body.polytope, body.vrep)[i - 1], 0.0, "exact-poly3"
+
+
 # ---------------------------------------------------------------------------
 # Sections
-
-
-def _section_hpoly(poly: HPolytope, sub: Subspace) -> HPolytope:
-    """Exact H-representation of a k=3 central section, in subspace coords."""
-    ms = poly.normals @ sub.basis
-    lens = np.linalg.norm(ms, axis=1)
-    live = lens > 1e-12
-    return HPolytope(ms[live] / lens[live, None], poly.offsets[live] / lens[live])
 
 
 def _section_value(oracle: ConvexBodyOracle, sub: Subspace, i: int,
@@ -279,13 +278,9 @@ def _section_value(oracle: ConvexBodyOracle, sub: Subspace, i: int,
         b = sub.basis[:, 0]
         length = float(oracle.radial(b)) + float(oracle.radial(-b))
         return length, 0.0, "exact-segment"
-    if oracle.polytope is not None and k == 2:
-        area, perim = polygon_metrics(section_polygon(oracle.polytope, sub))
-        return (area if i == 2 else perim / 2.0), 0.0, "exact-polygon"
-    if oracle.polytope is not None and k == 3:
-        vals = poly3_intrinsic_volumes(_section_hpoly(oracle.polytope, sub))
-        return vals[i - 1], 0.0, "exact-poly3"
     sec = section_oracle(oracle, sub)
+    if sec.vrep is not None:
+        return _exact_value(sec, i)
     if k == 2:
         est = planar_metrics_from_oracle(sec, polyline_n)[i - 1]
         return est.value, est.stderr, est.method
@@ -303,6 +298,9 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         raise ExperimentError("oracles must share a dimension")
     if not 1 <= i <= k <= n - 1:
         raise ExperimentError(f"need 1 <= i <= k <= n-1, got i={i}, k={k}, n={n}")
+    if k >= 4 and i < k:
+        # Kubota projections of such a section need supports in dimension k
+        raise ExperimentError(f"no section estimator for n={n}, k={k}, i={i}")
     subs = [sample_haar_subspace(n, k, rng.substream(j)) for j in range(num_h)]
 
     def value(oracle, j, side):
@@ -321,21 +319,15 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 def _slab_value(oracle: ConvexBodyOracle, spec: SlabSpec, i: int,
                 vol_nodes: int, width_nodes: int,
                 hull_nodes: int) -> tuple[float, float, str]:
-    n = oracle.dim
     slab = slab_oracle(oracle, spec)
-    if oracle.polytope is not None and n == 3:
-        return poly3_intrinsic_volumes(slab.polytope, slab.vrep)[i - 1], 0.0, "exact-poly3"
-    if oracle.polytope is not None and n == 2:
-        area, perim = polygon_metrics(convex_hull_2d(slab.vrep.vertices))
-        return (perim / 2.0, area)[i - 1], 0.0, "exact-polygon"
-    if i == n:
-        est = volume_radial(slab, n, nodes=vol_nodes)
-    elif i == 1 and n == 3:
+    if slab.vrep is not None:
+        return _exact_value(slab, i)
+    if i == slab.dim:
+        est = volume_radial(slab, i, nodes=vol_nodes)
+    elif i == 1:
         est = mean_width_v1(slab, nodes=width_nodes)
-    elif i == 2 and n == 3:
-        est = hull_surface_v2(slab, nodes=hull_nodes)
     else:
-        raise ExperimentError(f"no slab estimator for i={i} in dimension {n}")
+        est = hull_surface_v2(slab, nodes=hull_nodes)
     return est.value, est.stderr, est.method
 
 
@@ -348,6 +340,9 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     n = oracle_K.dim
     if not 1 <= i <= n:
         raise ExperimentError(f"need 1 <= i <= n, got i={i}, n={n}")
+    exact = oracle_K.polytope is not None and oracle_L.polytope is not None
+    if not (n == 3 or (n == 2 and (i == 2 or exact))):
+        raise ExperimentError(f"no slab estimator for n={n}, i={i}")
     t_max = min(max_slab_halfwidth(oracle_K), max_slab_halfwidth(oracle_L))
     if not 0.0 < t <= t_max:
         raise ExperimentError(
@@ -399,6 +394,8 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
     noise) and the final difference is consistent with linear decay in t.
     """
     n = oracle.dim
+    if n != 3:
+        raise ExperimentError("convergence experiment supports n = 3")
     if not 1 <= i <= n - 1:
         raise ExperimentError(f"need 1 <= i <= n-1, got i={i}, n={n}")
     ts = [float(t) for t in t_sequence]
@@ -409,8 +406,6 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
         raise ExperimentError(f"largest t {ts[0]} exceeds max admissible {t_max:.9g}")
     xi = np.asarray(xi, dtype=float)
 
-    if n != 3:
-        raise ExperimentError("convergence experiment supports n = 3")
     # section value through the plane orthogonal to xi
     sec_value, sec_err, _ = _section_value(oracle, Subspace(_orthogonal_complement(xi)),
                                            i, polyline_n, kubota_m=0, rng=None)

@@ -4,6 +4,12 @@ Vertex enumeration is brute force over facet n-subsets: with at most ~16
 facets and n <= 4 that is at most C(16,4) = 1820 small linear systems,
 which beats any asymptotically clever method at this scale and keeps the
 results exact up to float rounding.
+
+Boundedness is decided exactly on the recession cone, by one batched SVD
+over (n-1)-subsets of facet normals.  A central section of a polytope is a
+polytope: section_hpolytope restricts the facets to the subspace, and its
+vertices come from the same enumeration, so sections of any dimension get
+the exact machinery.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ FEAS_TOL = 1e-9       # feasibility slack when accepting candidate vertices
 DEDUP_TOL = 1e-8      # vertices closer than this are numerical twins
 ACTIVE_TOL = 1e-9     # facet counts as active at a vertex within this
 DUP_FACET_TOL = 1e-12
+RECESSION_TOL = 1e-12  # <ray, normal> up to this counts as <= 0 (unit vectors)
 
 
 class PolytopeError(ValueError):
@@ -160,25 +167,26 @@ def _vertex_candidates(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, li
 
 
 def _is_bounded(poly: HPolytope) -> bool:
-    """Exact boundedness: P bounded iff max +-x_j is finite for every j."""
-    nrm = poly.normals
-    n = poly.ambient_dim
-    # cheap certificate: facets within a box in every +-coordinate direction
-    hit = [np.any(nrm @ e > 1.0 - 1e-12) for s in (1.0, -1.0) for e in (s * np.eye(n))]
-    if all(hit):
-        return True
-    from scipy.optimize import linprog
+    """Exact boundedness: with offsets > 0, {A x <= b} is bounded iff no
+    d != 0 has A d <= 0.
 
-    for j in range(n):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(n)
-            c[j] = -sgn  # linprog minimizes
-            res = linprog(c, A_ub=nrm, b_ub=poly.offsets, bounds=[(None, None)] * n, method="highs")
-            if res.status == 3:
-                return False
-            if res.status not in (0, 2):
-                raise PolytopeError(f"boundedness LP failed with status {res.status}")
-    return True
+    If rank A < n, a null direction of A is such a d.  Otherwise that
+    recession cone is pointed, so if it is not {0} it has an extreme ray,
+    which spans the null space of some n-1 independent rows of A.  Testing
+    +-d for the null direction d of every (n-1)-row subset is therefore
+    complete; a subset of lower rank yields some direction of its null
+    space, which is a true recession direction whenever it passes.
+    """
+    nrm = poly.normals
+    m, n = nrm.shape
+    if np.linalg.matrix_rank(nrm) < n:
+        return False
+    combos = list(itertools.combinations(range(m), n - 1))
+    rows = nrm[np.array(combos, dtype=int).reshape(len(combos), n - 1)]
+    rays = np.linalg.svd(rows)[2][:, -1, :]          # (C, n) null directions
+    slopes = rays @ nrm.T
+    recedes = (slopes.max(axis=1) <= RECESSION_TOL) | (slopes.min(axis=1) >= -RECESSION_TOL)
+    return not np.any(recedes)
 
 
 def enumerate_vertices(poly: HPolytope) -> VRep:
@@ -205,77 +213,38 @@ def polytope_radial(poly: HPolytope, dirs) -> np.ndarray | float:
     return ratios.min(axis=1)
 
 
-def _clip_halfplane(pts: list[np.ndarray], m: np.ndarray, b: float) -> list[np.ndarray]:
-    """Sutherland-Hodgman step: keep the region <p, m> <= b."""
-    if not pts:
-        return []
-    out: list[np.ndarray] = []
-    vals = [float(p @ m) - b for p in pts]
-    k = len(pts)
-    for i in range(k):
-        p, q = pts[i], pts[(i + 1) % k]
-        vp, vq = vals[i], vals[(i + 1) % k]
-        if vp <= 0.0:
-            out.append(p)
-            if vq > 0.0:
-                out.append(p + (q - p) * (vp / (vp - vq)))
-        elif vq <= 0.0:
-            out.append(p + (q - p) * (vp / (vp - vq)))
-    return out
+def section_hpolytope(poly: HPolytope, subspace) -> HPolytope:
+    """Exact H-representation of the central section P cap span(B), in
+    subspace coordinates.
+
+    Substituting x = B y turns each facet into <y, B^T normal> <= offset;
+    facets orthogonal to the subspace drop out (their constraint holds
+    automatically since offsets are positive), and facets that meet the
+    subspace in the same hyperplane of it are kept once.
+    """
+    if subspace.ambient_dim != poly.ambient_dim:
+        raise ValueError("subspace ambient dimension must match the polytope")
+    ms = poly.normals @ subspace.basis
+    lens = np.linalg.norm(ms, axis=1)
+    live = lens > 1e-12
+    nrm, off = ms[live] / lens[live, None], poly.offsets[live] / lens[live]
+    dup = (nrm @ nrm.T > 1.0 - 1e-12) & (np.abs(off[:, None] - off[None, :]) <= DUP_FACET_TOL)
+    keep = ~np.tril(dup, -1).any(axis=1)
+    return HPolytope(nrm[keep], off[keep])
 
 
-def _clean_loop(pts: list[np.ndarray], dedup_tol: float = 1e-11, collinear_tol: float = 1e-12) -> np.ndarray:
-    """Drop near-duplicate and collinear vertices from a CCW loop."""
-    if not pts:
-        return np.zeros((0, 2))
-    arr = [pts[0]]
-    for p in pts[1:]:
-        if np.linalg.norm(p - arr[-1]) > dedup_tol:
-            arr.append(p)
-    while len(arr) > 1 and np.linalg.norm(arr[0] - arr[-1]) <= dedup_tol:
-        arr.pop()
-    if len(arr) < 3:
-        return np.array(arr).reshape(-1, 2)
-    keep = []
-    k = len(arr)
-    for i in range(k):
-        a, b, c = arr[i - 1], arr[i], arr[(i + 1) % k]
-        cr = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if abs(cr) > collinear_tol:
-            keep.append(b)
-    return np.array(keep).reshape(-1, 2)
+def polygon_by_angle(vertices) -> Polygon:
+    """The convex polygon of planar vertices around an interior origin,
+    ordered counterclockwise by angle."""
+    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
+    return Polygon(v[np.argsort(np.arctan2(v[:, 1], v[:, 0]))], convexity_tol=1e-9)
 
 
 def section_polygon(poly: HPolytope, subspace) -> Polygon:
-    """Exact planar section P intersect span(B), in subspace coordinates.
-
-    Substituting x = B y turns each facet into the half-plane
-    <y, B^T normal> <= offset; facets orthogonal to the plane drop out
-    (their constraint holds automatically since offsets are positive).
-    """
-    if subspace.dim != 2 or subspace.ambient_dim != poly.ambient_dim:
-        raise ValueError("need a 2-dimensional subspace of the polytope's ambient space")
-    ms = poly.normals @ subspace.basis          # (m, 2)
-    bs = poly.offsets
-    lens = np.linalg.norm(ms, axis=1)
-    live = lens > 1e-14
-
-    angles = (np.arange(8) + 0.5) * (np.pi / 4.0)
-    probes = np.column_stack([np.cos(angles), np.sin(angles)])
-    dots = probes @ ms[live].T
-    with np.errstate(divide="ignore"):
-        rad = np.where(dots > 1e-14, bs[live] / dots, np.inf).min(axis=1)
-    w = 2.0 * float(rad.max())
-
-    pts = [np.array([w, -w]), np.array([w, w]), np.array([-w, w]), np.array([-w, -w])]
-    for mi, bi in zip(ms[live], bs[live]):
-        pts = _clip_halfplane(pts, mi, float(bi))
-        if not pts:
-            raise PolytopeError("section vanished despite interior origin")
-    cleaned = _clean_loop(pts)
-    if cleaned.shape[0] < 3:
-        raise PolytopeError("section degenerated despite interior origin")
-    return Polygon(cleaned, convexity_tol=1e-9)
+    """Exact planar section P cap span(B), in subspace coordinates."""
+    if subspace.dim != 2:
+        raise ValueError("section_polygon needs a 2-dimensional subspace")
+    return polygon_by_angle(enumerate_vertices(section_hpolytope(poly, subspace)).vertices)
 
 
 def polygon_metrics(q: Polygon) -> tuple[float, float]:

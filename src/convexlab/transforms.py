@@ -2,9 +2,10 @@
 
 Sections restrict the radial function and slabs clip it by t/|<theta, xi>|;
 both identities are exact, so derived radial data inherit the parent
-oracle's accuracy.  Only support functions of sections and slabs have no
-closed form; both are recovered from radial data by support_from_radial
-(with a degraded eval_tol).
+oracle's accuracy.  Sections and slabs of polytopes are again polytopes and
+get exact oracles.  Only support functions of the other sections and slabs
+have no closed form; both are recovered from radial data by
+support_from_radial (with a degraded eval_tol).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .bodies import BodyError, ConvexBodyOracle, oracle_of
 from .grassmann import Subspace, embed, rowwise
 from .intrinsic import _zoom_extremum_s2, sphere_grid, support_from_radial
+from .polykernel import section_hpolytope
 
 SECTION_SUPPORT_TOL = 1e-6
 SLAB_SUPPORT_TOL = 1e-6  # support maximizers can sit on the slab rim (a kink)
@@ -68,12 +70,15 @@ def max_slab_halfwidth(oracle: ConvexBodyOracle, grid: int = 10_000) -> float:
 def section_oracle(body: ConvexBodyOracle, subspace: Subspace) -> ConvexBodyOracle:
     """The section body intersect span(B), in subspace coordinates.
 
-    Radial and membership are exact restrictions.  The support function is
-    recovered from radial data by support_from_radial, so eval_tol is
-    degraded accordingly.
+    A polytope body gives the exact polytope oracle of its restricted
+    facets.  Otherwise radial and membership are exact restrictions, and
+    the support function is recovered from radial data by
+    support_from_radial, so eval_tol is degraded accordingly.
     """
     if subspace.ambient_dim != body.dim:
         raise BodyError("subspace ambient dimension must match the body")
+    if body.polytope is not None:
+        return oracle_of(section_hpolytope(body.polytope, subspace))
 
     radial = rowwise(lambda u: np.asarray(body.radial(embed(subspace, u)), dtype=float))
     member = rowwise(lambda y: np.asarray(body.member(embed(subspace, y))))
@@ -145,7 +150,8 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
 
     member(x) = parent.member(x + shift), support(d) = parent.support(d)
     - <shift, d>; the radial function is recovered by bisection on
-    membership along each ray.
+    membership along each ray, inside a bracket grown until it leaves the
+    body.
     """
     s = np.asarray(shift, dtype=float)
     if s.shape != (body.dim,):
@@ -164,7 +170,8 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     def support(ds):
         return np.asarray(body.support(ds), dtype=float) - ds @ s
 
-    # any point of the shifted body lies within the parent's circumradius
+    # a first outer bound; probes can miss long directions of elongated
+    # bodies, so radial doubles it per row until it leaves the body
     probe = sphere_grid(body.dim, 256)
     outer = float(np.asarray(body.radial(probe), dtype=float).max()) + norm + 1.0
 
@@ -172,6 +179,11 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     def radial(th):
         lo = np.zeros(th.shape[0])
         hi = np.full(th.shape[0], outer)
+        inside = np.asarray(body.member(hi[:, None] * th + s))
+        while np.any(inside):
+            lo = np.where(inside, hi, lo)
+            hi = np.where(inside, 2.0 * hi, hi)
+            inside = np.asarray(body.member(hi[:, None] * th + s))
         for _ in range(50):
             mid = 0.5 * (lo + hi)
             inside = np.asarray(body.member(mid[:, None] * th + s))

@@ -122,6 +122,9 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
      "error: pair 'polytope' supports n = 3 or 4, got n=2\n"),
     (["sections", "--pair", "control-rotated", "--n", "2"],
      "error: pair 'control-rotated' supports n = 3 or 4, got n=2\n"),
+    (["slabs", "--n", "4"], "error: no slab estimator for n=4, i=4\n"),
+    (["sections", "--pair", "smooth", "--n", "5", "--k", "4", "--i", "1"],
+     "error: no section estimator for n=5, k=4, i=1\n"),
 ])
 def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
@@ -220,14 +223,18 @@ def _child_env(**extra) -> dict:
     return env
 
 
-def test_polytope_runs_do_not_import_scipy_linalg_or_spatial(tmp_path):
+def test_polytope_runs_do_not_import_scipy_linalg_spatial_or_optimize(tmp_path):
     code = (
         "import sys\n"
         "from convexlab.cli import main\n"
-        "for cmd in ('convergence', 'certify'):\n"
-        "    code = main([cmd, '--pair', 'polytope', '--out', sys.argv[1] + '/' + cmd])\n"
-        "    assert code == 0, cmd\n"
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.spatial') if m in sys.modules))\n")
+        "runs = [['convergence'], ['certify'],\n"
+        "        ['sections', '--n', '4', '--k', '3', '--samples', '2']]\n"
+        "for j, run in enumerate(runs):\n"
+        "    out = sys.argv[1] + '/' + str(j)\n"
+        "    code = main(run + ['--pair', 'polytope', '--out', out])\n"
+        "    assert code == 0, run\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.spatial', 'scipy.optimize')\n"
+        "             if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           env=_child_env(), capture_output=True, text=True,
                           cwd=str(tmp_path))

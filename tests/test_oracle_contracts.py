@@ -108,12 +108,7 @@ def test_membership_brackets_the_radial_function(kind, data):
     assert not np.any(oracle.member(1.001 * boundary))
 
 
-@pytest.mark.parametrize("kind", [
-    pytest.param(kind, marks=pytest.mark.xfail(strict=True, reason=(
-        "support_from_radial misses kinked maximizers of 3-d polytope "
-        "sections by up to ~5e-2, beyond the declared 1e-6; ROADMAP "
-        "direction 4"))) if kind == "section-polytope-k3" else kind
-    for kind in KINDS])
+@pytest.mark.parametrize("kind", KINDS)
 @CONTRACT
 @given(data=st.data())
 def test_support_bounds_every_boundary_point(kind, data):

@@ -6,6 +6,7 @@ import pytest
 from convexlab.bodies import build_polytope_pair
 from convexlab.grassmann import RngStream, Subspace, sample_haar_subspace
 from convexlab.polykernel import (
+    _is_bounded,
     HPolytope,
     Polygon,
     PolytopeError,
@@ -15,6 +16,7 @@ from convexlab.polykernel import (
     polygon_metrics,
     polytope_radial,
     projection_polygon,
+    section_hpolytope,
     section_polygon,
 )
 
@@ -61,6 +63,50 @@ def test_enumerate_vertices_rejects_unbounded():
     half = HPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
     with pytest.raises(PolytopeError, match="unbounded"):
         enumerate_vertices(half)
+
+
+def _bounded_by_lp(poly: HPolytope) -> bool:
+    """Reference: bounded iff every LP max of +-x_j is finite.
+
+    HiGHS presolve can report an unbounded LP with a feasible origin as
+    infeasible, so presolve is off.
+    """
+    from scipy.optimize import linprog
+
+    n = poly.ambient_dim
+    status = [linprog(c, A_ub=poly.normals, b_ub=poly.offsets,
+                      bounds=[(None, None)] * n, method="highs",
+                      options={"presolve": False}).status
+              for c in np.vstack([np.eye(n), -np.eye(n)])]
+    if 3 in status:
+        return False
+    assert status == [0] * (2 * n), status
+    return True
+
+
+def _random_hpolytopes(n: int, count: int, seed: int):
+    """Random normals with positive offsets, plus rotated boxes with one
+    facet dropped, whose recession direction is parallel to facets."""
+    g = RngStream(seed, n).generator()
+    for _ in range(count):
+        m = int(g.integers(1, n + 6))
+        nrm = g.standard_normal((m, n))
+        yield HPolytope(nrm / np.linalg.norm(nrm, axis=1, keepdims=True),
+                        g.uniform(0.2, 2.0, m))
+    q = np.linalg.qr(g.standard_normal((n, n)))[0]
+    box = HPolytope.box(g.uniform(0.5, 2.0, n)).rotated(q)
+    for drop in range(2 * n):
+        keep = np.arange(2 * n) != drop
+        yield HPolytope(box.normals[keep], box.offsets[keep])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_is_bounded_agrees_with_linear_programming(n):
+    verdicts = []
+    for poly in _random_hpolytopes(n, 60, seed=40):
+        verdicts.append(_is_bounded(poly))
+        assert verdicts[-1] == _bounded_by_lp(poly), (poly.normals, poly.offsets)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_polytope_radial_box():
@@ -117,6 +163,25 @@ def _polygon_radial(verts, dirs):
     with np.errstate(divide="ignore"):
         ratios = np.where(dots > 1e-14, off[None, :] / dots, np.inf)
     return ratios.min(axis=1)
+
+
+def test_section_polygon_of_elongated_box_is_exact():
+    # a square sized from a few radial probes truncated this section to an
+    # area of 0.0523 and a perimeter of 1.245
+    box = HPolytope.box([0.05, 1.0, 20.0])
+    sub = Subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    area, perim = polygon_metrics(section_polygon(box, sub))
+    assert abs(area - 4.0) <= 1e-12
+    assert abs(perim - 80.2) <= 1e-12
+
+
+def test_section_keeps_coinciding_facets_once(pair):
+    # both corner cuts of body K meet the e1-e2 plane in the same line,
+    sub = Subspace(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    assert section_hpolytope(pair.body_K, sub).num_facets == 5
+    # and there miss the 2 x 2.4 rectangle
+    area, perim = polygon_metrics(section_polygon(pair.body_K, sub))
+    assert abs(area - 4.8) <= 1e-12 and abs(perim - 8.8) <= 1e-12
 
 
 def test_section_polygon_through_far_plane_raises(pair):

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexlab.bodies import BodyError, ball_oracle
+from convexlab.bodies import BodyError, ball_oracle, oracle_of
 from convexlab.grassmann import RngStream, Subspace, embed, sample_haar_subspace
 from convexlab.intrinsic import circle_grid, fibonacci_sphere
+from convexlab.polykernel import HPolytope
 from convexlab.transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                                   slab_oracle, translate_oracle)
 
@@ -60,6 +61,15 @@ def test_section_support_recovery():
 
     with pytest.raises(BodyError, match="ambient dimension"):
         section_oracle(ball, Subspace(np.eye(4)[:, :2]))
+
+
+def test_polytope_section_oracle_is_exact():
+    box = oracle_of(HPolytope.box([0.05, 1.0, 20.0]))
+    sec = section_oracle(box, Subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])))
+    assert sec.kind == "polytope" and sec.eval_tol == box.eval_tol
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]])
+    assert np.allclose(sec.support(dirs), [0.05, 20.0, 16.03], rtol=0.0, atol=1e-15)
+    assert np.allclose(sec.radial(dirs[:2]), [0.05, 20.0], rtol=0.0, atol=1e-15)
 
 
 def test_section_inside_projection(smooth_pair):
@@ -138,6 +148,15 @@ def test_translate_oracle_values():
         translate_oracle(ball_oracle(3), np.array([1.5, 0.0, 0.0]))
     with pytest.raises(BodyError, match="dimension"):
         translate_oracle(ball_oracle(3), np.array([0.1, 0.0]))
+
+
+def test_translate_radial_reaches_far_boundary_of_elongated_body():
+    # 256 probe radials of this box reach only about 5.8, far short of the
+    # long half-axis of 20, so the first bisection bracket ends inside
+    box = oracle_of(HPolytope.box([0.05, 1.0, 20.0]))
+    shifted = translate_oracle(box, np.array([0.0, 0.0, 0.5]))
+    e3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert np.allclose(shifted.radial(e3), [19.5, 20.5], rtol=0.0, atol=1e-10)
 
 
 def test_max_slab_halfwidth(polytope_pair):
