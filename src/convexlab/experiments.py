@@ -524,10 +524,11 @@ def _harmonic_certificate(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle
                           n_phi: int = 512) -> NoncongruenceCertificate:
     """Rotation-invariant spherical-harmonic energy spectra of the radial
     functions, after centroid centering (translation-invariant as well)."""
+    dirs, legendre = _harmonic_grid(degree, n_theta, n_phi)
     energies = []
     for oracle in (oracle_K, oracle_L):
         centered = translate_oracle(oracle, centroid_3d(oracle))
-        energies.append(_radial_energy_spectrum(centered, degree, n_theta, n_phi))
+        energies.append(_radial_energy_spectrum(centered, dirs, legendre))
     stat = float(np.max(np.abs(energies[0] - energies[1])))
     thr = 1e-6
     return NoncongruenceCertificate(
@@ -536,34 +537,56 @@ def _harmonic_certificate(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle
          "invariant under every isometry fixing the centroid",))
 
 
-def _radial_energy_spectrum(oracle: ConvexBodyOracle, degree: int,
-                            n_theta: int, n_phi: int) -> np.ndarray:
-    try:
-        from scipy.special import sph_harm_y
-    except ImportError:  # older scipy: sph_harm(m, n, azimuth, polar)
-        from scipy.special import sph_harm
+def _harmonic_grid(degree: int, n_theta: int,
+                   n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature grid of the energy spectrum and its Legendre table.
 
-        def sph_harm_y(ell, m, theta, phi):
-            return sph_harm(m, ell, phi, theta)
-
-    z_nodes, z_weights = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(z_nodes)                       # polar angle nodes
+    Directions are n_theta Gauss-Legendre latitudes (rows) times n_phi
+    equispaced longitudes, flattened row-major.  legendre[i, m, l] is the
+    orthonormal associated Legendre value Pbar_l^m(z_i), with
+    Y_lm = Pbar_l^m(cos theta) e^{i m phi}, times the Gauss weight w_i; it
+    is zero for m > l.  The table comes from the standard three-term
+    recurrences (Schaeffer 2013, arXiv:1202.6522): the diagonal seed
+    Pbar_m^m, the step to Pbar_{m+1}^m, then the recurrence in l.  The
+    Condon-Shortley phase is dropped, since energies only see |a_lm|.
+    """
+    z, w = np.polynomial.legendre.leggauss(n_theta)
+    s = np.sqrt((1.0 - z) * (1.0 + z))               # sin(theta) at the nodes
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
     dirs = np.column_stack([
-        (np.sin(tt) * np.cos(pp)).ravel(),
-        (np.sin(tt) * np.sin(pp)).ravel(),
-        np.cos(tt).ravel(),
+        np.outer(s, np.cos(phi)).ravel(),
+        np.outer(s, np.sin(phi)).ravel(),
+        np.repeat(z, n_phi),
     ])
-    rho = np.asarray(oracle.radial(dirs), dtype=float).reshape(n_theta, n_phi)
-    weighted = rho * (z_weights[:, None] * (2.0 * np.pi / n_phi))
-    out = np.zeros(degree + 1)
-    # real rho: |a_{l,-m}| = |a_{l,m}|, so only m >= 0 is evaluated
-    for ell in range(degree + 1):
-        for m in range(ell + 1):
-            coeff = np.sum(weighted * np.conj(sph_harm_y(ell, m, tt, pp)))
-            out[ell] += (1.0 if m == 0 else 2.0) * float(np.abs(coeff) ** 2)
-    return out
+    p = np.zeros((n_theta, degree + 1, degree + 1))  # [i, m, l]
+    diag = np.full(n_theta, 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(degree + 1):
+        if m > 0:
+            diag = math.sqrt((2 * m + 1) / (2 * m)) * s * diag
+        p[:, m, m] = diag
+        if m < degree:
+            p[:, m, m + 1] = math.sqrt(2 * m + 3) * z * diag
+        for ell in range(m + 2, degree + 1):
+            a = math.sqrt((4 * ell * ell - 1) / (ell * ell - m * m))
+            b = math.sqrt(((ell - 1) ** 2 - m * m) / (4 * (ell - 1) ** 2 - 1))
+            p[:, m, ell] = a * (z * p[:, m, ell - 1] - b * p[:, m, ell - 2])
+    return dirs, p * w[:, None, None]
+
+
+def _radial_energy_spectrum(oracle: ConvexBodyOracle, dirs: np.ndarray,
+                            legendre: np.ndarray) -> np.ndarray:
+    """Per-degree energies sum_m |a_lm|^2 of the radial function on the grid
+    of _harmonic_grid: one real FFT per latitude row gives the longitude
+    integrals, and the Legendre table does the latitude quadrature."""
+    n_theta, n_m, _ = legendre.shape
+    rho = np.asarray(oracle.radial(dirs), dtype=float).reshape(n_theta, -1)
+    # longitude integrals: (2 pi / n_phi) sum_j rho_ij e^{-i m phi_j}
+    rows = np.fft.rfft(rho, axis=1)[:, :n_m] * (2.0 * np.pi / rho.shape[1])
+    coeff = np.einsum("iml,im->ml", legendre, rows)   # a_lm, m >= 0
+    # real rho: |a_{l,-m}| = |a_{l,m}|, so m > 0 counts twice
+    mult = np.full(n_m, 2.0)
+    mult[0] = 1.0
+    return mult @ (coeff.real ** 2 + coeff.imag ** 2)
 
 
 def noncongruence_certificates(pair: BodyPair) -> list:
@@ -572,7 +595,10 @@ def noncongruence_certificates(pair: BodyPair) -> list:
     The harmonic spectrum is a fallback: it runs only when no primary
     method was conclusive, and only for bodies without facet kinks (the
     fixed quadrature grid resolves smooth radial functions to well below
-    the decision threshold, but not piecewise-smooth ones).
+    the decision threshold, but not piecewise-smooth ones).  It samples
+    the centered radial function on 256 Gauss-Legendre latitudes times 512
+    longitudes and gets the degree <= 16 coefficients from one real FFT
+    per latitude plus a recurrence-built Legendre table, shared by K and L.
     """
     certs = []
     if pair.construction is not None or (

@@ -23,8 +23,8 @@ from .grassmann import rowwise
 
 FEAS_TOL = 1e-9       # feasibility slack when accepting candidate vertices
 DEDUP_TOL = 1e-8      # vertices closer than this are numerical twins
-ACTIVE_TOL = 1e-9     # facet counts as active at a vertex within this
-DUP_FACET_TOL = 1e-12
+ACTIVE_TOL = 1e-9     # facet counts as active at a vertex within this; parallel
+                      # facets whose offsets agree this closely are duplicates
 RECESSION_TOL = 1e-12  # <ray, normal> up to this counts as <= 0 (unit vectors)
 
 
@@ -56,7 +56,7 @@ class HPolytope:
         dots = nrm @ nrm.T
         for i in range(len(off)):
             for j in range(i + 1, len(off)):
-                if dots[i, j] > 1.0 - 1e-12 and abs(off[i] - off[j]) <= DUP_FACET_TOL:
+                if dots[i, j] > 1.0 - 1e-12 and abs(off[i] - off[j]) <= ACTIVE_TOL:
                     raise PolytopeError(f"duplicate facets {i} and {j}")
         nrm.setflags(write=False)
         off.setflags(write=False)
@@ -228,7 +228,7 @@ def section_hpolytope(poly: HPolytope, subspace) -> HPolytope:
     lens = np.linalg.norm(ms, axis=1)
     live = lens > 1e-12
     nrm, off = ms[live] / lens[live, None], poly.offsets[live] / lens[live]
-    dup = (nrm @ nrm.T > 1.0 - 1e-12) & (np.abs(off[:, None] - off[None, :]) <= DUP_FACET_TOL)
+    dup = (nrm @ nrm.T > 1.0 - 1e-12) & (np.abs(off[:, None] - off[None, :]) <= ACTIVE_TOL)
     keep = ~np.tril(dup, -1).any(axis=1)
     return HPolytope(nrm[keep], off[keep])
 

@@ -242,6 +242,23 @@ def test_polytope_runs_do_not_import_scipy_linalg_spatial_or_optimize(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_harmonic_certificate_does_not_import_scipy_special(tmp_path):
+    code = (
+        "import sys\n"
+        "from convexlab.cli import main\n"
+        "code = main(['certify', '--pair', 'control-shifted', '--out', sys.argv[1]])\n"
+        "assert code == 0, code\n"
+        "print('scipy.special' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          env=_child_env(), capture_output=True, text=True,
+                          cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert [c["method"] for c in report["summary"]["certificates"]] == [
+        "harmonic-spectrum"]
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_convexlab_threads_overrides_exported_blas_variables(tmp_path):
     names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")

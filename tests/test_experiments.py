@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from convexlab.bodies import ball_oracle
-from convexlab.experiments import _distance_signature, _orthogonal_complement
+from convexlab.bodies import ConvexBodyOracle, ball_oracle
+from convexlab.experiments import (_distance_signature, _harmonic_grid,
+                                   _orthogonal_complement, _radial_energy_spectrum)
 from convexlab.experiments import (BodyPair, ExperimentError,
                                    NoncongruenceCertificate, PAIR_NAMES,
                                    certify_report, convergence_experiment,
@@ -14,10 +15,12 @@ from convexlab.experiments import (BodyPair, ExperimentError,
                                    noncongruence_certificates,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
-from convexlab.grassmann import RngStream, sample_sphere
+from convexlab.grassmann import RngStream, rowwise, sample_sphere
+from convexlab.intrinsic import centroid_3d
 from convexlab.report import (canonical_json, report_to_dict, samples_csv_rows,
                               write_report_json, write_samples_csv,
                               write_suite_csv)
+from convexlab.transforms import translate_oracle
 
 
 def test_make_pair_names():
@@ -230,6 +233,70 @@ def test_certificate_invariants():
     with pytest.raises(ExperimentError, match="verdict"):
         NoncongruenceCertificate("vertex-distance-multiset", 1.0, 1e-6,
                                  "maybe", ())
+
+
+def _dipole_oracle(a: float, axis) -> ConvexBodyOracle:
+    """rho(u) = 1 + a sqrt(3 / 4 pi) <u, axis>: a_00 = sqrt(4 pi), and the
+    degree-1 coefficients have total energy a^2 about any unit axis."""
+    axis = np.asarray(axis, dtype=float)
+
+    @rowwise
+    def radial(d):
+        return 1.0 + a * math.sqrt(3.0 / (4.0 * math.pi)) * (d @ axis)
+
+    def unused(_):
+        raise AssertionError("the spectrum reads radial values only")
+
+    return ConvexBodyOracle(dim=3, radial=radial, support=unused, member=unused,
+                            eval_tol=1e-15, kind="dipole")
+
+
+def _spectrum(oracle, degree=16, n_theta=256, n_phi=512):
+    return _radial_energy_spectrum(oracle, *_harmonic_grid(degree, n_theta, n_phi))
+
+
+def test_spectrum_of_the_unit_ball():
+    e = _spectrum(ball_oracle(3))
+    assert e[0] == pytest.approx(4.0 * math.pi, rel=1e-12)
+    assert np.all(e[1:] < 1e-20)
+
+
+def test_spectrum_of_a_dipole_is_rotation_invariant():
+    a = 0.1
+    e = _spectrum(_dipole_oracle(a, [0.0, 0.0, 1.0]))
+    assert e[0] == pytest.approx(4.0 * math.pi, rel=1e-12)
+    assert e[1] == pytest.approx(a * a, rel=1e-12)
+    assert np.all(e[2:] < 1e-20)
+
+    axis = sample_sphere(3, RngStream(41, 0))
+    turned = _spectrum(_dipole_oracle(a, axis))
+    assert turned[:2] == pytest.approx(e[:2], rel=1e-12)
+    assert np.all(turned[2:] < 1e-20)
+
+
+def test_spectrum_matches_scipy_spherical_harmonics(smooth_pair):
+    # scipy stays out of the package; its sph_harm_y is the reference here
+    from scipy.special import sph_harm_y
+
+    degree, n_theta, n_phi = 8, 32, 64
+    oracle_K = smooth_pair.oracle_K
+    centered = translate_oracle(oracle_K, centroid_3d(oracle_K))
+    dirs, legendre = _harmonic_grid(degree, n_theta, n_phi)
+    fast = _radial_energy_spectrum(centered, dirs, legendre)
+
+    z, w = np.polynomial.legendre.leggauss(n_theta)
+    assert np.array_equal(dirs[::n_phi, 2], z)
+    theta, phi = np.meshgrid(np.arccos(z), 2.0 * np.pi * np.arange(n_phi) / n_phi,
+                             indexing="ij")
+    rho = centered.radial(dirs).reshape(n_theta, n_phi)
+    weighted = rho * (w[:, None] * (2.0 * np.pi / n_phi))
+    ref = np.zeros(degree + 1)
+    for ell in range(degree + 1):
+        for m in range(ell + 1):
+            coeff = np.sum(weighted * np.conj(sph_harm_y(ell, m, theta, phi)))
+            ref[ell] += (1.0 if m == 0 else 2.0) * abs(coeff) ** 2
+    assert np.max(np.abs(fast - ref)) < 1e-13
+    assert ref[0] > 12.0 and ref[2:].max() > 1e-9
 
 
 def test_certify_constructed_pairs(smooth_pair, polytope_pair):

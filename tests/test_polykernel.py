@@ -43,6 +43,29 @@ def test_hpolytope_validation():
                   np.array([1.0, 1.0, 1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("d", [1e-11, 1e-10, 5e-10])
+def test_near_coincident_facets_are_duplicates(d):
+    # parallel facets closer than the vertex-activity window would make one
+    # vertex lie on both; the constructor rejects them by name instead
+    with pytest.raises(PolytopeError, match="duplicate facets 2 and 6"):
+        HPolytope.box([1.0, 1.0, 1.0]).with_facets([[0.0, 0.0, 1.0]], [1.0 + d])
+
+
+def test_parallel_facet_outside_the_window_is_kept():
+    poly = HPolytope.box([1.0, 1.0, 1.0]).with_facets([[0.0, 0.0, 1.0]], [1.0 + 1e-8])
+    assert poly3_intrinsic_volumes(poly) == pytest.approx((6.0, 12.0, 8.0), rel=1e-12)
+
+
+def test_section_merges_facets_that_coincide_within_the_window():
+    tilt = 1e-3
+    c = math.sqrt(1.0 - tilt * tilt)
+    poly = HPolytope.box([1.0, 1.0, 1.0]).with_facets(
+        [[tilt, 0.0, c]], [c * (1.0 + 5e-10)])
+    sec = section_hpolytope(poly, Subspace(np.eye(3)[:, 1:]))
+    assert sec.num_facets == 4
+    assert enumerate_vertices(sec).num_vertices == 4
+
+
 def test_box_helper_and_rotation():
     box = HPolytope.box([1.0, 2.0])
     assert box.normals.shape == (4, 2)
