@@ -84,6 +84,8 @@ class RevolutionBodySpec:
             raise BodyError("ambient dimension must be at least 2")
         if not (0.0 < self.delta < 1.0 / 6.0):
             raise BodyError("delta must lie in (0, 1/6) so bump supports stay disjoint")
+        if not math.isfinite(self.epsilon):
+            raise BodyError("epsilon must be finite")
         if self.epsilon < 0.0:
             raise BodyError("epsilon must be nonnegative")
         if self.variant not in ("K", "L"):

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bodies import RevolutionBodySpec, build_polytope_pair, make_revolution_spec, oracle_of, profile
+from .bodies import (RevolutionBodySpec, build_polytope_pair, make_revolution_spec, oracle_of,
+                     profile, validate_revolution_spec)
 from .experiments import (
     PAIR_NAMES,
     BodyPair,
@@ -69,7 +70,8 @@ def parse_body_spec(text: str):
 
     Unknown fields are rejected by name; absent epsilon, delta, lambda fall
     back to their defaults.  Constraint violations surface the constructor
-    diagnostics (for example "delta must lie in (0, 1/6)").
+    diagnostics (for example "delta must lie in (0, 1/6)"), and a revolution
+    profile must pass validate_revolution_spec, so the body is convex.
     """
     try:
         data = json.loads(text)
@@ -82,12 +84,17 @@ def parse_body_spec(text: str):
         unknown = sorted(set(data) - _REVOLUTION_FIELDS)
         if unknown:
             raise CliError(f"unknown field '{unknown[0]}' in revolution body spec")
-        return RevolutionBodySpec(
+        spec = RevolutionBodySpec(
             n=int(data.get("n", 3)),
             epsilon=float(data.get("epsilon", 1e-3)),
             delta=float(data.get("delta", 0.1)),
             variant=str(data.get("variant", "K")),
         )
+        check = validate_revolution_spec(spec)
+        if not check.ok:
+            raise CliError("revolution profile is not concave and positive: max f'' = "
+                           f"{check.max_second_derivative:.4g}, min f = {check.min_profile:.4g}")
+        return spec
     if kind == "polytope":
         unknown = sorted(set(data) - _POLYTOPE_FIELDS)
         if unknown:
@@ -129,18 +136,18 @@ def _is_exact_pair(pair: BodyPair) -> bool:
     return pair.oracle_K.kind == "polytope" and pair.oracle_L.kind == "polytope"
 
 
-def _default_tol(command: str, pair: BodyPair, args) -> float:
+def _default_tol(command: str, pair: BodyPair, k: int | None) -> float:
     exact = _is_exact_pair(pair)
     if command == "lemma1":
         return 1e-11 if exact else 1e-8
     if command == "sections":
         if exact:
             return 1e-9
-        return {1: 1e-8, 2: 1e-5}.get(args.k, 1e-4)
+        return {1: 1e-8, 2: 1e-5}.get(k, 1e-4)
     if command == "slabs":
         return 1e-9 if exact else 1e-4
     if command == "projections":
-        if args.k == 1:
+        if k == 1:
             return 1e-8
         return 1e-9 if exact else 1e-4
     return 1e-9
@@ -153,9 +160,11 @@ def _default_tol(command: str, pair: BodyPair, args) -> float:
 def _experiment(cmd: str, pair: BodyPair, rng: RngStream, samples=None, tol=None,
                 k=None, i=None, t=None, **options):
     """Run one experiment command on a pair: the one dispatch behind single
-    commands and suite entries.  An absent i or t takes the command's
+    commands and suite entries.  An absent tol, i or t takes the command's
     default; options go to the experiment function."""
     K, L, snaps = pair.oracle_K, pair.oracle_L, pair.snapshots
+    if tol is None:
+        tol = _default_tol(cmd, pair, k)
     if cmd == "lemma1":
         return lemma1_check(K, L, samples, tol, rng, snaps)
     if cmd == "sections":
@@ -178,11 +187,10 @@ def _experiment(cmd: str, pair: BodyPair, rng: RngStream, samples=None, tol=None
 def _run_single(args) -> tuple:
     pair = _resolve_pair(args)
     cmd = args.command
-    tol = args.tol if args.tol is not None else _default_tol(cmd, pair, args)
     samples = getattr(args, "samples", None) or _DEFAULT_SAMPLES.get(cmd)
     t0 = time.perf_counter()
     report = _experiment(cmd, pair, RngStream(args.seed, _STREAM_OF.get(cmd, 0)),
-                         samples, tol, k=getattr(args, "k", None),
+                         samples, args.tol, k=getattr(args, "k", None),
                          i=getattr(args, "i", None), t=getattr(args, "t", None))
     report.runtime_seconds = time.perf_counter() - t0
     return report, pair
@@ -241,35 +249,35 @@ def _emit_single(report, pair, args, out: Path, written: list) -> None:
 # (entry, pair, expected pass, command, stream index, arguments).  Controls
 # are expected to FAIL their equality checks; the suite is wrong if they pass.
 _SUITE = (
-    ("lemma1-smooth", "smooth", True, "lemma1", 10, dict(samples=1000, tol=1e-8)),
-    ("lemma1-polytope", "polytope", True, "lemma1", 11, dict(samples=1000, tol=1e-11)),
+    ("lemma1-smooth", "smooth", True, "lemma1", 10, dict(samples=1000)),
+    ("lemma1-polytope", "polytope", True, "lemma1", 11, dict(samples=1000)),
     ("lemma1-control-shifted", "control-shifted", False, "lemma1", 12,
-     dict(samples=500, tol=1e-8)),
+     dict(samples=500)),
     ("sections-polytope-k2-i1", "polytope", True, "sections", 20,
-     dict(k=2, i=1, samples=50, tol=1e-9)),
+     dict(k=2, i=1, samples=50)),
     ("sections-polytope-k2-i2", "polytope", True, "sections", 21,
-     dict(k=2, i=2, samples=50, tol=1e-9)),
+     dict(k=2, i=2, samples=50)),
     ("sections-smooth-k2-i1", "smooth", True, "sections", 22,
-     dict(k=2, i=1, samples=30, tol=1e-5)),
+     dict(k=2, i=1, samples=30)),
     ("sections-smooth-k2-i2", "smooth", True, "sections", 23,
-     dict(k=2, i=2, samples=30, tol=1e-5)),
+     dict(k=2, i=2, samples=30)),
     ("sections-control-rotated-k2-i2", "control-rotated", False, "sections", 24,
-     dict(k=2, i=2, samples=20, tol=1e-9)),
+     dict(k=2, i=2, samples=20)),
     ("sections-control-shifted-k2-i2", "control-shifted", False, "sections", 25,
-     dict(k=2, i=2, samples=20, tol=1e-5)),
-    ("slabs-polytope-i1", "polytope", True, "slabs", 30, dict(t=0.5, i=1, samples=25, tol=1e-9)),
-    ("slabs-polytope-i2", "polytope", True, "slabs", 31, dict(t=0.5, i=2, samples=25, tol=1e-9)),
-    ("slabs-polytope-i3", "polytope", True, "slabs", 32, dict(t=0.5, i=3, samples=25, tol=1e-9)),
+     dict(k=2, i=2, samples=20)),
+    ("slabs-polytope-i1", "polytope", True, "slabs", 30, dict(t=0.5, i=1, samples=25)),
+    ("slabs-polytope-i2", "polytope", True, "slabs", 31, dict(t=0.5, i=2, samples=25)),
+    ("slabs-polytope-i3", "polytope", True, "slabs", 32, dict(t=0.5, i=3, samples=25)),
     ("slabs-smooth-i3", "smooth", True, "slabs", 33,
-     dict(t=0.5, i=3, samples=8, tol=1e-4, vol_nodes=50_000)),
-    ("projections-smooth-k1", "smooth", True, "projections", 40, dict(k=1, samples=300, tol=1e-8)),
-    ("projections-smooth-k2", "smooth", True, "projections", 41, dict(k=2, samples=30, tol=1e-4)),
+     dict(t=0.5, i=3, samples=8, vol_nodes=50_000)),
+    ("projections-smooth-k1", "smooth", True, "projections", 40, dict(k=1, samples=300)),
+    ("projections-smooth-k2", "smooth", True, "projections", 41, dict(k=2, samples=30)),
     ("projections-polytope-k1", "polytope", True, "projections", 42,
-     dict(k=1, samples=300, tol=1e-8)),
+     dict(k=1, samples=300)),
     ("projections-polytope-k2", "polytope", True, "projections", 43,
-     dict(k=2, samples=50, tol=1e-9)),
+     dict(k=2, samples=50)),
     ("projections-control-shifted-k1", "control-shifted", True, "projections", 44,
-     dict(k=1, samples=100, tol=1e-8)),
+     dict(k=1, samples=100)),
     ("convergence-polytope-i2", "polytope", True, "convergence", 50, dict(i=2)),
     ("convergence-smooth-i1", "smooth", True, "convergence", 51, dict(i=1, width_nodes=256)),
     ("certify-smooth", "smooth", True, "certify", 0, {}),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,8 +101,10 @@ def planar_metrics_from_oracle(oracle) -> tuple[IVEstimate, IVEstimate]:
     return v1, v2
 
 
-def _tangent_frame(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent pairs for unit vectors in R^3, vectorized."""
+def _tangent_frame(centers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Orthonormal tangent vectors for unit vectors in R^2 (one) or R^3 (two)."""
+    if centers.shape[1] == 2:
+        return (np.column_stack([-centers[:, 1], centers[:, 0]]),)
     pick = np.argmin(np.abs(centers), axis=1)
     e = np.zeros_like(centers)
     e[np.arange(len(centers)), pick] = 1.0
@@ -111,26 +114,32 @@ def _tangent_frame(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-_LOCAL_GRID = np.array([(a, b) for a in np.linspace(-1, 1, 5) for b in np.linspace(-1, 1, 5)])
+_LOCAL_AXIS = np.linspace(-1, 1, 5)
+_LOCAL_GRID = {2: _LOCAL_AXIS[:, None],
+               3: np.array([(a, b) for a in _LOCAL_AXIS for b in _LOCAL_AXIS])}
 
 
-def _zoom_extremum_s2(score, centers: np.ndarray, radius: float, rounds: int,
-                      shrink: float, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """Local grid-shrink optimization of `score` on the sphere near `centers`.
+def _zoom_extremum(score, centers: np.ndarray, grid: int, rounds: int,
+                   shrink: float, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Local grid-shrink optimization of `score` on S^1 or S^2 near `centers`.
 
-    sign=+1 maximizes, sign=-1 minimizes; returns (best points, best scores).
+    The first local grid spans two node spacings of sphere_grid(dim, grid)
+    around each center.  sign=+1 maximizes, sign=-1 minimizes; returns
+    (best points, best scores).
     """
-    m = centers.shape[0]
+    m, dim = centers.shape
+    local = _LOCAL_GRID[dim]
     best_pts = centers.copy()
     best_val = score(centers)
-    r = radius
+    r = 2.0 * (2.0 * math.pi / grid if dim == 2 else math.sqrt(4.0 * math.pi / grid))
     for _ in range(rounds):
-        t1, t2 = _tangent_frame(best_pts)
-        offs = (_LOCAL_GRID[None, :, 0, None] * t1[:, None, :]
-                + _LOCAL_GRID[None, :, 1, None] * t2[:, None, :])
+        frame = _tangent_frame(best_pts)
+        offs = local[None, :, 0, None] * frame[0][:, None, :]
+        if dim == 3:
+            offs = offs + local[None, :, 1, None] * frame[1][:, None, :]
         cand = best_pts[:, None, :] + r * offs
         cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        flat = cand.reshape(-1, 3)
+        flat = cand.reshape(-1, dim)
         vals = score(flat).reshape(m, -1)
         idx = np.argmax(sign * vals, axis=1)
         rows = np.arange(m)
@@ -149,19 +158,15 @@ def support_from_radial(oracle, xi, grid: int = 2048, rounds: int = 24,
     The coarse grid locates the maximizing basin; local grid-shrinking
     refines the argument to ~1e-10.  Works for planar and spatial oracles.
     """
-    dim = oracle.dim
-    if dim == 2:
-        return _support2d_from_radial(oracle, xi, grid)
-    if dim != 3:
+    if oracle.dim not in (2, 3):
         raise EstimateError("support_from_radial handles dimensions 2 and 3")
 
-    base = fibonacci_sphere(grid)
+    base = sphere_grid(oracle.dim, grid)
     rho_base = np.asarray(oracle.radial(base), dtype=float)
     pts_base = base * rho_base[:, None]
 
     out = np.empty(xi.shape[0])
     block = 512
-    spacing = 2.0 * math.sqrt(4.0 * math.pi / grid)
     for s in range(0, xi.shape[0], block):
         blk = xi[s:s + block]
         coarse = pts_base @ blk.T                       # (grid, b)
@@ -169,72 +174,24 @@ def support_from_radial(oracle, xi, grid: int = 2048, rounds: int = 24,
 
         def score_rows(dirs, blk=blk):
             r = np.asarray(oracle.radial(dirs), dtype=float)
-            reps = dirs.shape[0] // blk.shape[0]
-            tgt = np.repeat(blk, reps, axis=0) if reps > 1 else blk
+            tgt = np.repeat(blk, dirs.shape[0] // blk.shape[0], axis=0)
             return r * np.sum(dirs * tgt, axis=1)
 
-        _, best = _zoom_extremum_s2(score_rows, centers, spacing, rounds, shrink, +1.0)
+        _, best = _zoom_extremum(score_rows, centers, grid, rounds, shrink, +1.0)
         out[s:s + block] = np.maximum(best, coarse.max(axis=0))
     return out
 
 
-def _support2d_from_radial(oracle, xs: np.ndarray, grid: int) -> np.ndarray:
-    base = circle_grid(grid)
-    rho = np.asarray(oracle.radial(base), dtype=float)
-    coarse = (base * rho[:, None]) @ xs.T               # (grid, m)
-    k = np.argmax(coarse, axis=0)
-    ang = 2.0 * np.pi * k / grid
-    width = 2.0 * np.pi / grid
-    lo, hi = ang - width, ang + width
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+def radial_from_support(support_fn, dirs):
+    """Radial function of a planar or 3-d convex body given only its support.
 
-    def val(theta):
-        d = np.column_stack([np.cos(theta), np.sin(theta)])
-        r = np.asarray(oracle.radial(d), dtype=float)
-        return r * np.sum(d * xs, axis=1)
-
-    a = hi - inv_phi * (hi - lo)
-    b = lo + inv_phi * (hi - lo)
-    fa, fb = val(a), val(b)
-    for _ in range(60):
-        move_lo = fa < fb
-        lo = np.where(move_lo, a, lo)
-        hi = np.where(move_lo, hi, b)
-        a_next = np.where(move_lo, b, hi - inv_phi * (hi - lo))
-        b_next = np.where(move_lo, lo + inv_phi * (hi - lo), a)
-        fresh = val(np.where(move_lo, b_next, a_next))
-        fa, fb = np.where(move_lo, fb, fresh), np.where(move_lo, fresh, fa)
-        a, b = a_next, b_next
-    return np.maximum(val(0.5 * (a + b)), coarse.max(axis=0))
-
-
-def radial_from_support(support_fn, dirs) -> np.ndarray:
-    """Radial function of a 3-d convex body given only its support function.
-
-    rho(u) = min over directions d with <u,d> > 0 of h(d)/<u,d>; the minimum
-    is located on a 512-point lattice and refined by 14 rounds of grid
-    shrinking.
+    By polar duality rho_K = 1/h_{K°} and rho_{K°} = 1/h_K (Schneider, Convex
+    Bodies, 1.6), so this is support_from_radial run on a radial-only
+    stand-in for the polar body.  The origin is interior, so h_K > 0.
     """
-    grid = 512
-    us = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    base = fibonacci_sphere(grid)
-    h_base = np.asarray(support_fn(base), dtype=float)
-    dots = us @ base.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(dots > 0.05, h_base[None, :] / dots, np.inf)
-    centers = base[np.argmin(ratios, axis=1)]
-
-    def score_rows(cand):
-        h = np.asarray(support_fn(cand), dtype=float)
-        reps = cand.shape[0] // us.shape[0]
-        tgt = np.repeat(us, reps, axis=0) if reps > 1 else us
-        dot = np.sum(cand * tgt, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(dot > 0.05, h / dot, np.inf)
-
-    spacing = 2.0 * math.sqrt(4.0 * math.pi / grid)
-    _, best = _zoom_extremum_s2(score_rows, centers, spacing, 14, 0.4, -1.0)
-    return np.minimum(best, ratios.min(axis=1))
+    polar = SimpleNamespace(dim=np.shape(dirs)[-1],
+                            radial=lambda d: 1.0 / np.asarray(support_fn(d), dtype=float))
+    return 1.0 / support_from_radial(polar, dirs)
 
 
 def volume_radial(oracle, k: int, nodes: int | None = None,
@@ -343,7 +300,8 @@ def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
         if vrep is not None:
             vals = vrep.vertices @ u
             return float(vals.max() - vals.min()), "exact-width"
-        return float(body.support(u)) + float(body.support(-u)), "exact-width"
+        h = body.support(np.stack([u, -u]))
+        return float(h[0] + h[1]), "exact-width"
     if k == 2:
         if vrep is not None:
             return polygon_metrics(projection_polygon(vrep, sub))[0], "exact-polygon"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bodies import BodyError, ConvexBodyOracle, oracle_of
 from .grassmann import Subspace, embed, rowwise
-from .intrinsic import _zoom_extremum_s2, sphere_grid, support_from_radial
+from .intrinsic import _zoom_extremum, sphere_grid, support_from_radial
 from .polykernel import section_hpolytope
 
 SECTION_SUPPORT_TOL = 1e-6
@@ -45,26 +45,17 @@ def max_slab_halfwidth(oracle: ConvexBodyOracle) -> float:
     """Largest t with t*ball strictly inside the body: min rho minus margin.
 
     The minimum of the radial function is located on a 10,000-direction
-    grid and refined locally.
+    grid and, in dimensions 2 and 3, refined locally.
     """
     grid = 10_000
     dirs = sphere_grid(oracle.dim, grid)
     rho = np.asarray(oracle.radial(dirs), dtype=float)
     best = float(rho.min())
-    center = dirs[int(np.argmin(rho))]
-    if oracle.dim == 3:
-        def score(d):
-            return np.asarray(oracle.radial(d), dtype=float)
-
-        _, refined = _zoom_extremum_s2(score, center.reshape(1, 3),
-                                       radius=2.0 * np.sqrt(4.0 * np.pi / grid),
-                                       rounds=20, shrink=0.4, sign=-1.0)
+    if oracle.dim in (2, 3):
+        center = dirs[int(np.argmin(rho))].reshape(1, -1)
+        _, refined = _zoom_extremum(oracle.radial, center, grid,
+                                    rounds=20, shrink=0.4, sign=-1.0)
         best = min(best, float(refined[0]))
-    elif oracle.dim == 2:
-        ang = np.arctan2(center[1], center[0])
-        local = ang + np.linspace(-2.0, 2.0, 4001) * (2.0 * np.pi / grid)
-        d = np.column_stack([np.cos(local), np.sin(local)])
-        best = min(best, float(np.asarray(oracle.radial(d)).min()))
     return best - 1e-9
 
 

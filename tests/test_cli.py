@@ -125,8 +125,21 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
     (["slabs", "--n", "4"], "error: no slab estimator for n=4, i=4\n"),
     (["sections", "--pair", "smooth", "--n", "5", "--k", "4", "--i", "1"],
      "error: no section estimator for n=5, k=4, i=1\n"),
+    (["lemma1", "--spec-k", '{"type": "revolution", "epsilon": 0.5}',
+      "--spec-l", '{"type": "revolution", "epsilon": 0.5, "variant": "L"}'],
+     "error: revolution profile is not concave and positive: max f'' = 386.4, "
+     "min f = 0.001414\n"),
+    (["lemma1", "--spec-k", '{"type": "revolution", "epsilon": NaN}',
+      "--spec-l", '{"type": "revolution", "variant": "L"}'],
+     "error: epsilon must be finite\n"),
 ])
 def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
+    # a JSON body spec in argv stands for a spec file holding it
+    argv = list(argv)
+    for j, arg in enumerate(argv):
+        if arg.startswith("{"):
+            argv[j] = str(tmp_path / f"spec{j}.json")
+            Path(argv[j]).write_text(arg, encoding="utf-8")
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == message

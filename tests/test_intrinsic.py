@@ -84,7 +84,7 @@ def test_planar_metrics_disc():
     assert abs(v2.value - math.pi) <= 4.0 * v2.stderr + 1e-12
 
 
-def test_support_from_radial_matches_exact_support():
+def test_support_from_radial_matches_exact_support(ellipsoid):
     rng = RngStream(314, 0)
     dirs = rng.generator().standard_normal((20, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -101,12 +101,17 @@ def test_support_from_radial_matches_exact_support():
 
     disc_dirs = circle_grid(17)
     assert np.allclose(support_from_radial(ball_oracle(2), disc_dirs), 1.0, atol=1e-10)
+    # the radius varies along the circle, so the zoom has to move the argument
+    ell_dirs = circle_grid(37)
+    exact = np.sqrt(2.0 ** 2 * ell_dirs[:, 0] ** 2 + 0.7 ** 2 * ell_dirs[:, 1] ** 2)
+    h = support_from_radial(ellipsoid([2.0, 0.7]), ell_dirs)
+    assert np.max(np.abs(h - exact)) <= 1e-10
 
     with pytest.raises(EstimateError, match="dimensions 2 and 3"):
         support_from_radial(ball_oracle(4), np.ones(4) / 2.0)
 
 
-def test_radial_from_support():
+def test_radial_from_support(ellipsoid):
     ones = lambda d: np.ones(np.asarray(d).reshape(-1, 3).shape[0])
     dirs = fibonacci_sphere(40)
     assert np.allclose(radial_from_support(ones, dirs), 1.0, atol=1e-8)
@@ -116,6 +121,12 @@ def test_radial_from_support():
     rho = radial_from_support(cube_h, np.vstack([diag, np.eye(3)]))
     assert rho[0] == pytest.approx(math.sqrt(3.0), abs=1e-8)
     assert np.allclose(rho[1:], 1.0, atol=1e-5)  # axis minimizers sit on a kink
+
+    for axes in ((2.0, 0.7), (1.5, 0.8, 1.1)):
+        grid = sphere_grid(len(axes), 41)
+        exact = np.sum((grid / np.asarray(axes)) ** 2, axis=1) ** -0.5
+        rho = radial_from_support(ellipsoid(axes).support, grid)
+        assert np.max(np.abs(rho - exact)) <= 1e-8
 
 
 def test_volume_radial_balls():

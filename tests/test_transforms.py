@@ -159,8 +159,13 @@ def test_translate_radial_reaches_far_boundary_of_elongated_body():
     assert np.allclose(shifted.radial(e3), [19.5, 20.5], rtol=0.0, atol=1e-10)
 
 
-def test_max_slab_halfwidth(polytope_pair):
+def test_max_slab_halfwidth(polytope_pair, ellipsoid):
     assert 0.999 <= max_slab_halfwidth(ball_oracle(3)) < 1.0
     assert 0.999 <= max_slab_halfwidth(ball_oracle(2)) < 1.0
     # the corner-cut box keeps the +-e1 facets at distance 1
     assert 0.999 <= max_slab_halfwidth(polytope_pair.oracle_K) < 1.0
+    # turned off the grid, so the minimum radius (the minor semi-axis) sits
+    # between grid directions and only the zoom reaches it
+    c, s = math.cos(0.1234), math.sin(0.1234)
+    ellipse = ellipsoid([2.0, 0.7], frame=[[c, -s], [s, c]])
+    assert max_slab_halfwidth(ellipse) == pytest.approx(0.7 - 1e-9, abs=1e-10)
