@@ -264,10 +264,6 @@ class PolytopeConstruction:
     u_signs: np.ndarray
     v_signs: np.ndarray
     lam: float
-    xi: np.ndarray
-    eta: np.ndarray
-    cut_offset_u: float
-    cut_offset_v: float
     body_K: HPolytope
     body_L: HPolytope
     vrep_K: VRep
@@ -308,6 +304,8 @@ def build_polytope_pair(a, u_signs, v_signs, lam: float | None = None) -> Polyto
     n = a.size
     if not (2 <= n <= 4):
         raise BodyError("box dimension must be between 2 and 4")
+    if not np.all(np.isfinite(a)):
+        raise BodyError("box half-widths a must be finite")
     if np.any(a <= 0.0):
         raise BodyError("box half-widths must be positive")
     for i in range(n):
@@ -328,6 +326,8 @@ def build_polytope_pair(a, u_signs, v_signs, lam: float | None = None) -> Polyto
     top = float(np.sum(a)) / sqrt_n          # functional value at the cut vertex
     gap = 2.0 * float(a.min()) / sqrt_n      # margin to the next box vertex
     lam = gap / 2.0 if lam is None else float(lam)
+    if not math.isfinite(lam):
+        raise BodyError("cut depth lambda must be finite")
     if lam <= 0.0:
         raise BodyError("cut depth must be positive")
 
@@ -373,8 +373,8 @@ def build_polytope_pair(a, u_signs, v_signs, lam: float | None = None) -> Polyto
             if tuple(np.round(w, 9)) in kept:
                 raise BodyError(f"cut vertex survived in body {name}")
 
-    return PolytopeConstruction(a, us.astype(int), vs.astype(int), lam, xi, eta,
-                                off_u, off_v, body_K, body_L, vrep_K, vrep_L)
+    return PolytopeConstruction(a, us.astype(int), vs.astype(int), lam,
+                                body_K, body_L, vrep_K, vrep_L)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,13 @@ _REVOLUTION_FIELDS = frozenset({"type", "n", "epsilon", "delta", "variant"})
 _POLYTOPE_FIELDS = frozenset({"type", "a", "u_signs", "v_signs", "lambda", "variant"})
 
 
+def _spec_int(value, field: str) -> int:
+    """A JSON integer (not a float or a boolean) from a body spec field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError(f"body spec field '{field}' takes integers, got {json.dumps(value)}")
+    return value
+
+
 def parse_body_spec(text: str):
     """JSON body description -> RevolutionBodySpec or HPolytope.
 
@@ -85,7 +92,7 @@ def parse_body_spec(text: str):
         if unknown:
             raise CliError(f"unknown field '{unknown[0]}' in revolution body spec")
         spec = RevolutionBodySpec(
-            n=int(data.get("n", 3)),
+            n=_spec_int(data.get("n", 3), "n"),
             epsilon=float(data.get("epsilon", 1e-3)),
             delta=float(data.get("delta", 0.1)),
             variant=str(data.get("variant", "K")),
@@ -103,8 +110,8 @@ def parse_body_spec(text: str):
             raise CliError("polytope body spec requires field 'a' (box half-widths)")
         a = [float(x) for x in data["a"]]
         n = len(a)
-        us = [int(x) for x in data.get("u_signs", [1] * n)]
-        vs = [int(x) for x in data.get("v_signs", [1] * (n - 1) + [-1])]
+        us = [_spec_int(x, "u_signs") for x in data.get("u_signs", [1] * n)]
+        vs = [_spec_int(x, "v_signs") for x in data.get("v_signs", [1] * (n - 1) + [-1])]
         lam = data.get("lambda")
         variant = str(data.get("variant", "K"))
         if variant not in ("K", "L"):
@@ -161,27 +168,29 @@ def _experiment(cmd: str, pair: BodyPair, rng: RngStream, samples=None, tol=None
                 k=None, i=None, t=None, **options):
     """Run one experiment command on a pair: the one dispatch behind single
     commands and suite entries.  An absent tol, i or t takes the command's
-    default; options go to the experiment function."""
-    K, L, snaps = pair.oracle_K, pair.oracle_L, pair.snapshots
+    default; options go to the experiment function; bodies come from the pair."""
+    K, L = pair.oracle_K, pair.oracle_L
     if tol is None:
         tol = _default_tol(cmd, pair, k)
     if cmd == "lemma1":
-        return lemma1_check(K, L, samples, tol, rng, snaps)
-    if cmd == "sections":
-        return sections_experiment(K, L, k, k if i is None else i, samples, rng,
-                                   tol, snapshots=snaps, **options)
-    if cmd == "slabs":
-        return slab_experiment(K, L, t, K.dim if i is None else i, samples, rng,
-                               tol, snapshots=snaps, **options)
-    if cmd == "projections":
-        return projections_experiment(K, L, k, samples, rng, tol, snapshots=snaps)
-    if cmd == "convergence":
-        return convergence_experiment(K, sample_sphere(K.dim, rng), i,
-                                      t or DEFAULT_T_SEQUENCE, snapshots=snaps,
-                                      **options)
-    if cmd == "certify":
-        return certify_report(pair)
-    raise CliError(f"unknown command '{cmd}'")
+        report = lemma1_check(K, L, samples, tol, rng)
+    elif cmd == "sections":
+        report = sections_experiment(K, L, k, k if i is None else i, samples, rng,
+                                     tol, **options)
+    elif cmd == "slabs":
+        report = slab_experiment(K, L, t, K.dim if i is None else i, samples, rng,
+                                 tol, **options)
+    elif cmd == "projections":
+        report = projections_experiment(K, L, k, samples, rng, tol)
+    elif cmd == "convergence":
+        report = convergence_experiment(K, sample_sphere(K.dim, rng), i,
+                                        t or DEFAULT_T_SEQUENCE, **options)
+    elif cmd == "certify":
+        report = certify_report(pair)
+    else:
+        raise CliError(f"unknown command '{cmd}'")
+    report.bodies = pair.snapshots
+    return report
 
 
 def _run_single(args) -> tuple:

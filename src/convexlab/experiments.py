@@ -50,7 +50,7 @@ class SampleRecord:
 @dataclass
 class ExperimentReport:
     experiment: str
-    bodies: dict
+    bodies: dict  # body snapshots; the CLI sets them from its pair
     parameters: dict
     samples: list
     summary: dict
@@ -84,8 +84,7 @@ def _judge(samples: list, tol: float) -> dict:
 
 def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
                 oracle_L: ConvexBodyOracle, bases: list, value, rng: RngStream,
-                tol: float, parameters: dict,
-                snapshots: dict | None) -> ExperimentReport:
+                tol: float, parameters: dict) -> ExperimentReport:
     """Compare one functional on K and on L, sample by sample.
 
     value(oracle, j, side) gives (value, stderr, method) of sample j, with
@@ -104,7 +103,7 @@ def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
             _rel(diff, vk, vl), sk + sl))
     summary = _judge(samples, tol)
     summary["methods"] = sorted(methods)
-    return ExperimentReport(experiment, snapshots or {}, {
+    return ExperimentReport(experiment, {}, {
         **parameters, "samples": len(bases), "seed": rng.seed, "tol": tol,
         "dimension": oracle_K.dim,
     }, samples, summary)
@@ -181,8 +180,7 @@ def make_pair(name: str, n: int = 3) -> BodyPair:
 
 
 def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
-                 n_dirs: int, tol: float, rng: RngStream,
-                 snapshots: dict | None = None) -> ExperimentReport:
+                 n_dirs: int, tol: float, rng: RngStream) -> ExperimentReport:
     """Unordered-pair equality of radial and support values at antipodes.
 
     For each direction xi the discrepancy is the best-pairing distance
@@ -212,11 +210,10 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     d_h = pairing(h_kp, h_km, h_lp, h_lm)
 
     samples = [
-        SampleRecord(j, tuple(float(x) for x in dirs[j]),
-                     float(rho_kp[j]), float(rho_lp[j]),
-                     float(d_rho[j]), _rel(float(d_rho[j]), rho_kp[j], rho_lp[j]),
-                     0.0, extra={"d_h": float(d_h[j])})
-        for j in range(n_dirs)
+        SampleRecord(j, tuple(u), vk, vl, d, _rel(d, vk, vl), 0.0, extra={"d_h": dh})
+        for j, (u, vk, vl, d, dh) in enumerate(zip(
+            dirs.tolist(), rho_kp.tolist(), rho_lp.tolist(), d_rho.tolist(),
+            d_h.tolist()))
     ]
 
     # reflection spot-check at midpoint radii, where one body but not the
@@ -247,7 +244,7 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         "pass": bool(max_d_rho <= tol and max_d_h <= tol and failures == 0),
     })
     return ExperimentReport(
-        "lemma1", snapshots or {}, {
+        "lemma1", {}, {
             "samples": n_dirs, "seed": rng.seed, "tol": tol,
             "dimension": oracle_K.dim,
         }, samples, summary)
@@ -287,8 +284,8 @@ def _section_value(oracle: ConvexBodyOracle, sub: Subspace, i: int,
 
 
 def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
-                        k: int, i: int, num_h: int, rng: RngStream, tol: float,
-                        snapshots: dict | None = None) -> ExperimentReport:
+                        k: int, i: int, num_h: int, rng: RngStream,
+                        tol: float) -> ExperimentReport:
     """V_i(K cap H) vs V_i(L cap H) over Haar-random k-subspaces H."""
     n = oracle_K.dim
     if oracle_L.dim != n:
@@ -304,8 +301,7 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         return _section_value(oracle, subs[j], i, rng.substream(j).substream(side))
 
     return _paired_run("sections", oracle_K, oracle_L, [s.basis for s in subs],
-                       value, rng, tol, {"k": k, "i": i, "polyline_n": POLYLINE_NODES},
-                       snapshots)
+                       value, rng, tol, {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +324,7 @@ def _slab_value(oracle: ConvexBodyOracle, spec: SlabSpec, i: int,
 
 def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                     t: float, i: int, num_xi: int, rng: RngStream, tol: float,
-                    vol_nodes: int = 200_000,
-                    snapshots: dict | None = None) -> ExperimentReport:
+                    vol_nodes: int = 200_000) -> ExperimentReport:
     """V_i(K cap S_t(xi)) vs V_i(L cap S_t(xi)) over random slab normals."""
     n = oracle_K.dim
     if not 1 <= i <= n:
@@ -347,7 +342,7 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         return _slab_value(oracle, SlabSpec(xis[j], t), i, vol_nodes, 512)
 
     return _paired_run("slabs", oracle_K, oracle_L, xis, value, rng, tol,
-                       {"t": t, "i": i}, snapshots)
+                       {"t": t, "i": i})
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +350,8 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 
 
 def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
-                           k: int, num_h: int, rng: RngStream, tol: float,
-                           snapshots: dict | None = None) -> ExperimentReport:
+                           k: int, num_h: int, rng: RngStream,
+                           tol: float) -> ExperimentReport:
     """vol_k(K|V) vs vol_k(L|V) over Haar-random k-subspaces V."""
     n = oracle_K.dim
     if not 1 <= k <= n - 1:
@@ -368,7 +363,7 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
         return vol, 0.0, method
 
     return _paired_run("projections", oracle_K, oracle_L, [s.basis for s in subs],
-                       value, rng, tol, {"k": k}, snapshots)
+                       value, rng, tol, {"k": k})
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +371,7 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
 
 
 def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
-                           t_sequence, width_nodes: int = 512,
-                           snapshots: dict | None = None) -> ExperimentReport:
+                           t_sequence, width_nodes: int = 512) -> ExperimentReport:
     """V_i(K cap S_t(xi)) against the central-section value as t shrinks.
 
     Passes when the differences decrease monotonically (up to estimator
@@ -416,20 +410,17 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
     nonneg = all(d >= -s for d, s in zip(diffs, slack))
     ratio_c = max(max(d, 0.0) / t for d, t in zip(diffs, ts))
     final_ok = diffs[-1] <= ratio_c * ts[-1] + slack[-1]
-    summary = {
+    summary = _judge(samples, 0.0)
+    summary.update({
         "section_value": sec_value,
         "diffs": [float(d) for d in diffs],
         "fitted_C": float(ratio_c),
         "monotone": bool(monotone),
         "pass": bool(monotone and nonneg and final_ok),
-        "tolerance": 0.0,
-        "max_rel_diff": float(max(s.rel_diff for s in samples)),
-        "mean_rel_diff": float(np.mean([s.rel_diff for s in samples])),
-        "max_abs_diff": float(max(s.abs_diff for s in samples)),
         "rule": "monotone-decay",
-    }
+    })
     return ExperimentReport(
-        "convergence", snapshots or {}, {
+        "convergence", {}, {
             "i": i, "t_sequence": ts, "xi": [float(x) for x in xi],
             "dimension": n,
         }, samples, summary)

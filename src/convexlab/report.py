@@ -11,35 +11,14 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .experiments import ExperimentReport
 
 CSV_VALUE_COLUMNS = ("value_K", "value_L", "abs_diff", "rel_diff", "stderr")
 
 
-def _plain(obj):
-    """Rebuild nested data from JSON-native pieces only."""
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
     """JSON form of a report; runtime is deliberately omitted."""
-    return _plain({
+    return {
         "experiment": report.experiment,
         "bodies": report.bodies,
         "parameters": report.parameters,
@@ -54,11 +33,13 @@ def report_to_dict(report: ExperimentReport) -> dict:
             **({"extra": s.extra} if s.extra else {}),
         } for s in report.samples],
         "summary": report.summary,
-    })
+    }
 
 
 def canonical_json(data) -> str:
-    return json.dumps(_plain(data), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Sorted-key JSON text; floats (numpy float64 included) use float repr,
+    and any other non-JSON value raises TypeError."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_report_json(path, report) -> Path:

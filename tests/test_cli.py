@@ -12,6 +12,7 @@ import convexlab
 from convexlab import cli
 from convexlab.bodies import RevolutionBodySpec
 from convexlab.cli import CliError, build_parser, main, parse_body_spec
+from convexlab.experiments import make_pair
 from convexlab.polykernel import HPolytope
 
 SCHEMA = json.loads(
@@ -132,6 +133,23 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
     (["lemma1", "--spec-k", '{"type": "revolution", "epsilon": NaN}',
       "--spec-l", '{"type": "revolution", "variant": "L"}'],
      "error: epsilon must be finite\n"),
+    (["lemma1", "--spec-k", '{"type": "revolution", "n": 3.7}',
+      "--spec-l", '{"type": "revolution", "variant": "L"}'],
+     "error: body spec field 'n' takes integers, got 3.7\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": [1.0, 1.2, 1.5], '
+      '"u_signs": [1.5, 1, 1]}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: body spec field 'u_signs' takes integers, got 1.5\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": [NaN, 1.2, 1.5]}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: box half-widths a must be finite\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": [1.0, 1.2, Infinity]}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: box half-widths a must be finite\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": [1.0, 1.2, 1.5], '
+      '"lambda": Infinity}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: cut depth lambda must be finite\n"),
 ])
 def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     # a JSON body spec in argv stands for a spec file holding it
@@ -230,6 +248,22 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
                      "--seed", "11", "--out", str(out)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma1", "--pair", "smooth", "--samples", "3"],
+    ["lemma1", "--pair", "control-shifted", "--samples", "3"],
+    ["sections", "--pair", "polytope", "--samples", "2"],
+    ["slabs", "--pair", "polytope", "--samples", "2"],
+    ["projections", "--pair", "control-rotated", "--samples", "2"],
+    ["convergence", "--pair", "polytope", "--i", "2", "--t", "0.4", "--t", "0.2"],
+    ["certify", "--pair", "smooth"],
+])
+def test_single_commands_record_the_pair_snapshots(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) in (0, 2)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["bodies"] == make_pair(argv[2]).snapshots
 
 
 def test_convergence_and_certify_cli(tmp_path, capsys):

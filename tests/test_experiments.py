@@ -370,6 +370,18 @@ def test_report_serialization_round_trip(tmp_path, smooth_pair):
         canonical_json({"bad": float("nan")})
 
 
+def test_canonical_json_writes_float64_as_float():
+    for x in (0.1, 1.0 / 3.0, 2.0 ** -1074, 1e300, -0.0, 8.881784197001252e-16):
+        assert canonical_json({"v": [np.float64(x)]}) == canonical_json({"v": [x]})
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), np.array([0.5])])
+def test_canonical_json_rejects_other_numpy_values(value):
+    # reports are built from plain values; anything else is a bug, not data
+    with pytest.raises(TypeError):
+        canonical_json({"v": value})
+
+
 def test_numpy_replacements_equal_scipy_bitwise():
     # the suite avoids importing scipy.linalg and scipy.spatial; these two
     # helpers stand in for null_space and pdist with identical bytes
