@@ -52,6 +52,7 @@ from .grassmann import (
     Subspace,
     embed,
     kappa,
+    sample_haar_bases,
     sample_haar_subspace,
     sample_sphere,
 )
@@ -118,9 +119,10 @@ __all__ = [
     "planar_metrics_from_oracle", "poly3_intrinsic_volumes",
     "polygon_metrics", "polytope_radial", "profile", "projection_polygon",
     "projections_experiment", "radial_from_support", "report_to_dict",
-    "revolution_radial", "revolution_support", "sample_haar_subspace",
-    "sample_sphere", "section_hpolytope", "section_oracle", "section_polygon",
-    "sections_experiment", "slab_experiment", "slab_oracle",
+    "revolution_radial", "revolution_support", "sample_haar_bases",
+    "sample_haar_subspace", "sample_sphere", "section_hpolytope",
+    "section_oracle", "section_polygon", "sections_experiment",
+    "slab_experiment", "slab_oracle",
     "steiner_disc_area", "support_from_radial", "translate_oracle",
     "validate_revolution_spec", "volume_radial",
     "write_report_json", "write_samples_csv", "write_suite_csv",

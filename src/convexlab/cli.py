@@ -72,6 +72,13 @@ def _spec_int(value, field: str) -> int:
     return value
 
 
+def _spec_float(value, field: str) -> float:
+    """A JSON number (not a string or a boolean) from a body spec field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"body spec field '{field}' takes numbers, got {json.dumps(value)}")
+    return float(value)
+
+
 def parse_body_spec(text: str):
     """JSON body description -> RevolutionBodySpec or HPolytope.
 
@@ -93,8 +100,8 @@ def parse_body_spec(text: str):
             raise CliError(f"unknown field '{unknown[0]}' in revolution body spec")
         spec = RevolutionBodySpec(
             n=_spec_int(data.get("n", 3), "n"),
-            epsilon=float(data.get("epsilon", 1e-3)),
-            delta=float(data.get("delta", 0.1)),
+            epsilon=_spec_float(data.get("epsilon", 1e-3), "epsilon"),
+            delta=_spec_float(data.get("delta", 0.1), "delta"),
             variant=str(data.get("variant", "K")),
         )
         check = validate_revolution_spec(spec)
@@ -108,7 +115,7 @@ def parse_body_spec(text: str):
             raise CliError(f"unknown field '{unknown[0]}' in polytope body spec")
         if "a" not in data:
             raise CliError("polytope body spec requires field 'a' (box half-widths)")
-        a = [float(x) for x in data["a"]]
+        a = [_spec_float(x, "a") for x in data["a"]]
         n = len(a)
         us = [_spec_int(x, "u_signs") for x in data.get("u_signs", [1] * n)]
         vs = [_spec_int(x, "v_signs") for x in data.get("v_signs", [1] * (n - 1) + [-1])]
@@ -116,7 +123,8 @@ def parse_body_spec(text: str):
         variant = str(data.get("variant", "K"))
         if variant not in ("K", "L"):
             raise CliError("polytope body spec field 'variant' must be 'K' or 'L'")
-        cons = build_polytope_pair(a, us, vs, None if lam is None else float(lam))
+        cons = build_polytope_pair(a, us, vs,
+                                   None if lam is None else _spec_float(lam, "lambda"))
         return cons.body_K if variant == "K" else cons.body_L
     raise CliError("body spec field 'type' must be 'revolution' or 'polytope'")
 

@@ -19,7 +19,7 @@ import numpy as np
 from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
                      build_polytope_pair, make_revolution_spec, oracle_of,
                      profile)
-from .grassmann import RngStream, Subspace, sample_haar_subspace, sample_sphere
+from .grassmann import RngStream, Subspace, sample_haar_bases
 from .intrinsic import (POLYLINE_NODES, centroid_3d, hull_surface_v2,
                         kubota_intrinsic_volume, mean_width_v1,
                         planar_metrics_from_oracle, projection_volume,
@@ -190,8 +190,7 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     """
     if oracle_K.dim != oracle_L.dim:
         raise ExperimentError("oracles must share a dimension")
-    dirs = np.array([sample_sphere(oracle_K.dim, rng.substream(j))
-                     for j in range(n_dirs)])
+    dirs = sample_haar_bases(oracle_K.dim, 1, rng.substreams(n_dirs))[:, :, 0]
     rho_kp = np.asarray(oracle_K.radial(dirs), dtype=float)
     rho_km = np.asarray(oracle_K.radial(-dirs), dtype=float)
     rho_lp = np.asarray(oracle_L.radial(dirs), dtype=float)
@@ -295,13 +294,14 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     if k >= 4 and i < k:
         # Kubota projections of such a section need supports in dimension k
         raise ExperimentError(f"no section estimator for n={n}, k={k}, i={i}")
-    subs = [sample_haar_subspace(n, k, rng.substream(j)) for j in range(num_h)]
+    bases = sample_haar_bases(n, k, rng.substreams(num_h))
+    subs = [Subspace(b) for b in bases]
 
     def value(oracle, j, side):
         return _section_value(oracle, subs[j], i, rng.substream(j).substream(side))
 
-    return _paired_run("sections", oracle_K, oracle_L, [s.basis for s in subs],
-                       value, rng, tol, {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
+    return _paired_run("sections", oracle_K, oracle_L, bases, value, rng, tol,
+                       {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     if not 0.0 < t <= t_max:
         raise ExperimentError(
             f"slab half-width {t} outside (0, {t_max:.9g}] (max admissible t)")
-    xis = [sample_sphere(n, rng.substream(j)) for j in range(num_xi)]
+    xis = sample_haar_bases(n, 1, rng.substreams(num_xi))[:, :, 0]
 
     def value(oracle, j, side):
         return _slab_value(oracle, SlabSpec(xis[j], t), i, vol_nodes, 512)
@@ -356,14 +356,15 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     n = oracle_K.dim
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    subs = [sample_haar_subspace(n, k, rng.substream(j)) for j in range(num_h)]
+    bases = sample_haar_bases(n, k, rng.substreams(num_h))
+    subs = [Subspace(b) for b in bases]
 
     def value(oracle, j, side):
         vol, method = projection_volume(oracle, subs[j], 8192)
         return vol, 0.0, method
 
-    return _paired_run("projections", oracle_K, oracle_L, [s.basis for s in subs],
-                       value, rng, tol, {"k": k})
+    return _paired_run("projections", oracle_K, oracle_L, bases, value, rng, tol,
+                       {"k": k})
 
 
 # ---------------------------------------------------------------------------

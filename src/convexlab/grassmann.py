@@ -2,14 +2,16 @@
 ball-volume constants.
 
 Everything here is deterministic given an :class:`RngStream`: the same
-(seed, stream_index) produces the same draws regardless of platform or
-thread schedule, which is what makes every experiment in this package
-reproducible from its seed alone.
+(seed, stream_index) produces the same Gaussian draws on every platform,
+which is what makes every experiment in this package reproducible from its
+seed alone.  Sample j of an experiment is drawn from stream j alone, and
+its basis is bit-identical whether it is drawn by itself or in a batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +48,14 @@ def rowwise(fn):
     return lifted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RngStream:
     """Counter-based random stream: a pure value (seed, stream_index).
 
-    Forking by index instead of sharing mutable generator state keeps
-    sampled objects identical whether samples are drawn serially or from
-    worker threads.
+    Each sample forks its own stream by index instead of sharing mutable
+    generator state, so what sample j draws depends on j alone: not on how
+    many samples come before it or on how they are batched.  Slotted, since
+    a batched draw holds one stream per sample at once.
     """
 
     seed: int
@@ -67,23 +70,37 @@ class RngStream:
         mixed = (int(self.stream_index) * 0x9E3779B97F4A7C15 + int(index) + 1) & (2**64 - 1)
         return RngStream(self.seed, mixed)
 
+    def substreams(self, count: int) -> list["RngStream"]:
+        """The child streams of samples 0 .. count-1."""
+        return [self.substream(j) for j in range(count)]
+
+
+def _check_orthonormal(bases: np.ndarray) -> None:
+    """Raise ValueError unless every n x k basis of the (m, n, k) stack has
+    orthonormal columns within ORTHO_TOL."""
+    gram = np.matmul(np.swapaxes(bases, 1, 2), bases)
+    if not np.all(np.abs(gram - np.eye(bases.shape[2])) <= ORTHO_TOL):
+        raise ValueError("basis columns are not orthonormal within 1e-10")
+
 
 @dataclass(frozen=True)
 class Subspace:
-    """A k-dimensional linear subspace of R^n, held as an n-by-k orthonormal basis."""
+    """A k-dimensional linear subspace of R^n, held as an n-by-k orthonormal basis.
+
+    The basis is a read-only copy, so a view into a batch of bases cannot
+    change the subspace afterwards.
+    """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.ascontiguousarray(np.asarray(self.basis, dtype=float))
+        b = np.array(self.basis, dtype=float, order="C")
         if b.ndim != 2:
             raise ValueError("basis must be an n x k matrix")
         n, k = b.shape
         if not (1 <= k <= n):
             raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-        gram = b.T @ b
-        if np.max(np.abs(gram - np.eye(k))) > ORTHO_TOL:
-            raise ValueError("basis columns are not orthonormal within 1e-10")
+        _check_orthonormal(b[None])
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -96,28 +113,54 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def sample_haar_subspace(n: int, k: int, rng: RngStream) -> Subspace:
-    """Draw a Haar(rotation-invariant) random k-subspace of R^n.
+def _gaussian_block(stream: RngStream, n: int, k: int, draw: int) -> np.ndarray:
+    """The draw-th (0-based) Gaussian n x k block of stream's generator."""
+    gen = stream.generator()
+    for _ in range(draw):
+        gen.standard_normal((n, k))
+    return gen.standard_normal((n, k))
 
-    Gaussian n x k matrix, thin QR, signs fixed so diag(R) > 0.  The sign
-    fix makes the basis a deterministic function of the Gaussian draw.
+
+def sample_haar_bases(n: int, k: int, streams: Sequence[RngStream]) -> np.ndarray:
+    """Haar (rotation-invariant) random k-subspaces of R^n, one per stream,
+    as an (m, n, k) stack of orthonormal bases.
+
+    Row j is a Gaussian n x k block from streams[j] alone, orthonormalized
+    by a thin QR with signs fixed so diag(R) > 0; the sign fix makes the
+    basis a deterministic function of the draw.  All rows share one stacked
+    QR, which factors each matrix on its own, so row j is bit-identical to
+    sample_haar_subspace(n, k, streams[j]).basis.  A rank-deficient draw
+    (probability zero) is redrawn from its own stream, up to 8 draws.
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    gen = rng.generator()
-    for _ in range(8):
-        g = gen.standard_normal((n, k))
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r)
-        if np.min(np.abs(d)) < 1e-12:
-            continue  # probability-zero degenerate draw: resample
-        return Subspace(q * np.sign(d))
+    gauss = np.empty((len(streams), n, k))
+    for block, stream in zip(gauss, streams):
+        stream.generator().standard_normal(out=block)
+    bases = np.empty_like(gauss)
+    todo = np.arange(len(streams))
+    for draw in range(1, 9):
+        q, r = np.linalg.qr(gauss)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        ok = np.min(np.abs(d), axis=1) >= 1e-12
+        bases[todo[ok]] = q[ok] * np.sign(d[ok])[:, None, :]
+        todo = todo[~ok]
+        if todo.size == 0:
+            _check_orthonormal(bases)
+            return bases
+        gauss = np.array([_gaussian_block(streams[j], n, k, draw) for j in todo])
     raise RuntimeError("repeated rank-deficient Gaussian draws; RNG is broken")
 
 
+def sample_haar_subspace(n: int, k: int, rng: RngStream) -> Subspace:
+    """Draw a Haar random k-subspace of R^n: the one-stream case of
+    sample_haar_bases."""
+    return Subspace(sample_haar_bases(n, k, [rng])[0])
+
+
 def sample_sphere(n: int, rng: RngStream) -> np.ndarray:
-    """Haar-uniform unit vector in R^n (the k=1 subspace sampler, kept as a vector)."""
-    return sample_haar_subspace(n, 1, rng).basis[:, 0]
+    """Haar-uniform unit vector in R^n: the k = 1 case of sample_haar_bases."""
+    return sample_haar_bases(n, 1, [rng])[0, :, 0]
 
 
 def embed(subspace: Subspace, u) -> np.ndarray:

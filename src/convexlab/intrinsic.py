@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grassmann import RngStream, Subspace, embed, kappa, rowwise, sample_haar_subspace
+from .grassmann import RngStream, Subspace, embed, kappa, rowwise, sample_haar_bases
 from .polykernel import Polygon, polygon_metrics, projection_polygon
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -335,8 +335,8 @@ def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream) -> IVE
     if m < 1:
         raise EstimateError("need at least one subspace sample")
     vols = np.empty(m)
-    for j in range(m):
-        sub = sample_haar_subspace(k, i, rng.substream(j))
+    for j, basis in enumerate(sample_haar_bases(k, i, rng.substreams(m))):
+        sub = Subspace(basis)
         if i == 3 and body.vrep is None:
             vols[j] = _shadow_volume_from_support(body, sub)
         else:

@@ -32,7 +32,7 @@ class SlabSpec:
     half_width: float
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.xi, dtype=float))
+        x = np.array(self.xi, dtype=float, order="C")  # own read-only copy
         if abs(np.linalg.norm(x) - 1.0) > 1e-12:
             raise BodyError("slab normal must be a unit vector")
         if not self.half_width > 0.0:

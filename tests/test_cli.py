@@ -150,6 +150,19 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
       '"lambda": Infinity}',
       "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
      "error: cut depth lambda must be finite\n"),
+    (["lemma1", "--spec-k", '{"type": "revolution", "delta": "0.12"}',
+      "--spec-l", '{"type": "revolution", "variant": "L"}'],
+     "error: body spec field 'delta' takes numbers, got \"0.12\"\n"),
+    (["lemma1", "--spec-k", '{"type": "revolution", "epsilon": false}',
+      "--spec-l", '{"type": "revolution", "variant": "L"}'],
+     "error: body spec field 'epsilon' takes numbers, got false\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": ["1.0", 1.2, 1.5]}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: body spec field 'a' takes numbers, got \"1.0\"\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": [1.0, 1.2, 1.5], '
+      '"lambda": true}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: body spec field 'lambda' takes numbers, got true\n"),
 ])
 def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     # a JSON body spec in argv stands for a spec file holding it

@@ -399,9 +399,11 @@ def test_numpy_replacements_equal_scipy_bitwise():
         assert np.array_equal(_distance_signature(verts), np.sort(pdist(centered)))
 
 
-def test_sample_j_draws_from_substream_j(polytope_pair):
+def test_sample_j_draws_from_substream_j(polytope_pair, monkeypatch):
     """Sample j of sections/projections gets the Haar subspace of
-    rng.substream(j), and sample j of slabs the normal of rng.substream(j)."""
+    rng.substream(j), sample j of slabs and lemma1 the direction of
+    rng.substream(j), and Kubota's j-th subspace is that of rng.substream(j)."""
+    from convexlab import intrinsic
     from convexlab.grassmann import sample_haar_subspace
     K, L = polytope_pair.oracle_K, polytope_pair.oracle_L
     rng = RngStream(13, 2)
@@ -415,6 +417,24 @@ def test_sample_j_draws_from_substream_j(polytope_pair):
     rep = slab_experiment(K, L, 0.5, 3, 4, rng, 1e-9)
     for s in rep.samples:
         assert s.basis == tuple(float(x) for x in sample_sphere(3, rng.substream(s.id)))
+    rep = lemma1_check(K, L, 5, 1e-9, rng)
+    assert [s.id for s in rep.samples] == [0, 1, 2, 3, 4]
+    for s in rep.samples:
+        assert s.basis == tuple(float(x) for x in sample_sphere(3, rng.substream(s.id)))
+
+    seen = []
+
+    def record(body, sub, area_n):
+        seen.append(sub.basis)
+        return 1.0, "recorded"
+
+    monkeypatch.setattr(intrinsic, "projection_volume", record)
+    for k, i in ((3, 1), (3, 2), (4, 2)):
+        seen.clear()
+        intrinsic.kubota_intrinsic_volume(ball_oracle(k), k, i, 6, rng)
+        assert len(seen) == 6
+        for j, basis in enumerate(seen):
+            assert basis.tobytes() == sample_haar_subspace(k, i, rng.substream(j)).basis.tobytes()
 
 
 def test_projections_have_no_support_only_path_for_k3():

@@ -6,8 +6,10 @@ import pytest
 from convexlab.grassmann import (
     RngStream,
     Subspace,
+    _check_orthonormal,
     embed,
     kappa,
+    sample_haar_bases,
     sample_haar_subspace,
     sample_sphere,
 )
@@ -55,6 +57,103 @@ def test_subspace_requires_orthonormal_columns():
         Subspace(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         Subspace(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+
+
+def test_subspace_owns_a_read_only_copy():
+    stack = np.eye(3)[None].repeat(2, axis=0)
+    sub = Subspace(stack[1])
+    stack[1] = 0.0
+    assert np.array_equal(sub.basis, np.eye(3))
+    assert not sub.basis.flags.writeable
+
+
+def _single_draw(n, k, stream):
+    """One stream's basis by the unbatched recipe: Gaussian block, thin QR
+    of that matrix alone, signs so that diag(R) > 0."""
+    q, r = np.linalg.qr(stream.generator().standard_normal((n, k)))
+    return q * np.sign(np.diagonal(r))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 1000])
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (4, 2),
+                                  (4, 3), (5, 4)])
+def test_haar_bases_are_the_per_stream_draws(n, k, m):
+    streams = RngStream(23, m).substreams(m)
+    stack = sample_haar_bases(n, k, streams)
+    assert stack.shape == (m, n, k) and stack.flags.c_contiguous
+    for row, stream in zip(stack, streams):
+        assert row.tobytes() == sample_haar_subspace(n, k, stream).basis.tobytes()
+        assert row.tobytes() == _single_draw(n, k, stream).tobytes()
+    if k == 1:
+        assert stack[0, :, 0].tobytes() == sample_sphere(n, streams[0]).tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (1, 2)])
+def test_haar_sampling_rejects_invalid_k(n, k):
+    message = f"need 1 <= k <= n, got n={n}, k={k}"
+    with pytest.raises(ValueError, match=message):
+        sample_haar_bases(n, k, [RngStream(1)])
+    with pytest.raises(ValueError, match=message):
+        sample_haar_subspace(n, k, RngStream(1))
+
+
+def test_orthonormality_check_covers_the_whole_stack(monkeypatch):
+    stack = sample_haar_bases(4, 2, RngStream(5).substreams(50))
+    _check_orthonormal(stack)
+    bad = stack.copy()
+    bad[37, 1, 0] += 1e-8
+    with pytest.raises(ValueError, match="not orthonormal"):
+        _check_orthonormal(bad)
+
+    # the batched draw runs the check on what its QR returns
+    qr = np.linalg.qr
+
+    def perturbed_qr(a):
+        q, r = qr(a)
+        q = q.copy()
+        q[-1, 0, 0] += 1e-8
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", perturbed_qr)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        sample_haar_bases(4, 2, RngStream(5).substreams(50))
+
+
+class _ScriptedStream:
+    """A stream whose generator gives `zeros` all-zero (rank-deficient)
+    blocks before the Gaussian draws of RngStream(seed)."""
+
+    def __init__(self, zeros, seed):
+        self.zeros, self.seed = zeros, seed
+
+    def generator(self):
+        return _ScriptedGenerator(self.zeros, RngStream(self.seed).generator())
+
+
+class _ScriptedGenerator:
+    def __init__(self, zeros, gen):
+        self.zeros, self.gen = zeros, gen
+
+    def standard_normal(self, size=None, out=None):
+        shape = out.shape if out is not None else size
+        if self.zeros:
+            self.zeros -= 1
+            block = np.zeros(shape)
+        else:
+            block = self.gen.standard_normal(shape)
+        if out is None:
+            return block
+        out[...] = block
+        return out
+
+
+def test_degenerate_draw_is_redrawn_from_its_own_stream():
+    streams = [RngStream(3), _ScriptedStream(2, 4), RngStream(5), _ScriptedStream(7, 6)]
+    stack = sample_haar_bases(3, 2, streams)
+    for row, seed in zip(stack, (3, 4, 5, 6)):
+        assert row.tobytes() == _single_draw(3, 2, RngStream(seed)).tobytes()
+    with pytest.raises(RuntimeError, match="rank-deficient"):
+        sample_haar_bases(3, 2, [RngStream(3), _ScriptedStream(8, 4)])
 
 
 def test_haar_subspace_orthonormal_and_deterministic():
