@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -115,6 +116,10 @@ def parse_body_spec(text: str):
             raise CliError(f"unknown field '{unknown[0]}' in polytope body spec")
         if "a" not in data:
             raise CliError("polytope body spec requires field 'a' (box half-widths)")
+        for field in ("a", "u_signs", "v_signs"):
+            if field in data and not isinstance(data[field], list):
+                raise CliError(f"body spec field '{field}' takes a list, "
+                               f"got {json.dumps(data[field])}")
         a = [_spec_float(x, "a") for x in data["a"]]
         n = len(a)
         us = [_spec_int(x, "u_signs") for x in data.get("u_signs", [1] * n)]
@@ -372,14 +377,21 @@ def _run_construct(args, written: list) -> int:
 # argument parsing
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _number(kind, low, above: bool = False):
+    """argparse type: a finite int or float at least low (above low if above)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if value < low or (above and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if above else 'at least'} {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="RNG seed (default: 0)")
         if with_samples:
-            p.add_argument("--samples", type=_positive_int, default=None,
+            p.add_argument("--samples", type=_number(int, 1), default=None,
                            help="number of sampled directions/subspaces")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_number(float, 0), default=None,
                        help="override the pair-dependent default tolerance")
         p.add_argument("--out", default="convexlab-out",
                        help="output directory (default: convexlab-out)")
@@ -423,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("slabs", help="intrinsic volumes of central slabs")
     common(pb)
-    pb.add_argument("--t", type=float, default=0.5, help="slab half-width (default: 0.5)")
+    pb.add_argument("--t", type=_number(float, 0, above=True), default=0.5,
+                    help="slab half-width (default: 0.5)")
     pb.add_argument("--i", type=int, default=None,
                     help="intrinsic volume index (default: dimension)")
 
@@ -434,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("convergence", help="slab-to-section limit check")
     common(pv, with_samples=False)
-    pv.add_argument("--t", type=float, action="append", default=None,
+    pv.add_argument("--t", type=_number(float, 0, above=True), action="append", default=None,
                     help="slab half-width; repeat for a decreasing sequence "
                          f"(default: {' '.join(str(t) for t in DEFAULT_T_SEQUENCE)})")
     pv.add_argument("--i", type=int, default=1,

@@ -20,10 +20,8 @@ from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
                      build_polytope_pair, make_revolution_spec, oracle_of,
                      profile)
 from .grassmann import RngStream, Subspace, sample_haar_bases
-from .intrinsic import (POLYLINE_NODES, centroid_3d, hull_surface_v2,
-                        kubota_intrinsic_volume, mean_width_v1,
-                        planar_metrics_from_oracle, projection_volume,
-                        volume_radial)
+from .intrinsic import (POLYLINE_NODES, centroid_3d, hull_surface_v2, mean_width_v1,
+                        planar_metrics_from_oracle, projection_volume, volume_radial)
 from .polykernel import poly3_intrinsic_volumes, polygon_by_angle, polygon_metrics
 from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                          slab_oracle, translate_oracle)
@@ -87,15 +85,15 @@ def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
                 tol: float, parameters: dict) -> ExperimentReport:
     """Compare one functional on K and on L, sample by sample.
 
-    value(oracle, j, side) gives (value, stderr, method) of sample j, with
-    side 1 for K and 2 for L; bases[j] is the sample's subspace basis or
-    normal, recorded row-major.
+    value(oracle, j) gives (value, stderr, method) of sample j for K and
+    for L alike; bases[j] is the sample's subspace basis or normal, recorded
+    row-major.
     """
     samples = []
     methods = set()
     for j, basis in enumerate(bases):
-        vk, sk, mk = value(oracle_K, j, 1)
-        vl, sl, ml = value(oracle_L, j, 2)
+        vk, sk, mk = value(oracle_K, j)
+        vl, sl, ml = value(oracle_L, j)
         methods.update((mk, ml))
         diff = abs(vk - vl)
         samples.append(SampleRecord(
@@ -249,37 +247,34 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         }, samples, summary)
 
 
-def _exact_value(body: ConvexBodyOracle, i: int) -> tuple[float, float, str]:
-    """(V_i, 0, method) of a derived polytope oracle in dimension 2 or 3."""
-    if body.dim == 2:
+def _body_value(body: ConvexBodyOracle, i: int, vol_nodes: int | None,
+                width_nodes: int, rng: RngStream | None = None) -> tuple[float, float, str]:
+    """(V_i, stderr, method) of a section or slab body: the one estimator table.
+
+    The first matching row wins: exact intrinsic volumes of a polytope in
+    dimension 2 or 3; a planar body's polyline; the polar volume when i is
+    the dimension (Monte Carlo from rng above dimension 3); a 3-d body's
+    mean width for i = 1 and its boundary hull for i = 2.  Callers reject
+    every other (dimension, i).
+    """
+    if body.vrep is not None and body.dim == 2:
         area, perim = polygon_metrics(polygon_by_angle(body.vrep.vertices))
         return (perim / 2.0, area)[i - 1], 0.0, "exact-polygon"
-    return poly3_intrinsic_volumes(body.polytope, body.vrep)[i - 1], 0.0, "exact-poly3"
+    if body.vrep is not None:
+        return poly3_intrinsic_volumes(body.polytope, body.vrep)[i - 1], 0.0, "exact-poly3"
+    if body.dim == 2:
+        est = planar_metrics_from_oracle(body)[i - 1]
+    elif i == body.dim:
+        est = volume_radial(body, i, nodes=vol_nodes, rng=rng)
+    elif i == 1:
+        est = mean_width_v1(body, nodes=width_nodes)
+    else:
+        est = hull_surface_v2(body)
+    return est.value, est.stderr, est.method
 
 
 # ---------------------------------------------------------------------------
 # Sections
-
-
-def _section_value(oracle: ConvexBodyOracle, sub: Subspace, i: int,
-                   rng: RngStream | None) -> tuple[float, float, str]:
-    """(value, stderr, method) for V_i of the section oracle|span(sub).
-
-    3-d sections take Kubota's average over 64 subspaces, drawn from rng.
-    """
-    k = sub.dim
-    if k == 1:
-        b = sub.basis[:, 0]
-        length = float(oracle.radial(b)) + float(oracle.radial(-b))
-        return length, 0.0, "exact-segment"
-    sec = section_oracle(oracle, sub)
-    if sec.vrep is not None:
-        return _exact_value(sec, i)
-    if k == 2:
-        est = planar_metrics_from_oracle(sec)[i - 1]
-        return est.value, est.stderr, est.method
-    est = kubota_intrinsic_volume(sec, k, i, 64, rng)
-    return est.value, est.stderr, est.method
 
 
 def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
@@ -292,13 +287,16 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     if not 1 <= i <= k <= n - 1:
         raise ExperimentError(f"need 1 <= i <= k <= n-1, got i={i}, k={k}, n={n}")
     if k >= 4 and i < k:
-        # Kubota projections of such a section need supports in dimension k
+        # the estimator table has V_i for i < k only up to dimension 3
         raise ExperimentError(f"no section estimator for n={n}, k={k}, i={i}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
     subs = [Subspace(b) for b in bases]
 
-    def value(oracle, j, side):
-        return _section_value(oracle, subs[j], i, rng.substream(j).substream(side))
+    def value(oracle, j):
+        if k == 1:
+            b = subs[j].basis[:, 0]
+            return float(oracle.radial(b)) + float(oracle.radial(-b)), 0.0, "exact-segment"
+        return _body_value(section_oracle(oracle, subs[j]), i, None, 512, rng.substream(j))
 
     return _paired_run("sections", oracle_K, oracle_L, bases, value, rng, tol,
                        {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
@@ -308,20 +306,6 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 # Slabs
 
 
-def _slab_value(oracle: ConvexBodyOracle, spec: SlabSpec, i: int,
-                vol_nodes: int, width_nodes: int) -> tuple[float, float, str]:
-    slab = slab_oracle(oracle, spec)
-    if slab.vrep is not None:
-        return _exact_value(slab, i)
-    if i == slab.dim:
-        est = volume_radial(slab, i, nodes=vol_nodes)
-    elif i == 1:
-        est = mean_width_v1(slab, nodes=width_nodes)
-    else:
-        est = hull_surface_v2(slab)
-    return est.value, est.stderr, est.method
-
-
 def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                     t: float, i: int, num_xi: int, rng: RngStream, tol: float,
                     vol_nodes: int = 200_000) -> ExperimentReport:
@@ -329,8 +313,7 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     n = oracle_K.dim
     if not 1 <= i <= n:
         raise ExperimentError(f"need 1 <= i <= n, got i={i}, n={n}")
-    exact = oracle_K.polytope is not None and oracle_L.polytope is not None
-    if not (n == 3 or (n == 2 and (i == 2 or exact))):
+    if n not in (2, 3):
         raise ExperimentError(f"no slab estimator for n={n}, i={i}")
     t_max = min(max_slab_halfwidth(oracle_K), max_slab_halfwidth(oracle_L))
     if not 0.0 < t <= t_max:
@@ -338,8 +321,8 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
             f"slab half-width {t} outside (0, {t_max:.9g}] (max admissible t)")
     xis = sample_haar_bases(n, 1, rng.substreams(num_xi))[:, :, 0]
 
-    def value(oracle, j, side):
-        return _slab_value(oracle, SlabSpec(xis[j], t), i, vol_nodes, 512)
+    def value(oracle, j):
+        return _body_value(slab_oracle(oracle, SlabSpec(xis[j], t)), i, vol_nodes, 512)
 
     return _paired_run("slabs", oracle_K, oracle_L, xis, value, rng, tol,
                        {"t": t, "i": i})
@@ -359,7 +342,7 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
     subs = [Subspace(b) for b in bases]
 
-    def value(oracle, j, side):
+    def value(oracle, j):
         vol, method = projection_volume(oracle, subs[j], 8192)
         return vol, 0.0, method
 
@@ -392,13 +375,13 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
     xi = np.asarray(xi, dtype=float)
 
     # section value through the plane orthogonal to xi
-    sec_value, sec_err, _ = _section_value(oracle, Subspace(_orthogonal_complement(xi)),
-                                           i, rng=None)
+    plane = section_oracle(oracle, Subspace(_orthogonal_complement(xi)))
+    sec_value, sec_err, _ = _body_value(plane, i, None, 512)
 
     samples = []
     diffs, errs = [], []
     for j, t in enumerate(ts):
-        vk, sk, _ = _slab_value(oracle, SlabSpec(xi, t), i, 100_000, width_nodes)
+        vk, sk, _ = _body_value(slab_oracle(oracle, SlabSpec(xi, t)), i, 100_000, width_nodes)
         d = vk - sec_value
         diffs.append(d)
         errs.append(sk + sec_err)

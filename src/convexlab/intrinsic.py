@@ -2,8 +2,8 @@
 
 Deterministic quadrature wherever the geometry allows it: trapezoid sums on
 the circle, Fibonacci lattices on the sphere, boundary polylines for planar
-bodies.  The Kubota Monte-Carlo estimator handles everything else by
-averaging projection volumes over Haar-random subspaces.
+bodies.  The Kubota Monte-Carlo estimator averages projection volumes over
+Haar-random subspaces; the experiments keep it as a reference only.
 
 Every estimator reports a stderr: Monte-Carlo paths use the sample standard
 error, deterministic paths use the N vs N/2 halving difference, exact paths

@@ -163,6 +163,32 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
       '"lambda": true}',
       "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
      "error: body spec field 'lambda' takes numbers, got true\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": 5}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: body spec field 'a' takes a list, got 5\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": "123"}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: body spec field 'a' takes a list, got \"123\"\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": [1.0, 1.2, 1.5], '
+      '"u_signs": null}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: body spec field 'u_signs' takes a list, got null\n"),
+    (["lemma1", "--spec-k", '{"type": "polytope", "a": [1.0, 1.2, 1.5], '
+      '"v_signs": {"0": 1}}',
+      "--spec-l", '{"type": "polytope", "a": [1.0, 1.2, 1.5], "variant": "L"}'],
+     "error: body spec field 'v_signs' takes a list, got {\"0\": 1}\n"),
+    (["lemma1", "--pair", "polytope", "--samples", "5", "--tol", "-1"],
+     "error: argument --tol: must be at least 0, got -1.0\n"),
+    (["lemma1", "--pair", "polytope", "--samples", "5", "--tol", "nan"],
+     "error: argument --tol: must be finite, got nan\n"),
+    (["sections", "--pair", "polytope", "--samples", "5", "--tol", "inf"],
+     "error: argument --tol: must be finite, got inf\n"),
+    (["convergence", "--pair", "polytope", "--i", "2", "--t", "nan", "--t", "0.1"],
+     "error: argument --t: must be finite, got nan\n"),
+    (["slabs", "--pair", "polytope", "--samples", "5", "--t", "0"],
+     "error: argument --t: must be above 0, got 0.0\n"),
+    (["slabs", "--pair", "polytope", "--samples", "5", "--t", "-0.5"],
+     "error: argument --t: must be above 0, got -0.5\n"),
 ])
 def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     # a JSON body spec in argv stands for a spec file holding it

@@ -15,12 +15,12 @@ from convexlab.experiments import (BodyPair, ExperimentError,
                                    noncongruence_certificates,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
-from convexlab.grassmann import RngStream, rowwise, sample_sphere
-from convexlab.intrinsic import centroid_3d
+from convexlab.grassmann import RngStream, rowwise, sample_haar_subspace, sample_sphere
+from convexlab.intrinsic import centroid_3d, kubota_intrinsic_volume, mean_width_v1
 from convexlab.report import (canonical_json, report_to_dict, samples_csv_rows,
                               write_report_json, write_samples_csv,
                               write_suite_csv)
-from convexlab.transforms import translate_oracle
+from convexlab.transforms import section_oracle, translate_oracle
 
 
 def test_make_pair_names():
@@ -97,6 +97,43 @@ def test_sections_dimension_four_polytope():
         assert rep.summary["methods"] == ["exact-poly3"]
 
 
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_sections_dimension_four_smooth(i):
+    # 3-d sections of a smooth pair take the 3-d rows of the estimator table
+    pair = make_pair("smooth", n=4)
+    rep = sections_experiment(pair.oracle_K, pair.oracle_L, 3, i, 2,
+                              RngStream(4, 40 + i), 1e-4)
+    assert rep.summary["pass"], rep.summary
+    assert rep.summary["methods"] == ["quadrature"]
+
+
+def test_sections_dimension_four_reject_shifted_control():
+    pair = make_pair("control-shifted", n=4)
+    rep = sections_experiment(pair.oracle_K, pair.oracle_L, 3, 2, 2,
+                              RngStream(4, 44), 1e-4)
+    assert not rep.summary["pass"]
+    assert rep.summary["max_rel_diff"] > 1e-3
+
+
+def test_section_mean_width_agrees_with_kubota():
+    # Kubota's formula over 64 subspaces stays a reference for the table's
+    # 3-d mean width row
+    oracle = make_pair("smooth", n=4).oracle_K
+    sec = section_oracle(oracle, sample_haar_subspace(4, 3, RngStream(4, 45)))
+    kubota = kubota_intrinsic_volume(sec, 3, 1, 64, RngStream(4, 46))
+    width = mean_width_v1(sec, nodes=512)
+    assert abs(kubota.value - width.value) <= 3.0 * (kubota.stderr + width.stderr)
+
+
+def test_sections_volume_monte_carlo_shares_the_sample_stream():
+    # above dimension 3 the section volume is Monte Carlo; K and L of a
+    # sample draw the same directions, so a body against itself gives 0
+    oracle = make_pair("smooth", n=5).oracle_K
+    rep = sections_experiment(oracle, oracle, 4, 4, 1, RngStream(4, 47), 0.0)
+    assert rep.summary["methods"] == ["quadrature"]
+    assert rep.summary["max_abs_diff"] == 0.0
+
+
 def test_sections_reject_controls(rotated_pair, shifted_pair):
     rep = sections_experiment(rotated_pair.oracle_K, rotated_pair.oracle_L,
                               2, 2, 15, RngStream(4, 20), 1e-9)
@@ -148,6 +185,15 @@ def test_slabs_smooth_width_and_hull(smooth_pair):
     rep = slab_experiment(smooth_pair.oracle_K, smooth_pair.oracle_L,
                           0.5, 2, 2, RngStream(5, 22), 1e-3)
     assert rep.summary["pass"], rep.summary
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_slabs_planar_smooth_polyline(i):
+    pair = make_pair("smooth", n=2)
+    rep = slab_experiment(pair.oracle_K, pair.oracle_L, 0.5, i, 4,
+                          RngStream(5, 30 + i), 1e-4)
+    assert rep.summary["pass"], rep.summary
+    assert rep.summary["methods"] == ["polyline"]
 
 
 def test_projections_smooth(smooth_pair):
