@@ -34,27 +34,30 @@ class BodyError(ValueError):
     """Raised for invalid body parameters or failed constructions."""
 
 
+def _bump_terms(u: np.ndarray, order: int) -> list[np.ndarray]:
+    """[b, b', b''][:order + 1] of the bump at 1-d points u, from one exp."""
+    out = [np.zeros_like(u) for _ in range(order + 1)]
+    s = 1.0 - u * u
+    inner = s > _BUMP_SAFE
+    if np.any(inner):
+        ui, si = u[inner], s[inner]
+        b = np.exp(-1.0 / si)
+        out[0][inner] = b
+        if order >= 1:
+            w1 = -2.0 * ui / (si * si)
+            out[1][inner] = b * w1
+        if order == 2:
+            w2 = -2.0 / (si * si) - 8.0 * ui * ui / (si ** 3)
+            out[2][inner] = b * (w2 + w1 * w1)
+    return out
+
+
 def bump(u, order: int = 0):
     """C-infinity bump exp(-1/(1-u^2)) on |u|<1, zero outside; order <= 2."""
     if order not in (0, 1, 2):
         raise BodyError("bump supports derivative orders 0, 1, 2")
     scalar = np.asarray(u).ndim == 0
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.zeros_like(arr)
-    s = 1.0 - arr * arr
-    inner = s > _BUMP_SAFE
-    if np.any(inner):
-        ui, si = arr[inner], s[inner]
-        b = np.exp(-1.0 / si)
-        if order == 0:
-            out[inner] = b
-        else:
-            w1 = -2.0 * ui / (si * si)
-            if order == 1:
-                out[inner] = b * w1
-            else:
-                w2 = -2.0 / (si * si) - 8.0 * ui * ui / (si ** 3)
-                out[inner] = b * (w2 + w1 * w1)
+    out = _bump_terms(np.atleast_1d(np.asarray(u, dtype=float)), order)[order]
     return float(out[0]) if scalar else out
 
 
@@ -105,28 +108,38 @@ class RevolutionBodySpec:
         }
 
 
-def _profile_terms(spec: RevolutionBodySpec, t: np.ndarray, order: int) -> np.ndarray:
-    """Profile (or derivative) on points already inside [-1, 1]."""
-    cap_s = 1.0 - t * t
-    if order == 0:
-        cap = np.sqrt(np.maximum(cap_s, 0.0))
-    elif order == 1:
-        cap = -t / np.sqrt(cap_s)
-    else:
-        cap = -cap_s ** (-1.5)
+# Profile derivatives are singular at t = +-1; evaluate them no closer than
+# two ulps, where 1 - t*t is still positive.  A wider margin costs accuracy
+# near the poles: at 1 - 1e-12, supports with |xi'| ~ 1e-6 came out 4e-13 low.
+_T_CLIP = 1.0 - 2.0 ** -52
+
+
+def _profile_terms(spec: RevolutionBodySpec, t: np.ndarray, order: int) -> list[np.ndarray]:
+    """[f, f', f''][:order + 1] of the profile at 1-d points t, one exp per bump.
+
+    f is extended by zero outside [-1, 1]; the derivatives, singular at the
+    poles, are taken at t clipped to +-_T_CLIP.  delta < 1/6 keeps both bumps
+    at 0 wherever either rule moves t, so they are evaluated at the clipped t.
+    """
+    tc = np.clip(t, -_T_CLIP, _T_CLIP)
     sign = 1.0 if spec.variant == "K" else -1.0
-    u1 = (t - spec.CENTER_SHARED) / spec.delta
-    u2 = (sign * t - spec.CENTER_VARIANT) / spec.delta
-    scale = spec.epsilon / spec.delta ** order
-    chain = sign ** order
-    return cap + scale * (bump(u1, order) + chain * bump(u2, order))
+    b1 = _bump_terms((tc - spec.CENTER_SHARED) / spec.delta, order)
+    b2 = _bump_terms((sign * tc - spec.CENTER_VARIANT) / spec.delta, order)
+    caps = [np.sqrt(np.maximum(1.0 - t * t, 0.0))]
+    if order >= 1:
+        cap_s = 1.0 - tc * tc
+        caps.append(-tc / np.sqrt(cap_s))
+    if order == 2:
+        caps.append(-cap_s ** (-1.5))
+    return [cap + spec.epsilon / spec.delta ** o * (b1[o] + sign ** o * b2[o])
+            for o, cap in enumerate(caps)]
 
 
 def profile(spec: RevolutionBodySpec, t, order: int = 0):
     """Profile function of the body of revolution, with derivatives.
 
-    Derivatives of the spherical cap blow up at the endpoints, so order >= 1
-    is rejected at |t| = 1.
+    Derivatives of the spherical cap blow up at the endpoints: order >= 1 is
+    rejected at |t| = 1 and taken at +-_T_CLIP closer to it.
     """
     if order not in (0, 1, 2):
         raise BodyError("profile supports derivative orders 0, 1, 2")
@@ -135,24 +148,14 @@ def profile(spec: RevolutionBodySpec, t, order: int = 0):
         raise BodyError("profile argument must lie in [-1, 1]")
     if order >= 1 and np.any(np.abs(arr) >= 1.0):
         raise BodyError("profile derivative is singular at the endpoints t = +-1")
-    out = _profile_terms(spec, np.atleast_1d(arr), order)
+    out = _profile_terms(spec, np.atleast_1d(arr), order)[order]
     return out if arr.ndim else float(out[0])
-
-
-def _profile_extended(spec: RevolutionBodySpec, t: np.ndarray) -> np.ndarray:
-    """Profile extended by zero outside [-1, 1]; used by root finding."""
-    inside = np.abs(t) <= 1.0
-    out = np.zeros_like(t)
-    if np.any(inside):
-        out[inside] = _profile_terms(spec, t[inside], 0)
-    return out
 
 
 def validate_revolution_spec(spec: RevolutionBodySpec) -> ProfileValidation:
     """Concavity and positivity of the profile on 100,000 interior points."""
     ts = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 100_000)
-    second = _profile_terms(spec, ts, 2)
-    values = _profile_terms(spec, ts, 0)
+    values, _, second = _profile_terms(spec, ts, 2)
     max2 = float(second.max())
     minv = float(values.min())
     return ProfileValidation(max2, minv, ok=(max2 <= 0.0 and minv > 0.0))
@@ -171,10 +174,6 @@ def make_revolution_spec(n: int = 3, epsilon: float = 1e-3, delta: float = 0.1,
 
 
 _NEWTON_STEPS = 8
-# Profile derivatives are singular at t = +-1; evaluate them no closer than
-# two ulps, where 1 - t*t is still positive.  A wider margin costs accuracy
-# near the poles: at 1 - 1e-12, supports with |xi'| ~ 1e-6 came out 4e-13 low.
-_T_CLIP = 1.0 - 2.0 ** -52
 
 
 def _safeguarded_newton(fun, x, lo, hi) -> np.ndarray:
@@ -220,9 +219,8 @@ def revolution_radial(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
                             1.0 + max(spec.epsilon, 1e-8))
 
         def gap(rr):
-            t = rr * tni
-            slope = tpi - tni * _profile_terms(spec, np.clip(t, -_T_CLIP, _T_CLIP), 1)
-            return rr * tpi - _profile_extended(spec, t), slope
+            f, df = _profile_terms(spec, rr * tni, 1)
+            return rr * tpi - f, tpi - tni * df
 
         r[off_axis] = _safeguarded_newton(gap, np.minimum(1.0, hi),
                                           np.zeros_like(hi), hi)
@@ -235,25 +233,20 @@ def revolution_support(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
 
     The objective is strictly concave for |xi'| > 0 (f'' < 0), so its
     stationary point |xi'| f'(t) + xi_n = 0 is found by safeguarded Newton,
-    starting from the spherical cap's maximiser t = xi_n/|xi|; both
-    endpoints are checked as well.
+    starting from the spherical cap's maximiser t = xi_n/|xi|.  The
+    endpoints t = +-1 are the poles, where f = 0, so they give |xi_n|.
     """
     xn = dirs[:, -1]
     xp = np.linalg.norm(dirs[:, :-1], axis=1)
 
-    def objective(t):
-        return xp * _profile_terms(spec, t, 0) + xn * t
-
     def falling_slope(t):
-        tc = np.clip(t, -_T_CLIP, _T_CLIP)
-        return (-(xp * _profile_terms(spec, tc, 1) + xn),
-                -xp * _profile_terms(spec, tc, 2))
+        _, df, d2f = _profile_terms(spec, t, 2)
+        return -(xp * df + xn), -xp * d2f
 
     t0 = xn / np.maximum(np.hypot(xp, xn), 1e-300)
     t = _safeguarded_newton(falling_slope, t0, np.full_like(xn, -1.0),
                             np.ones_like(xn))
-    ends = np.maximum(objective(np.full_like(xn, -1.0)), objective(np.ones_like(xn)))
-    return np.maximum(objective(t), ends)
+    return np.maximum(xp * _profile_terms(spec, t, 0)[0] + xn * t, np.abs(xn))
 
 
 @dataclass(frozen=True)
@@ -417,7 +410,7 @@ def _revolution_member(spec: RevolutionBodySpec, pts: np.ndarray) -> np.ndarray:
     inside_band = np.abs(tn) <= 1.0
     out = np.zeros(pts.shape[0], dtype=bool)
     if np.any(inside_band):
-        out[inside_band] = tp[inside_band] <= _profile_terms(spec, tn[inside_band], 0) + SMOOTH_EVAL_TOL
+        out[inside_band] = tp[inside_band] <= _profile_terms(spec, tn[inside_band], 0)[0] + SMOOTH_EVAL_TOL
     return out
 
 

@@ -80,6 +80,13 @@ def _judge(samples: list, tol: float) -> dict:
     }
 
 
+def _shared_dim(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle) -> int:
+    """The pair's ambient dimension, which K and L must share."""
+    if oracle_K.dim != oracle_L.dim:
+        raise ExperimentError("oracles must share a dimension")
+    return oracle_K.dim
+
+
 def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
                 oracle_L: ConvexBodyOracle, bases: list, value, rng: RngStream,
                 tol: float, parameters: dict) -> ExperimentReport:
@@ -186,9 +193,8 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     for supports).  A 10x larger batch of boundary-straddling points
     spot-checks the reflection property of the difference set directly.
     """
-    if oracle_K.dim != oracle_L.dim:
-        raise ExperimentError("oracles must share a dimension")
-    dirs = sample_haar_bases(oracle_K.dim, 1, rng.substreams(n_dirs))[:, :, 0]
+    n = _shared_dim(oracle_K, oracle_L)
+    dirs = sample_haar_bases(n, 1, rng.substreams(n_dirs))[:, :, 0]
     rho_kp = np.asarray(oracle_K.radial(dirs), dtype=float)
     rho_km = np.asarray(oracle_K.radial(-dirs), dtype=float)
     rho_lp = np.asarray(oracle_L.radial(dirs), dtype=float)
@@ -216,7 +222,7 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     # reflection spot-check at midpoint radii, where one body but not the
     # other should contain the probe whenever the radial values differ
     pts_rng = rng.substream(0x7FFF_FFFF)
-    probe = pts_rng.generator().standard_normal((10 * n_dirs, oracle_K.dim))
+    probe = pts_rng.generator().standard_normal((10 * n_dirs, n))
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
     rk = np.asarray(oracle_K.radial(probe), dtype=float)
     rl = np.asarray(oracle_L.radial(probe), dtype=float)
@@ -242,8 +248,7 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     })
     return ExperimentReport(
         "lemma1", {}, {
-            "samples": n_dirs, "seed": rng.seed, "tol": tol,
-            "dimension": oracle_K.dim,
+            "samples": n_dirs, "seed": rng.seed, "tol": tol, "dimension": n,
         }, samples, summary)
 
 
@@ -281,9 +286,7 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                         k: int, i: int, num_h: int, rng: RngStream,
                         tol: float) -> ExperimentReport:
     """V_i(K cap H) vs V_i(L cap H) over Haar-random k-subspaces H."""
-    n = oracle_K.dim
-    if oracle_L.dim != n:
-        raise ExperimentError("oracles must share a dimension")
+    n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= k <= n - 1:
         raise ExperimentError(f"need 1 <= i <= k <= n-1, got i={i}, k={k}, n={n}")
     if k >= 4 and i < k:
@@ -296,7 +299,9 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         if k == 1:
             b = subs[j].basis[:, 0]
             return float(oracle.radial(b)) + float(oracle.radial(-b)), 0.0, "exact-segment"
-        return _body_value(section_oracle(oracle, subs[j]), i, None, 512, rng.substream(j))
+        # a child stream: sample j's own stream drew its subspace
+        return _body_value(section_oracle(oracle, subs[j]), i, None, 512,
+                           rng.substream(j).substream(0))
 
     return _paired_run("sections", oracle_K, oracle_L, bases, value, rng, tol,
                        {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
@@ -310,7 +315,7 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                     t: float, i: int, num_xi: int, rng: RngStream, tol: float,
                     vol_nodes: int = 200_000) -> ExperimentReport:
     """V_i(K cap S_t(xi)) vs V_i(L cap S_t(xi)) over random slab normals."""
-    n = oracle_K.dim
+    n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= n:
         raise ExperimentError(f"need 1 <= i <= n, got i={i}, n={n}")
     if n not in (2, 3):
@@ -336,7 +341,7 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
                            k: int, num_h: int, rng: RngStream,
                            tol: float) -> ExperimentReport:
     """vol_k(K|V) vs vol_k(L|V) over Haar-random k-subspaces V."""
-    n = oracle_K.dim
+    n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))

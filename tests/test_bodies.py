@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from convexlab.bodies import (
     BUMP_PEAK,
@@ -18,7 +20,7 @@ from convexlab.bodies import (
     revolution_support,
     validate_revolution_spec,
 )
-from convexlab.bodies import _profile_extended, _profile_terms
+from convexlab.bodies import _profile_terms
 from convexlab.grassmann import RngStream
 
 
@@ -228,7 +230,7 @@ def _bisection_radial(spec, dirs):
     lo = np.zeros_like(hi)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        below = mid * tpi - _profile_extended(spec, mid * tni) < 0.0
+        below = mid * tpi - _profile_terms(spec, mid * tni, 0)[0] < 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     r[off_axis] = 0.5 * (lo + hi)
@@ -240,7 +242,7 @@ def _golden_support(spec, dirs):
     xp = np.linalg.norm(dirs[:, :-1], axis=1)
 
     def objective(t):
-        return xp * _profile_terms(spec, t, 0) + xn * t
+        return xp * _profile_terms(spec, t, 0)[0] + xn * t
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo = np.full(dirs.shape[0], -1.0)
@@ -294,6 +296,29 @@ def test_newton_oracles_match_bracketing_references(n, variant, epsilon, delta):
     for j in list(range(10)) + list(range(3000, 3038)):
         assert revolution_radial(spec, dirs[j]) == rho[j]
         assert revolution_support(spec, dirs[j]) == h[j]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 5), st.floats(0.0, 1e-2),
+       st.floats(0.02, 1.0 / 6.0, exclude_min=True, exclude_max=True),
+       st.sampled_from("KL"))
+def test_profile_and_newton_oracles_over_the_parameter_space(n, epsilon, delta, variant):
+    spec = make_revolution_spec(n, epsilon, delta, variant)
+    dirs = _sweep_directions(n, seed=26)
+    dirs = np.vstack([dirs[:3000:15], dirs[3000:]])  # every special row
+    rho = revolution_radial(spec, dirs)
+    h = revolution_support(spec, dirs)
+    assert np.max(np.abs(rho - _bisection_radial(spec, dirs))) <= SMOOTH_EVAL_TOL
+    assert np.max(np.abs(h - _golden_support(spec, dirs))) <= SMOOTH_EVAL_TOL
+    # a lower order of one call is the value of its own call, bit for bit
+    ts = np.concatenate([np.linspace(-1.0, 1.0, 801)[1:-1], [-1.0 + 1e-12, 1.0 - 1e-12]])
+    terms = _profile_terms(spec, ts, 2)
+    for order in (0, 1, 2):
+        assert np.array_equal(terms[order], profile(spec, ts, order))
+    # the profile vanishes at the poles and is extended by zero beyond them
+    outside = np.array([-3.0, -1.5, -1.0 - 1e-15, -1.0, 1.0, 1.0 + 1e-15, 1.5, 3.0])
+    assert np.all(_profile_terms(spec, outside, 2)[0] == 0.0)
 
 
 # ---------------------------------------------------------------------------

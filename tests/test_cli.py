@@ -189,6 +189,18 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
      "error: argument --t: must be above 0, got 0.0\n"),
     (["slabs", "--pair", "polytope", "--samples", "5", "--t", "-0.5"],
      "error: argument --t: must be above 0, got -0.5\n"),
+    (["lemma1", "--spec-k", '{"type": "revolution", "n": 2}',
+      "--spec-l", '{"type": "revolution", "n": 3}'],
+     "error: oracles must share a dimension\n"),
+    (["sections", "--spec-k", '{"type": "revolution", "n": 2}',
+      "--spec-l", '{"type": "revolution", "n": 3}', "--k", "1", "--i", "1"],
+     "error: oracles must share a dimension\n"),
+    (["projections", "--spec-k", '{"type": "revolution", "n": 2}',
+      "--spec-l", '{"type": "revolution", "n": 3}', "--k", "1"],
+     "error: oracles must share a dimension\n"),
+    (["slabs", "--spec-k", '{"type": "revolution", "n": 2}',
+      "--spec-l", '{"type": "revolution", "n": 3}'],
+     "error: oracles must share a dimension\n"),
 ])
 def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     # a JSON body spec in argv stands for a spec file holding it

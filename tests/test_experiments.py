@@ -15,8 +15,10 @@ from convexlab.experiments import (BodyPair, ExperimentError,
                                    noncongruence_certificates,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
-from convexlab.grassmann import RngStream, rowwise, sample_haar_subspace, sample_sphere
-from convexlab.intrinsic import centroid_3d, kubota_intrinsic_volume, mean_width_v1
+from convexlab.grassmann import (RngStream, _gaussian_block, rowwise, sample_haar_subspace,
+                                  sample_sphere)
+from convexlab.intrinsic import (IVEstimate, centroid_3d, kubota_intrinsic_volume,
+                                 mean_width_v1)
 from convexlab.report import (canonical_json, report_to_dict, samples_csv_rows,
                               write_report_json, write_samples_csv,
                               write_suite_csv)
@@ -132,6 +134,27 @@ def test_sections_volume_monte_carlo_shares_the_sample_stream():
     rep = sections_experiment(oracle, oracle, 4, 4, 1, RngStream(4, 47), 0.0)
     assert rep.summary["methods"] == ["quadrature"]
     assert rep.summary["max_abs_diff"] == 0.0
+
+
+def test_sections_volume_monte_carlo_draws_apart_from_the_subspace(monkeypatch):
+    # sample j's stream drew its subspace's Gaussian block; the Monte Carlo
+    # volume must not start from that same block
+    streams = []
+
+    def recording_volume(body, k, nodes=None, rng=None):
+        streams.append(rng)
+        return IVEstimate(k, 1.0, 0.0, "quadrature", 1)
+
+    monkeypatch.setattr("convexlab.experiments.volume_radial", recording_volume)
+    oracle = make_pair("smooth", n=5).oracle_K
+    rng = RngStream(4, 48)
+    sections_experiment(oracle, oracle, 4, 4, 2, rng, 0.0)
+    assert len(streams) == 4  # K and L of each sample
+    for j in range(2):
+        block = _gaussian_block(rng.substream(j), 5, 4, 0)
+        for stream in streams[2 * j:2 * j + 2]:
+            first = stream.generator().standard_normal((5, 4))
+            assert not np.any(first == block)
 
 
 def test_sections_reject_controls(rotated_pair, shifted_pair):

@@ -12,9 +12,10 @@ summary line, methods and first sample of both sides, and the exit status
 is 1 if any does.
 
 The list is `all --svg`, every `polytope-exact` and `bulk` command of
-perfbench/workloads.py, and the commands whose estimator row changed when
-3-d sections left the Kubota path (their sample counts are kept small,
-because the base may be slow on them).
+perfbench/workloads.py, and EXTRA: a fixed set of commands outside the
+suite and the benchmark that reach the smooth-body oracles (sections and
+slabs of the smooth pair above and below n = 3, lemma1 at n = 2 and 5, and
+k = 1 projections at n = 4), with sample counts kept small.
 """
 
 from __future__ import annotations
@@ -30,12 +31,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MOVED = (
+EXTRA = (
     "sections --pair smooth --n 4 --k 3 --i 1 --samples 2",
     "sections --pair smooth --n 4 --k 3 --i 2 --samples 1",
     "sections --pair smooth --n 5 --k 4 --i 4 --samples 2",
     "slabs --pair smooth --n 2 --i 1 --samples 10",
     "slabs --pair smooth --n 2 --i 2 --samples 10",
+    "lemma1 --pair smooth --n 2 --samples 2000",
+    "lemma1 --pair smooth --n 5 --samples 2000",
+    "projections --pair smooth --n 4 --k 1 --samples 50",
 )
 
 
@@ -53,7 +57,7 @@ def command_list() -> list[list[str]]:
     argvs = [["all", "--svg"]]
     for name in ("polytope-exact", "bulk"):
         argvs += [list(c.argv) for c in workloads[name].commands]
-    return argvs + [m.split() for m in MOVED]
+    return argvs + [m.split() for m in EXTRA]
 
 
 def export(rev: str, dest: Path) -> None:
