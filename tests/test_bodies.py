@@ -20,6 +20,7 @@ from convexlab.bodies import (
     revolution_support,
     validate_revolution_spec,
 )
+from convexlab import bodies
 from convexlab.bodies import _profile_terms
 from convexlab.grassmann import RngStream
 
@@ -124,6 +125,14 @@ def test_default_spec_is_concave_with_positive_profile():
     assert v.ok
     assert v.max_second_derivative < 0.0
     assert v.min_profile > 0.0
+
+
+@pytest.mark.parametrize("epsilon,delta", [(1e-3, 0.1), (0.5, 0.1), (4e-3, 0.02)])
+def test_validation_in_blocks_equals_one_pass(epsilon, delta):
+    spec = RevolutionBodySpec(3, epsilon, delta)
+    values, _, second = _profile_terms(spec, np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 100_000), 2)
+    v = validate_revolution_spec(spec)
+    assert (v.max_second_derivative, v.min_profile) == (second.max(), values.min())
 
 
 def test_make_revolution_spec_shrinks_large_epsilon():
@@ -319,6 +328,64 @@ def test_profile_and_newton_oracles_over_the_parameter_space(n, epsilon, delta, 
     # the profile vanishes at the poles and is extended by zero beyond them
     outside = np.array([-3.0, -1.5, -1.0 - 1e-15, -1.0, 1.0, 1.0 + 1e-15, 1.5, 3.0])
     assert np.all(_profile_terms(spec, outside, 2)[0] == 0.0)
+
+
+def _fixed_step_newton(fun, x, lo, hi, *args):
+    # the solver before rows stopped at their fixed point: every row, every step
+    for _ in range(bodies._NEWTON_STEPS):
+        g, dg = fun(x, *args)
+        below = g < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - g / dg
+        ok = np.isfinite(step) & (step >= lo) & (step <= hi)
+        x = np.where(ok, step, 0.5 * (lo + hi))
+    return x
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 5), st.floats(0.0, 1e-2),
+       st.floats(0.02, 1.0 / 6.0, exclude_min=True, exclude_max=True),
+       st.sampled_from("KL"))
+def test_stopping_newton_equals_the_fixed_step_rule(n, epsilon, delta, variant):
+    spec = make_revolution_spec(n, epsilon, delta, variant)
+    dirs = _sweep_directions(n, seed=27)
+    dirs = np.vstack([dirs[:3000:10], dirs[3000:]])  # every special row
+    rho, h = revolution_radial(spec, dirs), revolution_support(spec, dirs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bodies, "_safeguarded_newton", _fixed_step_newton)
+        assert np.array_equal(rho, revolution_radial(spec, dirs))
+        assert np.array_equal(h, revolution_support(spec, dirs))
+
+
+@pytest.mark.parametrize("oracle,bound", [(revolution_radial, 4), (revolution_support, 5)])
+def test_profile_rows_per_direction(monkeypatch, oracle, bound):
+    # rows stop at their Newton fixed point; the fixed 8-step rule gave 8 and 9
+    spec = make_revolution_spec(3)
+    dirs = RngStream(28, 0).generator().standard_normal((20_000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rows = []
+
+    def counting(spec, t, order):
+        rows.append(t.size)
+        return _profile_terms(spec, t, order)
+
+    monkeypatch.setattr(bodies, "_profile_terms", counting)
+    oracle(spec, dirs)
+    assert sum(rows) <= bound * dirs.shape[0]
+
+
+@pytest.mark.parametrize("d", [[np.nan, 0.0, 1.0], [0.0, 0.0, np.nan],
+                               [1.0, 0.0, np.nan], [np.nan, np.nan, np.nan]])
+def test_revolution_oracles_give_nan_for_a_nan_direction(d):
+    spec = make_revolution_spec()
+    assert math.isnan(revolution_radial(spec, d))
+    assert math.isnan(revolution_support(spec, d))
+    rows = np.array([d, [0.0, 0.6, 0.8]])
+    assert np.isnan(revolution_radial(spec, rows)[0])
+    assert revolution_radial(spec, rows)[1] == revolution_radial(spec, rows[1])
 
 
 # ---------------------------------------------------------------------------

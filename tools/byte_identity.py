@@ -1,6 +1,7 @@
 """Compare what convexlab writes at a base revision with the working tree.
 
     python3 tools/byte_identity.py BASE_REV [--seed 7]
+    python3 tools/byte_identity.py BASE_REV --oracles
 
 Exports BASE_REV with `git archive` into a temporary directory and runs one
 fixed command list under that tree and under the working tree, the two runs
@@ -16,6 +17,17 @@ perfbench/workloads.py, and EXTRA: a fixed set of commands outside the
 suite and the benchmark that reach the smooth-body oracles (sections and
 slabs of the smooth pair above and below n = 3, lemma1 at n = 2 and 5, and
 k = 1 projections at n = 4), with sample counts kept small.
+
+--oracles compares the smooth-body oracles themselves instead of the
+commands.  One interpreter per tree imports its `convexlab` and evaluates
+`revolution_radial`, `revolution_support` and `_revolution_member` for
+n = 2..5, every (epsilon, delta) of ORACLE_PARAMS and both variants, on
+ORACLE_RANDOM seeded random unit directions plus the poles, the equator,
+near-pole rays and a meridian through both bumps, as one batch and again
+row by row on the special directions and the first random ones.  Member
+points are those directions scaled by seeded factors in [0.9, 1.1].  The
+tool prints the count of values that differ in any bit for each function
+and exits 1 if any count is nonzero.
 """
 
 from __future__ import annotations
@@ -29,6 +41,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 EXTRA = (
@@ -41,6 +55,11 @@ EXTRA = (
     "lemma1 --pair smooth --n 5 --samples 2000",
     "projections --pair smooth --n 4 --k 1 --samples 50",
 )
+
+ORACLE_PARAMS = ((1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16), (2e-3, 0.05), (1e-3, 0.155))
+ORACLE_RANDOM = 100_000
+ORACLE_SINGLE = 200  # random rows also evaluated one call each
+ORACLE_WORKER = "import sys, byte_identity; byte_identity.oracle_values(sys.argv[1])"
 
 
 def _workloads():
@@ -119,15 +138,80 @@ def compare(base: Path, head: Path, argv: list[str], seed: int, work: Path) -> l
     return parts
 
 
+def oracle_directions(n: int) -> np.ndarray:
+    """Seeded random unit directions, then the special ones."""
+    dirs = [np.random.default_rng([n, 0]).standard_normal((ORACLE_RANDOM, n))]
+    for s in (1.0, -1.0):
+        pole = np.zeros((1, n))
+        pole[0, -1] = s
+        p = 10.0 ** -np.arange(1.0, 16.5, 0.5)  # |theta'| from 0.1 to 1e-16
+        near = np.zeros((p.size, n))
+        near[:, 0], near[:, -1] = p, s * np.sqrt(1.0 - p * p)
+        dirs += [pole, near]
+    ts = np.linspace(-1.0, 1.0, 401)
+    meridian = np.zeros((ts.size, n))
+    meridian[:, 0], meridian[:, -1] = np.sqrt(1.0 - ts * ts), ts
+    dirs.append(meridian)
+    dirs = np.vstack(dirs)
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def oracle_values(path: str) -> None:
+    """Write every oracle value of the --oracles sweep to path (.npz)."""
+    from convexlab.bodies import (_revolution_member, make_revolution_spec,
+                                  revolution_radial, revolution_support)
+    funcs = {"revolution_radial": revolution_radial,
+             "revolution_support": revolution_support,
+             "_revolution_member": _revolution_member}
+    values = {name: [] for name in funcs}
+    for n in range(2, 6):
+        dirs = oracle_directions(n)
+        scale = np.random.default_rng([n, 1]).uniform(0.9, 1.1, (dirs.shape[0], 1))
+        single = np.r_[0:ORACLE_SINGLE, ORACLE_RANDOM:dirs.shape[0]]
+        for epsilon, delta in ORACLE_PARAMS:
+            for variant in "KL":
+                spec = make_revolution_spec(n, epsilon, delta, variant)
+                for name, fn in funcs.items():
+                    rows = dirs * scale if name == "_revolution_member" else dirs
+                    values[name].append(np.asarray(fn(spec, rows)))
+                    values[name].append(np.array([fn(spec, rows[j]) for j in single]))
+    np.savez(path, **{name: np.concatenate(v) for name, v in values.items()})
+
+
+def compare_oracles(base: Path, work: Path) -> int:
+    """Run the oracle sweep under both trees; the total mismatch count."""
+    paths = {}
+    for tree, side in ((base, "base"), (ROOT, "head")):
+        paths[side] = work / f"{side}.npz"
+        env = dict(os.environ, CONVEXLAB_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(tree / "src"), str(ROOT / "tools")]))
+        subprocess.run([sys.executable, "-c", ORACLE_WORKER, str(paths[side])],
+                       env=env, check=True)
+    with np.load(paths["base"]) as b, np.load(paths["head"]) as h:
+        total = 0
+        for name in b.files:
+            bits_b, bits_h = b[name], h[name]
+            if bits_b.dtype == np.float64:  # compare bits, so a NaN equals itself
+                bits_b, bits_h = bits_b.view(np.uint64), bits_h.view(np.uint64)
+            mismatches = int(np.count_nonzero(bits_b != bits_h))
+            total += mismatches
+            print(f"{name}: {mismatches} mismatches in {bits_b.size} values")
+    return total
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_rev", metavar="BASE_REV")
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--oracles", action="store_true",
+                        help="compare the smooth-body oracle values, not the commands")
     args = parser.parse_args(argv)
     differing = 0
     with tempfile.TemporaryDirectory(prefix="convexlab-identity-") as tmp:
         tmp = Path(tmp)
         export(args.base_rev, tmp / "tree")
+        if args.oracles:
+            return 1 if compare_oracles(tmp / "tree", tmp) else 0
         for j, cmd in enumerate(command_list()):
             parts = compare(tmp / "tree", ROOT, cmd, args.seed, tmp / f"run{j}")
             label = " ".join(cmd + ["--seed", str(args.seed)])
