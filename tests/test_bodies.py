@@ -127,12 +127,12 @@ def test_default_spec_is_concave_with_positive_profile():
     assert v.min_profile > 0.0
 
 
-@pytest.mark.parametrize("epsilon,delta", [(1e-3, 0.1), (0.5, 0.1), (4e-3, 0.02)])
-def test_validation_in_blocks_equals_one_pass(epsilon, delta):
-    spec = RevolutionBodySpec(3, epsilon, delta)
-    values, _, second = _profile_terms(spec, np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 100_000), 2)
-    v = validate_revolution_spec(spec)
-    assert (v.max_second_derivative, v.min_profile) == (second.max(), values.min())
+def test_validation_rejects_a_nan_curvature():
+    # eps / delta**2 overflows, so f'' is inf * 0 = nan wherever the bumps vanish
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = validate_revolution_spec(RevolutionBodySpec(3, 1e307, 0.03))
+    assert math.isnan(v.max_second_derivative)
+    assert not v.ok
 
 
 def test_make_revolution_spec_shrinks_large_epsilon():
@@ -307,29 +307,6 @@ def test_newton_oracles_match_bracketing_references(n, variant, epsilon, delta):
         assert revolution_support(spec, dirs[j]) == h[j]
 
 
-@settings(max_examples=20, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(2, 5), st.floats(0.0, 1e-2),
-       st.floats(0.02, 1.0 / 6.0, exclude_min=True, exclude_max=True),
-       st.sampled_from("KL"))
-def test_profile_and_newton_oracles_over_the_parameter_space(n, epsilon, delta, variant):
-    spec = make_revolution_spec(n, epsilon, delta, variant)
-    dirs = _sweep_directions(n, seed=26)
-    dirs = np.vstack([dirs[:3000:15], dirs[3000:]])  # every special row
-    rho = revolution_radial(spec, dirs)
-    h = revolution_support(spec, dirs)
-    assert np.max(np.abs(rho - _bisection_radial(spec, dirs))) <= SMOOTH_EVAL_TOL
-    assert np.max(np.abs(h - _golden_support(spec, dirs))) <= SMOOTH_EVAL_TOL
-    # a lower order of one call is the value of its own call, bit for bit
-    ts = np.concatenate([np.linspace(-1.0, 1.0, 801)[1:-1], [-1.0 + 1e-12, 1.0 - 1e-12]])
-    terms = _profile_terms(spec, ts, 2)
-    for order in (0, 1, 2):
-        assert np.array_equal(terms[order], profile(spec, ts, order))
-    # the profile vanishes at the poles and is extended by zero beyond them
-    outside = np.array([-3.0, -1.5, -1.0 - 1e-15, -1.0, 1.0, 1.0 + 1e-15, 1.5, 3.0])
-    assert np.all(_profile_terms(spec, outside, 2)[0] == 0.0)
-
-
 def _fixed_step_newton(fun, x, lo, hi, *args):
     # the solver before rows stopped at their fixed point: every row, every step
     for _ in range(bodies._NEWTON_STEPS):
@@ -349,15 +326,27 @@ def _fixed_step_newton(fun, x, lo, hi, *args):
 @given(st.integers(2, 5), st.floats(0.0, 1e-2),
        st.floats(0.02, 1.0 / 6.0, exclude_min=True, exclude_max=True),
        st.sampled_from("KL"))
-def test_stopping_newton_equals_the_fixed_step_rule(n, epsilon, delta, variant):
+def test_profile_and_newton_oracles_over_the_parameter_space(n, epsilon, delta, variant):
     spec = make_revolution_spec(n, epsilon, delta, variant)
-    dirs = _sweep_directions(n, seed=27)
-    dirs = np.vstack([dirs[:3000:10], dirs[3000:]])  # every special row
-    rho, h = revolution_radial(spec, dirs), revolution_support(spec, dirs)
+    dirs = _sweep_directions(n, seed=26)
+    dirs = np.vstack([dirs[:3000:15], dirs[3000:]])  # every special row
+    rho = revolution_radial(spec, dirs)
+    h = revolution_support(spec, dirs)
+    assert np.max(np.abs(rho - _bisection_radial(spec, dirs))) <= SMOOTH_EVAL_TOL
+    assert np.max(np.abs(h - _golden_support(spec, dirs))) <= SMOOTH_EVAL_TOL
+    # rows that stop at their Newton fixed point give the fixed 8-step values
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bodies, "_safeguarded_newton", _fixed_step_newton)
         assert np.array_equal(rho, revolution_radial(spec, dirs))
         assert np.array_equal(h, revolution_support(spec, dirs))
+    # a lower order of one call is the value of its own call, bit for bit
+    ts = np.concatenate([np.linspace(-1.0, 1.0, 801)[1:-1], [-1.0 + 1e-12, 1.0 - 1e-12]])
+    terms = _profile_terms(spec, ts, 2)
+    for order in (0, 1, 2):
+        assert np.array_equal(terms[order], profile(spec, ts, order))
+    # the profile vanishes at the poles and is extended by zero beyond them
+    outside = np.array([-3.0, -1.5, -1.0 - 1e-15, -1.0, 1.0, 1.0 + 1e-15, 1.5, 3.0])
+    assert np.all(_profile_terms(spec, outside, 2)[0] == 0.0)
 
 
 @pytest.mark.parametrize("oracle,bound", [(revolution_radial, 4), (revolution_support, 5)])
