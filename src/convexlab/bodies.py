@@ -14,6 +14,7 @@ truncates u and the antipode -v using xi, -eta at matching depths.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,8 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grassmann import rowwise
-from .polykernel import (HPolytope, VRep, _vertex_candidates,
-                         enumerate_vertices, polytope_radial)
+from .polykernel import HPolytope, VRep, _vertex_candidates, polytope_radial
 
 SMOOTH_EVAL_TOL = 1e-11
 POLY_EVAL_TOL = 1e-12
@@ -99,13 +99,7 @@ class RevolutionBodySpec:
         return RevolutionBodySpec(self.n, self.epsilon, self.delta, other)
 
     def snapshot(self) -> dict:
-        return {
-            "type": "revolution",
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "variant": self.variant,
-        }
+        return {"type": "revolution", **dataclasses.asdict(self)}
 
 
 # Profile derivatives are singular at t = +-1; evaluate them no closer than
@@ -279,8 +273,6 @@ class PolytopeConstruction:
     lam: float
     body_K: HPolytope
     body_L: HPolytope
-    vrep_K: VRep
-    vrep_L: VRep
 
     def snapshot(self, variant: str) -> dict:
         return {
@@ -372,10 +364,9 @@ def build_polytope_pair(a, u_signs, v_signs, lam: float | None = None) -> Polyto
             f"cut regions overlap at depth {lam:.12g}; "
             f"largest admissible cut depth is {lam_max:.12g}")
 
-    vrep_K = enumerate_vertices(body_K)
-    vrep_L = enumerate_vertices(body_L)
     expected = 2 ** n - 2 + 2 * n
-    for name, vrep, body in (("K", vrep_K, body_K), ("L", vrep_L, body_L)):
+    for name, body in (("K", body_K), ("L", body_L)):
+        vrep = body.vrep
         if vrep.num_vertices != expected:
             raise BodyError(
                 f"body {name} has {vrep.num_vertices} vertices, expected {expected}; "
@@ -386,8 +377,7 @@ def build_polytope_pair(a, u_signs, v_signs, lam: float | None = None) -> Polyto
             if tuple(np.round(w, 9)) in kept:
                 raise BodyError(f"cut vertex survived in body {name}")
 
-    return PolytopeConstruction(a, us.astype(int), vs.astype(int), lam,
-                                body_K, body_L, vrep_K, vrep_L)
+    return PolytopeConstruction(a, us.astype(int), vs.astype(int), lam, body_K, body_L)
 
 
 @dataclass(frozen=True)
@@ -405,22 +395,13 @@ class ConvexBodyOracle:
     member: Callable[[np.ndarray], np.ndarray | bool]
     eval_tol: float
     kind: str
-    label: str = ""
     revolution: RevolutionBodySpec | None = None
     polytope: HPolytope | None = None
-    vrep: VRep | None = None
 
-    def snapshot(self) -> dict:
-        if self.revolution is not None:
-            return self.revolution.snapshot()
-        if self.polytope is not None:
-            return {
-                "type": "hpolytope",
-                "normals": [[float(x) for x in row] for row in self.polytope.normals],
-                "offsets": [float(x) for x in self.polytope.offsets],
-                "label": self.label,
-            }
-        return {"type": "derived", "kind": self.kind, "label": self.label}
+    @property
+    def vrep(self) -> VRep | None:
+        """The polytope's vertices, or None for a body without them."""
+        return None if self.polytope is None else self.polytope.vrep
 
 
 @rowwise
@@ -449,13 +430,11 @@ def oracle_of(body) -> ConvexBodyOracle:
             member=lambda x: _revolution_member(spec, x),
             eval_tol=SMOOTH_EVAL_TOL,
             kind="revolution",
-            label=f"revolution-{spec.variant}",
             revolution=spec,
         )
     if isinstance(body, HPolytope):
         poly = body
-        vrep = enumerate_vertices(poly)
-        verts = vrep.vertices
+        verts = poly.vrep.vertices
 
         @rowwise
         def support(d):
@@ -473,14 +452,13 @@ def oracle_of(body) -> ConvexBodyOracle:
             eval_tol=POLY_EVAL_TOL,
             kind="polytope",
             polytope=poly,
-            vrep=vrep,
         )
     raise BodyError(f"cannot build an oracle from {type(body).__name__}")
 
 
 def ball_oracle(dim: int, radius: float = 1.0) -> ConvexBodyOracle:
     """Closed-form oracle for a centered ball; the calibration reference."""
-    if dim < 1 or radius <= 0.0:
+    if dim < 1 or not radius > 0.0:
         raise BodyError("ball needs a positive dimension and radius")
     r = float(radius)
 
@@ -498,5 +476,5 @@ def ball_oracle(dim: int, radius: float = 1.0) -> ConvexBodyOracle:
 
     return ConvexBodyOracle(
         dim=dim, radial=radial, support=support, member=member,
-        eval_tol=POLY_EVAL_TOL, kind="ball", label=f"ball{dim}d",
+        eval_tol=POLY_EVAL_TOL, kind="ball",
     )

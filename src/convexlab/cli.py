@@ -81,12 +81,14 @@ def _spec_float(value, field: str) -> float:
 
 
 def parse_body_spec(text: str):
-    """JSON body description -> RevolutionBodySpec or HPolytope.
+    """JSON body description -> (RevolutionBodySpec or HPolytope, record).
 
     Unknown fields are rejected by name; absent epsilon, delta, lambda fall
     back to their defaults.  Constraint violations surface the constructor
     diagnostics (for example "delta must lie in (0, 1/6)"), and a revolution
-    profile must pass validate_revolution_spec, so the body is convex.
+    profile must pass validate_revolution_spec, so the body is convex.  The
+    record is the body's spec with every default filled in, the JSON that
+    construct writes, so a report's bodies can be read back here.
     """
     try:
         data = json.loads(text)
@@ -109,7 +111,7 @@ def parse_body_spec(text: str):
         if not check.ok:
             raise CliError("revolution profile is not concave and positive: max f'' = "
                            f"{check.max_second_derivative:.4g}, min f = {check.min_profile:.4g}")
-        return spec
+        return spec, spec.snapshot()
     if kind == "polytope":
         unknown = sorted(set(data) - _POLYTOPE_FIELDS)
         if unknown:
@@ -130,7 +132,7 @@ def parse_body_spec(text: str):
             raise CliError("polytope body spec field 'variant' must be 'K' or 'L'")
         cons = build_polytope_pair(a, us, vs,
                                    None if lam is None else _spec_float(lam, "lambda"))
-        return cons.body_K if variant == "K" else cons.body_L
+        return (cons.body_K if variant == "K" else cons.body_L), cons.snapshot(variant)
     raise CliError("body spec field 'type' must be 'revolution' or 'polytope'")
 
 
@@ -140,11 +142,10 @@ def _resolve_pair(args) -> BodyPair:
     if spec_k or spec_l:
         if not (spec_k and spec_l):
             raise CliError("--spec-k and --spec-l must be given together")
-        body_k = parse_body_spec(Path(spec_k).read_text(encoding="utf-8"))
-        body_l = parse_body_spec(Path(spec_l).read_text(encoding="utf-8"))
-        ok, ol = oracle_of(body_k), oracle_of(body_l)
-        return BodyPair("custom", ok, ol, {"K": ok.snapshot(), "L": ol.snapshot()},
-                        expect_noncongruent=True)
+        body_k, record_k = parse_body_spec(Path(spec_k).read_text(encoding="utf-8"))
+        body_l, record_l = parse_body_spec(Path(spec_l).read_text(encoding="utf-8"))
+        return BodyPair("custom", oracle_of(body_k), oracle_of(body_l),
+                        {"K": record_k, "L": record_l}, expect_noncongruent=True)
     return make_pair(args.pair, args.n)
 
 
@@ -153,7 +154,7 @@ def _resolve_pair(args) -> BodyPair:
 
 
 def _is_exact_pair(pair: BodyPair) -> bool:
-    return pair.oracle_K.kind == "polytope" and pair.oracle_L.kind == "polytope"
+    return pair.oracle_K.polytope is not None and pair.oracle_L.polytope is not None
 
 
 def _default_tol(command: str, pair: BodyPair, k: int | None) -> float:

@@ -435,18 +435,13 @@ class NoncongruenceCertificate:
     method: str    # vertex-distance-multiset | profile-mismatch | harmonic-spectrum
     statistic: float
     threshold: float
-    verdict: str   # noncongruent | inconclusive
     assumptions: tuple
 
-    def __post_init__(self):
-        if self.verdict not in ("noncongruent", "inconclusive"):
-            raise ExperimentError("verdict must be noncongruent or inconclusive")
-        if self.verdict == "noncongruent" and not self.statistic > self.threshold:
-            raise ExperimentError("noncongruent verdict requires statistic > threshold")
-
-
-def _verdict(statistic: float, threshold: float) -> str:
-    return "noncongruent" if statistic > threshold else "inconclusive"
+    @property
+    def verdict(self) -> str:
+        """One-way: only a statistic above the threshold (never NaN) is
+        conclusive."""
+        return "noncongruent" if self.statistic > self.threshold else "inconclusive"
 
 
 def _distance_signature(vertices: np.ndarray) -> np.ndarray:
@@ -470,7 +465,7 @@ def _vertex_distance_certificate(vrep_K, vrep_L) -> NoncongruenceCertificate:
         stat = float(np.max(np.abs(sig_k - sig_l)))
     thr = 1e-6
     return NoncongruenceCertificate(
-        "vertex-distance-multiset", stat, thr, _verdict(stat, thr),
+        "vertex-distance-multiset", stat, thr,
         ("congruence maps vertices to vertices, preserving all pairwise distances",))
 
 
@@ -483,7 +478,7 @@ def _profile_certificate(spec_K: RevolutionBodySpec,
     stat = float(min(np.max(np.abs(f - g)), np.max(np.abs(f - g[::-1]))))
     thr = spec_K.epsilon * math.exp(-1.0) / 2.0
     return NoncongruenceCertificate(
-        "profile-mismatch", stat, thr, _verdict(stat, thr),
+        "profile-mismatch", stat, thr,
         ("any isometry between non-spherical bodies of revolution maps the "
          "symmetry axis to the symmetry axis",))
 
@@ -500,7 +495,7 @@ def _harmonic_certificate(oracle_K: ConvexBodyOracle,
     stat = float(np.max(np.abs(energies[0] - energies[1])))
     thr = 1e-6
     return NoncongruenceCertificate(
-        "harmonic-spectrum", stat, thr, _verdict(stat, thr),
+        "harmonic-spectrum", stat, thr,
         ("per-degree harmonic energies of the centered radial function are "
          "invariant under every isometry fixing the centroid",))
 

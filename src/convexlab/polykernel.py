@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +33,20 @@ class PolytopeError(ValueError):
     """Raised for empty, unbounded, or structurally invalid polytopes."""
 
 
+def _duplicate_facets(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j, in row-major order, of facets that are the same
+    half-space: normals within 1e-12 and offsets within ACTIVE_TOL."""
+    i, j = np.nonzero((nrm @ nrm.T > 1.0 - 1e-12) & (np.abs(off[:, None] - off) <= ACTIVE_TOL))
+    return i[i < j], j[i < j]
+
+
 @dataclass(frozen=True)
 class HPolytope:
     """Intersection of half-spaces {x : <normal_i, x> <= offset_i}.
 
     Normals are unit rows; offsets are strictly positive, so the origin is
-    interior.  Bounded-ness is not checked here; enumerate_vertices does.
+    interior.  Bounded-ness is not checked here; enumerate_vertices does,
+    when vrep first enumerates the vertices.
     """
 
     normals: np.ndarray
@@ -49,15 +58,13 @@ class HPolytope:
         if nrm.ndim != 2 or off.ndim != 1 or nrm.shape[0] != off.shape[0]:
             raise PolytopeError("normals must be (m, n) and offsets (m,)")
         lens = np.linalg.norm(nrm, axis=1)
-        if np.any(np.abs(lens - 1.0) > 1e-12):
+        if not np.all(np.abs(lens - 1.0) <= 1e-12):
             raise PolytopeError("facet normals must be unit vectors")
-        if np.any(off <= 0.0):
+        if not np.all(off > 0.0):
             raise PolytopeError("all offsets must be positive (origin interior)")
-        dots = nrm @ nrm.T
-        for i in range(len(off)):
-            for j in range(i + 1, len(off)):
-                if dots[i, j] > 1.0 - 1e-12 and abs(off[i] - off[j]) <= ACTIVE_TOL:
-                    raise PolytopeError(f"duplicate facets {i} and {j}")
+        first, second = _duplicate_facets(nrm, off)
+        if first.size:
+            raise PolytopeError(f"duplicate facets {first[0]} and {second[0]}")
         nrm.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "normals", nrm)
@@ -70,6 +77,11 @@ class HPolytope:
     @property
     def num_facets(self) -> int:
         return self.normals.shape[0]
+
+    @cached_property
+    def vrep(self) -> "VRep":
+        """The vertices, enumerated on first use and kept."""
+        return enumerate_vertices(self)
 
     def with_facets(self, extra_normals, extra_offsets) -> "HPolytope":
         return HPolytope(
@@ -220,8 +232,8 @@ def section_hpolytope(poly: HPolytope, subspace) -> HPolytope:
     lens = np.linalg.norm(ms, axis=1)
     live = lens > 1e-12
     nrm, off = ms[live] / lens[live, None], poly.offsets[live] / lens[live]
-    dup = (nrm @ nrm.T > 1.0 - 1e-12) & (np.abs(off[:, None] - off[None, :]) <= ACTIVE_TOL)
-    keep = ~np.tril(dup, -1).any(axis=1)
+    keep = np.ones(len(off), dtype=bool)
+    keep[_duplicate_facets(nrm, off)[1]] = False  # the later facet of each pair
     return HPolytope(nrm[keep], off[keep])
 
 
@@ -236,7 +248,7 @@ def section_polygon(poly: HPolytope, subspace) -> Polygon:
     """Exact planar section P cap span(B), in subspace coordinates."""
     if subspace.dim != 2:
         raise ValueError("section_polygon needs a 2-dimensional subspace")
-    return polygon_by_angle(enumerate_vertices(section_hpolytope(poly, subspace)).vertices)
+    return polygon_by_angle(section_hpolytope(poly, subspace).vrep.vertices)
 
 
 def polygon_metrics(q: Polygon) -> tuple[float, float]:
@@ -313,8 +325,7 @@ def poly3_intrinsic_volumes(poly: HPolytope, vrep: VRep | None = None) -> tuple[
     """
     if poly.ambient_dim != 3:
         raise PolytopeError("poly3_intrinsic_volumes needs a 3-dimensional polytope")
-    if vrep is None:
-        vrep = enumerate_vertices(poly)
+    vrep = poly.vrep if vrep is None else vrep
     verts = vrep.vertices
     m = poly.num_facets
 

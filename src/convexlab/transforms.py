@@ -33,7 +33,7 @@ class SlabSpec:
 
     def __post_init__(self):
         x = np.array(self.xi, dtype=float, order="C")  # own read-only copy
-        if abs(np.linalg.norm(x) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(x) - 1.0) <= 1e-12:
             raise BodyError("slab normal must be a unit vector")
         if not self.half_width > 0.0:
             raise BodyError("slab half-width must be positive")
@@ -82,7 +82,6 @@ def section_oracle(body: ConvexBodyOracle, subspace: Subspace) -> ConvexBodyOrac
         member=member,
         eval_tol=max(body.eval_tol, SECTION_SUPPORT_TOL),
         kind="section",
-        label=f"section[{body.kind}]",
     )
     return oracle
 
@@ -124,7 +123,6 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     oracle = ConvexBodyOracle(
         dim=body.dim, radial=radial, support=support, member=member,
         eval_tol=max(body.eval_tol, SLAB_SUPPORT_TOL), kind="slab",
-        label=f"slab[{body.kind}]",
     )
     return oracle
 
@@ -141,9 +139,9 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     if s.shape != (body.dim,):
         raise BodyError("shift dimension must match the body")
     norm = float(np.linalg.norm(s))
-    if norm > 0.0:
+    if norm != 0.0:
         margin = float(body.radial(s / norm)) - norm
-        if margin < 1e-9:
+        if not margin >= 1e-9:
             raise BodyError(f"shift must be interior with margin 1e-9 (margin {margin:.3e})")
 
     @rowwise
@@ -178,5 +176,4 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     return ConvexBodyOracle(
         dim=body.dim, radial=radial, support=support, member=member,
         eval_tol=max(body.eval_tol, 1e-10), kind="translate",
-        label=f"translate[{body.kind}]",
     )

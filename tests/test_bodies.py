@@ -383,15 +383,15 @@ def test_revolution_oracles_give_nan_for_a_nan_direction(d):
 
 def test_build_polytope_pair_counts():
     cons = build_polytope_pair([1.0, 1.2, 1.5], [1, 1, 1], [1, 1, -1])
-    assert cons.vrep_K.num_vertices == 2 ** 3 - 2 + 2 * 3
-    assert cons.vrep_L.num_vertices == 12
+    assert cons.body_K.vrep.num_vertices == 2 ** 3 - 2 + 2 * 3
+    assert cons.body_L.vrep.num_vertices == 12
     assert cons.body_K.normals.shape == (8, 3)
     # K loses the u and v corners, L loses u and -v
-    kept_k = {tuple(np.round(w, 9)) for w in cons.vrep_K.vertices}
+    kept_k = {tuple(np.round(w, 9)) for w in cons.body_K.vrep.vertices}
     assert (1.0, 1.2, 1.5) not in kept_k          # u corner cut
     assert (1.0, 1.2, -1.5) not in kept_k         # v corner cut
     assert (-1.0, -1.2, -1.5) in kept_k
-    kept_l = {tuple(np.round(w, 9)) for w in cons.vrep_L.vertices}
+    kept_l = {tuple(np.round(w, 9)) for w in cons.body_L.vrep.vertices}
     assert (1.0, 1.2, 1.5) not in kept_l          # u corner cut
     assert (-1.0, -1.2, 1.5) not in kept_l        # -v corner cut
     assert (1.0, 1.2, -1.5) in kept_l
@@ -399,7 +399,7 @@ def test_build_polytope_pair_counts():
 
 def test_build_polytope_pair_dimension_4():
     cons = build_polytope_pair([1.0, 1.2, 1.5, 1.8], [1, 1, 1, 1], [1, 1, 1, -1])
-    assert cons.vrep_K.num_vertices == 2 ** 4 - 2 + 2 * 4
+    assert cons.body_K.vrep.num_vertices == 2 ** 4 - 2 + 2 * 4
 
 
 def test_build_polytope_pair_rejects_duplicate_half_widths():

@@ -14,6 +14,7 @@ from convexlab.bodies import RevolutionBodySpec
 from convexlab.cli import CliError, build_parser, main, parse_body_spec
 from convexlab.experiments import make_pair
 from convexlab.polykernel import HPolytope
+from convexlab.report import canonical_json
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "convexlab"
@@ -27,13 +28,16 @@ def _validate(path: Path):
 
 
 def test_parse_body_spec():
-    spec = parse_body_spec('{"type": "revolution", "variant": "L"}')
+    spec, record = parse_body_spec('{"type": "revolution", "variant": "L"}')
     assert isinstance(spec, RevolutionBodySpec)
     assert spec.variant == "L" and spec.n == 3
+    assert record == spec.snapshot()
 
-    poly = parse_body_spec('{"type": "polytope", "a": [1.0, 1.2, 1.5]}')
+    poly, record = parse_body_spec('{"type": "polytope", "a": [1.0, 1.2, 1.5]}')
     assert isinstance(poly, HPolytope)
     assert poly.num_facets == 8
+    assert record["type"] == "polytope" and record["variant"] == "K"
+    assert parse_body_spec(canonical_json(record))[1] == record
 
     with pytest.raises(CliError, match="malformed JSON"):
         parse_body_spec("{nope")
@@ -67,7 +71,7 @@ def test_construct_round_trip(tmp_path, capsys):
     dl = json.loads(l.read_text(encoding="utf-8"))
     assert dk["variant"] == "K" and dl["variant"] == "L"
     assert dk["a"] == dl["a"] == [1.0, 1.2, 1.5]
-    assert isinstance(parse_body_spec(k.read_text(encoding="utf-8")), HPolytope)
+    assert isinstance(parse_body_spec(k.read_text(encoding="utf-8"))[0], HPolytope)
 
     ks, ls = tmp_path / "ks.json", tmp_path / "ls.json"
     assert main(["construct", "--out", str(ks), str(ls)]) == 0
@@ -315,6 +319,26 @@ def test_single_commands_record_the_pair_snapshots(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) in (0, 2)
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["bodies"] == make_pair(argv[2]).snapshots
+
+
+@pytest.mark.parametrize("pair", ["smooth", "polytope"])
+def test_spec_file_report_records_the_specs(tmp_path, capsys, pair):
+    # a report's bodies are the construct files, so a run can be repeated
+    # from its own report
+    k, l = tmp_path / "k.json", tmp_path / "l.json"
+    assert main(["construct", "--pair", pair, "--out", str(k), str(l)]) == 0
+    argv = ["lemma1", "--samples", "20", "--seed", "5"]
+    out = tmp_path / "o"
+    assert main(argv + ["--spec-k", str(k), "--spec-l", str(l), "--out", str(out)]) == 0
+    bodies = json.loads((out / "report.json").read_text(encoding="utf-8"))["bodies"]
+    k2, l2 = tmp_path / "k2.json", tmp_path / "l2.json"
+    for path, record in ((k2, bodies["K"]), (l2, bodies["L"])):
+        path.write_text(canonical_json(record), encoding="utf-8")
+    assert k2.read_bytes() == k.read_bytes() and l2.read_bytes() == l.read_bytes()
+    rerun = tmp_path / "rerun"
+    assert main(argv + ["--spec-k", str(k2), "--spec-l", str(l2), "--out", str(rerun)]) == 0
+    for name in ("report.json", "samples.csv"):
+        assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_convergence_and_certify_cli(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from convexlab import polykernel
 from convexlab.bodies import ConvexBodyOracle, ball_oracle
 from convexlab.experiments import (_distance_signature, _harmonic_grid,
                                    _orthogonal_complement, _radial_energy_spectrum)
@@ -36,6 +37,19 @@ def test_make_pair_names():
     assert not make_pair("control-shifted").expect_noncongruent
     with pytest.raises(ExperimentError, match="unknown pair"):
         make_pair("banana")
+
+
+def test_make_pair_enumerates_each_polytope_once(monkeypatch):
+    calls = []
+    enumerate_vertices = polykernel.enumerate_vertices
+    monkeypatch.setattr(polykernel, "enumerate_vertices",
+                        lambda poly: calls.append(poly) or enumerate_vertices(poly))
+    pair = make_pair("polytope")
+    assert len(calls) == 2
+    assert pair.oracle_K.vrep is pair.oracle_K.polytope.vrep
+    assert len(calls) == 2
+    make_pair("control-rotated")  # the rotated copy is a new polytope
+    assert len(calls) == 5
 
 
 def test_lemma1_constructed_pairs_are_exact(smooth_pair, polytope_pair):
@@ -295,13 +309,13 @@ def test_convergence_validation(smooth_pair):
         convergence_experiment(ball_oracle(2), np.array([1.0, 0.0]), 1, (0.2, 0.1))
 
 
-def test_certificate_invariants():
-    with pytest.raises(ExperimentError, match="statistic > threshold"):
-        NoncongruenceCertificate("vertex-distance-multiset", 1e-9, 1e-6,
-                                 "noncongruent", ())
-    with pytest.raises(ExperimentError, match="verdict"):
-        NoncongruenceCertificate("vertex-distance-multiset", 1.0, 1e-6,
-                                 "maybe", ())
+def test_certificate_verdict_follows_the_statistic():
+    # one-way: only a statistic above the threshold is conclusive, and NaN
+    # never is
+    for statistic, verdict in ((1.0, "noncongruent"), (1e-6, "inconclusive"),
+                               (1e-9, "inconclusive"), (math.nan, "inconclusive")):
+        cert = NoncongruenceCertificate("vertex-distance-multiset", statistic, 1e-6, ())
+        assert cert.verdict == verdict
 
 
 def _dipole_oracle(a: float, axis) -> ConvexBodyOracle:

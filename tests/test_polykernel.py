@@ -6,6 +6,7 @@ import pytest
 from convexlab.bodies import build_polytope_pair
 from convexlab.grassmann import RngStream, Subspace, sample_haar_subspace
 from convexlab.polykernel import (
+    ACTIVE_TOL,
     _is_bounded,
     HPolytope,
     Polygon,
@@ -49,6 +50,35 @@ def test_near_coincident_facets_are_duplicates(d):
     # vertex lie on both; the constructor rejects them by name instead
     with pytest.raises(PolytopeError, match="duplicate facets 2 and 6"):
         HPolytope.box([1.0, 1.0, 1.0]).with_facets([[0.0, 0.0, 1.0]], [1.0 + d])
+
+
+def _first_duplicate_by_loop(nrm, off):
+    """The pairwise loop the constructor used to run, kept as the reference."""
+    dots = nrm @ nrm.T
+    for i in range(len(off)):
+        for j in range(i + 1, len(off)):
+            if dots[i, j] > 1.0 - 1e-12 and abs(off[i] - off[j]) <= ACTIVE_TOL:
+                return f"duplicate facets {i} and {j}"
+    return None
+
+
+def test_duplicate_facet_rule_matches_the_pairwise_loop():
+    g = RngStream(41, 0).generator()
+    base = g.standard_normal((6, 3))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    seen = set()
+    for _ in range(200):
+        idx = g.integers(0, 6, 9)
+        nrm = base[idx]
+        off = 1.0 + idx + g.choice([0.0, 5e-10, 2e-9], 9)
+        expected = _first_duplicate_by_loop(nrm, off)
+        seen.add(expected is None)
+        if expected is None:
+            HPolytope(nrm, off)
+        else:
+            with pytest.raises(PolytopeError, match=f"^{expected}$"):
+                HPolytope(nrm, off)
+    assert seen == {True, False}
 
 
 def test_parallel_facet_outside_the_window_is_kept():
@@ -307,8 +337,8 @@ def test_euler_formula_on_cut_bodies(pair):
 
 
 def test_pair_intrinsic_volumes_match_exactly(pair):
-    vk = poly3_intrinsic_volumes(pair.body_K, pair.vrep_K)
-    vl = poly3_intrinsic_volumes(pair.body_L, pair.vrep_L)
+    vk = poly3_intrinsic_volumes(pair.body_K, pair.body_K.vrep)
+    vl = poly3_intrinsic_volumes(pair.body_L, pair.body_L.vrep)
     assert np.allclose(vk, vl, atol=1e-12)
     # and the cut removed volume relative to the box
     box = poly3_intrinsic_volumes(HPolytope.box([1.0, 1.2, 1.5]))

@@ -23,6 +23,20 @@ def test_slab_spec_validation():
     assert not s.xi.flags.writeable
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: HPolytope([[np.nan, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], np.ones(4)),
+     "unit vectors"),
+    (lambda: HPolytope(np.vstack([np.eye(2), -np.eye(2)]), [1.0, 1.0, 1.0, np.nan]),
+     "offsets must be positive"),
+    (lambda: SlabSpec(np.array([np.nan, 0.0, 1.0]), 0.5), "unit vector"),
+    (lambda: translate_oracle(ball_oracle(3), [np.nan, 0.0, 0.0]), "margin 1e-9"),
+    (lambda: ball_oracle(3, np.nan), "positive dimension and radius"),
+], ids=["polytope-normal", "polytope-offset", "slab-normal", "translate-shift", "ball-radius"])
+def test_constructors_reject_nan(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_section_radial_is_exact_restriction(smooth_pair):
     body = smooth_pair.oracle_K
     rng = RngStream(21, 0)
@@ -90,7 +104,7 @@ def test_slab_polytope_route_matches_min_formula(polytope_pair):
     assert exact.kind == "polytope"
     assert exact.polytope is not None
 
-    generic = replace(body, polytope=None, vrep=None)
+    generic = replace(body, polytope=None)
     formula = slab_oracle(generic, spec)
     assert formula.kind == "slab"
 
