@@ -10,6 +10,12 @@ over (n-1)-subsets of facet normals.  A central section of a polytope is a
 polytope: section_hpolytope restricts the facets to the subspace, and its
 vertices come from the same enumeration, so sections of any dimension get
 the exact machinery.
+
+The enumeration also returns the boolean vertex x facet incidence matrix.
+The exact intrinsic volumes of a 3-polytope are sums over it: its 2-faces
+are the facets active at three or more vertices, its edges the pairs of
+2-faces sharing two vertices, and V1, V2, V3 are sums over those edges and
+faces (Schneider, Convex Bodies, section 4.2).
 """
 
 from __future__ import annotations
@@ -103,15 +109,19 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VRep:
-    """Vertex representation plus, per vertex, the indices of active facets."""
+    """Vertex representation plus the (V, m) boolean incidence matrix:
+    active[v, f] is True when facet f holds at vertex v within ACTIVE_TOL."""
 
     vertices: np.ndarray
-    active: tuple[frozenset, ...]
+    active: np.ndarray
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
+        act = np.ascontiguousarray(np.asarray(self.active, dtype=bool))
         v.setflags(write=False)
+        act.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "active", act)
 
     @property
     def num_vertices(self) -> int:
@@ -145,12 +155,19 @@ class Polygon:
         object.__setattr__(self, "vertices", v)
 
 
-def _vertex_candidates(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, list[frozenset]]:
-    """All feasible basic solutions of {x : nrm x <= off}, deduplicated; may
-    be empty (no raising).  The half-spaces are not validated."""
+def _vertex_candidates(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All feasible basic solutions of {x : nrm x <= off}, lexicographically
+    sorted, and the (V, m) boolean matrix of facets active at each; may be
+    empty (no raising).  The half-spaces are not validated.
+
+    A candidate within DEDUP_TOL of any earlier candidate (in facet-subset
+    order) is a twin and is dropped, so a cluster of twins keeps its first
+    member; in a chain of twins spanning more than DEDUP_TOL, the far end
+    is dropped too.
+    """
     m, n = nrm.shape
     if m < n:
-        return np.zeros((0, n)), []
+        return np.zeros((0, n)), np.zeros((0, m), dtype=bool)
     combos = np.array(list(itertools.combinations(range(m), n)))
     mats = nrm[combos]                       # (C, n, n)
     dets = np.abs(np.linalg.det(mats))
@@ -158,16 +175,11 @@ def _vertex_candidates(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, li
     pts = np.full((len(combos), n), np.nan)
     if np.any(good):
         pts[good] = np.linalg.solve(mats[good], off[combos[good]][..., None])[..., 0]
-    feas = good & np.all(pts @ nrm.T <= off + FEAS_TOL, axis=1)
-    verts: list[np.ndarray] = []
-    for x in pts[feas]:
-        if not any(np.linalg.norm(x - w) <= DEDUP_TOL for w in verts):
-            verts.append(x)
-    if not verts:
-        return np.zeros((0, n)), []
-    arr = np.array(sorted(verts, key=tuple))
-    active = [frozenset(np.flatnonzero(np.abs(nrm @ x - off) <= ACTIVE_TOL)) for x in arr]
-    return arr, active
+    pts = pts[good & np.all(pts @ nrm.T <= off + FEAS_TOL, axis=1)]
+    near = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) <= DEDUP_TOL
+    twin = np.tril(near, -1).any(axis=1)
+    verts = np.array(sorted(pts[~twin], key=tuple)).reshape(-1, n)
+    return verts, np.abs(verts @ nrm.T - off) <= ACTIVE_TOL
 
 
 def _is_bounded(poly: HPolytope) -> bool:
@@ -205,7 +217,7 @@ def enumerate_vertices(poly: HPolytope) -> VRep:
         raise PolytopeError("polytope is empty")
     if verts.shape[0] < n + 1:
         raise PolytopeError(f"degenerate polytope: only {verts.shape[0]} vertices")
-    return VRep(verts, tuple(active))
+    return VRep(verts, active)
 
 
 @rowwise
@@ -300,62 +312,37 @@ def projection_polygon(vrep: VRep, subspace) -> Polygon:
     return convex_hull_2d(vrep.vertices @ subspace.basis)
 
 
-def _facet_polygon_area(verts: np.ndarray, normal: np.ndarray) -> float:
-    """Area of a facet's vertex set, ordered by angle around its centroid."""
-    c = verts.mean(axis=0)
-    # orthonormal tangent frame of the facet plane
-    t1 = np.zeros(3)
-    t1[np.argmin(np.abs(normal))] = 1.0
-    t1 = t1 - normal * (t1 @ normal)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(normal, t1)
-    rel = verts - c
-    ang = np.arctan2(rel @ t2, rel @ t1)
-    order = np.argsort(ang)
-    u, w = rel[order] @ t1, rel[order] @ t2
-    area = 0.5 * np.sum(u * np.roll(w, -1) - w * np.roll(u, -1))
-    return abs(float(area))
-
-
 def poly3_intrinsic_volumes(poly: HPolytope, vrep: VRep | None = None) -> tuple[float, float, float]:
-    """(V1, V2, V3) of a bounded 3-polytope with interior origin.
+    """(V1, V2, V3) of a bounded 3-polytope with interior origin, as sums
+    over the edges and 2-faces of its incidence matrix.
 
-    V3 by the divergence theorem over facet cones, V2 as half the surface
-    area, V1 from edge lengths weighted by exterior dihedral angles.
+    A 2-face is a facet active at three or more vertices; a plane touching
+    P in an edge or a vertex is none.  An edge is a pair of 2-faces sharing
+    exactly two vertices.  A face's area is the fan of triangles from its
+    vertex centroid over its edges, so no vertex is ordered.  V3 is the sum
+    of facet cones (offset * area / 3), V2 half the surface area, V1 the
+    edge lengths weighted by exterior dihedral angles over 2 pi.
     """
     if poly.ambient_dim != 3:
         raise PolytopeError("poly3_intrinsic_volumes needs a 3-dimensional polytope")
     vrep = poly.vrep if vrep is None else vrep
     verts = vrep.vertices
-    m = poly.num_facets
-
-    facet_members: list[list[int]] = [[] for _ in range(m)]
-    for vi, act in enumerate(vrep.active):
-        for fi in act:
-            facet_members[fi].append(vi)
-
-    total_area = 0.0
-    vol = 0.0
-    for fi in range(m):
-        members = facet_members[fi]
-        if len(members) < 3:
-            continue  # redundant facet: touches the polytope in < 2 dims
-        area = _facet_polygon_area(verts[members], poly.normals[fi])
-        total_area += area
-        vol += poly.offsets[fi] * area
-    v3 = vol / 3.0
-    v2 = total_area / 2.0
-
-    edge_sum = 0.0
-    for fi in range(m):
-        for fj in range(fi + 1, m):
-            shared = [vi for vi in facet_members[fi] if fj in vrep.active[vi]]
-            if len(shared) < 2:
-                continue
-            if len(shared) > 2:
-                raise PolytopeError(f"facets {fi},{fj} share {len(shared)} vertices (collinear degeneracy)")
-            length = float(np.linalg.norm(verts[shared[0]] - verts[shared[1]]))
-            cosang = float(np.clip(poly.normals[fi] @ poly.normals[fj], -1.0, 1.0))
-            edge_sum += length * np.arccos(cosang)
-    v1 = edge_sum / (2.0 * np.pi)
+    faces = np.flatnonzero(vrep.active.sum(axis=0) >= 3)
+    inc = vrep.active[:, faces]              # (V, F)
+    shared = np.triu(inc.T.astype(int) @ inc, 1)
+    if np.any(shared > 2):
+        fi, fj = np.argwhere(shared > 2)[0]
+        raise PolytopeError(f"facets {faces[fi]},{faces[fj]} share {shared[fi, fj]} "
+                            "vertices (collinear degeneracy)")
+    fi, fj = np.nonzero(shared == 2)         # edges, as face pairs
+    ends = np.nonzero((inc[:, fi] & inc[:, fj]).T)[1].reshape(-1, 2)
+    a, b = verts[ends[:, 0]], verts[ends[:, 1]]
+    centroid = (inc.T @ verts) / inc.sum(axis=0)[:, None]
+    tri = [0.5 * np.linalg.norm(np.cross(a - centroid[f], b - a), axis=1) for f in (fi, fj)]
+    area = np.bincount(np.concatenate([fi, fj]), np.concatenate(tri), minlength=faces.size)
+    v3 = float(poly.offsets[faces] @ area) / 3.0
+    v2 = float(area.sum()) / 2.0
+    nrm = poly.normals[faces]
+    cosang = np.clip(np.sum(nrm[fi] * nrm[fj], axis=1), -1.0, 1.0)
+    v1 = float(np.linalg.norm(b - a, axis=1) @ np.arccos(cosang)) / (2.0 * np.pi)
     return v1, v2, v3

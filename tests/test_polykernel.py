@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from convexlab.bodies import build_polytope_pair
+from convexlab.bodies import build_polytope_pair, oracle_of
 from convexlab.grassmann import RngStream, Subspace, sample_haar_subspace
+from convexlab.intrinsic import mean_width_v1
 from convexlab.polykernel import (
     ACTIVE_TOL,
     _is_bounded,
@@ -109,7 +111,7 @@ def test_box_helper_and_rotation():
 def test_enumerate_vertices_box():
     v = enumerate_vertices(HPolytope.box([1.0, 1.2, 1.5]))
     assert v.num_vertices == 8
-    assert all(len(a) == 3 for a in v.active)
+    assert np.all(v.active.sum(axis=1) == 3)
 
 
 def test_enumerate_vertices_rejects_unbounded():
@@ -323,7 +325,7 @@ def test_euler_formula_on_cut_bodies(pair):
         # count facets with at least 3 vertices and edges shared by facet pairs
         members = {}
         for idx, act in enumerate(vrep.active):
-            for f in act:
+            for f in np.flatnonzero(act):
                 members.setdefault(f, set()).add(idx)
         faces = [s for s in members.values() if len(s) >= 3]
         edges = set()
@@ -345,8 +347,65 @@ def test_pair_intrinsic_volumes_match_exactly(pair):
     assert vk[2] < box[2]
 
 
-def test_redundant_facet_is_harmless():
+@pytest.mark.parametrize("normal, offset", [
+    ([0.0, 0.0, 1.0], 5.0),                             # misses the cube
+    (np.array([1.0, 1.0, 0.0]) / math.sqrt(2), math.sqrt(2)),  # along the edge x = y = 1
+    (np.ones(3) / math.sqrt(3), math.sqrt(3)),          # at the vertex (1, 1, 1) only
+], ids=["far", "edge", "vertex"])
+def test_redundant_facet_is_harmless(normal, offset):
     box = HPolytope.box([1.0, 1.0, 1.0])
-    padded = box.with_facets(np.array([[0.0, 0.0, 1.0]]), [5.0])
+    padded = box.with_facets(np.array([normal]), [offset])
     got = poly3_intrinsic_volumes(padded)
     assert np.allclose(got, (6.0, 12.0, 8.0), atol=1e-12)
+
+
+def test_octahedron_vertices_where_four_facets_meet():
+    # |x| + |y| + |z| <= 1: four facets meet at each vertex, so the four
+    # facet triples there give twin candidates
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=3)))
+    octa = HPolytope(signs / math.sqrt(3), np.full(8, 1.0 / math.sqrt(3)))
+    vrep = enumerate_vertices(octa)
+    assert vrep.num_vertices == 6
+    assert np.all(vrep.active.sum(axis=1) == 4)
+    expected = (6.0 * math.sqrt(2) * math.acos(1.0 / 3.0) / math.pi, 2.0 * math.sqrt(3), 4.0 / 3.0)
+    assert np.allclose(poly3_intrinsic_volumes(octa, vrep), expected, rtol=0.0, atol=1e-12)
+
+
+def _sweep_polytopes():
+    """Seeded random 3-polytopes (6 to 13 random facets cutting the unit
+    cube) and 3-d sections of both bodies of the n = 4 pair."""
+    g = RngStream(51, 0).generator()
+    for _ in range(40):
+        k = int(g.integers(6, 14))
+        nrm = g.standard_normal((k, 3))
+        yield HPolytope.box([1.0, 1.0, 1.0]).with_facets(
+            nrm / np.linalg.norm(nrm, axis=1, keepdims=True), g.uniform(0.5, 1.5, k))
+    cons = build_polytope_pair([1.0, 1.2, 1.5, 1.8], [1, 1, 1, 1], [1, 1, 1, -1])
+    for j in range(3):
+        sub = sample_haar_subspace(4, 3, RngStream(52, j))
+        yield section_hpolytope(cons.body_K, sub)
+        yield section_hpolytope(cons.body_L, sub)
+
+
+def test_intrinsic_volumes_match_hull_and_mean_width():
+    from scipy.spatial import ConvexHull
+
+    for poly in _sweep_polytopes():
+        v1, v2, v3 = poly3_intrinsic_volumes(poly)
+        hull = ConvexHull(poly.vrep.vertices)
+        assert v3 == pytest.approx(hull.volume, rel=1e-12, abs=0.0)
+        assert v2 == pytest.approx(hull.area / 2.0, rel=1e-12, abs=0.0)
+        width = mean_width_v1(oracle_of(poly), nodes=65536).value
+        assert v1 == pytest.approx(width, rel=1e-5, abs=0.0)
+
+
+def test_near_coplanar_facets_raise_collinear_degeneracy():
+    # a facet tilted 2e-6 off the top of a 2e-4-wide box is active at all
+    # four top corners within ACTIVE_TOL, yet is no duplicate; the error
+    # names facets by their index in the polytope, past the far plane 0
+    box = HPolytope.box([1e-4, 1e-4, 1.0])
+    tilted = np.array([2e-6, 0.0, 1.0]) / math.hypot(2e-6, 1.0)
+    poly = HPolytope(np.vstack([[0.0, 0.0, 1.0], box.normals, tilted]),
+                     np.concatenate([[5.0], box.offsets, [tilted[2]]]))
+    with pytest.raises(PolytopeError, match=r"facets 2,3 share 3 vertices \(collinear degeneracy\)"):
+        poly3_intrinsic_volumes(poly)
