@@ -15,6 +15,7 @@ truncates u and the antipode -v using xi, -eta at matching depths.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -303,7 +304,9 @@ def build_polytope_pair(a, u_signs, v_signs, lam: float | None = None) -> Polyto
     Verification is by vertex enumeration: each cutting plane must strictly
     separate exactly one box vertex, and the two cut-off regions of each
     body must be disjoint.  On failure the error reports the largest
-    admissible cut depth.
+    admissible cut depth.  A pair is built and verified once per distinct
+    (a, signs, cut depth) in a process; later calls return that construction,
+    whose arrays are read-only.
     """
     a = np.asarray(a, dtype=float)
     n = a.size
@@ -325,16 +328,25 @@ def build_polytope_pair(a, u_signs, v_signs, lam: float | None = None) -> Polyto
     if flips != 1:
         raise BodyError(f"vertices must be adjacent: sign patterns differ in {flips} positions")
 
+    # by default, half the margin from the cut vertex to the next box vertex
+    lam = float(a.min()) / math.sqrt(n) if lam is None else float(lam)
+    if not math.isfinite(lam):
+        raise BodyError("cut depth lambda must be finite")
+    if lam <= 0.0:
+        raise BodyError("cut depth must be positive")
+    return _corner_cut_pair(tuple(a.tolist()), tuple(us.tolist()), tuple(vs.tolist()), lam)
+
+
+@functools.lru_cache(maxsize=32)
+def _corner_cut_pair(a: tuple, u_signs: tuple, v_signs: tuple, lam: float) -> PolytopeConstruction:
+    """The verified pair of build_polytope_pair from its checked arguments."""
+    a, us, vs = (np.array(x) for x in (a, u_signs, v_signs))
+    n = a.size
     sqrt_n = math.sqrt(n)
     xi = us / sqrt_n
     eta = vs / sqrt_n
     top = float(np.sum(a)) / sqrt_n          # functional value at the cut vertex
     gap = 2.0 * float(a.min()) / sqrt_n      # margin to the next box vertex
-    lam = gap / 2.0 if lam is None else float(lam)
-    if not math.isfinite(lam):
-        raise BodyError("cut depth lambda must be finite")
-    if lam <= 0.0:
-        raise BodyError("cut depth must be positive")
 
     box = HPolytope.box(a)
     off_u = top - lam
@@ -377,7 +389,10 @@ def build_polytope_pair(a, u_signs, v_signs, lam: float | None = None) -> Polyto
             if tuple(np.round(w, 9)) in kept:
                 raise BodyError(f"cut vertex survived in body {name}")
 
-    return PolytopeConstruction(a, us.astype(int), vs.astype(int), lam, body_K, body_L)
+    arrays = (a, us.astype(int), vs.astype(int))
+    for x in arrays:
+        x.setflags(write=False)
+    return PolytopeConstruction(*arrays, lam, body_K, body_L)
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,18 @@ def _number(kind, low, above: bool = False):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type: an RNG seed.  RngStream keeps 64 bits of it, so a seed
+    outside [0, 2^64) would silently run as another seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="convexlab",
                      description="Numerical checks for noncongruent convex "
@@ -409,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec-l", help="JSON body spec file for body L")
         p.add_argument("--n", type=int, default=3,
                        help="ambient dimension for named pairs (default: 3)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="RNG seed (default: 0)")
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="RNG seed in [0, 2^64) (default: 0)")
         if with_samples:
             p.add_argument("--samples", type=_number(int, 1), default=None,
                            help="number of sampled directions/subspaces")
@@ -458,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
            with_samples=False)
 
     pa = sub.add_parser("all", help="full suite with default fixtures")
-    pa.add_argument("--seed", type=int, default=0)
+    pa.add_argument("--seed", type=_seed, default=0)
     pa.add_argument("--out", default="convexlab-out")
     pa.add_argument("--svg", action="store_true")
 

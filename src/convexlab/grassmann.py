@@ -18,6 +18,14 @@ import numpy as np
 
 ORTHO_TOL = 1e-10
 
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 def kappa(d: int) -> float:
     """Volume of the d-dimensional Euclidean unit ball, pi^(d/2)/Gamma(d/2+1)."""
@@ -62,7 +70,7 @@ class RngStream:
     stream_index: int = 0
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=(int(self.seed) & (2**64 - 1), int(self.stream_index) & (2**64 - 1)))
+        ss = np.random.SeedSequence(entropy=(int(self.seed) & _MASK64, int(self.stream_index) & _MASK64))
         return np.random.Generator(np.random.PCG64(ss))
 
     def substream(self, index: int) -> "RngStream":
@@ -113,6 +121,72 @@ class Subspace:
         return self.basis.shape[1]
 
 
+def _pcg64_states(streams: Sequence[RngStream]) -> list[tuple[int, int]]:
+    """(state, inc) of the PCG64 that each stream's generator() starts from,
+    for all streams in one vectorized pass.
+
+    SeedSequence(entropy=(seed, index)) hashes the 32-bit words of seed and
+    then of index (one word below 2^32, else two), padded with zero words to
+    a pool of 4; that hash runs here as uint32 arithmetic over every stream
+    at once.  PCG64 takes the first two of the four 64-bit words the pool
+    generates as its initial state s and the last two as its sequence i, and
+    starts at inc = 2i + 1, state = ((inc + s) * MULT + inc) mod 2^128.
+    """
+    seeds = np.array([int(s.seed) & _MASK64 for s in streams], dtype=np.uint64)
+    index = np.array([int(s.stream_index) & _MASK64 for s in streams], dtype=np.uint64)
+
+    def words(a):
+        return (a & np.uint64(_MASK32)).astype(np.uint32), (a >> np.uint64(32)).astype(np.uint32)
+
+    (s_lo, s_hi), (i_lo, i_hi) = words(seeds), words(index)
+    two = s_hi != 0  # a seed of two words pushes the index along the pool
+    pool = [s_lo, np.where(two, s_hi, i_lo), np.where(two, i_lo, i_hi),
+            np.where(two, i_hi, np.uint32(0))]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(w) for w in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    const, state = _INIT_B, []
+    for j in range(8):  # generate_state(4, uint64): 8 words, little-endian pairs
+        value = pool[j % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    s0, s1, i0, i1 = ((state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist()
+                      for j in range(4))
+    out = []
+    for a, b, c, d in zip(s0, s1, i0, i1):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        out.append((((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def _stacked_normals(streams: Sequence[RngStream], n: int, k: int) -> np.ndarray:
+    """The first Gaussian n x k block of every stream, as an (m, n, k) stack:
+    row j is bit-identical to streams[j].generator().standard_normal((n, k)),
+    drawn by one PCG64 set to each stream's starting state in turn."""
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+    gauss = np.empty((len(streams), n, k))
+    for block, (state, inc) in zip(gauss, _pcg64_states(streams)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=block)
+    return gauss
+
+
 def _gaussian_block(stream: RngStream, n: int, k: int, draw: int) -> np.ndarray:
     """The draw-th (0-based) Gaussian n x k block of stream's generator."""
     gen = stream.generator()
@@ -134,9 +208,7 @@ def sample_haar_bases(n: int, k: int, streams: Sequence[RngStream]) -> np.ndarra
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    gauss = np.empty((len(streams), n, k))
-    for block, stream in zip(gauss, streams):
-        stream.generator().standard_normal(out=block)
+    gauss = _stacked_normals(streams, n, k)
     bases = np.empty_like(gauss)
     todo = np.arange(len(streams))
     for draw in range(1, 9):

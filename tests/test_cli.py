@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import convexlab
-from convexlab import cli
+from convexlab import bodies, cli, polykernel
 from convexlab.bodies import RevolutionBodySpec
 from convexlab.cli import CliError, build_parser, main, parse_body_spec
 from convexlab.experiments import make_pair
@@ -76,6 +76,34 @@ def test_construct_round_trip(tmp_path, capsys):
     ks, ls = tmp_path / "ks.json", tmp_path / "ls.json"
     assert main(["construct", "--out", str(ks), str(ls)]) == 0
     assert json.loads(ks.read_text(encoding="utf-8"))["type"] == "revolution"
+
+
+def test_each_polytope_spec_is_built_once(tmp_path, capsys, monkeypatch):
+    # construct builds the pair and reads both files back; a spec-file run
+    # parses K and L of one construction: each enumerates the 2 bodies once
+    calls = []
+    enumerate_vertices = polykernel.enumerate_vertices
+
+    def counting(poly):
+        calls.append(poly)
+        return enumerate_vertices(poly)
+
+    monkeypatch.setattr(polykernel, "enumerate_vertices", counting)
+    bodies._corner_cut_pair.cache_clear()
+    k, l = tmp_path / "k.json", tmp_path / "l.json"
+    assert main(["construct", "--pair", "polytope", "--out", str(k), str(l)]) == 0
+    assert len(calls) == 2
+
+    calls.clear()
+    bodies._corner_cut_pair.cache_clear()
+    assert main(["lemma1", "--spec-k", str(k), "--spec-l", str(l), "--samples", "20",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 2
+
+    # a cached construction cannot be changed through the arrays it exposes
+    cons = bodies.build_polytope_pair([1.0, 1.2, 1.5], [1, 1, 1], [1, 1, -1])
+    assert cons is bodies.build_polytope_pair((1.0, 1.2, 1.5), [1, 1, 1], [1, 1, -1])
+    assert not any(x.flags.writeable for x in (cons.a, cons.u_signs, cons.v_signs))
 
 
 def test_lemma1_cli_pass(tmp_path, capsys):
@@ -205,6 +233,15 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
     (["slabs", "--spec-k", '{"type": "revolution", "n": 2}',
       "--spec-l", '{"type": "revolution", "n": 3}'],
      "error: oracles must share a dimension\n"),
+    # RngStream keeps 64 bits of a seed: any other would alias a valid one
+    (["lemma1", "--pair", "smooth", "--samples", "5", "--seed", "-1"],
+     "error: argument --seed: must be in [0, 2^64), got -1\n"),
+    (["lemma1", "--pair", "smooth", "--samples", "5", "--seed", "18446744073709551621"],
+     "error: argument --seed: must be in [0, 2^64), got 18446744073709551621\n"),
+    (["all", "--seed", "18446744073709551616"],
+     "error: argument --seed: must be in [0, 2^64), got 18446744073709551616\n"),
+    (["all", "--seed", "-5"], "error: argument --seed: must be in [0, 2^64), got -5\n"),
+    (["all", "--seed", "7.5"], "error: argument --seed: invalid int value: '7.5'\n"),
 ])
 def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     # a JSON body spec in argv stands for a spec file holding it
@@ -450,3 +487,5 @@ def test_parser_defaults():
     assert args.t is None and args.i == 1
     with pytest.raises(CliError):
         build_parser().parse_args(["lemma1", "--samples", "abc"])
+    for argv in (["lemma1"], ["all"]):
+        assert build_parser().parse_args(argv + ["--seed", str(2**64 - 1)]).seed == 2**64 - 1

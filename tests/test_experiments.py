@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from convexlab import polykernel
+from convexlab import bodies, polykernel
 from convexlab.bodies import ConvexBodyOracle, ball_oracle
 from convexlab.experiments import (_distance_signature, _harmonic_grid,
                                    _orthogonal_complement, _radial_energy_spectrum)
@@ -44,12 +44,14 @@ def test_make_pair_enumerates_each_polytope_once(monkeypatch):
     enumerate_vertices = polykernel.enumerate_vertices
     monkeypatch.setattr(polykernel, "enumerate_vertices",
                         lambda poly: calls.append(poly) or enumerate_vertices(poly))
+    bodies._corner_cut_pair.cache_clear()
     pair = make_pair("polytope")
     assert len(calls) == 2
     assert pair.oracle_K.vrep is pair.oracle_K.polytope.vrep
     assert len(calls) == 2
-    make_pair("control-rotated")  # the rotated copy is a new polytope
-    assert len(calls) == 5
+    # the pair is built once per process; the rotated copy is a new polytope
+    make_pair("control-rotated")
+    assert len(calls) == 3
 
 
 def test_lemma1_constructed_pairs_are_exact(smooth_pair, polytope_pair):

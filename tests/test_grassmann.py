@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from convexlab import grassmann
 from convexlab.grassmann import (
     RngStream,
     Subspace,
@@ -88,6 +89,39 @@ def test_haar_bases_are_the_per_stream_draws(n, k, m):
         assert stack[0, :, 0].tobytes() == sample_sphere(n, streams[0]).tobytes()
 
 
+_EDGE_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**64 + 5, -1, -(2**70))
+_EDGE_INDICES = (0, 1, 2**32 - 1, 2**32, 2**40, 2**64 - 1)
+
+
+def _edge_streams():
+    """Seeds and stream indices at every word-count boundary of the seed
+    hash (a seed >= 2^64 or negative is masked to 64 bits, as generator()
+    does), plus substreams of substreams."""
+    streams = [RngStream(s, i) for s in _EDGE_SEEDS for i in _EDGE_INDICES]
+    for root in (RngStream(11), RngStream(2**64 - 1, 2**32)):
+        streams += [c.substream(j) for c in root.substreams(3) for j in (0, 2**32 - 1)]
+    return streams
+
+
+def test_stacked_seeding_is_numpy_seed_sequence():
+    streams = _edge_streams()
+    for stream, (state, inc) in zip(streams, grassmann._pcg64_states(streams)):
+        expected = stream.generator().bit_generator.state
+        assert expected["state"] == {"state": state, "inc": inc}
+        assert (expected["has_uint32"], expected["uinteger"]) == (0, 0)
+    assert grassmann._pcg64_states([]) == []
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 3)])
+def test_stacked_draw_is_each_streams_generator(n, k):
+    streams = _edge_streams()
+    stack = grassmann._stacked_normals(streams, n, k)
+    assert stack.shape == (len(streams), n, k)
+    for block, stream in zip(stack, streams):
+        assert block.tobytes() == stream.generator().standard_normal((n, k)).tobytes()
+    assert grassmann._stacked_normals([], n, k).shape == (0, n, k)
+
+
 @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (1, 2)])
 def test_haar_sampling_rejects_invalid_k(n, k):
     message = f"need 1 <= k <= n, got n={n}, k={k}"
@@ -147,7 +181,11 @@ class _ScriptedGenerator:
         return out
 
 
-def test_degenerate_draw_is_redrawn_from_its_own_stream():
+def test_degenerate_draw_is_redrawn_from_its_own_stream(monkeypatch):
+    # the stacked first draw reads the streams' seeds, not their generators:
+    # draw it per stream here so the scripted streams inject their zeros
+    monkeypatch.setattr(grassmann, "_stacked_normals", lambda streams, n, k: np.array(
+        [s.generator().standard_normal((n, k)) for s in streams]))
     streams = [RngStream(3), _ScriptedStream(2, 4), RngStream(5), _ScriptedStream(7, 6)]
     stack = sample_haar_bases(3, 2, streams)
     for row, seed in zip(stack, (3, 4, 5, 6)):
