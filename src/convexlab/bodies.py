@@ -171,8 +171,10 @@ def make_revolution_spec(n: int = 3, epsilon: float = 1e-3, delta: float = 0.1,
 _NEWTON_STEPS = 8
 
 
-def _safeguarded_newton(fun, x, lo, hi, *args) -> np.ndarray:
-    """Elementwise root of increasing functions on brackets [lo, hi].
+def _safeguarded_newton(fun, x, lo, hi, *args, prev=None,
+                        steps=_NEWTON_STEPS) -> np.ndarray:
+    """Elementwise root on brackets [lo, hi] of functions that are negative
+    below their one root there and positive above it.
 
     fun(x, *args) returns (value, slope); args are per-row arrays.  Each
     step moves one bracket end to x by the sign of the value, then takes
@@ -180,29 +182,49 @@ def _safeguarded_newton(fun, x, lo, hi, *args) -> np.ndarray:
     bracket (rtsafe, Numerical Recipes 9.4).  A step landing on the bracket
     is kept, since a root can sit exactly on it.
 
-    A row stops once its Newton step is accepted and returns x exactly: the
-    next step would see the same x, hence the same value and slope, would
-    move a bracket end already at x, and would accept the same step again.
-    So a stopped row holds the value that all _NEWTON_STEPS steps give.
-    Rows that never settle (last-ulp oscillation, bisection, NaN) run every
-    step.  The rule looks at each row alone, so a row's result does not
-    depend on the batch it arrives in.  fun sees only the rows still moving.
+    A fun that returns (value, None) gets the secant slope through its last
+    two iterates instead, the first of them prev = (x, value) per row
+    (Numerical Recipes 9.2).  Its hi may be inf: while it is, the fallback
+    step doubles lo instead of bisecting, so the bracket grows until it
+    closes.
+
+    A row stops once a step leaves its x unchanged, and returns that x.  For
+    Newton this is a fixed point: the next step would see the same x, hence
+    the same value and slope, would move a bracket end already at x, and
+    would take the same step again; so a stopped row holds the value that
+    all `steps` steps give.  For the secant, the correction has rounded to
+    zero or the bracket has shrunk to x and its neighbour.  Rows that never
+    settle (last-ulp oscillation, NaN) run every step.  The rule looks at
+    each row alone, so a row's result does not depend on the batch it
+    arrives in.  fun sees only the rows still moving.
     """
     out = np.empty_like(x)
     live = np.arange(x.size)
-    for _ in range(_NEWTON_STEPS):
+    xp, gp = prev if prev is not None else (None, None)
+    for _ in range(steps):
         g, dg = fun(x, *args)
+        secant = dg is None
+        if secant:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dg = (g - gp) / (x - xp)
+            xp, gp = x, g
         below = g < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x - g / dg
         ok = np.isfinite(step) & (step >= lo) & (step <= hi)
-        moving = ~ok | (step != x)  # from the old x, before x is replaced
-        x = np.where(ok, step, 0.5 * (lo + hi))
+        fallback = 0.5 * (lo + hi)
+        if secant:
+            fallback = np.where(np.isinf(hi), 2.0 * lo, fallback)
+        new = np.where(ok, step, fallback)
+        moving = new != x  # NaN rows keep moving
+        x = new
         if not moving.all():
             out[live[~moving]] = x[~moving]
             live, x, lo, hi = live[moving], x[moving], lo[moving], hi[moving]
+            if secant:
+                xp, gp = xp[moving], gp[moving]
             args = tuple(a[moving] for a in args)
             if not live.size:
                 break
@@ -412,6 +434,7 @@ class ConvexBodyOracle:
     kind: str
     revolution: RevolutionBodySpec | None = None
     polytope: HPolytope | None = None
+    translate: tuple[ConvexBodyOracle, np.ndarray] | None = None  # (base, shift)
 
     @property
     def vrep(self) -> VRep | None:

@@ -487,10 +487,10 @@ def _harmonic_certificate(oracle_K: ConvexBodyOracle,
                           oracle_L: ConvexBodyOracle) -> NoncongruenceCertificate:
     """Rotation-invariant spherical-harmonic energy spectra of the radial
     functions, after centroid centering (translation-invariant as well)."""
-    dirs, legendre = _harmonic_grid(16, 256, 512)
+    dirs, weights, legendre = _harmonic_grid(16, 256, 512)
     energies = []
     for oracle in (oracle_K, oracle_L):
-        centered = translate_oracle(oracle, centroid_3d(oracle))
+        centered = translate_oracle(oracle, centroid_3d(oracle, dirs, weights))
         energies.append(_radial_energy_spectrum(centered, dirs, legendre))
     stat = float(np.max(np.abs(energies[0] - energies[1])))
     thr = 1e-6
@@ -501,11 +501,13 @@ def _harmonic_certificate(oracle_K: ConvexBodyOracle,
 
 
 def _harmonic_grid(degree: int, n_theta: int,
-                   n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+                   n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature grid of the energy spectrum and its Legendre table.
 
     Directions are n_theta Gauss-Legendre latitudes (rows) times n_phi
-    equispaced longitudes, flattened row-major.  legendre[i, m, l] is the
+    equispaced longitudes, flattened row-major; their weights (Gauss weight
+    times 2 pi / n_phi) integrate polynomials of degree below
+    min(2 n_theta, n_phi) on the sphere exactly.  legendre[i, m, l] is the
     orthonormal associated Legendre value Pbar_l^m(z_i), with
     Y_lm = Pbar_l^m(cos theta) e^{i m phi}, times the Gauss weight w_i; it
     is zero for m > l.  The table comes from the standard three-term
@@ -533,14 +535,16 @@ def _harmonic_grid(degree: int, n_theta: int,
             a = math.sqrt((4 * ell * ell - 1) / (ell * ell - m * m))
             b = math.sqrt(((ell - 1) ** 2 - m * m) / (4 * (ell - 1) ** 2 - 1))
             p[:, m, ell] = a * (z * p[:, m, ell - 1] - b * p[:, m, ell - 2])
-    return dirs, p * w[:, None, None]
+    weights = np.repeat(w * (2.0 * np.pi / n_phi), n_phi)
+    return dirs, weights, p * w[:, None, None]
 
 
 def _radial_energy_spectrum(oracle: ConvexBodyOracle, dirs: np.ndarray,
                             legendre: np.ndarray) -> np.ndarray:
-    """Per-degree energies sum_m |a_lm|^2 of the radial function on the grid
-    of _harmonic_grid: one real FFT per latitude row gives the longitude
-    integrals, and the Legendre table does the latitude quadrature."""
+    """Per-degree energies sum_m |a_lm|^2 of the radial function on the
+    directions and table of _harmonic_grid: one real FFT per latitude row
+    gives the longitude integrals, and the Legendre table does the latitude
+    quadrature."""
     n_theta, n_m, _ = legendre.shape
     rho = np.asarray(oracle.radial(dirs), dtype=float).reshape(n_theta, -1)
     # longitude integrals: (2 pi / n_phi) sum_j rho_ij e^{-i m phi_j}

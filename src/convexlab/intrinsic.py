@@ -277,13 +277,14 @@ def hull_surface_v2(oracle) -> IVEstimate:
     return _halving(2, half_area, 20_000)
 
 
-def centroid_3d(oracle) -> np.ndarray:
-    """Body centroid by polar integration: E[x] over the solid body."""
-    dirs = fibonacci_sphere(20_000)
+def centroid_3d(oracle, dirs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Body centroid by polar integration, E[x] over the solid body, with a
+    quadrature rule (dirs, weights) on the unit sphere: volume
+    sum(w rho^3) / 3 and first moment sum(w rho^4 theta) / 4."""
     rho = np.asarray(oracle.radial(dirs), dtype=float)
-    w = 4.0 * np.pi / 20_000
-    vol = np.sum(rho ** 3) * w / 3.0
-    first = (dirs * (rho ** 4)[:, None]).sum(axis=0) * w / 4.0
+    # numpy sums, not BLAS products, so the bits do not depend on threads
+    vol = np.sum(weights * rho ** 3) / 3.0
+    first = (dirs * (weights * rho ** 4)[:, None]).sum(axis=0) / 4.0
     return first / vol
 
 

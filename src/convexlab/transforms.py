@@ -2,10 +2,11 @@
 
 Sections restrict the radial function and slabs clip it by t/|<theta, xi>|;
 both identities are exact, so derived radial data inherit the parent
-oracle's accuracy.  Sections and slabs of polytopes are again polytopes and
-get exact oracles.  Only support functions of the other sections and slabs
-have no closed form; both are recovered from radial data by
-support_from_radial (with a degraded eval_tol).
+oracle's accuracy.  A translate solves for its radial function on each ray
+from the parent's gauge.  Sections and slabs of polytopes are again
+polytopes and get exact oracles.  Only support functions of the other
+sections and slabs have no closed form; both are recovered from radial
+data by support_from_radial (with a degraded eval_tol).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BodyError, ConvexBodyOracle, oracle_of
+from .bodies import BodyError, ConvexBodyOracle, _safeguarded_newton, oracle_of
 from .grassmann import Subspace, embed, rowwise
 from .intrinsic import _zoom_extremum, sphere_grid, support_from_radial
 from .polykernel import section_hpolytope
@@ -22,6 +23,9 @@ from .polykernel import section_hpolytope
 SECTION_SUPPORT_TOL = 1e-6
 SLAB_SUPPORT_TOL = 1e-6  # support maximizers can sit on the slab rim (a kink)
 DOT_GUARD = 1e-14  # |<theta, xi>| below this counts as parallel to the slab
+# secant steps of the translate radial: room for a bracket that doubles a
+# dozen times and then bisects to the last ulp; rows stop once they settle
+TRANSLATE_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -131,18 +135,32 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     """The body translated by -shift (so `shift` becomes the new origin).
 
     member(x) = parent.member(x + shift), support(d) = parent.support(d)
-    - <shift, d>; the radial function is recovered by bisection on
-    membership along each ray, inside a bracket grown until it leaves the
-    body.
+    - <shift, d>.  Along theta the boundary sits at the root of
+    phi(r) = gauge(r*theta + shift) - 1, with the parent's gauge
+    |p| / rho(p/|p|) (0 at p = 0).  phi is convex and negative at r = 0,
+    so it has one root on [0, inf).  A bracketed secant finds it from the
+    first guess rho(theta), using radial calls of the parent only: the
+    bracket starts at [0, inf) and doubles until it closes, and a step
+    bisects when the secant step is not finite or leaves the bracket.  A
+    direction with a NaN coordinate gets NaN.
+
+    A translate of a translate is the base body translated once, by the
+    sum of the shifts; `translate` records that (base, shift).
     """
-    s = np.asarray(shift, dtype=float)
+    s = np.array(shift, dtype=float)  # own copy, made read-only below
     if s.shape != (body.dim,):
         raise BodyError("shift dimension must match the body")
+    if body.translate is not None:
+        body, s = body.translate[0], body.translate[1] + s
     norm = float(np.linalg.norm(s))
+    gauge0 = 0.0
     if norm != 0.0:
-        margin = float(body.radial(s / norm)) - norm
+        rho_s = float(body.radial(s / norm))
+        margin = rho_s - norm
         if not margin >= 1e-9:
             raise BodyError(f"shift must be interior with margin 1e-9 (margin {margin:.3e})")
+        gauge0 = norm / rho_s
+    s.setflags(write=False)
 
     @rowwise
     def member(pts):
@@ -152,28 +170,27 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     def support(ds):
         return np.asarray(body.support(ds), dtype=float) - ds @ s
 
-    # a first outer bound; probes can miss long directions of elongated
-    # bodies, so radial doubles it per row until it leaves the body
-    probe = sphere_grid(body.dim, 256)
-    outer = float(np.asarray(body.radial(probe), dtype=float).max()) + norm + 1.0
+    def excess(r, th):
+        p = r[:, None] * th + s
+        size = np.linalg.norm(p, axis=1)
+        with np.errstate(invalid="ignore"):  # p = 0 has no direction
+            gauge = size / np.asarray(body.radial(p / size[:, None]), dtype=float)
+        return np.where(size > 0.0, gauge, 0.0) - 1.0, None
 
     @rowwise
     def radial(th):
-        lo = np.zeros(th.shape[0])
-        hi = np.full(th.shape[0], outer)
-        inside = np.asarray(body.member(hi[:, None] * th + s))
-        while np.any(inside):
-            lo = np.where(inside, hi, lo)
-            hi = np.where(inside, 2.0 * hi, hi)
-            inside = np.asarray(body.member(hi[:, None] * th + s))
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            inside = np.asarray(body.member(mid[:, None] * th + s))
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return 0.5 * (lo + hi)
+        r = np.full(th.shape[0], np.nan)
+        ok = ~np.isnan(th).any(axis=1)
+        if np.any(ok):
+            th = th[ok]
+            guess = np.asarray(body.radial(th), dtype=float)
+            zero = np.zeros_like(guess)
+            r[ok] = _safeguarded_newton(
+                excess, guess, zero, np.full_like(guess, np.inf), th,
+                prev=(zero, np.full_like(guess, gauge0 - 1.0)), steps=TRANSLATE_STEPS)
+        return r
 
     return ConvexBodyOracle(
         dim=body.dim, radial=radial, support=support, member=member,
-        eval_tol=max(body.eval_tol, 1e-10), kind="translate",
+        eval_tol=max(body.eval_tol, 1e-10), kind="translate", translate=(body, s),
     )

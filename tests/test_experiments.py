@@ -337,7 +337,8 @@ def _dipole_oracle(a: float, axis) -> ConvexBodyOracle:
 
 
 def _spectrum(oracle, degree=16, n_theta=256, n_phi=512):
-    return _radial_energy_spectrum(oracle, *_harmonic_grid(degree, n_theta, n_phi))
+    dirs, _, legendre = _harmonic_grid(degree, n_theta, n_phi)
+    return _radial_energy_spectrum(oracle, dirs, legendre)
 
 
 def test_spectrum_of_the_unit_ball():
@@ -365,12 +366,13 @@ def test_spectrum_matches_scipy_spherical_harmonics(smooth_pair):
 
     degree, n_theta, n_phi = 8, 32, 64
     oracle_K = smooth_pair.oracle_K
-    centered = translate_oracle(oracle_K, centroid_3d(oracle_K))
-    dirs, legendre = _harmonic_grid(degree, n_theta, n_phi)
+    dirs, weights, legendre = _harmonic_grid(degree, n_theta, n_phi)
+    centered = translate_oracle(oracle_K, centroid_3d(oracle_K, dirs, weights))
     fast = _radial_energy_spectrum(centered, dirs, legendre)
 
     z, w = np.polynomial.legendre.leggauss(n_theta)
     assert np.array_equal(dirs[::n_phi, 2], z)
+    assert np.array_equal(weights[::n_phi], w * (2.0 * np.pi / n_phi))
     theta, phi = np.meshgrid(np.arccos(z), 2.0 * np.pi * np.arange(n_phi) / n_phi,
                              indexing="ij")
     rho = centered.radial(dirs).reshape(n_theta, n_phi)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convexlab.bodies import ball_oracle, oracle_of
+from convexlab.experiments import _harmonic_grid
 from convexlab.grassmann import RngStream, kappa
 from convexlab.intrinsic import (EstimateError, IVEstimate, area_from_support_2d,
                                  ball_intrinsic_volume, boundary_polyline,
@@ -194,9 +195,16 @@ def test_hull_surface_v2_ball():
 
 
 def test_centroid_3d():
-    assert np.linalg.norm(centroid_3d(ball_oracle(3))) < 5e-3
+    # the harmonic certificate's Gauss grid integrates rho^3 and rho^4 theta
+    # of a ball to rounding, wherever its center sits
+    dirs, weights, _ = _harmonic_grid(0, 256, 512)
+    assert np.linalg.norm(centroid_3d(ball_oracle(3), dirs, weights)) < 1e-15
     shifted = translate_oracle(ball_oracle(3), np.array([0.3, 0.0, 0.0]))
-    assert np.linalg.norm(centroid_3d(shifted) - [-0.3, 0.0, 0.0]) < 5e-3
+    assert np.linalg.norm(centroid_3d(shifted, dirs, weights) - [-0.3, 0.0, 0.0]) < 1e-14
+    # any rule on the sphere will do: equal weights on a Fibonacci grid
+    fib = fibonacci_sphere(20_000)
+    assert np.linalg.norm(centroid_3d(shifted, fib, np.full(20_000, 4.0 * np.pi / 20_000))
+                          - [-0.3, 0.0, 0.0]) < 5e-3
 
 
 def test_kubota_ball_calibration():

@@ -39,16 +39,22 @@ def _oracles():
         "slab-smooth": slab_oracle(smooth.oracle_K, SlabSpec(xi, 0.5)),
         "slab-polytope": slab_oracle(poly.oracle_L, SlabSpec(xi, 0.5)),
         "translate": translate_oracle(ball_oracle(3), [0.3, 0.0, 0.0]),
+        "translate-smooth": translate_oracle(smooth.oracle_K, [0.1, -0.05, 0.2]),
     }
 
 
 ORACLES = _oracles()
+# Polytopes, sections and slabs go through BLAS products whose kernel
+# depends on the row count, so a row's last ulp can depend on its batch
+# (ROADMAP Known defects): only their row 0 is compared.  Every other
+# oracle, the translate's per-row secant included, is checked on every row.
+ROW_ZERO_ONLY = {"polytope", "section-k2", "section-k3", "slab-smooth", "slab-polytope"}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_oracle_scalar_matches_batch_row(name):
     oracle = ORACLES[name]
-    dirs = _directions(oracle.dim)
+    dirs = _directions(oracle.dim, 40)
     rho = np.asarray(oracle.radial(dirs))
     # one point inside and one outside along each ray
     points = np.vstack([0.5 * rho[:, None] * dirs, 1.5 * rho[:, None] * dirs])
@@ -58,9 +64,10 @@ def test_oracle_scalar_matches_batch_row(name):
         rows, kind = (points, bool) if method == "member" else (dirs, float)
         batch = fn(rows)
         assert isinstance(batch, np.ndarray) and batch.shape == (rows.shape[0],)
-        single = fn(rows[0])
-        assert type(single) is kind, f"{name}.{method} gave {type(single)}"
-        assert single == batch[0], f"{name}.{method}"
+        for j in [0] if name in ROW_ZERO_ONLY else range(rows.shape[0]):
+            single = fn(rows[j])
+            assert type(single) is kind, f"{name}.{method} gave {type(single)}"
+            assert single == batch[j], f"{name}.{method} row {j}"
     assert oracle.member(points[0]) is True
     assert oracle.member(points[-1]) is False
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexlab.bodies import BodyError, ball_oracle, oracle_of
+from convexlab.bodies import BodyError, ball_oracle, make_revolution_spec, oracle_of
 from convexlab.grassmann import RngStream, Subspace, embed, sample_haar_subspace
 from convexlab.intrinsic import circle_grid, fibonacci_sphere
 from convexlab.polykernel import HPolytope
@@ -165,12 +165,90 @@ def test_translate_oracle_values():
 
 
 def test_translate_radial_reaches_far_boundary_of_elongated_body():
-    # 256 probe radials of this box reach only about 5.8, far short of the
-    # long half-axis of 20, so the first bisection bracket ends inside
+    # the long half-axis of 20 is 400 times the short one: rays that start
+    # from the short radius must double their bracket until it leaves the box
     box = oracle_of(HPolytope.box([0.05, 1.0, 20.0]))
     shifted = translate_oracle(box, np.array([0.0, 0.0, 0.5]))
     e3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     assert np.allclose(shifted.radial(e3), [19.5, 20.5], rtol=0.0, atol=1e-10)
+
+
+def _unit_rows(seed: int, m: int, dim: int = 3) -> np.ndarray:
+    g = RngStream(seed, dim).generator().standard_normal((m, dim))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("radius, shift", [
+    (1.0, [0.3, 0.0, 0.0]), (1.0, [0.5, -0.4, 0.6]), (2.5, [0.0, 1e-9, 0.0]),
+    (0.4, [-0.1, 0.2, 0.3]), (1.0, [1e-17, -2e-17, 0.0]),
+])
+def test_translate_ball_radial_matches_closed_form(radius, shift):
+    s = np.array(shift)
+    dirs = _unit_rows(61, 20_000)
+    norm = np.linalg.norm(s)
+    if norm:
+        dirs = np.vstack([dirs, s / norm, -s / norm])
+    rho = translate_oracle(ball_oracle(3, radius), s).radial(dirs)
+    # |r theta + s| = R along unit theta; the closed form is taken for the
+    # computed rows, whose norms differ from 1 in the last ulps
+    a = np.sum(dirs * dirs, axis=1)
+    b = dirs @ s
+    exact = (-b + np.sqrt(b * b - a * (s @ s - radius * radius))) / a
+    assert np.max(np.abs(rho - exact)) <= 1e-13
+
+
+def test_translated_polytope_matches_the_shifted_facets(polytope_pair):
+    s = np.array([0.02, -0.03, 0.01])
+    for oracle in (polytope_pair.oracle_K, oracle_of(HPolytope.box([0.05, 1.0, 20.0]))):
+        poly = oracle.polytope
+        moved = HPolytope(poly.normals, poly.offsets - poly.normals @ s)
+        shifted = translate_oracle(oracle, s)
+        dirs = np.vstack([_unit_rows(62, 5000), np.eye(3), -np.eye(3)])
+        exact = oracle_of(moved).radial(dirs)
+        assert np.max(np.abs(shifted.radial(dirs) - exact)) <= 1e-12 * np.max(exact)
+
+
+def test_translate_of_translate_is_one_translate():
+    ball = ball_oracle(3)
+    a, b = np.array([0.3, -0.1, 0.2]), np.array([-0.25, 0.05, 0.1])
+    twice = translate_oracle(translate_oracle(ball, a), b)
+    once = translate_oracle(ball, a + b)
+    assert twice.translate[0] is ball
+    assert np.array_equal(twice.translate[1], a + b)
+    dirs = _unit_rows(63, 2000)
+    assert np.array_equal(twice.radial(dirs), once.radial(dirs))
+    assert np.array_equal(twice.support(dirs), once.support(dirs))
+    points = 0.9 * dirs
+    assert np.array_equal(twice.member(points), once.member(points))
+    # the caller's shift is copied, not frozen or aliased
+    assert a.flags.writeable and not once.translate[1].flags.writeable
+
+
+def test_translate_radial_of_a_nan_direction_is_nan():
+    smooth = oracle_of(make_revolution_spec(3))
+    for body in (ball_oracle(3), smooth):
+        shifted = translate_oracle(body, [0.2, 0.1, -0.1])
+        dirs = np.vstack([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, np.nan, np.nan]])
+        rho = shifted.radial(dirs)
+        assert np.isnan(rho[0]) and np.isnan(rho[2])
+        assert rho[1] == shifted.radial(dirs[1]) and math.isfinite(rho[1])
+        assert math.isnan(shifted.radial(dirs[0]))
+
+
+def test_translate_radial_through_the_parent_origin():
+    # theta = -s/|s| passes through the parent's origin, where the gauge is 0
+    shifted = translate_oracle(ball_oracle(3), [0.3, 0.0, 0.0])
+    assert shifted.radial(np.array([-1.0, 0.0, 0.0])) == pytest.approx(1.3, abs=1e-15)
+    # here the first guess r = rho(theta) lands on the parent's origin
+    # exactly, where the revolution radial of p / |p| is NaN; -theta meets
+    # the boundary on K's variant bump, so the shift is interior
+    smooth = oracle_of(make_revolution_spec(3))
+    theta = np.array([math.sqrt(5.0) / 3.0, 0.0, -2.0 / 3.0])
+    rho = smooth.radial(theta)
+    shift = -(rho * theta)
+    assert smooth.radial(-theta) - rho > 1e-4
+    shifted = translate_oracle(smooth, shift)
+    assert shifted.radial(theta) == pytest.approx(2.0 * rho, abs=1e-10)
 
 
 def test_max_slab_halfwidth(polytope_pair, ellipsoid):

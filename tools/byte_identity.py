@@ -16,8 +16,10 @@ The list is `all --svg`, every `polytope-exact` and `bulk` command of
 perfbench/workloads.py, and EXTRA: a fixed set of commands outside the
 suite and the benchmark that reach the smooth-body oracles (sections and
 slabs of the smooth pair above and below n = 3, lemma1 at n = 2 and 5, and
-k = 1 projections at n = 4) or the exact V_1 and V_2 of 3-d polytope
-sections in R^4, with sample counts kept small.
+k = 1 projections at n = 4), the exact V_1 and V_2 of 3-d polytope
+sections in R^4, or the translate radial of the shifted ball (3-d sections
+in R^4 and n = 3 slabs of `control-shifted`), with sample counts kept
+small.
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -57,6 +59,8 @@ EXTRA = (
     "projections --pair smooth --n 4 --k 1 --samples 50",
     "sections --pair polytope --n 4 --k 3 --i 1 --samples 5",
     "sections --pair polytope --n 4 --k 3 --i 2 --samples 5",
+    "sections --pair control-shifted --n 4 --k 3 --i 1 --samples 2",
+    "slabs --pair control-shifted --i 1 --samples 2",
 )
 
 ORACLE_PARAMS = ((1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16), (2e-3, 0.05), (1e-3, 0.155))
