@@ -11,7 +11,9 @@ everything.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +21,10 @@ import numpy as np
 from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
                      build_polytope_pair, make_revolution_spec, oracle_of,
                      profile)
-from .grassmann import RngStream, Subspace, sample_haar_bases
-from .intrinsic import (POLYLINE_NODES, centroid_3d, hull_surface_v2, mean_width_v1,
-                        planar_metrics_from_oracle, projection_volume, volume_radial)
+from .grassmann import RngStream, Subspace, rowwise, sample_haar_bases
+from .intrinsic import (POLYLINE_NODES, antipodal_sums, centroid_3d, hull_surface_v2,
+                        mean_width_v1, planar_metrics_from_oracle, projection_volumes,
+                        volume_radial)
 from .polykernel import poly3_intrinsic_volumes, polygon_by_angle, polygon_metrics
 from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                          slab_oracle, translate_oracle)
@@ -88,19 +91,24 @@ def _shared_dim(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle) -> int:
 
 
 def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
-                oracle_L: ConvexBodyOracle, bases: list, value, rng: RngStream,
+                oracle_L: ConvexBodyOracle, bases, values, rng: RngStream,
                 tol: float, parameters: dict) -> ExperimentReport:
     """Compare one functional on K and on L, sample by sample.
 
-    value(oracle, j) gives (value, stderr, method) of sample j for K and
-    for L alike; bases[j] is the sample's subspace basis or normal, recorded
-    row-major.
+    values(oracle) gives [(value, stderr, method), ...], one triple per
+    sample in the order of bases, for K and for L alike; bases[j] is sample
+    j's subspace basis or normal, recorded row-major.  values runs once per
+    body, so work that all samples share (a grid, one stacked oracle call)
+    is done once per body and experiment.  Rows of different samples share
+    one oracle call only where the oracle gives each row the value it gets
+    alone (revolution, ball, translate; tests/test_scalar_batch.py checks
+    every row of these), so each sample's value is the one it gets by
+    itself.
     """
     samples = []
     methods = set()
-    for j, basis in enumerate(bases):
-        vk, sk, mk = value(oracle_K, j)
-        vl, sl, ml = value(oracle_L, j)
+    for j, (basis, (vk, sk, mk), (vl, sl, ml)) in enumerate(
+            zip(bases, values(oracle_K), values(oracle_L), strict=True)):
         methods.update((mk, ml))
         diff = abs(vk - vl)
         samples.append(SampleRecord(
@@ -295,15 +303,19 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
     subs = [Subspace(b) for b in bases]
 
-    def value(oracle, j):
+    def values(oracle):
         if k == 1:
-            b = subs[j].basis[:, 0]
-            return float(oracle.radial(b)) + float(oracle.radial(-b)), 0.0, "exact-segment"
+            us = bases[:, :, 0]
+            if oracle.polytope is None:
+                segs = antipodal_sums(oracle.radial, us).tolist()
+            else:  # polytope_radial rounds with the row count: one row per call
+                segs = [float(oracle.radial(u)) + float(oracle.radial(-u)) for u in us]
+            return [(seg, 0.0, "exact-segment") for seg in segs]
         # a child stream: sample j's own stream drew its subspace
-        return _body_value(section_oracle(oracle, subs[j]), i, None, 512,
-                           rng.substream(j).substream(0))
+        return [_body_value(section_oracle(oracle, sub), i, None, 512,
+                            rng.substream(j).substream(0)) for j, sub in enumerate(subs)]
 
-    return _paired_run("sections", oracle_K, oracle_L, bases, value, rng, tol,
+    return _paired_run("sections", oracle_K, oracle_L, bases, values, rng, tol,
                        {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
 
 
@@ -311,10 +323,47 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 # Slabs
 
 
+@contextmanager
+def _grid_memo(body: ConvexBodyOracle):
+    """body, with a radial that answers a call on an array equal to the last
+    one of its shape with that call's values; other calls go to body.
+
+    The estimators of every slab of one parent pass it the same fixed
+    quadrature grids, each of its own shape: the Fibonacci grids of
+    volume_radial and hull_surface_v2, the polyline's circle and the base
+    grid of support_from_radial.  Each slab clips the shared values by its
+    own bounds in slab_oracle's radial, so the parent evaluates each grid
+    once for all slabs.  The memo is emptied when the block exits: slab
+    oracles hold their parent in a reference cycle, so the collector would
+    free it only later.
+    """
+    last = {}
+
+    @rowwise
+    def radial(dirs):
+        hit = last.get(dirs.shape)
+        if hit is not None and np.array_equal(hit[0], dirs):
+            return hit[1]
+        rho = np.asarray(body.radial(dirs), dtype=float)
+        last[dirs.shape] = (dirs.copy(), rho)
+        return rho
+
+    try:
+        yield dataclasses.replace(body, radial=radial)
+    finally:
+        last.clear()
+
+
 def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                     t: float, i: int, num_xi: int, rng: RngStream, tol: float,
                     vol_nodes: int = 200_000) -> ExperimentReport:
-    """V_i(K cap S_t(xi)) vs V_i(L cap S_t(xi)) over random slab normals."""
+    """V_i(K cap S_t(xi)) vs V_i(L cap S_t(xi)) over random slab normals.
+
+    Each body's radial on each fixed quadrature grid is evaluated once for
+    all slab normals (_grid_memo), and each slab clips those values by its
+    own bounds; the per-sample products (th @ xi, a polytope's facets) keep
+    their shapes, so every value is the one its slab gets alone.
+    """
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= n:
         raise ExperimentError(f"need 1 <= i <= n, got i={i}, n={n}")
@@ -326,10 +375,12 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
             f"slab half-width {t} outside (0, {t_max:.9g}] (max admissible t)")
     xis = sample_haar_bases(n, 1, rng.substreams(num_xi))[:, :, 0]
 
-    def value(oracle, j):
-        return _body_value(slab_oracle(oracle, SlabSpec(xis[j], t)), i, vol_nodes, 512)
+    def values(oracle):
+        with _grid_memo(oracle) as parent:
+            return [_body_value(slab_oracle(parent, SlabSpec(xi, t)), i, vol_nodes, 512)
+                    for xi in xis]
 
-    return _paired_run("slabs", oracle_K, oracle_L, xis, value, rng, tol,
+    return _paired_run("slabs", oracle_K, oracle_L, xis, values, rng, tol,
                        {"t": t, "i": i})
 
 
@@ -345,13 +396,11 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
-    subs = [Subspace(b) for b in bases]
 
-    def value(oracle, j):
-        vol, method = projection_volume(oracle, subs[j], 8192)
-        return vol, 0.0, method
+    def values(oracle):
+        return [(vol, 0.0, method) for vol, method in projection_volumes(oracle, bases, 8192)]
 
-    return _paired_run("projections", oracle_K, oracle_L, bases, value, rng, tol,
+    return _paired_run("projections", oracle_K, oracle_L, bases, values, rng, tol,
                        {"k": k})
 
 
@@ -385,13 +434,15 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
 
     samples = []
     diffs, errs = [], []
-    for j, t in enumerate(ts):
-        vk, sk, _ = _body_value(slab_oracle(oracle, SlabSpec(xi, t)), i, 100_000, width_nodes)
-        d = vk - sec_value
-        diffs.append(d)
-        errs.append(sk + sec_err)
-        samples.append(SampleRecord(
-            j, (t,), vk, sec_value, abs(d), _rel(abs(d), vk, sec_value), sk + sec_err))
+    with _grid_memo(oracle) as parent:
+        for j, t in enumerate(ts):
+            vk, sk, _ = _body_value(slab_oracle(parent, SlabSpec(xi, t)), i, 100_000,
+                                    width_nodes)
+            d = vk - sec_value
+            diffs.append(d)
+            errs.append(sk + sec_err)
+            samples.append(SampleRecord(
+                j, (t,), vk, sec_value, abs(d), _rel(abs(d), vk, sec_value), sk + sec_err))
 
     slack = [3.0 * e + 1e-12 for e in errs]
     monotone = all(diffs[j + 1] <= diffs[j] + slack[j] + slack[j + 1]

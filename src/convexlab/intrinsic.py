@@ -288,21 +288,46 @@ def centroid_3d(oracle, dirs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return first / vol
 
 
-def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
-    """(vol_k of body|sub, method) for k = sub.dim in {1, 2, 3}.
+def antipodal_sums(fn, us: np.ndarray) -> np.ndarray:
+    """fn(u_j) + fn(-u_j) for every row u_j of us, from one call of fn on the
+    stacked rows (u_0, -u_0, u_1, -u_1, ...)."""
+    vals = np.asarray(fn(np.stack([us, -us], axis=1).reshape(-1, us.shape[1])), dtype=float)
+    return vals[0::2] + vals[1::2]
+
+
+def projection_volumes(body, bases: np.ndarray, area_n: int) -> list[tuple[float, str]]:
+    """(vol_k of body|V_j, method) for every n x k basis V_j of the (m, n, k)
+    stack bases, with k in {1, 2, 3}.
 
     A body with vertex data (body.vrep) takes an exact path in every
-    dimension; other bodies have support-based paths for k = 1 and 2.
+    dimension; other bodies have support-based paths for k = 1 and 2.  The
+    k = 1 widths of a body without vertex data come from one support call on
+    the stacked rows (u_0, -u_0, u_1, -u_1, ...), whatever the sample count.
+    Those bodies (revolution, ball, translate) give each row the value it
+    gets alone, so every width is the one projection_volume gives its
+    subspace.  The other paths take one subspace per product: a polytope's
+    vertices @ u and the embedded support rows round their last ulp
+    differently with the row count.
     """
+    k = bases.shape[2]
+    vrep = body.vrep
+    if k == 1 and vrep is None:
+        return [(w, "exact-width") for w in antipodal_sums(body.support, bases[:, :, 0]).tolist()]
+    if k == 1:
+        heights = [vrep.vertices @ u for u in bases[:, :, 0]]
+        return [(float(h.max() - h.min()), "exact-width") for h in heights]
+    return [_subspace_volume(body, Subspace(basis), area_n) for basis in bases]
+
+
+def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
+    """(vol_k of body|sub, method): the one-subspace case of projection_volumes."""
+    return projection_volumes(body, sub.basis[None], area_n)[0]
+
+
+def _subspace_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
+    """(vol_k of body|sub, method) for k = sub.dim in {2, 3}."""
     k = sub.dim
     vrep = body.vrep
-    if k == 1:
-        u = sub.basis[:, 0]
-        if vrep is not None:
-            vals = vrep.vertices @ u
-            return float(vals.max() - vals.min()), "exact-width"
-        h = body.support(np.stack([u, -u]))
-        return float(h[0] + h[1]), "exact-width"
     if k == 2:
         if vrep is not None:
             return polygon_metrics(projection_polygon(vrep, sub))[0], "exact-polygon"

@@ -48,9 +48,14 @@ class SlabSpec:
 def max_slab_halfwidth(oracle: ConvexBodyOracle) -> float:
     """Largest t with t*ball strictly inside the body: min rho minus margin.
 
-    The minimum of the radial function is located on a 10,000-direction
-    grid and, in dimensions 2 and 3, refined locally.
+    A polytope's facet normals are unit and its origin is interior, so its
+    min rho is exactly its smallest facet offset.  For other bodies the
+    minimum of the radial function is located on a 10,000-direction grid
+    and, in dimensions 2 and 3, refined locally; that can only read above
+    the true minimum.
     """
+    if oracle.polytope is not None:
+        return float(oracle.polytope.offsets.min()) - 1e-9
     grid = 10_000
     dirs = sphere_grid(oracle.dim, grid)
     rho = np.asarray(oracle.radial(dirs), dtype=float)

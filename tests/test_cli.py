@@ -489,3 +489,19 @@ def test_parser_defaults():
         build_parser().parse_args(["lemma1", "--samples", "abc"])
     for argv in (["lemma1"], ["all"]):
         assert build_parser().parse_args(argv + ["--seed", str(2**64 - 1)]).seed == 2**64 - 1
+
+
+def test_byte_identity_commands_parse():
+    """Every command tools/byte_identity.py runs, its EXTRA list included,
+    parses as the tool passes it."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
+    spec = importlib.util.spec_from_file_location("_convexlab_byte_identity", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    argvs = tool.command_list()
+    assert [a for a in argvs if " ".join(a) in tool.EXTRA] == [m.split() for m in tool.EXTRA]
+    for argv in argvs:
+        args = build_parser().parse_args(argv + ["--seed", "7", "--out", "out"])
+        assert args.command == argv[0]

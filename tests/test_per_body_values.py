@@ -1,0 +1,105 @@
+"""Experiments evaluate each body once for all their samples: k = 1 widths
+and segments come from one stacked oracle call, and the slabs of one run
+share their parent's radial values on the fixed quadrature grids.  Every
+value must equal, with ==, the value its sample gets alone, and the shared
+calls must not grow with the sample count."""
+
+import dataclasses
+
+import pytest
+
+from convexlab.experiments import (_body_value, convergence_experiment, make_pair,
+                                   projections_experiment, sections_experiment,
+                                   slab_experiment)
+from convexlab.grassmann import RngStream, rowwise, sample_haar_bases
+from convexlab.transforms import SlabSpec, slab_oracle
+
+
+def _counting(oracle, method: str, rows: list):
+    """oracle, with `method` recording the row count of every call."""
+    fn = getattr(oracle, method)
+
+    @rowwise
+    def counted(x):
+        rows.append(x.shape[0])
+        return fn(x)
+
+    return dataclasses.replace(oracle, **{method: counted})
+
+
+@pytest.mark.parametrize("name, n", [("smooth", 3), ("smooth", 4), ("control-shifted", 3)])
+def test_k1_projections_equal_one_direction_widths(name, n):
+    pair = make_pair(name, n)
+    rng = RngStream(7, 40)
+    rep = projections_experiment(pair.oracle_K, pair.oracle_L, 1, 40, rng, 1e-8)
+    us = sample_haar_bases(n, 1, rng.substreams(40))[:, :, 0]
+    for s, u in zip(rep.samples, us, strict=True):
+        assert s.value_K == pair.oracle_K.support(u) + pair.oracle_K.support(-u)
+        assert s.value_L == pair.oracle_L.support(u) + pair.oracle_L.support(-u)
+
+
+def test_k1_sections_equal_one_direction_segments(smooth_pair):
+    K, L = smooth_pair.oracle_K, smooth_pair.oracle_L
+    rng = RngStream(7, 2)
+    rep = sections_experiment(K, L, 1, 1, 40, rng, 1e-8)
+    us = sample_haar_bases(3, 1, rng.substreams(40))[:, :, 0]
+    for s, u in zip(rep.samples, us, strict=True):
+        assert s.value_K == K.radial(u) + K.radial(-u)
+        assert s.value_L == L.radial(u) + L.radial(-u)
+
+
+@pytest.mark.parametrize("name, n, i", [
+    ("smooth", 2, 1), ("smooth", 2, 2), ("smooth", 3, 1), ("smooth", 3, 2),
+    ("smooth", 3, 3), ("control-shifted", 3, 3)])
+def test_slabs_equal_one_slab_values(name, n, i):
+    pair = make_pair(name, n)
+    rng = RngStream(7, 30 + i)
+    rep = slab_experiment(pair.oracle_K, pair.oracle_L, 0.5, i, 3, rng, 1e-3,
+                          vol_nodes=20_000)
+    xis = sample_haar_bases(n, 1, rng.substreams(3))[:, :, 0]
+    for s, xi in zip(rep.samples, xis, strict=True):
+        vk, sk, _ = _body_value(slab_oracle(pair.oracle_K, SlabSpec(xi, 0.5)), i, 20_000, 512)
+        vl, sl, _ = _body_value(slab_oracle(pair.oracle_L, SlabSpec(xi, 0.5)), i, 20_000, 512)
+        assert (s.value_K, s.value_L, s.stderr) == (vk, vl, sk + sl)
+
+
+def test_convergence_equals_one_slab_values(smooth_pair):
+    K = smooth_pair.oracle_K
+    xi = sample_haar_bases(3, 1, [RngStream(7, 5)])[0, :, 0]
+    ts = (0.4, 0.2, 0.1)
+    rep = convergence_experiment(K, xi, 2, ts)
+    for s, t in zip(rep.samples, ts, strict=True):
+        assert s.value_K == _body_value(slab_oracle(K, SlabSpec(xi, t)), 2, 100_000, 512)[0]
+
+
+def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):
+    """Whatever the sample count: one stacked support call per body for
+    k = 1 projections and one stacked radial call for k = 1 sections."""
+    for samples in (3, 9):
+        support, radial = [[], []], [[], []]
+        pair = [_counting(_counting(o, "support", support[b]), "radial", radial[b])
+                for b, o in enumerate((smooth_pair.oracle_K, smooth_pair.oracle_L))]
+        projections_experiment(*pair, 1, samples, RngStream(7, 4), 1e-8)
+        sections_experiment(*pair, 1, 1, samples, RngStream(7, 2), 1e-8)
+        assert support == [[2 * samples]] * 2
+        assert radial == [[2 * samples]] * 2
+
+
+@pytest.mark.parametrize("n, i, grids", [
+    (2, 1, {8192}),                 # the polyline's circle
+    (3, 1, {1024}),                 # support_from_radial's base grid
+    (3, 2, {20_000, 10_000}),       # hull_surface_v2
+    (3, 3, {4096, 2048}),           # volume_radial at vol_nodes = 4096
+])
+def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
+    pair = make_pair("smooth", n)
+    counts = []
+    for samples in (2, 5):
+        rows = []
+        parent = _counting(pair.oracle_K, "radial", rows)
+        slab_experiment(parent, pair.oracle_L, 0.5, i, samples, RngStream(7, 3), 1e-2,
+                        vol_nodes=4096)
+        counts.append(sorted(r for r in rows if r in grids))
+    # at i = 2 the count also holds max_slab_halfwidth's 10,000-direction grid
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == grids

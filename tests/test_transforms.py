@@ -261,3 +261,13 @@ def test_max_slab_halfwidth(polytope_pair, ellipsoid):
     c, s = math.cos(0.1234), math.sin(0.1234)
     ellipse = ellipsoid([2.0, 0.7], frame=[[c, -s], [s, c]])
     assert max_slab_halfwidth(ellipse) == pytest.approx(0.7 - 1e-9, abs=1e-10)
+
+
+def test_max_slab_halfwidth_of_a_polytope_is_its_smallest_offset(polytope_pair):
+    """Exact for polytopes; the radial grid-and-zoom search, which other
+    bodies use, can only read above it."""
+    box = oracle_of(HPolytope.box([1.3, 0.7, 2.0]))
+    for oracle in (polytope_pair.oracle_K, polytope_pair.oracle_L, box):
+        exact = max_slab_halfwidth(oracle)
+        assert exact == float(oracle.polytope.offsets.min()) - 1e-9
+        assert max_slab_halfwidth(replace(oracle, polytope=None)) >= exact

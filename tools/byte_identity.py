@@ -17,9 +17,11 @@ perfbench/workloads.py, and EXTRA: a fixed set of commands outside the
 suite and the benchmark that reach the smooth-body oracles (sections and
 slabs of the smooth pair above and below n = 3, lemma1 at n = 2 and 5, and
 k = 1 projections at n = 4), the exact V_1 and V_2 of 3-d polytope
-sections in R^4, or the translate radial of the shifted ball (3-d sections
-in R^4 and n = 3 slabs of `control-shifted`), with sample counts kept
-small.
+sections in R^4, the translate radial of the shifted ball (3-d sections
+in R^4 and n = 3 slabs of `control-shifted`), or the work that samples
+share within one run (slab grids at i = 1 and 2, convergence at i = 2,
+stacked k = 1 widths of the shifted ball and k = 1 segments of the smooth
+pair), with sample counts kept small.
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -61,6 +63,11 @@ EXTRA = (
     "sections --pair polytope --n 4 --k 3 --i 2 --samples 5",
     "sections --pair control-shifted --n 4 --k 3 --i 1 --samples 2",
     "slabs --pair control-shifted --i 1 --samples 2",
+    "slabs --pair smooth --i 1 --samples 2",
+    "slabs --pair smooth --i 2 --samples 2",
+    "convergence --pair smooth --i 2",
+    "projections --pair control-shifted --k 1 --samples 50",
+    "sections --pair smooth --k 1 --samples 50",
 )
 
 ORACLE_PARAMS = ((1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16), (2e-3, 0.05), (1e-3, 0.155))
