@@ -316,7 +316,7 @@ def _cut_region_empty(box: HPolytope, n1, off1, n2, off2) -> bool:
     """
     normals = np.vstack([box.normals, -np.atleast_2d(n1), -np.atleast_2d(n2)])
     offsets = np.concatenate([box.offsets, [-off1, -off2]])
-    verts, _ = _vertex_candidates(normals, offsets)
+    verts, _ = _vertex_candidates(normals[None], offsets[None])[0]
     return verts.shape[0] == 0
 
 

@@ -25,7 +25,8 @@ from .grassmann import RngStream, Subspace, rowwise, sample_haar_bases
 from .intrinsic import (POLYLINE_NODES, antipodal_sums, centroid_3d, hull_surface_v2,
                         mean_width_v1, planar_metrics_from_oracle, projection_volumes,
                         volume_radial)
-from .polykernel import poly3_intrinsic_volumes, polygon_by_angle, polygon_metrics
+from .polykernel import (poly3_intrinsic_volumes, polygon_by_angle, polygon_metrics,
+                         section_hpolytopes, slab_hpolytopes)
 from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                          slab_oracle, translate_oracle)
 
@@ -301,7 +302,11 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         # the estimator table has V_i for i < k only up to dimension 3
         raise ExperimentError(f"no section estimator for n={n}, k={k}, i={i}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
-    subs = [Subspace(b) for b in bases]
+    # Subspaces for the section oracles of bodies without a polytope, built
+    # once for K and L; polytope sections take the stack, which
+    # sample_haar_bases has checked
+    subs = ([Subspace(b) for b in bases]
+            if k > 1 and any(o.polytope is None for o in (oracle_K, oracle_L)) else [])
 
     def values(oracle):
         if k == 1:
@@ -311,9 +316,13 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
             else:  # polytope_radial rounds with the row count: one row per call
                 segs = [float(oracle.radial(u)) + float(oracle.radial(-u)) for u in us]
             return [(seg, 0.0, "exact-segment") for seg in segs]
+        if oracle.polytope is not None:
+            bodies = map(oracle_of, section_hpolytopes(oracle.polytope, bases))
+        else:
+            bodies = (section_oracle(oracle, sub) for sub in subs)
         # a child stream: sample j's own stream drew its subspace
-        return [_body_value(section_oracle(oracle, sub), i, None, 512,
-                            rng.substream(j).substream(0)) for j, sub in enumerate(subs)]
+        return [_body_value(body, i, None, 512, rng.substream(j).substream(0))
+                for j, body in enumerate(bodies)]
 
     return _paired_run("sections", oracle_K, oracle_L, bases, values, rng, tol,
                        {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
@@ -361,8 +370,10 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 
     Each body's radial on each fixed quadrature grid is evaluated once for
     all slab normals (_grid_memo), and each slab clips those values by its
-    own bounds; the per-sample products (th @ xi, a polytope's facets) keep
-    their shapes, so every value is the one its slab gets alone.
+    own bounds; the per-sample products (th @ xi) keep their shapes.  A
+    polytope's slabs are built and enumerated in stacks (slab_hpolytopes),
+    each product taken per slab.  So every value is the one its slab gets
+    alone.
     """
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= n:
@@ -376,6 +387,9 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     xis = sample_haar_bases(n, 1, rng.substreams(num_xi))[:, :, 0]
 
     def values(oracle):
+        if oracle.polytope is not None:
+            return [_body_value(oracle_of(p), i, vol_nodes, 512)
+                    for p in slab_hpolytopes(oracle.polytope, xis, t)]
         with _grid_memo(oracle) as parent:
             return [_body_value(slab_oracle(parent, SlabSpec(xi, t)), i, vol_nodes, 512)
                     for xi in xis]
@@ -396,9 +410,11 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
+    subs = [Subspace(b) for b in bases] if k > 1 else None  # built once for K and L
 
     def values(oracle):
-        return [(vol, 0.0, method) for vol, method in projection_volumes(oracle, bases, 8192)]
+        return [(vol, 0.0, method)
+                for vol, method in projection_volumes(oracle, bases, 8192, subs)]
 
     return _paired_run("projections", oracle_K, oracle_L, bases, values, rng, tol,
                        {"k": k})

@@ -295,9 +295,12 @@ def antipodal_sums(fn, us: np.ndarray) -> np.ndarray:
     return vals[0::2] + vals[1::2]
 
 
-def projection_volumes(body, bases: np.ndarray, area_n: int) -> list[tuple[float, str]]:
+def projection_volumes(body, bases: np.ndarray, area_n: int,
+                       subs: list[Subspace] | None = None) -> list[tuple[float, str]]:
     """(vol_k of body|V_j, method) for every n x k basis V_j of the (m, n, k)
-    stack bases, with k in {1, 2, 3}.
+    stack bases, with k in {1, 2, 3}.  subs, if given, are the Subspaces of
+    the k >= 2 bases, so a caller that projects several bodies on one stack
+    checks each basis once.
 
     A body with vertex data (body.vrep) takes an exact path in every
     dimension; other bodies have support-based paths for k = 1 and 2.  The
@@ -316,12 +319,14 @@ def projection_volumes(body, bases: np.ndarray, area_n: int) -> list[tuple[float
     if k == 1:
         heights = [vrep.vertices @ u for u in bases[:, :, 0]]
         return [(float(h.max() - h.min()), "exact-width") for h in heights]
-    return [_subspace_volume(body, Subspace(basis), area_n) for basis in bases]
+    if subs is None:
+        subs = [Subspace(basis) for basis in bases]
+    return [_subspace_volume(body, sub, area_n) for sub in subs]
 
 
 def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
     """(vol_k of body|sub, method): the one-subspace case of projection_volumes."""
-    return projection_volumes(body, sub.basis[None], area_n)[0]
+    return projection_volumes(body, sub.basis[None], area_n, [sub])[0]
 
 
 def _subspace_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:

@@ -1,13 +1,18 @@
 """Exact geometry for H-polytopes in dimension <= 4.
 
 Vertex enumeration is brute force over facet n-subsets: with at most ~16
-facets and n <= 4 that is at most C(16,4) = 1820 small linear systems,
-which beats any asymptotically clever method at this scale and keeps the
-results exact up to float rounding.
+facets and n <= 4 that is at most C(16,4) = 1820 small linear systems per
+polytope, which beats any asymptotically clever method at this scale and
+keeps the results exact up to float rounding.  enumerate_stack takes a
+stack of polytopes with the same facet count and runs every step as one
+batched call for the whole stack; its callers stack at most CHUNK
+polytopes, so a call solves at most CHUNK * 1820 systems.  A single
+polytope is the stack of one.
 
 Boundedness is decided exactly on the recession cone, by one batched SVD
-over (n-1)-subsets of facet normals.  A central section of a polytope is a
-polytope: section_hpolytope restricts the facets to the subspace, and its
+over (n-1)-subsets of facet normals.  A central section or a slab of a
+polytope is a polytope: section_hpolytopes restricts the facets to each
+subspace of a stack, slab_hpolytopes adds the two slab facets, and their
 vertices come from the same enumeration, so sections of any dimension get
 the exact machinery.
 
@@ -21,8 +26,9 @@ faces (Schneider, Convex Bodies, section 4.2).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,17 +39,43 @@ DEDUP_TOL = 1e-8      # vertices closer than this are numerical twins
 ACTIVE_TOL = 1e-9     # facet counts as active at a vertex within this; parallel
                       # facets whose offsets agree this closely are duplicates
 RECESSION_TOL = 1e-12  # <ray, normal> up to this counts as <= 0 (unit vectors)
+CHUNK = 16  # polytopes per enumerate_stack call from this module: bounds the
+            # (CHUNK, C(m, n), n, n) systems and the other per-call temporaries
 
 
 class PolytopeError(ValueError):
     """Raised for empty, unbounded, or structurally invalid polytopes."""
 
 
-def _duplicate_facets(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j, in row-major order, of facets that are the same
-    half-space: normals within 1e-12 and offsets within ACTIVE_TOL."""
-    i, j = np.nonzero((nrm @ nrm.T > 1.0 - 1e-12) & (np.abs(off[:, None] - off) <= ACTIVE_TOL))
-    return i[i < j], j[i < j]
+def _duplicate_facets(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index triples (s, i, j), i < j, in row-major order, of facets i and j
+    of polytope s of an (S, m, n), (S, m) stack that are the same
+    half-space: the cosine of their normals above 1 - 1e-12 (an angle below
+    about 1.4e-6 rad) and offsets within ACTIVE_TOL."""
+    s, i, j = np.nonzero((nrm @ nrm.transpose(0, 2, 1) > 1.0 - 1e-12)
+                         & (np.abs(off[:, :, None] - off[:, None, :]) <= ACTIVE_TOL))
+    upper = i < j
+    return s[upper], i[upper], j[upper]
+
+
+def _facet_fault(nrm: np.ndarray, off: np.ndarray) -> tuple[int, str] | None:
+    """(s, message) for the first polytope s of an (S, m, n), (S, m) stack
+    that fails HPolytope's facet checks, with the message it fails with
+    alone; None when every polytope passes."""
+    unit = np.all(np.abs(np.linalg.norm(nrm, axis=2) - 1.0) <= 1e-12, axis=1)
+    inside = np.all(off > 0.0, axis=1)
+    dup, first, second = _duplicate_facets(nrm, off)
+    bad = ~(unit & inside)
+    bad[dup] = True
+    if not bad.any():
+        return None
+    s = int(np.argmax(bad))
+    if not unit[s]:
+        return s, "facet normals must be unit vectors"
+    if not inside[s]:
+        return s, "all offsets must be positive (origin interior)"
+    d = int(np.searchsorted(dup, s))
+    return s, f"duplicate facets {first[d]} and {second[d]}"
 
 
 @dataclass(frozen=True)
@@ -52,7 +84,9 @@ class HPolytope:
 
     Normals are unit rows; offsets are strictly positive, so the origin is
     interior.  Bounded-ness is not checked here; enumerate_vertices does,
-    when vrep first enumerates the vertices.
+    when vrep first enumerates the vertices.  The sections and slabs of
+    section_hpolytopes and slab_hpolytopes are built with their vertices,
+    after enumerate_stack has run the same checks on a whole stack.
     """
 
     normals: np.ndarray
@@ -63,14 +97,9 @@ class HPolytope:
         off = np.ascontiguousarray(np.asarray(self.offsets, dtype=float))
         if nrm.ndim != 2 or off.ndim != 1 or nrm.shape[0] != off.shape[0]:
             raise PolytopeError("normals must be (m, n) and offsets (m,)")
-        lens = np.linalg.norm(nrm, axis=1)
-        if not np.all(np.abs(lens - 1.0) <= 1e-12):
-            raise PolytopeError("facet normals must be unit vectors")
-        if not np.all(off > 0.0):
-            raise PolytopeError("all offsets must be positive (origin interior)")
-        first, second = _duplicate_facets(nrm, off)
-        if first.size:
-            raise PolytopeError(f"duplicate facets {first[0]} and {second[0]}")
+        fault = _facet_fault(nrm[None], off[None])
+        if fault is not None:
+            raise PolytopeError(fault[1])
         nrm.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "normals", nrm)
@@ -155,36 +184,57 @@ class Polygon:
         object.__setattr__(self, "vertices", v)
 
 
-def _vertex_candidates(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All feasible basic solutions of {x : nrm x <= off}, lexicographically
-    sorted, and the (V, m) boolean matrix of facets active at each; may be
-    empty (no raising).  The half-spaces are not validated.
+@cache
+def _subsets(m: int, r: int) -> np.ndarray:
+    """The r-subsets of range(m) in lexicographic order, as a read-only
+    (C(m, r), r) index array."""
+    combos = list(itertools.combinations(range(m), r))
+    idx = np.array(combos, dtype=np.intp).reshape(len(combos), r)
+    idx.setflags(write=False)
+    return idx
 
-    A candidate within DEDUP_TOL of any earlier candidate (in facet-subset
-    order) is a twin and is dropped, so a cluster of twins keeps its first
-    member; in a chain of twins spanning more than DEDUP_TOL, the far end
-    is dropped too.
+
+def _vertex_candidates(nrm: np.ndarray, off: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each system {x : nrm_s x <= off_s} of an (S, m, n), (S, m) stack:
+    all its feasible basic solutions, lexicographically sorted, and the
+    (V, m) boolean matrix of facets active at each; may be empty (no
+    raising).  The half-spaces are not validated.
+
+    A candidate within DEDUP_TOL of any earlier candidate of its system (in
+    facet-subset order) is a twin and is dropped, so a cluster of twins
+    keeps its first member; in a chain of twins spanning more than
+    DEDUP_TOL, the far end is dropped too.  Every solve and product is taken
+    per system with a shape that does not depend on S, so a system gets the
+    same bits in any stack.
     """
-    m, n = nrm.shape
+    count, m, n = nrm.shape
     if m < n:
-        return np.zeros((0, n)), np.zeros((0, m), dtype=bool)
-    combos = np.array(list(itertools.combinations(range(m), n)))
-    mats = nrm[combos]                       # (C, n, n)
-    dets = np.abs(np.linalg.det(mats))
-    good = dets > 1e-10
-    pts = np.full((len(combos), n), np.nan)
-    if np.any(good):
-        pts[good] = np.linalg.solve(mats[good], off[combos[good]][..., None])[..., 0]
-    pts = pts[good & np.all(pts @ nrm.T <= off + FEAS_TOL, axis=1)]
-    near = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1) <= DEDUP_TOL
-    twin = np.tril(near, -1).any(axis=1)
-    verts = np.array(sorted(pts[~twin], key=tuple)).reshape(-1, n)
-    return verts, np.abs(verts @ nrm.T - off) <= ACTIVE_TOL
+        return [(np.zeros((0, n)), np.zeros((0, m), dtype=bool)) for _ in range(count)]
+    combos = _subsets(m, n)
+    mats = nrm[:, combos]                             # (S, C, n, n)
+    good = np.abs(np.linalg.det(mats)) > 1e-10
+    mats[~good] = np.eye(n)  # solved with the rest and dropped: LAPACK solves each alone
+    pts = np.linalg.solve(mats, off[:, combos, None])[..., 0]
+    del mats  # the largest temporary; the chunk size bounds it
+    dots = pts @ nrm.transpose(0, 2, 1)               # (S, C, m)
+    s, c = np.nonzero(good & np.all(dots <= off[:, None, :] + FEAS_TOL, axis=2))
+    pts, dots = pts[s, c], dots[s, c]                 # the feasible candidates
+    # packed per system; the NaN padding is near nothing
+    slot = np.arange(s.size) - np.searchsorted(s, s)
+    packed = np.full((count, slot.max(initial=-1) + 1, n), np.nan)
+    packed[s, slot] = pts
+    near = np.linalg.norm(packed[:, :, None] - packed[:, None], axis=-1) <= DEDUP_TOL
+    kept = ~np.tril(near, -1).any(axis=2)[s, slot]
+    s, verts = s[kept], pts[kept]
+    active = np.abs(dots[kept] - off[s]) <= ACTIVE_TOL
+    order = np.lexsort((*verts.T[::-1], s))           # by system, then lexicographic
+    ends = np.cumsum(np.bincount(s, minlength=count))[:-1]
+    return list(zip(np.split(verts[order], ends), np.split(active[order], ends)))
 
 
-def _is_bounded(poly: HPolytope) -> bool:
-    """Exact boundedness: with offsets > 0, {A x <= b} is bounded iff no
-    d != 0 has A d <= 0.
+def _is_bounded(nrm: np.ndarray) -> np.ndarray:
+    """Exact boundedness of each polytope of an (S, m, n) stack of normals:
+    with offsets > 0, {A x <= b} is bounded iff no d != 0 has A d <= 0.
 
     If rank A < n, a null direction of A is such a d.  Otherwise that
     recession cone is pointed, so if it is not {0} it has an extreme ray,
@@ -193,31 +243,106 @@ def _is_bounded(poly: HPolytope) -> bool:
     complete; a subset of lower rank yields some direction of its null
     space, which is a true recession direction whenever it passes.
     """
-    nrm = poly.normals
-    m, n = nrm.shape
-    if np.linalg.matrix_rank(nrm) < n:
-        return False
-    combos = list(itertools.combinations(range(m), n - 1))
-    rows = nrm[np.array(combos, dtype=int).reshape(len(combos), n - 1)]
-    rays = np.linalg.svd(rows)[2][:, -1, :]          # (C, n) null directions
-    slopes = rays @ nrm.T
-    recedes = (slopes.max(axis=1) <= RECESSION_TOL) | (slopes.min(axis=1) >= -RECESSION_TOL)
-    return not np.any(recedes)
+    count, m, n = nrm.shape
+    if m < n:
+        return np.zeros(count, dtype=bool)
+    rows = nrm[:, _subsets(m, n - 1)]                 # (S, C, n-1, n)
+    rays = np.linalg.svd(rows)[2][..., -1, :]         # (S, C, n) null directions
+    slopes = rays @ nrm.transpose(0, 2, 1)
+    recedes = (slopes.max(axis=2) <= RECESSION_TOL) | (slopes.min(axis=2) >= -RECESSION_TOL)
+    return (np.linalg.matrix_rank(nrm) == n) & ~recedes.any(axis=1)
+
+
+def _vreps(nrm: np.ndarray, off: np.ndarray) -> list[VRep]:
+    """The VReps of an (S, m, n), (S, m) stack of polytopes that pass
+    HPolytope's checks, after enumerate_vertices' checks; the first polytope
+    that fails raises the message it fails with alone."""
+    n = nrm.shape[2]
+    if n > 4:
+        raise PolytopeError("vertex enumeration supports ambient dimension <= 4")
+    if len(nrm) == 0:
+        return []
+    unbounded = ~_is_bounded(nrm)
+    if np.any(unbounded):
+        j = int(np.argmax(unbounded))
+        _vreps(nrm[:j], off[:j])  # an earlier polytope may fail a later check
+        raise PolytopeError("polytope is unbounded")
+    found = _vertex_candidates(nrm, off)
+    for verts, _ in found:
+        if verts.shape[0] == 0:
+            raise PolytopeError("polytope is empty")
+        if verts.shape[0] < n + 1:
+            raise PolytopeError(f"degenerate polytope: only {verts.shape[0]} vertices")
+    return [VRep(verts, active) for verts, active in found]
+
+
+def enumerate_stack(normals, offsets) -> list[VRep]:
+    """The VReps of S polytopes with the same facet count, given as (S, m, n)
+    normals and (S, m) offsets, in one batched pass.
+
+    Every polytope gets HPolytope's facet checks and enumerate_vertices'
+    checks, and the first that fails raises the message it raises alone.
+    The temporaries grow with S * C(m, n), so callers stack at most CHUNK
+    polytopes.
+    """
+    nrm = np.asarray(normals, dtype=float)
+    off = np.asarray(offsets, dtype=float)
+    if nrm.ndim != 3 or off.shape != nrm.shape[:2]:
+        raise PolytopeError("normals must be (S, m, n) and offsets (S, m)")
+    fault = _facet_fault(nrm, off)
+    if fault is not None:
+        j, message = fault
+        enumerate_stack(nrm[:j], off[:j])  # an earlier polytope may fail a later check
+        raise PolytopeError(message)
+    return _vreps(nrm, off)
 
 
 def enumerate_vertices(poly: HPolytope) -> VRep:
-    """Enumerate all vertices of a bounded H-polytope in dimension <= 4."""
-    n = poly.ambient_dim
-    if n > 4:
-        raise PolytopeError("vertex enumeration supports ambient dimension <= 4")
-    if not _is_bounded(poly):
-        raise PolytopeError("polytope is unbounded")
-    verts, active = _vertex_candidates(poly.normals, poly.offsets)
-    if verts.shape[0] == 0:
-        raise PolytopeError("polytope is empty")
-    if verts.shape[0] < n + 1:
-        raise PolytopeError(f"degenerate polytope: only {verts.shape[0]} vertices")
-    return VRep(verts, active)
+    """Enumerate all vertices of a bounded H-polytope in dimension <= 4: the
+    stack of one, whose facets HPolytope has checked."""
+    return _vreps(poly.normals[None], poly.offsets[None])[0]
+
+
+def _checked(normals: np.ndarray, offsets: np.ndarray, vrep: VRep) -> HPolytope:
+    """The HPolytope of read-only facets that passed its checks in
+    enumerate_stack, holding their vertices vrep; it checks nothing again."""
+    poly = object.__new__(HPolytope)
+    object.__setattr__(poly, "normals", normals)
+    object.__setattr__(poly, "offsets", offsets)
+    poly.__dict__["vrep"] = vrep
+    return poly
+
+
+def _hpolytopes(nrm: np.ndarray, off: np.ndarray, keep: np.ndarray) -> Iterator[HPolytope]:
+    """HPolytope(nrm[s][keep[s]], off[s][keep[s]]) for each s of an
+    (S, m0, n), (S, m0) stack, with its vertices, in order.
+
+    The stack is taken CHUNK polytopes at a time, and the polytopes of a
+    chunk with the same facet count go to one enumerate_stack call, whose
+    checks are the constructor's.  The first polytope that fails raises the
+    message it raises alone.  Only one chunk's polytopes are held here.
+    """
+    for lo in range(0, len(nrm), CHUNK):
+        c_nrm, c_off, c_keep = nrm[lo:lo + CHUNK], off[lo:lo + CHUNK], keep[lo:lo + CHUNK]
+        out = [None] * len(c_nrm)
+        counts = c_keep.sum(axis=1)
+        try:
+            # not np.unique: its first call adds 1.6 MB of resident memory
+            for m in np.flatnonzero(np.bincount(counts)):
+                members = np.flatnonzero(counts == m)
+                sel = c_keep[members]
+                g_nrm = c_nrm[members][sel].reshape(len(members), m, nrm.shape[2])
+                g_off = c_off[members][sel].reshape(len(members), m)
+                g_nrm.setflags(write=False)
+                g_off.setflags(write=False)
+                for t, vrep in enumerate(enumerate_stack(g_nrm, g_off)):
+                    out[members[t]] = _checked(g_nrm[t], g_off[t], vrep)
+        except PolytopeError:
+            if np.any(counts != counts[0]):  # counts ran out of order: find the first failure
+                for s in range(len(c_nrm)):
+                    next(_hpolytopes(c_nrm[s:s + 1], c_off[s:s + 1], c_keep[s:s + 1]))
+            raise
+        yield from out
 
 
 @rowwise
@@ -229,24 +354,49 @@ def polytope_radial(poly: HPolytope, dirs) -> np.ndarray | float:
     return ratios.min(axis=1)
 
 
-def section_hpolytope(poly: HPolytope, subspace) -> HPolytope:
-    """Exact H-representation of the central section P cap span(B), in
-    subspace coordinates.
+def section_hpolytopes(poly: HPolytope, bases) -> Iterator[HPolytope]:
+    """Exact H-representations of the central sections P cap span(B_j) for
+    an (S, n, k) stack of orthonormal bases B_j, in subspace coordinates,
+    with their vertices; built and enumerated CHUNK sections at a time, as
+    the iterator is consumed.
 
     Substituting x = B y turns each facet into <y, B^T normal> <= offset;
     facets orthogonal to the subspace drop out (their constraint holds
     automatically since offsets are positive), and facets that meet the
-    subspace in the same hyperplane of it are kept once.
+    subspace in the same hyperplane of it are kept once.  The facet product
+    is taken per basis, so a section gets the same bits in any stack.
     """
-    if subspace.ambient_dim != poly.ambient_dim:
+    bases = np.asarray(bases, dtype=float)
+    if bases.ndim != 3 or bases.shape[1] != poly.ambient_dim:
         raise ValueError("subspace ambient dimension must match the polytope")
-    ms = poly.normals @ subspace.basis
-    lens = np.linalg.norm(ms, axis=1)
-    live = lens > 1e-12
-    nrm, off = ms[live] / lens[live, None], poly.offsets[live] / lens[live]
-    keep = np.ones(len(off), dtype=bool)
-    keep[_duplicate_facets(nrm, off)[1]] = False  # the later facet of each pair
-    return HPolytope(nrm[keep], off[keep])
+    ms = poly.normals @ bases                         # (S, m, k)
+    lens = np.linalg.norm(ms, axis=2)
+    keep = lens > 1e-12
+    # the dropped rows stay zero, so they duplicate nothing
+    nrm = np.divide(ms, lens[..., None], out=np.zeros_like(ms), where=keep[..., None])
+    off = np.divide(poly.offsets, lens, out=np.zeros_like(lens), where=keep)
+    dup, _, second = _duplicate_facets(nrm, off)
+    keep[dup, second] = False  # the later facet of each pair
+    return _hpolytopes(nrm, off, keep)
+
+
+def section_hpolytope(poly: HPolytope, subspace) -> HPolytope:
+    """The section of section_hpolytopes for one subspace."""
+    return next(section_hpolytopes(poly, subspace.basis[None]))
+
+
+def slab_hpolytopes(poly: HPolytope, xis, t: float) -> Iterator[HPolytope]:
+    """poly clipped to the origin-symmetric slab {x : |<x, xi>| <= t} for
+    each unit row xi of xis, with its vertices: the facets of poly followed
+    by (xi, t) and (-xi, t).  Built and enumerated CHUNK slabs at a time, as
+    the iterator is consumed."""
+    xis = np.asarray(xis, dtype=float)
+    count, (m, n) = len(xis), poly.normals.shape
+    nrm = np.concatenate([np.broadcast_to(poly.normals, (count, m, n)),
+                          xis[:, None], -xis[:, None]], axis=1)
+    off = np.concatenate([np.broadcast_to(poly.offsets, (count, m)),
+                          np.full((count, 2), float(t))], axis=1)
+    return _hpolytopes(nrm, off, np.ones((count, m + 2), dtype=bool))
 
 
 def polygon_by_angle(vertices) -> Polygon:

@@ -18,7 +18,7 @@ import numpy as np
 from .bodies import BodyError, ConvexBodyOracle, _safeguarded_newton, oracle_of
 from .grassmann import Subspace, embed, rowwise
 from .intrinsic import _zoom_extremum, sphere_grid, support_from_radial
-from .polykernel import section_hpolytope
+from .polykernel import section_hpolytope, slab_hpolytopes
 
 SECTION_SUPPORT_TOL = 1e-6
 SLAB_SUPPORT_TOL = 1e-6  # support maximizers can sit on the slab rim (a kink)
@@ -106,8 +106,7 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     if slab.xi.shape != (body.dim,):
         raise BodyError("slab normal dimension must match the body")
     if body.polytope is not None:
-        return oracle_of(body.polytope.with_facets(
-            np.vstack([slab.xi, -slab.xi]), [slab.half_width, slab.half_width]))
+        return oracle_of(next(slab_hpolytopes(body.polytope, slab.xi[None], slab.half_width)))
 
     xi, t = slab.xi, slab.half_width
 

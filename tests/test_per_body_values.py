@@ -1,18 +1,21 @@
 """Experiments evaluate each body once for all their samples: k = 1 widths
-and segments come from one stacked oracle call, and the slabs of one run
-share their parent's radial values on the fixed quadrature grids.  Every
-value must equal, with ==, the value its sample gets alone, and the shared
-calls must not grow with the sample count."""
+and segments come from one stacked oracle call, the slabs of one run
+share their parent's radial values on the fixed quadrature grids, the
+sections and slabs of a polytope are enumerated in stacks, and each
+projection basis is checked once for both bodies.  Every value must equal,
+with ==, the value its sample gets alone, and the shared calls must not
+grow with the sample count."""
 
 import dataclasses
 
 import pytest
 
+from convexlab import grassmann, polykernel
 from convexlab.experiments import (_body_value, convergence_experiment, make_pair,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
-from convexlab.grassmann import RngStream, rowwise, sample_haar_bases
-from convexlab.transforms import SlabSpec, slab_oracle
+from convexlab.grassmann import RngStream, Subspace, rowwise, sample_haar_bases
+from convexlab.transforms import SlabSpec, section_oracle, slab_oracle
 
 
 def _counting(oracle, method: str, rows: list):
@@ -50,7 +53,7 @@ def test_k1_sections_equal_one_direction_segments(smooth_pair):
 
 @pytest.mark.parametrize("name, n, i", [
     ("smooth", 2, 1), ("smooth", 2, 2), ("smooth", 3, 1), ("smooth", 3, 2),
-    ("smooth", 3, 3), ("control-shifted", 3, 3)])
+    ("smooth", 3, 3), ("control-shifted", 3, 3), ("polytope", 3, 1), ("polytope", 3, 3)])
 def test_slabs_equal_one_slab_values(name, n, i):
     pair = make_pair(name, n)
     rng = RngStream(7, 30 + i)
@@ -61,6 +64,18 @@ def test_slabs_equal_one_slab_values(name, n, i):
         vk, sk, _ = _body_value(slab_oracle(pair.oracle_K, SlabSpec(xi, 0.5)), i, 20_000, 512)
         vl, sl, _ = _body_value(slab_oracle(pair.oracle_L, SlabSpec(xi, 0.5)), i, 20_000, 512)
         assert (s.value_K, s.value_L, s.stderr) == (vk, vl, sk + sl)
+
+
+@pytest.mark.parametrize("n, k, i", [(3, 2, 1), (3, 2, 2), (4, 2, 2), (4, 3, 1), (4, 3, 3)])
+def test_polytope_sections_equal_one_section_values(n, k, i):
+    pair = make_pair("polytope", n)
+    rng = RngStream(7, 20 + k)
+    rep = sections_experiment(pair.oracle_K, pair.oracle_L, k, i, 60, rng, 1e-9)
+    bases = sample_haar_bases(n, k, rng.substreams(60))
+    for s, basis in zip(rep.samples, bases, strict=True):
+        vk = _body_value(section_oracle(pair.oracle_K, Subspace(basis)), i, None, 512)[0]
+        vl = _body_value(section_oracle(pair.oracle_L, Subspace(basis)), i, None, 512)[0]
+        assert (s.value_K, s.value_L) == (vk, vl)
 
 
 def test_convergence_equals_one_slab_values(smooth_pair):
@@ -103,3 +118,38 @@ def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
     # at i = 2 the count also holds max_slab_halfwidth's 10,000-direction grid
     assert counts[0] == counts[1]
     assert set(counts[0]) == grids
+
+
+@pytest.mark.parametrize("run", ["sections-k2", "sections-k3", "slabs"])
+def test_polytope_runs_enumerate_in_stacks(run, monkeypatch):
+    """A polytope section or slab run of S samples makes ceil(S / CHUNK)
+    stacked enumerations per body, CHUNK polytopes at most each, and
+    enumerates no section or slab one at a time."""
+    pair = make_pair("polytope", 4 if run == "sections-k3" else 3)
+    stacks, singles = [], []
+    enumerate_stack, enumerate_vertices = polykernel.enumerate_stack, polykernel.enumerate_vertices
+    monkeypatch.setattr(polykernel, "enumerate_stack",
+                        lambda nrm, off: stacks.append(len(nrm)) or enumerate_stack(nrm, off))
+    monkeypatch.setattr(polykernel, "enumerate_vertices",
+                        lambda poly: singles.append(poly) or enumerate_vertices(poly))
+    chunk = polykernel.CHUNK
+    K, L, rng = pair.oracle_K, pair.oracle_L, RngStream(7, 6)
+    if run == "slabs":
+        slab_experiment(K, L, 0.5, 2, 2 * chunk + 3, rng, 1e-9)
+    else:
+        sections_experiment(K, L, int(run[-1]), 2, 2 * chunk + 3, rng, 1e-9)
+    assert stacks == [chunk, chunk, 3] * 2
+    assert singles == []
+
+
+@pytest.mark.parametrize("name, k", [("polytope", 2), ("smooth", 2), ("polytope", 3)])
+def test_projection_bases_are_checked_once_per_experiment(name, k, monkeypatch):
+    """One stacked check in sample_haar_bases, then one Subspace per basis,
+    shared by K and L."""
+    pair = make_pair(name, 4 if k == 3 else 3)
+    checks = []
+    check = grassmann._check_orthonormal
+    monkeypatch.setattr(grassmann, "_check_orthonormal",
+                        lambda bases: checks.append(len(bases)) or check(bases))
+    projections_experiment(pair.oracle_K, pair.oracle_L, k, 7, RngStream(7, 8), 1e-6)
+    assert checks == [7] + [1] * 7

@@ -159,7 +159,7 @@ def _random_hpolytopes(n: int, count: int, seed: int):
 def test_is_bounded_agrees_with_linear_programming(n):
     verdicts = []
     for poly in _random_hpolytopes(n, 60, seed=40):
-        verdicts.append(_is_bounded(poly))
+        verdicts.append(bool(_is_bounded(poly.normals[None])[0]))
         assert verdicts[-1] == _bounded_by_lp(poly), (poly.normals, poly.offsets)
     assert any(verdicts) and not all(verdicts)
 

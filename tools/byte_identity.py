@@ -21,7 +21,9 @@ sections in R^4, the translate radial of the shifted ball (3-d sections
 in R^4 and n = 3 slabs of `control-shifted`), or the work that samples
 share within one run (slab grids at i = 1 and 2, convergence at i = 2,
 stacked k = 1 widths of the shifted ball and k = 1 segments of the smooth
-pair), with sample counts kept small.
+pair), with sample counts kept small; and polytope sections and slabs with
+hundreds to thousands of samples, whose stacked vertex enumeration makes
+thousands of feasibility, twin and incidence tests against thresholds.
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -68,6 +70,11 @@ EXTRA = (
     "convergence --pair smooth --i 2",
     "projections --pair control-shifted --k 1 --samples 50",
     "sections --pair smooth --k 1 --samples 50",
+    "sections --pair polytope --k 2 --i 1 --samples 2000",
+    "sections --pair polytope --n 4 --k 3 --i 3 --samples 300",
+    "slabs --pair polytope --i 1 --samples 500",
+    "slabs --pair polytope --i 3 --samples 500",
+    "sections --pair control-rotated --n 4 --k 2 --samples 500",
 )
 
 ORACLE_PARAMS = ((1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16), (2e-3, 0.05), (1e-3, 0.155))
