@@ -410,7 +410,7 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
-    subs = [Subspace(b) for b in bases] if k > 1 else None  # built once for K and L
+    subs = [Subspace(b) for b in bases] if k > 1 else []  # built once for K and L
 
     def values(oracle):
         return [(vol, 0.0, method)

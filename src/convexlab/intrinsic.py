@@ -296,11 +296,11 @@ def antipodal_sums(fn, us: np.ndarray) -> np.ndarray:
 
 
 def projection_volumes(body, bases: np.ndarray, area_n: int,
-                       subs: list[Subspace] | None = None) -> list[tuple[float, str]]:
+                       subs: list[Subspace]) -> list[tuple[float, str]]:
     """(vol_k of body|V_j, method) for every n x k basis V_j of the (m, n, k)
-    stack bases, with k in {1, 2, 3}.  subs, if given, are the Subspaces of
-    the k >= 2 bases, so a caller that projects several bodies on one stack
-    checks each basis once.
+    stack bases, with k in {1, 2, 3}.  For k >= 2, subs are the Subspaces of
+    the bases, so a caller that projects several bodies on one stack checks
+    each basis once; k = 1 reads the bases alone and ignores subs.
 
     A body with vertex data (body.vrep) takes an exact path in every
     dimension; other bodies have support-based paths for k = 1 and 2.  The
@@ -319,8 +319,6 @@ def projection_volumes(body, bases: np.ndarray, area_n: int,
     if k == 1:
         heights = [vrep.vertices @ u for u in bases[:, :, 0]]
         return [(float(h.max() - h.min()), "exact-width") for h in heights]
-    if subs is None:
-        subs = [Subspace(basis) for basis in bases]
     return [_subspace_volume(body, sub, area_n) for sub in subs]
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
 import numpy as np
@@ -58,10 +58,10 @@ def _duplicate_facets(nrm: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, ...
     return s[upper], i[upper], j[upper]
 
 
-def _facet_fault(nrm: np.ndarray, off: np.ndarray) -> tuple[int, str] | None:
-    """(s, message) for the first polytope s of an (S, m, n), (S, m) stack
-    that fails HPolytope's facet checks, with the message it fails with
-    alone; None when every polytope passes."""
+def _facet_fault(nrm: np.ndarray, off: np.ndarray) -> str | None:
+    """The message the first polytope of an (S, m, n), (S, m) stack that
+    fails HPolytope's facet checks fails with alone; None when every
+    polytope passes."""
     unit = np.all(np.abs(np.linalg.norm(nrm, axis=2) - 1.0) <= 1e-12, axis=1)
     inside = np.all(off > 0.0, axis=1)
     dup, first, second = _duplicate_facets(nrm, off)
@@ -71,11 +71,11 @@ def _facet_fault(nrm: np.ndarray, off: np.ndarray) -> tuple[int, str] | None:
         return None
     s = int(np.argmax(bad))
     if not unit[s]:
-        return s, "facet normals must be unit vectors"
+        return "facet normals must be unit vectors"
     if not inside[s]:
-        return s, "all offsets must be positive (origin interior)"
+        return "all offsets must be positive (origin interior)"
     d = int(np.searchsorted(dup, s))
-    return s, f"duplicate facets {first[d]} and {second[d]}"
+    return f"duplicate facets {first[d]} and {second[d]}"
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,24 @@ class HPolytope:
             raise PolytopeError("normals must be (m, n) and offsets (m,)")
         fault = _facet_fault(nrm[None], off[None])
         if fault is not None:
-            raise PolytopeError(fault[1])
+            raise PolytopeError(fault)
         nrm.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "normals", nrm)
         object.__setattr__(self, "offsets", off)
+
+    @classmethod
+    def _with_vrep(cls, normals: np.ndarray, offsets: np.ndarray, vrep: "VRep") -> "HPolytope":
+        """The HPolytope of read-only float normals and offsets that
+        enumerate_stack has checked, holding their vertices vrep; nothing is
+        checked again.  A field other than normals and offsets is a KeyError
+        here, not a half-built polytope."""
+        poly = object.__new__(cls)
+        given = {"normals": normals, "offsets": offsets}
+        for f in fields(cls):
+            object.__setattr__(poly, f.name, given[f.name])
+        poly.__dict__["vrep"] = vrep  # the cached_property's slot
+        return poly
 
     @property
     def ambient_dim(self) -> int:
@@ -228,8 +241,9 @@ def _vertex_candidates(nrm: np.ndarray, off: np.ndarray) -> list[tuple[np.ndarra
     s, verts = s[kept], pts[kept]
     active = np.abs(dots[kept] - off[s]) <= ACTIVE_TOL
     order = np.lexsort((*verts.T[::-1], s))           # by system, then lexicographic
-    ends = np.cumsum(np.bincount(s, minlength=count))[:-1]
-    return list(zip(np.split(verts[order], ends), np.split(active[order], ends)))
+    verts, active = verts[order], active[order]
+    bounds = [0, *np.cumsum(np.bincount(s, minlength=count)).tolist()]
+    return [(verts[lo:hi], active[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _is_bounded(nrm: np.ndarray) -> np.ndarray:
@@ -255,17 +269,14 @@ def _is_bounded(nrm: np.ndarray) -> np.ndarray:
 
 def _vreps(nrm: np.ndarray, off: np.ndarray) -> list[VRep]:
     """The VReps of an (S, m, n), (S, m) stack of polytopes that pass
-    HPolytope's checks, after enumerate_vertices' checks; the first polytope
-    that fails raises the message it fails with alone."""
+    HPolytope's checks, after enumerate_vertices' checks; a polytope that
+    fails raises the message it fails with alone."""
     n = nrm.shape[2]
     if n > 4:
         raise PolytopeError("vertex enumeration supports ambient dimension <= 4")
     if len(nrm) == 0:
         return []
-    unbounded = ~_is_bounded(nrm)
-    if np.any(unbounded):
-        j = int(np.argmax(unbounded))
-        _vreps(nrm[:j], off[:j])  # an earlier polytope may fail a later check
+    if not np.all(_is_bounded(nrm)):
         raise PolytopeError("polytope is unbounded")
     found = _vertex_candidates(nrm, off)
     for verts, _ in found:
@@ -281,9 +292,10 @@ def enumerate_stack(normals, offsets) -> list[VRep]:
     normals and (S, m) offsets, in one batched pass.
 
     Every polytope gets HPolytope's facet checks and enumerate_vertices'
-    checks, and the first that fails raises the message it raises alone.
-    The temporaries grow with S * C(m, n), so callers stack at most CHUNK
-    polytopes.
+    checks, one check at a time for the whole stack, so a failing polytope
+    raises the message it raises alone; of several failing polytopes, the
+    first to fail the earliest check raises.  The temporaries grow with
+    S * C(m, n), so callers stack at most CHUNK polytopes.
     """
     nrm = np.asarray(normals, dtype=float)
     off = np.asarray(offsets, dtype=float)
@@ -291,9 +303,7 @@ def enumerate_stack(normals, offsets) -> list[VRep]:
         raise PolytopeError("normals must be (S, m, n) and offsets (S, m)")
     fault = _facet_fault(nrm, off)
     if fault is not None:
-        j, message = fault
-        enumerate_stack(nrm[:j], off[:j])  # an earlier polytope may fail a later check
-        raise PolytopeError(message)
+        raise PolytopeError(fault)
     return _vreps(nrm, off)
 
 
@@ -303,44 +313,38 @@ def enumerate_vertices(poly: HPolytope) -> VRep:
     return _vreps(poly.normals[None], poly.offsets[None])[0]
 
 
-def _checked(normals: np.ndarray, offsets: np.ndarray, vrep: VRep) -> HPolytope:
-    """The HPolytope of read-only facets that passed its checks in
-    enumerate_stack, holding their vertices vrep; it checks nothing again."""
-    poly = object.__new__(HPolytope)
-    object.__setattr__(poly, "normals", normals)
-    object.__setattr__(poly, "offsets", offsets)
-    poly.__dict__["vrep"] = vrep
-    return poly
+def _stack_members(nrm: np.ndarray, off: np.ndarray, keep: np.ndarray) -> list[HPolytope]:
+    """HPolytope(nrm[s][keep[s]], off[s][keep[s]]) for each s of an
+    (S, m0, n), (S, m0) stack, with its vertices: the polytopes with the
+    same facet count go to one enumerate_stack call, whose checks are the
+    constructor's."""
+    out = [None] * len(nrm)
+    counts = keep.sum(axis=1)
+    # not np.unique: its first call adds 1.6 MB of resident memory
+    for m in np.flatnonzero(np.bincount(counts)):
+        members = np.flatnonzero(counts == m)
+        sel = keep[members]
+        g_nrm = nrm[members][sel].reshape(len(members), m, nrm.shape[2])
+        g_off = off[members][sel].reshape(len(members), m)
+        g_nrm.setflags(write=False)
+        g_off.setflags(write=False)
+        for t, vrep in enumerate(enumerate_stack(g_nrm, g_off)):
+            out[members[t]] = HPolytope._with_vrep(g_nrm[t], g_off[t], vrep)
+    return out
 
 
 def _hpolytopes(nrm: np.ndarray, off: np.ndarray, keep: np.ndarray) -> Iterator[HPolytope]:
-    """HPolytope(nrm[s][keep[s]], off[s][keep[s]]) for each s of an
-    (S, m0, n), (S, m0) stack, with its vertices, in order.
-
-    The stack is taken CHUNK polytopes at a time, and the polytopes of a
-    chunk with the same facet count go to one enumerate_stack call, whose
-    checks are the constructor's.  The first polytope that fails raises the
-    message it raises alone.  Only one chunk's polytopes are held here.
-    """
+    """The polytopes of _stack_members, CHUNK at a time, in order; only one
+    chunk's polytopes are held here.  When a chunk fails, its members are
+    built again one at a time, so the first failing polytope raises the
+    message it raises alone, as when each sample builds its own."""
     for lo in range(0, len(nrm), CHUNK):
-        c_nrm, c_off, c_keep = nrm[lo:lo + CHUNK], off[lo:lo + CHUNK], keep[lo:lo + CHUNK]
-        out = [None] * len(c_nrm)
-        counts = c_keep.sum(axis=1)
+        part = slice(lo, lo + CHUNK)
         try:
-            # not np.unique: its first call adds 1.6 MB of resident memory
-            for m in np.flatnonzero(np.bincount(counts)):
-                members = np.flatnonzero(counts == m)
-                sel = c_keep[members]
-                g_nrm = c_nrm[members][sel].reshape(len(members), m, nrm.shape[2])
-                g_off = c_off[members][sel].reshape(len(members), m)
-                g_nrm.setflags(write=False)
-                g_off.setflags(write=False)
-                for t, vrep in enumerate(enumerate_stack(g_nrm, g_off)):
-                    out[members[t]] = _checked(g_nrm[t], g_off[t], vrep)
+            out = _stack_members(nrm[part], off[part], keep[part])
         except PolytopeError:
-            if np.any(counts != counts[0]):  # counts ran out of order: find the first failure
-                for s in range(len(c_nrm)):
-                    next(_hpolytopes(c_nrm[s:s + 1], c_off[s:s + 1], c_keep[s:s + 1]))
+            for s in range(lo, min(lo + CHUNK, len(nrm))):
+                _stack_members(nrm[s:s + 1], off[s:s + 1], keep[s:s + 1])
             raise
         yield from out
 

@@ -3,6 +3,7 @@ the facets, vertices and incidence matrix the one-polytope path gives it,
 and a failing member raises the message it raises alone."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -125,14 +126,15 @@ def test_a_failing_member_raises_its_own_message(kind):
 
 def test_the_first_failing_member_raises_whatever_its_check():
     # member 1 fails enumeration and member 3 the facet checks: member 1
-    # raises, as it does when the members are enumerated one by one
+    # raises, as it does when the members are built one by one
     members = [(TRIANGLE, None), BAD["degenerate"], (TRIANGLE, None), BAD["duplicate"]]
     normals = np.stack([m[0][0] for m in members])
     offsets = np.stack([m[0][1] for m in members])
+    keep = np.ones((4, 3), dtype=bool)
     with pytest.raises(PolytopeError) as err:
-        enumerate_stack(normals, offsets)
+        list(_hpolytopes(normals, offsets, keep))
     assert str(err.value) == BAD["degenerate"][1]
-    assert len(enumerate_stack(normals[[0, 2]], offsets[[0, 2]])) == 2
+    assert len(list(_hpolytopes(normals[[0, 2]], offsets[[0, 2]], keep[[0, 2]]))) == 2
 
 
 def test_groups_of_facet_counts_raise_the_first_failing_member():
@@ -149,3 +151,16 @@ def test_groups_of_facet_counts_raise_the_first_failing_member():
         list(_hpolytopes(nrm, off, keep))
     with pytest.raises(PolytopeError, match="^degenerate polytope: only 1 vertices$"):
         list(_hpolytopes(nrm[[0, 2]], off[[0, 2]], keep[[0, 2]]))
+
+
+def test_a_stacked_polytope_is_built_like_a_checked_one():
+    body = build_polytope_pair([1.0, 1.2, 1.5], [1, 1, 1], [1, 1, -1], 0.4).body_K
+    bases = sample_haar_bases(3, 2, RngStream(3, 2).substreams(2))
+    for sec in section_hpolytopes(body, bases):
+        fresh = HPolytope(sec.normals, sec.offsets)
+        for f in fields(HPolytope):
+            ours, theirs = getattr(sec, f.name), getattr(fresh, f.name)
+            assert type(ours) is type(theirs) and ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes() and not ours.flags.writeable
+        assert fresh.vrep.num_vertices == sec.vrep.num_vertices  # fills the cached property
+        assert vars(sec).keys() == vars(fresh).keys()
