@@ -95,6 +95,12 @@ class RevolutionBodySpec:
         if self.variant not in ("K", "L"):
             raise BodyError("variant must be 'K' or 'L'")
 
+    def bump_edges(self) -> tuple[float, ...]:
+        """The profile arguments where a bump of either variant starts or
+        ends: the profile is smooth there but not analytic."""
+        s, v, d = self.CENTER_SHARED, self.CENTER_VARIANT, self.delta
+        return (s - d, s + d, v - d, v + d, -v - d, -v + d)
+
     def partner(self) -> "RevolutionBodySpec":
         other = "L" if self.variant == "K" else "K"
         return RevolutionBodySpec(self.n, self.epsilon, self.delta, other)
@@ -264,25 +270,35 @@ def revolution_radial(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
     return r
 
 
-@rowwise
-def revolution_support(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
-    """Support function h(xi) = max_t [ |xi'| f(t) + xi_n t ] over t in [-1, 1].
+def revolution_maximiser(spec: RevolutionBodySpec, xp: np.ndarray,
+                         xn: np.ndarray) -> np.ndarray:
+    """The profile argument t in [-1, 1] that maximises xp f(t) + xn t, for
+    each row of the 1-d arrays xp >= 0 and xn.
 
-    The objective is strictly concave for |xi'| > 0 (f'' < 0), so its
-    stationary point |xi'| f'(t) + xi_n = 0 is found by safeguarded Newton,
-    starting from the spherical cap's maximiser t = xi_n/|xi|.  The
-    endpoints t = +-1 are the poles, where f = 0, so they give |xi_n|.
+    The objective is strictly concave for xp > 0 (f'' < 0), so its
+    stationary point xp f'(t) + xn = 0 is found by safeguarded Newton,
+    starting from the spherical cap's maximiser t = xn/|(xp, xn)|.  A row
+    with xp = 0 stays at its pole t = sign(xn).  Each row's result does not
+    depend on the batch it arrives in.
     """
-    xn = dirs[:, -1]
-    xp = np.linalg.norm(dirs[:, :-1], axis=1)
-
     def falling_slope(t, xp, xn):
         _, df, d2f = _profile_terms(spec, t, 2)
         return -(xp * df + xn), -xp * d2f
 
     t0 = xn / np.maximum(np.hypot(xp, xn), 1e-300)
-    t = _safeguarded_newton(falling_slope, t0, np.full_like(xn, -1.0),
-                            np.ones_like(xn), xp, xn)
+    return _safeguarded_newton(falling_slope, t0, np.full_like(xn, -1.0),
+                               np.ones_like(xn), xp, xn)
+
+
+@rowwise
+def revolution_support(spec: RevolutionBodySpec, dirs) -> np.ndarray | float:
+    """Support function h(xi) = max_t [ |xi'| f(t) + xi_n t ] over t in [-1, 1],
+    at the maximiser of revolution_maximiser.  The endpoints t = +-1 are the
+    poles, where f = 0, so they give |xi_n|.
+    """
+    xn = dirs[:, -1]
+    xp = np.linalg.norm(dirs[:, :-1], axis=1)
+    t = revolution_maximiser(spec, xp, xn)
     return np.maximum(xp * _profile_terms(spec, t, 0)[0] + xn * t, np.abs(xn))
 
 

@@ -24,7 +24,7 @@ from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
 from .grassmann import RngStream, Subspace, rowwise, sample_haar_bases
 from .intrinsic import (POLYLINE_NODES, antipodal_sums, centroid_3d, hull_surface_v2,
                         mean_width_v1, planar_metrics_from_oracle, projection_volumes,
-                        volume_radial)
+                        revolution_section_volumes, volume_radial)
 from .polykernel import (poly3_intrinsic_volumes, polygon_by_angle, polygon_metrics,
                          section_hpolytopes, slab_hpolytopes)
 from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
@@ -294,19 +294,27 @@ def _body_value(body: ConvexBodyOracle, i: int, vol_nodes: int | None,
 def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                         k: int, i: int, num_h: int, rng: RngStream,
                         tol: float) -> ExperimentReport:
-    """V_i(K cap H) vs V_i(L cap H) over Haar-random k-subspaces H."""
+    """V_i(K cap H) vs V_i(L cap H) over Haar-random k-subspaces H.
+
+    For k >= 2, a body of revolution takes the profile quadrature of
+    revolution_section_volumes for all samples at once, and a polytope its
+    stacked exact sections; other bodies go through the estimator table of
+    _body_value, one section oracle per sample.
+    """
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= k <= n - 1:
         raise ExperimentError(f"need 1 <= i <= k <= n-1, got i={i}, k={k}, n={n}")
-    if k >= 4 and i < k:
+    pair = (oracle_K, oracle_L)
+    if k >= 4 and i < k and any(o.revolution is None for o in pair):
         # the estimator table has V_i for i < k only up to dimension 3
         raise ExperimentError(f"no section estimator for n={n}, k={k}, i={i}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
-    # Subspaces for the section oracles of bodies without a polytope, built
-    # once for K and L; polytope sections take the stack, which
+    # Subspaces for the section oracles of the other bodies, built once for
+    # K and L; polytope and revolution sections take the stack, which
     # sample_haar_bases has checked
     subs = ([Subspace(b) for b in bases]
-            if k > 1 and any(o.polytope is None for o in (oracle_K, oracle_L)) else [])
+            if k > 1 and any(o.polytope is None and o.revolution is None for o in pair)
+            else [])
 
     def values(oracle):
         if k == 1:
@@ -316,6 +324,8 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
             else:  # polytope_radial rounds with the row count: one row per call
                 segs = [float(oracle.radial(u)) + float(oracle.radial(-u)) for u in us]
             return [(seg, 0.0, "exact-segment") for seg in segs]
+        if oracle.revolution is not None:
+            return revolution_section_volumes(oracle, bases, i)
         if oracle.polytope is not None:
             bodies = map(oracle_of, section_hpolytopes(oracle.polytope, bases))
         else:
@@ -342,9 +352,8 @@ def _grid_memo(body: ConvexBodyOracle):
     volume_radial and hull_surface_v2, the polyline's circle and the base
     grid of support_from_radial.  Each slab clips the shared values by its
     own bounds in slab_oracle's radial, so the parent evaluates each grid
-    once for all slabs.  The memo is emptied when the block exits: slab
-    oracles hold their parent in a reference cycle, so the collector would
-    free it only later.
+    once for all slabs.  The memo is emptied when the block exits, so its
+    grids do not live on in a slab oracle that a caller keeps.
     """
     last = {}
 
@@ -410,11 +419,12 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
-    subs = [Subspace(b) for b in bases] if k > 1 else []  # built once for K and L
+    # built once for K and L, for the bodies that read them
+    subs = ([Subspace(b) for b in bases]
+            if k > 1 and any(o.revolution is None for o in (oracle_K, oracle_L)) else [])
 
     def values(oracle):
-        return [(vol, 0.0, method)
-                for vol, method in projection_volumes(oracle, bases, 8192, subs)]
+        return projection_volumes(oracle, bases, 8192, subs)
 
     return _paired_run("projections", oracle_K, oracle_L, bases, values, rng, tol,
                        {"k": k})

@@ -2,7 +2,9 @@
 
 Deterministic quadrature wherever the geometry allows it: trapezoid sums on
 the circle, Fibonacci lattices on the sphere, boundary polylines for planar
-bodies.  The Kubota Monte-Carlo estimator averages projection volumes over
+bodies, and Gauss-Legendre sums over the profile for the sections and
+projections of a body of revolution, which are again bodies of revolution.
+The Kubota Monte-Carlo estimator averages projection volumes over
 Haar-random subspaces; the experiments keep it as a reference only.
 
 Every estimator reports a stderr: Monte-Carlo paths use the sample standard
@@ -14,15 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
 
+from .bodies import _profile_terms, profile, revolution_maximiser
 from .grassmann import RngStream, Subspace, embed, kappa, rowwise, sample_haar_bases
 from .polykernel import Polygon, polygon_metrics, projection_polygon
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 POLYLINE_NODES = 8192  # boundary angles of planar_metrics_from_oracle
+PROFILE_NODES = 256  # Gauss-Legendre nodes per piece of a profile integral
+PROFILE_CHUNK = 16  # subspaces per stacked profile integral: bounds its
+                    # (chunk, 7 pieces, 1.5 * PROFILE_NODES) temporaries to ~350 kB
+AXIS_FLOOR = 1e-100  # |B^T e_n| below this counts as 0: a ball, to rounding
 
 
 class EstimateError(ValueError):
@@ -296,50 +304,217 @@ def antipodal_sums(fn, us: np.ndarray) -> np.ndarray:
 
 
 def projection_volumes(body, bases: np.ndarray, area_n: int,
-                       subs: list[Subspace]) -> list[tuple[float, str]]:
-    """(vol_k of body|V_j, method) for every n x k basis V_j of the (m, n, k)
-    stack bases, with k in {1, 2, 3}.  For k >= 2, subs are the Subspaces of
-    the bases, so a caller that projects several bodies on one stack checks
-    each basis once; k = 1 reads the bases alone and ignores subs.
+                       subs: list[Subspace]) -> list[tuple[float, float, str]]:
+    """(vol_k of body|V_j, stderr, method) for every n x k basis V_j of the
+    (m, n, k) stack bases.  For k >= 2, subs are the Subspaces of the bases,
+    so a caller that projects several bodies on one stack checks each basis
+    once; k = 1 and bodies of revolution read the bases alone and ignore subs.
 
-    A body with vertex data (body.vrep) takes an exact path in every
-    dimension; other bodies have support-based paths for k = 1 and 2.  The
-    k = 1 widths of a body without vertex data come from one support call on
-    the stacked rows (u_0, -u_0, u_1, -u_1, ...), whatever the sample count.
-    Those bodies (revolution, ball, translate) give each row the value it
-    gets alone, so every width is the one projection_volume gives its
-    subspace.  The other paths take one subspace per product: a polytope's
-    vertices @ u and the embedded support rows round their last ulp
-    differently with the row count.
+    A body with vertex data (body.vrep) takes an exact path for k <= 3, and a
+    body of revolution (body.revolution) the profile quadrature of
+    revolution_projection_volumes for every k >= 2; other bodies have
+    support-based paths for k = 1 and 2.  The k = 1 widths of a body without
+    vertex data come from one support call on the stacked rows (u_0, -u_0,
+    u_1, -u_1, ...), whatever the sample count.  Those bodies (revolution,
+    ball, translate) give each row the value it gets alone, so every width is
+    the one projection_volume gives its subspace.  The other paths take one
+    subspace per product: a polytope's vertices @ u and the embedded support
+    rows round their last ulp differently with the row count.
     """
     k = bases.shape[2]
     vrep = body.vrep
     if k == 1 and vrep is None:
-        return [(w, "exact-width") for w in antipodal_sums(body.support, bases[:, :, 0]).tolist()]
+        return [(w, 0.0, "exact-width")
+                for w in antipodal_sums(body.support, bases[:, :, 0]).tolist()]
     if k == 1:
         heights = [vrep.vertices @ u for u in bases[:, :, 0]]
-        return [(float(h.max() - h.min()), "exact-width") for h in heights]
+        return [(float(h.max() - h.min()), 0.0, "exact-width") for h in heights]
+    if body.revolution is not None:
+        return revolution_projection_volumes(body.revolution, bases)
     return [_subspace_volume(body, sub, area_n) for sub in subs]
 
 
-def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
-    """(vol_k of body|sub, method): the one-subspace case of projection_volumes."""
+def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, float, str]:
+    """(vol_k of body|sub, stderr, method): the one-subspace case of
+    projection_volumes."""
     return projection_volumes(body, sub.basis[None], area_n, [sub])[0]
 
 
-def _subspace_volume(body, sub: Subspace, area_n: int) -> tuple[float, str]:
-    """(vol_k of body|sub, method) for k = sub.dim in {2, 3}."""
+def _subspace_volume(body, sub: Subspace, area_n: int) -> tuple[float, float, str]:
+    """(vol_k of body|sub, stderr, method) for k = sub.dim in {2, 3}."""
     k = sub.dim
     vrep = body.vrep
     if k == 2:
         if vrep is not None:
-            return polygon_metrics(projection_polygon(vrep, sub))[0], "exact-polygon"
+            return polygon_metrics(projection_polygon(vrep, sub))[0], 0.0, "exact-polygon"
         area = area_from_support_2d(lambda d: body.support(embed(sub, d)), area_n)
-        return area, "quadrature"
+        return area, 0.0, "quadrature"
     if k == 3 and vrep is not None:
         from scipy.spatial import ConvexHull
-        return float(ConvexHull(vrep.vertices @ sub.basis).volume), "exact-hull"
+        return float(ConvexHull(vrep.vertices @ sub.basis).volume), 0.0, "exact-hull"
     raise EstimateError(f"no projection-volume path for k={k} on {body.kind}")
+
+
+# ---------------------------------------------------------------------------
+# sections and projections of a body of revolution, from its profile
+#
+# K = {(x', x_n) : |x'| <= f(x_n)}.  For an n x k basis B, let b = B^T e_n,
+# c = |b| and sigma = |e_n - B b|, so c^2 + sigma^2 = 1.  Where c > 0, both
+# K cap span(B) and K|span(B) are bodies of revolution in span(B) about the
+# unit axis a = b / c (Schneider, Convex Bodies, section 4.2).  Where c = 0
+# both are k-balls, of radius f(0) and max f.
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]: PROFILE_NODES of them,
+    then half as many, concatenated.  Computed on first use, since
+    leggauss(256) takes about 10 ms, and kept read-only."""
+    rules = [np.polynomial.legendre.leggauss(n) for n in (PROFILE_NODES, PROFILE_NODES // 2)]
+    x, w = (np.concatenate(parts) for parts in zip(*rules))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _profile_integrals(lo, hi, breaks, integrand) -> tuple[np.ndarray, np.ndarray]:
+    """(full, half): the integral of integrand over [lo_r, hi_r] for each row
+    r, by Gauss-Legendre with PROFILE_NODES and with half as many nodes per
+    piece.
+
+    The substitution x = mid - half cos(theta), theta in [0, pi], has
+    dx = half sin(theta) dtheta, which makes the square-root ends of a
+    profile analytic.  The theta pieces end where x crosses a break, where
+    the integrand is not analytic: breaks is (B,), or (R, B) per row.  A
+    break outside [lo_r, hi_r] leaves a piece of width 0, whose nodes sit
+    at an end with weight 0.  integrand maps the (R, M) nodes to values;
+    every sum is taken per row.
+    """
+    rows = len(lo)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    cuts = np.sort(np.arccos(np.clip((mid[:, None] - breaks) / half[:, None], -1.0, 1.0)),
+                   axis=1)
+    edges = np.concatenate([np.zeros((rows, 1)), cuts, np.full((rows, 1), np.pi)], axis=1)
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    x, w = _gauss_legendre()
+    theta = 0.5 * (a + b) + 0.5 * (b - a) * x                 # (R, pieces, M)
+    weights = 0.5 * (b - a) * w * np.sin(theta) * half[:, None, None]
+    nodes = mid[:, None, None] - half[:, None, None] * np.cos(theta)
+    terms = integrand(nodes.reshape(rows, -1)).reshape(theta.shape) * weights
+    n = PROFILE_NODES
+    return terms[:, :, :n].sum(axis=2).sum(axis=1), terms[:, :, n:].sum(axis=2).sum(axis=1)
+
+
+def _axis_cosines(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(b, c, sigma) for the (S, n, k) stack bases: b_j = B_j^T e_n,
+    c_j = |b_j| and sigma_j = |e_n - B_j b_j|, each sum taken per row."""
+    b = bases[:, -1, :]
+    c = np.sqrt((b * b).sum(axis=1))
+    rest = -(bases * b[:, None, :]).sum(axis=2)
+    rest[:, -1] += 1.0
+    return b, c, np.sqrt((rest * rest).sum(axis=1))
+
+
+def _in_chunks(fn, bases: np.ndarray, *args) -> list[tuple[float, float, str]]:
+    """[(value, stderr, "quadrature"), ...] from fn(chunk, *args) -> (values,
+    stderrs) over PROFILE_CHUNK bases at a time."""
+    out = []
+    for lo in range(0, len(bases), PROFILE_CHUNK):
+        values, errs = fn(bases[lo:lo + PROFILE_CHUNK], *args)
+        out += [(v, e, "quadrature") for v, e in zip(values.tolist(), errs.tolist())]
+    return out
+
+
+def revolution_section_volumes(body, bases: np.ndarray, i: int) -> list[tuple[float, float, str]]:
+    """(V_i, stderr, "quadrature") of body cap span(B_j) for every n x k basis
+    B_j, k >= 2, of the stack bases, where body.revolution is the body's
+    spec; stderr is |Q(N) - Q(N/2)|.
+
+    The section has profile g(s)^2 = f(cs)^2 - sigma^2 s^2 on
+    [-rho(-Ba), rho(Ba)], both ends from one radial call of body per chunk.
+    With w = (1 + g'^2)^(-1/2), the Steiner expansion of its meridian gives
+    V_i = kappa_{k-1} / kappa_{k-i} * [C(k-1, k-i) int g^(i-1) w^(k-i) ds
+          + C(k-1, k-i-1) int g^i w^(k-i-1) |g''| w^3 ds].
+    Each sample gets the value it gets alone.
+    """
+    return _in_chunks(_section_chunk, bases, body, i)
+
+
+def _section_chunk(bases, body, i):
+    spec, k = body.revolution, bases.shape[2]
+    b, c, sigma = _axis_cosines(bases)
+    value, err = np.empty(len(bases)), np.zeros(len(bases))
+    flat = c < AXIS_FLOOR
+    value[flat] = profile(spec, 0.0) ** i * ball_intrinsic_volume(k, i)
+    live = ~flat
+    if not live.any():
+        return value, err
+    c, ss = c[live, None], sigma[live, None] ** 2
+    axis = (bases[live] * (b[live] / c)[:, None, :]).sum(axis=2)   # B a, a unit vector
+    ends = np.asarray(body.radial(np.concatenate([axis, -axis])), dtype=float)
+    rows = len(axis)
+
+    def integrand(s):
+        terms = _profile_terms(spec, c * s, 0 if i == k else 2)
+        gg = np.maximum(terms[0] * terms[0] - ss * s * s, 0.0)      # g^2
+        g = np.sqrt(gg)
+        if i == k:
+            return g ** (k - 1)
+        _, df, d2f = terms
+        d1 = 2.0 * (c * terms[0] * df - ss * s)                      # (g^2)'
+        d2 = 2.0 * (c * c * (df * df + terms[0] * d2f) - ss)         # (g^2)''
+        # 4 g^2 + (g^2)'^2 vanishes only where g and g' both do (a pole of
+        # a section through the axis); the floor keeps w and |g''| w^3 at 0 there
+        den = np.maximum(4.0 * gg + d1 * d1, 1e-200)
+        w = 2.0 * g / np.sqrt(den)
+        curv = 2.0 * np.abs(2.0 * gg * d2 - d1 * d1) / den ** 1.5      # |g''| w^3
+        return (math.comb(k - 1, k - i) * g ** (i - 1) * w ** (k - i)
+                + math.comb(k - 1, k - i - 1) * g ** i * w ** (k - i - 1) * curv)
+
+    breaks = np.asarray(spec.bump_edges()) / c
+    full, half = _profile_integrals(-ends[rows:], ends[:rows], breaks, integrand)
+    scale = kappa(k - 1) / kappa(k - i)
+    value[live], err[live] = scale * full, scale * np.abs(full - half)
+    return value, err
+
+
+def revolution_projection_volumes(spec, bases: np.ndarray) -> list[tuple[float, float, str]]:
+    """(vol_k, stderr, "quadrature") of the body of spec projected on span(V_j)
+    for every n x k basis V_j, k >= 2, of the stack bases; stderr is
+    |Q(N) - Q(N/2)|.
+
+    The projection's meridian is x(t) = ct - sigma^2 f f'/c,
+    y(t) = f sqrt(1 - sigma^2 f'^2 / c^2) for t in [t-, t+], where
+    f'(t+-) = -+c/sigma: the support maximisers of the body at +-Ba, from
+    one revolution_maximiser call per chunk.  So
+    vol_k = kappa_{k-1} int y^(k-1) |x'| dt, x' = c - sigma^2 (f'^2 + f f'')/c.
+    Each sample gets the value it gets alone.
+    """
+    return _in_chunks(_projection_chunk, bases, spec)
+
+
+def _projection_chunk(bases, spec):
+    k, rows = bases.shape[2], len(bases)
+    _, c, sigma = _axis_cosines(bases)
+    ends = revolution_maximiser(spec, np.concatenate([sigma, sigma]), np.concatenate([c, -c]))
+    lo, hi = ends[rows:], ends[:rows]
+    value, err = np.empty(rows), np.zeros(rows)
+    flat = c < AXIS_FLOOR
+    # there both ends are the maximiser of f
+    value[flat] = kappa(k) * profile(spec, hi[flat]) ** k
+    live = ~flat
+    if not live.any():
+        return value, err
+    c, ss = c[live, None], sigma[live, None] ** 2
+
+    def integrand(t):
+        f, df, d2f = _profile_terms(spec, t, 2)
+        y = f * np.sqrt(np.maximum(1.0 - ss * df * df / (c * c), 0.0))
+        return y ** (k - 1) * np.abs(c - ss * (df * df + f * d2f) / c)
+
+    full, half = _profile_integrals(lo[live], hi[live], np.array(spec.bump_edges()), integrand)
+    value[live], err[live] = kappa(k - 1) * full, kappa(k - 1) * np.abs(full - half)
+    return value, err
 
 
 def _shadow_volume_from_support(body, sub: Subspace) -> float:

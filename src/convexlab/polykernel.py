@@ -9,12 +9,12 @@ batched call for the whole stack; its callers stack at most CHUNK
 polytopes, so a call solves at most CHUNK * 1820 systems.  A single
 polytope is the stack of one.
 
-Boundedness is decided exactly on the recession cone, by one batched SVD
-over (n-1)-subsets of facet normals.  A central section or a slab of a
-polytope is a polytope: section_hpolytopes restricts the facets to each
-subspace of a stack, slab_hpolytopes adds the two slab facets, and their
-vertices come from the same enumeration, so sections of any dimension get
-the exact machinery.
+Boundedness is decided exactly on the recession cone, from the closed-form
+null directions of all (n-1)-subsets of facet normals.  A central section
+or a slab of a polytope is a polytope: section_hpolytopes restricts the
+facets to each subspace of a stack, slab_hpolytopes adds the two slab
+facets, and their vertices come from the same enumeration, so sections of
+any dimension get the exact machinery.
 
 The enumeration also returns the boolean vertex x facet incidence matrix.
 The exact intrinsic volumes of a 3-polytope are sums over it: its 2-faces
@@ -254,17 +254,41 @@ def _is_bounded(nrm: np.ndarray) -> np.ndarray:
     recession cone is pointed, so if it is not {0} it has an extreme ray,
     which spans the null space of some n-1 independent rows of A.  Testing
     +-d for the null direction d of every (n-1)-row subset is therefore
-    complete; a subset of lower rank yields some direction of its null
-    space, which is a true recession direction whenever it passes.
+    complete.  d comes in closed form, unit rows give |d| <= 1, and a subset
+    of lower rank has d = 0 up to rounding: subsets with |d| <= RECESSION_TOL
+    count as dependent and are skipped.
     """
     count, m, n = nrm.shape
     if m < n:
         return np.zeros(count, dtype=bool)
-    rows = nrm[:, _subsets(m, n - 1)]                 # (S, C, n-1, n)
-    rays = np.linalg.svd(rows)[2][..., -1, :]         # (S, C, n) null directions
+    rays = _null_directions(nrm[:, _subsets(m, n - 1)])  # (S, C, n)
+    size = np.sqrt((rays * rays).sum(axis=2))
+    independent = size > RECESSION_TOL
+    rays = np.divide(rays, size[..., None], out=np.zeros_like(rays), where=independent[..., None])
     slopes = rays @ nrm.transpose(0, 2, 1)
     recedes = (slopes.max(axis=2) <= RECESSION_TOL) | (slopes.min(axis=2) >= -RECESSION_TOL)
-    return (np.linalg.matrix_rank(nrm) == n) & ~recedes.any(axis=1)
+    return (np.linalg.matrix_rank(nrm) == n) & ~(recedes & independent).any(axis=1)
+
+
+_COFACTOR_COLUMNS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _null_directions(rows: np.ndarray) -> np.ndarray:
+    """A null direction of each (n-1, n) block of rows, n <= 4, in closed
+    form: the generalized cross product, whose l-th entry is (-1)^l times
+    the minor without column l (for n = 3 the cross product, for n = 2 the
+    normal turned a quarter).  Not normalized; 0 where the rows are
+    dependent."""
+    n = rows.shape[-1]
+    if n == 1:  # no rows: the whole line is null
+        return np.ones(rows.shape[:-2] + (1,))
+    if n == 2:
+        return np.stack([-rows[..., 0, 1], rows[..., 0, 0]], axis=-1)
+    if n == 3:
+        return np.cross(rows[..., 0, :], rows[..., 1, :])
+    minors = [np.sum(rows[..., 0, c] * np.cross(rows[..., 1, c], rows[..., 2, c]), axis=-1)
+              for c in map(list, _COFACTOR_COLUMNS)]
+    return np.stack([minors[0], -minors[1], minors[2], -minors[3]], axis=-1)
 
 
 def _vreps(nrm: np.ndarray, off: np.ndarray) -> list[VRep]:

@@ -12,6 +12,7 @@ data by support_from_radial (with a degraded eval_tol).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,16 +84,18 @@ def section_oracle(body: ConvexBodyOracle, subspace: Subspace) -> ConvexBodyOrac
 
     radial = rowwise(lambda u: np.asarray(body.radial(embed(subspace, u)), dtype=float))
     member = rowwise(lambda y: np.asarray(body.member(embed(subspace, y))))
+    # the support reads dim and radial, not the oracle: an oracle that its
+    # own support refers to would wait for the cycle collector to be freed
+    shape = SimpleNamespace(dim=subspace.dim, radial=radial)
 
-    oracle = ConvexBodyOracle(
+    return ConvexBodyOracle(
         dim=subspace.dim,
         radial=radial,
-        support=lambda d: support_from_radial(oracle, d),
+        support=lambda d: support_from_radial(shape, d),
         member=member,
         eval_tol=max(body.eval_tol, SECTION_SUPPORT_TOL),
         kind="section",
     )
-    return oracle
 
 
 def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
@@ -122,17 +125,18 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     def member(pts):
         return np.asarray(body.member(pts)) & (np.abs(pts @ xi) <= t + body.eval_tol)
 
+    shape = SimpleNamespace(dim=body.dim, radial=radial)  # as in section_oracle
+
     def support(d):
         # the maximizer often sits on the slab rim (a kink), so extra zoom
         # rounds buy little: ~1e-7 argument accuracy suffices for the
         # quadrature consumers of slab supports
-        return support_from_radial(oracle, d, grid=1024, rounds=16, shrink=0.45)
+        return support_from_radial(shape, d, grid=1024, rounds=16, shrink=0.45)
 
-    oracle = ConvexBodyOracle(
+    return ConvexBodyOracle(
         dim=body.dim, radial=radial, support=support, member=member,
         eval_tol=max(body.eval_tol, SLAB_SUPPORT_TOL), kind="slab",
     )
-    return oracle
 
 
 def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:

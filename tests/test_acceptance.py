@@ -80,7 +80,7 @@ def test_criterion_03_sections_smooth(smooth_pair):
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-5 and elapsed < 120.0
     _report(3, ok, f"planar sections of the revolution pair, perimeter and "
-                   f"area, 200 planes at polyline 8192, max rel_diff "
+                   f"area, 200 planes by profile quadrature, max rel_diff "
                    f"{worst:.2e} <= 1e-5, {elapsed:.1f}s < 2min")
 
 

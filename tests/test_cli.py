@@ -156,7 +156,7 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
     (["sections", "--pair", "control-rotated", "--n", "2"],
      "error: pair 'control-rotated' supports n = 3 or 4, got n=2\n"),
     (["slabs", "--n", "4"], "error: no slab estimator for n=4, i=4\n"),
-    (["sections", "--pair", "smooth", "--n", "5", "--k", "4", "--i", "1"],
+    (["sections", "--pair", "control-shifted", "--n", "5", "--k", "4", "--i", "1"],
      "error: no section estimator for n=5, k=4, i=1\n"),
     (["lemma1", "--spec-k", '{"type": "revolution", "epsilon": 0.5}',
       "--spec-l", '{"type": "revolution", "epsilon": 0.5, "variant": "L"}'],
@@ -256,13 +256,14 @@ def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_projections_k3_on_smooth_n4_exits_1(tmp_path, capsys):
+def test_projections_k3_on_shifted_control_n4_exits_1(tmp_path, capsys):
+    # the ball and its translate have no k = 3 projection row
     out = tmp_path / "o"
-    code = main(["projections", "--pair", "smooth", "--n", "4", "--k", "3",
+    code = main(["projections", "--pair", "control-shifted", "--n", "4", "--k", "3",
                  "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: no projection-volume path for k=3 on revolution\n")
+        "error: no projection-volume path for k=3 on ball\n")
     assert not out.exists()
 
 

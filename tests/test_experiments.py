@@ -92,11 +92,11 @@ def test_sections_polytope_exact(polytope_pair):
         assert rep.summary["methods"] == ["exact-polygon"]
 
 
-def test_sections_smooth_polyline(smooth_pair):
+def test_sections_smooth_quadrature(smooth_pair):
     rep = sections_experiment(smooth_pair.oracle_K, smooth_pair.oracle_L,
                               2, 2, 10, RngStream(4, 3), 1e-5)
     assert rep.summary["pass"]
-    assert rep.summary["methods"] == ["polyline"]
+    assert rep.summary["methods"] == ["quadrature"]
 
 
 def test_sections_k1_segments(smooth_pair):
@@ -144,9 +144,10 @@ def test_section_mean_width_agrees_with_kubota():
 
 
 def test_sections_volume_monte_carlo_shares_the_sample_stream():
-    # above dimension 3 the section volume is Monte Carlo; K and L of a
-    # sample draw the same directions, so a body against itself gives 0
-    oracle = make_pair("smooth", n=5).oracle_K
+    # above dimension 3 the section volume of a body other than a polytope
+    # or a body of revolution is Monte Carlo; K and L of a sample draw the
+    # same directions, so a body against itself gives 0
+    oracle = make_pair("control-shifted", n=5).oracle_L
     rep = sections_experiment(oracle, oracle, 4, 4, 1, RngStream(4, 47), 0.0)
     assert rep.summary["methods"] == ["quadrature"]
     assert rep.summary["max_abs_diff"] == 0.0
@@ -162,7 +163,7 @@ def test_sections_volume_monte_carlo_draws_apart_from_the_subspace(monkeypatch):
         return IVEstimate(k, 1.0, 0.0, "quadrature", 1)
 
     monkeypatch.setattr("convexlab.experiments.volume_radial", recording_volume)
-    oracle = make_pair("smooth", n=5).oracle_K
+    oracle = make_pair("control-shifted", n=5).oracle_L
     rng = RngStream(4, 48)
     sections_experiment(oracle, oracle, 4, 4, 2, rng, 0.0)
     assert len(streams) == 4  # K and L of each sample
@@ -525,6 +526,6 @@ def test_sample_j_draws_from_substream_j(polytope_pair, monkeypatch):
 
 
 def test_projections_have_no_support_only_path_for_k3():
-    pair = make_pair("smooth", n=4)
-    with pytest.raises(ValueError, match="no projection-volume path for k=3 on revolution"):
+    pair = make_pair("control-shifted", n=4)
+    with pytest.raises(ValueError, match="no projection-volume path for k=3 on ball"):
         projections_experiment(pair.oracle_K, pair.oracle_L, 3, 2, RngStream(0), 1e-4)

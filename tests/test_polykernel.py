@@ -9,7 +9,10 @@ from convexlab.grassmann import RngStream, Subspace, sample_haar_subspace
 from convexlab.intrinsic import mean_width_v1
 from convexlab.polykernel import (
     ACTIVE_TOL,
+    RECESSION_TOL,
     _is_bounded,
+    _null_directions,
+    _subsets,
     HPolytope,
     Polygon,
     PolytopeError,
@@ -162,6 +165,38 @@ def test_is_bounded_agrees_with_linear_programming(n):
         verdicts.append(bool(_is_bounded(poly.normals[None])[0]))
         assert verdicts[-1] == _bounded_by_lp(poly), (poly.normals, poly.offsets)
     assert any(verdicts) and not all(verdicts)
+
+
+def _bounded_by_svd(nrm: np.ndarray) -> np.ndarray:
+    """Reference: _is_bounded with each null direction from an SVD."""
+    count, m, n = nrm.shape
+    if m < n:
+        return np.zeros(count, dtype=bool)
+    rays = np.linalg.svd(nrm[:, _subsets(m, n - 1)])[2][..., -1, :]
+    slopes = rays @ nrm.transpose(0, 2, 1)
+    recedes = (slopes.max(axis=2) <= RECESSION_TOL) | (slopes.min(axis=2) >= -RECESSION_TOL)
+    return (np.linalg.matrix_rank(nrm) == n) & ~recedes.any(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_null_directions_match_the_svd(n):
+    """The cofactor directions are null, nonzero for independent rows and
+    zero up to rounding for dependent ones, and give the SVD's verdicts on
+    every sweep polytope and on stacks of random normals."""
+    g = RngStream(41, n).generator()
+    rows = g.standard_normal((200, n - 1, n))
+    d = _null_directions(rows)
+    assert np.all(np.abs(np.sum(rows * d[:, None, :], axis=2)) <= 1e-12)
+    assert np.all(np.linalg.norm(d, axis=1) > 0.0)
+    if n > 2:
+        same = np.concatenate([rows[:, :1], -rows[:, :1], rows[:, 2:]], axis=1)
+        assert np.all(np.linalg.norm(_null_directions(same), axis=1) <= 1e-14)
+    for poly in _random_hpolytopes(n, 60, seed=40):
+        assert _is_bounded(poly.normals[None]) == _bounded_by_svd(poly.normals[None])
+    for m in range(n, n + 6):
+        nrm = g.standard_normal((50, m, n))
+        nrm /= np.linalg.norm(nrm, axis=2, keepdims=True)
+        assert np.array_equal(_is_bounded(nrm), _bounded_by_svd(nrm))
 
 
 def test_polytope_radial_box():

@@ -1,6 +1,8 @@
 """Derived-oracle identities: sections, slabs, translates."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -271,3 +273,23 @@ def test_max_slab_halfwidth_of_a_polytope_is_its_smallest_offset(polytope_pair):
         exact = max_slab_halfwidth(oracle)
         assert exact == float(oracle.polytope.offsets.min()) - 1e-9
         assert max_slab_halfwidth(replace(oracle, polytope=None)) >= exact
+
+
+def test_derived_oracles_are_freed_without_the_cycle_collector():
+    """The support closures of section and slab oracles hold the radial, not
+    the oracle, so dropping the last reference frees the oracle at once."""
+    body = oracle_of(make_revolution_spec())
+    made = (lambda: section_oracle(body, Subspace(np.eye(3)[:, :2])),
+            lambda: slab_oracle(body, SlabSpec(np.array([0.0, 0.0, 1.0]), 0.5)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in made:
+            oracle = make()
+            assert oracle.support(np.array([1.0, 0.0, 0.0][:oracle.dim])) > 0.0
+            ref = weakref.ref(oracle)
+            del oracle
+            assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

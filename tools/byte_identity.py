@@ -16,14 +16,17 @@ The list is `all --svg`, every `polytope-exact` and `bulk` command of
 perfbench/workloads.py, and EXTRA: a fixed set of commands outside the
 suite and the benchmark that reach the smooth-body oracles (sections and
 slabs of the smooth pair above and below n = 3, lemma1 at n = 2 and 5, and
-k = 1 projections at n = 4), the exact V_1 and V_2 of 3-d polytope
-sections in R^4, the translate radial of the shifted ball (3-d sections
-in R^4 and n = 3 slabs of `control-shifted`), or the work that samples
-share within one run (slab grids at i = 1 and 2, convergence at i = 2,
-stacked k = 1 widths of the shifted ball and k = 1 segments of the smooth
-pair), with sample counts kept small; and polytope sections and slabs with
-hundreds to thousands of samples, whose stacked vertex enumeration makes
-thousands of feasibility, twin and incidence tests against thresholds.
+k = 1 projections at n = 4), the profile quadrature of smooth sections and
+projections above n = 3 (4-d sections in R^5 for i = 1 to 4, projections
+with k = 3 in R^4 and k = 2 to 4 in R^5), the exact V_1 and V_2 of 3-d
+polytope sections in R^4, the translate radial of the shifted ball (3-d
+sections in R^4 and n = 3 slabs of `control-shifted`), or the work that
+samples share within one run (slab grids at i = 1 and 2, convergence at
+i = 2, stacked k = 1 widths of the shifted ball and k = 1 segments of the
+smooth pair), with sample counts kept small; and polytope sections and
+slabs with hundreds to thousands of samples, whose stacked vertex
+enumeration makes thousands of feasibility, twin and incidence tests
+against thresholds.
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -56,6 +59,13 @@ EXTRA = (
     "sections --pair smooth --n 4 --k 3 --i 1 --samples 2",
     "sections --pair smooth --n 4 --k 3 --i 2 --samples 1",
     "sections --pair smooth --n 5 --k 4 --i 4 --samples 2",
+    "sections --pair smooth --n 5 --k 4 --i 1 --samples 2",
+    "sections --pair smooth --n 5 --k 4 --i 2 --samples 2",
+    "sections --pair smooth --n 5 --k 4 --i 3 --samples 2",
+    "projections --pair smooth --n 4 --k 3 --samples 2",
+    "projections --pair smooth --n 5 --k 2 --samples 2",
+    "projections --pair smooth --n 5 --k 3 --samples 2",
+    "projections --pair smooth --n 5 --k 4 --samples 2",
     "slabs --pair smooth --n 2 --i 1 --samples 10",
     "slabs --pair smooth --n 2 --i 2 --samples 10",
     "lemma1 --pair smooth --n 2 --samples 2000",
