@@ -24,7 +24,7 @@ from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
 from .grassmann import RngStream, Subspace, rowwise, sample_haar_bases
 from .intrinsic import (POLYLINE_NODES, antipodal_sums, centroid_3d, hull_surface_v2,
                         mean_width_v1, planar_metrics_from_oracle, projection_volumes,
-                        revolution_section_volumes, volume_radial)
+                        revolution_section_volumes, revolution_slab_widths, volume_radial)
 from .polykernel import (poly3_intrinsic_volumes, polygon_by_angle, polygon_metrics,
                          section_hpolytopes, slab_hpolytopes)
 from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
@@ -377,12 +377,14 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                     vol_nodes: int = 200_000) -> ExperimentReport:
     """V_i(K cap S_t(xi)) vs V_i(L cap S_t(xi)) over random slab normals.
 
-    Each body's radial on each fixed quadrature grid is evaluated once for
-    all slab normals (_grid_memo), and each slab clips those values by its
-    own bounds; the per-sample products (th @ xi) keep their shapes.  A
-    polytope's slabs are built and enumerated in stacks (slab_hpolytopes),
-    each product taken per slab.  So every value is the one its slab gets
-    alone.
+    A polytope's slabs are built and enumerated in stacks (slab_hpolytopes),
+    each product taken per slab.  In R^3, V_1 of the slabs of a body of
+    revolution comes from one stacked solve of their exact supports
+    (revolution_slab_widths).  Otherwise each body's radial on each fixed
+    quadrature grid is evaluated once for all slab normals (_grid_memo),
+    and each slab clips those values by its own bounds; the per-sample
+    products (th @ xi) keep their shapes.  So every value is the one its
+    slab gets alone.
     """
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= n:
@@ -399,6 +401,8 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         if oracle.polytope is not None:
             return [_body_value(oracle_of(p), i, vol_nodes, 512)
                     for p in slab_hpolytopes(oracle.polytope, xis, t)]
+        if oracle.revolution is not None and (n, i) == (3, 1):
+            return revolution_slab_widths(oracle.revolution, xis, np.full(len(xis), t), 512)
         with _grid_memo(oracle) as parent:
             return [_body_value(slab_oracle(parent, SlabSpec(xi, t)), i, vol_nodes, 512)
                     for xi in xis]
@@ -440,6 +444,9 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
 
     Passes when the differences decrease monotonically (up to estimator
     noise) and the final difference is consistent with linear decay in t.
+    A body of revolution takes its section value from the profile
+    (revolution_section_volumes), and for i = 1 the slab values of every t
+    from one stacked solve of their exact supports (revolution_slab_widths).
     """
     n = oracle.dim
     if n != 3:
@@ -455,20 +462,29 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
     xi = np.asarray(xi, dtype=float)
 
     # section value through the plane orthogonal to xi
-    plane = section_oracle(oracle, Subspace(_orthogonal_complement(xi)))
-    sec_value, sec_err, _ = _body_value(plane, i, None, 512)
+    basis = _orthogonal_complement(xi)
+    if oracle.revolution is not None:
+        sec_value, sec_err, _ = revolution_section_volumes(oracle, basis[None], i)[0]
+    else:
+        sec_value, sec_err, _ = _body_value(section_oracle(oracle, Subspace(basis)),
+                                            i, None, 512)
+
+    if oracle.revolution is not None and i == 1:
+        slabs = revolution_slab_widths(oracle.revolution, np.tile(xi, (len(ts), 1)),
+                                       np.array(ts), width_nodes)
+    else:
+        with _grid_memo(oracle) as parent:
+            slabs = [_body_value(slab_oracle(parent, SlabSpec(xi, t)), i, 100_000, width_nodes)
+                     for t in ts]
 
     samples = []
     diffs, errs = [], []
-    with _grid_memo(oracle) as parent:
-        for j, t in enumerate(ts):
-            vk, sk, _ = _body_value(slab_oracle(parent, SlabSpec(xi, t)), i, 100_000,
-                                    width_nodes)
-            d = vk - sec_value
-            diffs.append(d)
-            errs.append(sk + sec_err)
-            samples.append(SampleRecord(
-                j, (t,), vk, sec_value, abs(d), _rel(abs(d), vk, sec_value), sk + sec_err))
+    for j, (t, (vk, sk, _)) in enumerate(zip(ts, slabs)):
+        d = vk - sec_value
+        diffs.append(d)
+        errs.append(sk + sec_err)
+        samples.append(SampleRecord(
+            j, (t,), vk, sec_value, abs(d), _rel(abs(d), vk, sec_value), sk + sec_err))
 
     slack = [3.0 * e + 1e-12 for e in errs]
     monotone = all(diffs[j + 1] <= diffs[j] + slack[j] + slack[j + 1]

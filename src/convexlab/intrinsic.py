@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bodies import _profile_terms, profile, revolution_maximiser
+from .bodies import _profile_terms, _safeguarded_newton, profile, revolution_maximiser
 from .grassmann import RngStream, Subspace, embed, kappa, rowwise, sample_haar_bases
 from .polykernel import Polygon, polygon_metrics, projection_polygon
 
@@ -31,6 +31,9 @@ PROFILE_NODES = 256  # Gauss-Legendre nodes per piece of a profile integral
 PROFILE_CHUNK = 16  # subspaces per stacked profile integral: bounds its
                     # (chunk, 7 pieces, 1.5 * PROFILE_NODES) temporaries to ~350 kB
 AXIS_FLOOR = 1e-100  # |B^T e_n| below this counts as 0: a ball, to rounding
+SLAB_CHUNK = 16  # slabs per stacked support solve of revolution_slab_widths
+RIM_STEPS = 64  # secant steps of the slab rim solve; rows stop once they settle
+RIM_LEVEL_TOL = 2.0 ** -50  # |s <p, xi> - t| that counts as on the slab rim
 
 
 class EstimateError(ValueError):
@@ -515,6 +518,108 @@ def _projection_chunk(bases, spec):
     full, half = _profile_integrals(lo[live], hi[live], np.array(spec.bump_edges()), integrand)
     value[live], err[live] = kappa(k - 1) * full, kappa(k - 1) * np.abs(full - half)
     return value, err
+
+
+# ---------------------------------------------------------------------------
+# slabs of a body of revolution, from their rims
+#
+# The support of K cap S(xi, t), S(xi, t) = {|<x, xi>| <= t}, is the
+# infimal convolution of h_K and t|<., xi>| (Rockafellar, Convex Analysis,
+# Cor. 16.4.1).  Only <x, xi> and <x, u> matter, so the maximiser of <u, x>
+# over K cap S solves a planar problem on the projection of K onto
+# span(u_perp, xi), and one angle of a support direction in that plane
+# locates it on the slab rim.
+
+
+def _support_points(spec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x_K(w_r), h_K(w_r)) for each row w_r of w: the support point
+    (f(t*) w'/|w'|, t*) at the maximiser t* of revolution_maximiser, and the
+    support value as revolution_support gives it."""
+    xn = w[:, -1]
+    xp = np.linalg.norm(w[:, :-1], axis=1)
+    t = revolution_maximiser(spec, xp, xn)
+    f = _profile_terms(spec, t, 0)[0]
+    scale = np.divide(f, xp, out=np.zeros_like(f), where=xp > 0.0)
+    points = np.column_stack([w[:, :-1] * scale[:, None], t])
+    return points, np.maximum(xp * f + xn * t, np.abs(xn))
+
+
+def _slab_support_points(spec, xis: np.ndarray, ts: np.ndarray,
+                         dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, p, rim) for the rows (xi_r, t_r, u_r): h_r is the support of
+    K cap S(xi_r, t_r) at u_r, p_r a point of that body with <p_r, u_r> = h_r,
+    and rim marks the rows where p_r sits on the slab rim.
+
+    Where |<x_K(u), xi>| <= t the support point of K lies in the slab, and
+    h = h_K(u).  Otherwise let s = sign <x_K(u), xi>, u = beta xi + alpha e
+    with e a unit vector normal to xi, and w(phi) = cos(phi) e
+    + s sin(phi) xi.  g(phi) = s <x_K(w(phi)), xi> - t increases from
+    g(-pi/2) < 0 to g(atan2(|beta|, alpha)) > 0, and its root phi* gives the
+    rim point p = x_K(w(phi*)), the point of K on s <x, xi> = t furthest
+    along e.  So h = s t beta + alpha <p, e>.  The bracketed secant of
+    _safeguarded_newton finds phi* from the unit ball's root asin(t).  Every
+    product is taken per row, so each row gets the value it gets alone.
+    """
+    p, h = _support_points(spec, dirs)
+    beta = (dirs * xis).sum(axis=1)
+    level = (p * xis).sum(axis=1)
+    rim = np.abs(level) > ts
+    if not rim.any():
+        return h, p, rim
+    u, xi, t, b = dirs[rim], xis[rim], ts[rim], beta[rim]
+    sxi = np.sign(level[rim])[:, None] * xi
+    e = u - b[:, None] * xi
+    alpha = np.linalg.norm(e, axis=1)
+    # u = +-xi has no normal part of its own; any unit normal to xi serves
+    pad = np.eye(xi.shape[1])[np.argmin(np.abs(xi), axis=1)]
+    pad -= (pad * xi).sum(axis=1)[:, None] * xi
+    e = np.where(alpha[:, None] > 0.0, e, pad)
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+
+    def toward(phi, e, sxi):
+        return np.cos(phi)[:, None] * e + np.sin(phi)[:, None] * sxi
+
+    def excess(phi, e, sxi, t):
+        g = (_support_points(spec, toward(phi, e, sxi))[0] * sxi).sum(axis=1) - t
+        # rounding leaves g a few ulps of noise at the root, where a secant
+        # slope is noise too: a row within RIM_LEVEL_TOL takes this phi
+        return np.where(np.abs(g) <= RIM_LEVEL_TOL, 0.0, g), None
+
+    lo, hi = np.full_like(t, -0.5 * np.pi), np.arctan2(np.abs(b), alpha)
+    phi = _safeguarded_newton(excess, np.minimum(np.arcsin(t), hi), lo, hi, e, sxi, t,
+                              prev=(lo, -1.0 - t), steps=RIM_STEPS)
+    q = _support_points(spec, toward(phi, e, sxi))[0]
+    p[rim] = q
+    h[rim] = (sxi * u).sum(axis=1) * t + alpha * (q * e).sum(axis=1)
+    return h, p, rim
+
+
+def revolution_slab_supports(spec, xis: np.ndarray, ts: np.ndarray,
+                             dirs: np.ndarray) -> np.ndarray:
+    """The support h_{K cap S(xi_r, t_r)}(u_r) of the body of spec clipped
+    to a slab, for each row: xis and dirs are (R, n) stacks, ts has R
+    entries.  See _slab_support_points."""
+    return _slab_support_points(spec, xis, ts, dirs)[0]
+
+
+def revolution_slab_widths(spec, xis: np.ndarray, ts: np.ndarray,
+                           nodes: int) -> list[tuple[float, float, str]]:
+    """(V_1, stderr, "quadrature") of K cap S(xi_j, t_j) for every slab j:
+    4 times the mean of its exact supports on fibonacci_sphere(nodes), with
+    the halving difference to nodes/2 as stderr, as mean_width_v1 gives it
+    on the slab's oracle.  The supports of SLAB_CHUNK slabs come from one
+    stacked solve."""
+    grid = np.concatenate([fibonacci_sphere(nodes), fibonacci_sphere(nodes // 2)])
+    m = len(grid)
+    out = []
+    for lo in range(0, len(xis), SLAB_CHUNK):
+        xc, tc = xis[lo:lo + SLAB_CHUNK], ts[lo:lo + SLAB_CHUNK]
+        h = revolution_slab_supports(spec, np.repeat(xc, m, axis=0), np.repeat(tc, m),
+                                     np.tile(grid, (len(xc), 1)))
+        for row in h.reshape(len(xc), m):
+            full, half = (4.0 * float(np.mean(part)) for part in (row[:nodes], row[nodes:]))
+            out.append((full, abs(full - half), "quadrature"))
+    return out
 
 
 def _shadow_volume_from_support(body, sub: Subspace) -> float:

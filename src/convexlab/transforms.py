@@ -4,9 +4,11 @@ Sections restrict the radial function and slabs clip it by t/|<theta, xi>|;
 both identities are exact, so derived radial data inherit the parent
 oracle's accuracy.  A translate solves for its radial function on each ray
 from the parent's gauge.  Sections and slabs of polytopes are again
-polytopes and get exact oracles.  Only support functions of the other
-sections and slabs have no closed form; both are recovered from radial
-data by support_from_radial (with a degraded eval_tol).
+polytopes and get exact oracles.  A slab of a body of revolution gets
+exact supports from the profile: one 1-D rim solve per direction.  Only
+support functions of the other sections and slabs (those of translates and
+balls) have no closed form; both are recovered from radial data by
+support_from_radial (with a degraded eval_tol).
 """
 
 from __future__ import annotations
@@ -18,11 +20,16 @@ import numpy as np
 
 from .bodies import BodyError, ConvexBodyOracle, _safeguarded_newton, oracle_of
 from .grassmann import Subspace, embed, rowwise
-from .intrinsic import _zoom_extremum, sphere_grid, support_from_radial
+from .intrinsic import (_zoom_extremum, revolution_slab_supports, sphere_grid,
+                        support_from_radial)
 from .polykernel import section_hpolytope, slab_hpolytopes
 
 SECTION_SUPPORT_TOL = 1e-6
-SLAB_SUPPORT_TOL = 1e-6  # support maximizers can sit on the slab rim (a kink)
+# declared by slabs of bodies without a profile (balls, translates), whose
+# supports come from the zoom search.  Its maximizer can sit on the slab rim
+# (a kink) and the search stops short of it: on smooth K at t = 0.5 it read up
+# to 1.2e-2 low, so these slabs need not meet this tolerance
+SLAB_SUPPORT_TOL = 1e-6
 DOT_GUARD = 1e-14  # |<theta, xi>| below this counts as parallel to the slab
 # secant steps of the translate radial: room for a bracket that doubles a
 # dozen times and then bisects to the last ulp; rows stop once they settle
@@ -104,7 +111,10 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     Along theta the slab boundary sits at t/|<theta, xi>|, so the radial
     function of the intersection is the pointwise minimum.  Polytope bodies
     take an exact route instead: the slab contributes two facets, and the
-    result is the polytope oracle of the clipped body.
+    result is the polytope oracle of the clipped body.  A body of
+    revolution gets exact supports from its profile, by one rim solve per
+    direction (revolution_slab_supports), and keeps its eval_tol; other
+    bodies recover supports from radial data by support_from_radial.
     """
     if slab.xi.shape != (body.dim,):
         raise BodyError("slab normal dimension must match the body")
@@ -125,17 +135,26 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     def member(pts):
         return np.asarray(body.member(pts)) & (np.abs(pts @ xi) <= t + body.eval_tol)
 
-    shape = SimpleNamespace(dim=body.dim, radial=radial)  # as in section_oracle
+    spec = body.revolution
+    if spec is not None:
+        @rowwise
+        def support(d):
+            return revolution_slab_supports(spec, np.broadcast_to(xi, d.shape),
+                                            np.full(d.shape[0], t), d)
+        eval_tol = body.eval_tol
+    else:
+        shape = SimpleNamespace(dim=body.dim, radial=radial)  # as in section_oracle
 
-    def support(d):
-        # the maximizer often sits on the slab rim (a kink), so extra zoom
-        # rounds buy little: ~1e-7 argument accuracy suffices for the
-        # quadrature consumers of slab supports
-        return support_from_radial(shape, d, grid=1024, rounds=16, shrink=0.45)
+        def support(d):
+            # the maximizer often sits on the slab rim (a kink), so extra zoom
+            # rounds buy little: ~1e-7 argument accuracy suffices for the
+            # quadrature consumers of slab supports
+            return support_from_radial(shape, d, grid=1024, rounds=16, shrink=0.45)
+        eval_tol = max(body.eval_tol, SLAB_SUPPORT_TOL)
 
     return ConvexBodyOracle(
         dim=body.dim, radial=radial, support=support, member=member,
-        eval_tol=max(body.eval_tol, SLAB_SUPPORT_TOL), kind="slab",
+        eval_tol=eval_tol, kind="slab",
     )
 
 

@@ -63,7 +63,7 @@ def polytope_cuts(draw, dims=(3, 4)):
 
 
 KINDS = ("revolution", "polytope", "ball", "translate", "section-smooth",
-         "section-polytope-k2", "section-polytope-k3")
+         "section-polytope-k2", "section-polytope-k3", "slab-smooth")
 
 
 @st.composite
@@ -71,11 +71,12 @@ def oracles(draw, kind):
     """(oracle of the given kind, seed), with its parameters drawn at random.
 
     Sections are hyperplane sections of a drawn revolution or polytope body
-    in dimension 3 or 4; translates move a ball or a revolution body.
+    in dimension 3 or 4; translates move a ball or a revolution body; slabs
+    clip a revolution body.
     """
     seed = draw(seeds)
     base = draw(st.sampled_from(("revolution", "ball"))) if kind == "translate" else kind
-    if base in ("revolution", "section-smooth"):
+    if base in ("revolution", "section-smooth", "slab-smooth"):
         spec = make_revolution_spec(draw(st.sampled_from((3, 4))), draw(epsilons),
                                     draw(deltas), draw(st.sampled_from("KL")))
         body = oracle_of(spec)
@@ -91,6 +92,10 @@ def oracles(draw, kind):
         inner = 1.0 if base == "revolution" else float(body.radial(np.eye(body.dim)[0]))
         shift = 0.6 * inner * draw(st.floats(0.0, 1.0)) * sample_sphere(body.dim, RngStream(seed))
         body = translate_oracle(body, shift)
+    if kind == "slab-smooth":
+        # revolution bodies contain the unit ball, so every t < 1 is admissible
+        body = slab_oracle(body, SlabSpec(sample_sphere(body.dim, RngStream(seed, 2)),
+                                          draw(fractions)))
     if kind.startswith("section"):
         body = section_oracle(body, sample_haar_subspace(body.dim, body.dim - 1,
                                                          RngStream(seed, 1)))
@@ -170,9 +175,6 @@ def test_cut_past_lam_max_is_rejected_naming_it(cut):
         build_polytope_pair(a, us, vs, lam_max * (1.0 + 1e-6))
 
 
-@pytest.mark.xfail(reason=(
-    "slab supports miss the maximizer by up to ~1e-2, far beyond the declared "
-    "SLAB_SUPPORT_TOL of 1e-6; ROADMAP direction 2"))
 def test_slab_support_meets_a_dense_boundary_lower_bound(smooth_pair):
     xi = sample_sphere(3, RngStream(17))
     slab = slab_oracle(smooth_pair.oracle_K, SlabSpec(xi, 0.5))

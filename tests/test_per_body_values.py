@@ -1,7 +1,8 @@
 """Experiments evaluate each body once for all their samples: k = 1 widths
 and segments come from one stacked oracle call, the slabs of one run
 share their parent's radial values on the fixed quadrature grids, the
-sections and slabs of a polytope are enumerated in stacks, and each
+slab widths of a body of revolution come from one stacked support solve,
+the sections and slabs of a polytope are enumerated in stacks, and each
 projection basis is checked once for both bodies.  Every value must equal,
 with ==, the value its sample gets alone, and the shared calls must not
 grow with the sample count."""
@@ -10,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from convexlab import grassmann, polykernel
+from convexlab import grassmann, intrinsic, polykernel
 from convexlab.experiments import (_body_value, convergence_experiment, make_pair,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
@@ -100,6 +101,12 @@ def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):
         assert radial == [[2 * samples]] * 2
 
 
+# V_1 of a 3-d slab of a body of revolution comes from its profile (next
+# test), so the zoom search's support grid is counted on the shifted
+# control: a ball and its translate, whose slabs still search
+SLAB_GRID_PAIR = {(3, 1): "control-shifted"}
+
+
 @pytest.mark.parametrize("n, i, grids", [
     (2, 1, {8192}),                 # the polyline's circle
     (3, 1, {1024}),                 # support_from_radial's base grid
@@ -107,17 +114,34 @@ def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):
     (3, 3, {4096, 2048}),           # volume_radial at vol_nodes = 4096
 ])
 def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
-    pair = make_pair("smooth", n)
+    pair = make_pair(SLAB_GRID_PAIR.get((n, i), "smooth"), n)
     counts = []
     for samples in (2, 5):
-        rows = []
-        parent = _counting(pair.oracle_K, "radial", rows)
-        slab_experiment(parent, pair.oracle_L, 0.5, i, samples, RngStream(7, 3), 1e-2,
-                        vol_nodes=4096)
-        counts.append(sorted(r for r in rows if r in grids))
+        rows = [[], []]
+        K, L = (_counting(o, "radial", r) for o, r in zip((pair.oracle_K, pair.oracle_L), rows))
+        slab_experiment(K, L, 0.5, i, samples, RngStream(7, 3), 1e-2, vol_nodes=4096)
+        counts.append([sorted(x for x in r if x in grids) for r in rows])
     # at i = 2 the count also holds max_slab_halfwidth's 10,000-direction grid
     assert counts[0] == counts[1]
-    assert set(counts[0]) == grids
+    assert [set(c) for c in counts[0]] == [grids, grids]
+
+
+def test_smooth_slab_widths_make_one_support_solve_per_body(smooth_pair, monkeypatch):
+    """V_1 of the slabs of a body of revolution takes one stacked rim solve
+    per body for every SLAB_CHUNK samples, of all their directions, and
+    never calls the body's own support."""
+    solves = []
+    solve = intrinsic.revolution_slab_supports
+    monkeypatch.setattr(intrinsic, "revolution_slab_supports",
+                        lambda spec, *rows: solves.append(len(rows[-1])) or solve(spec, *rows))
+    for samples in (2, 5):
+        solves.clear()
+        support = [[], []]
+        K, L = (_counting(o, "support", r) for o, r in
+                zip((smooth_pair.oracle_K, smooth_pair.oracle_L), support))
+        slab_experiment(K, L, 0.5, 1, samples, RngStream(7, 3), 1e-2)
+        assert solves == [samples * (512 + 256)] * 2
+        assert support == [[], []]
 
 
 @pytest.mark.parametrize("run", ["sections-k2", "sections-k3", "slabs"])

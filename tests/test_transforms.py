@@ -10,7 +10,8 @@ import pytest
 
 from convexlab.bodies import BodyError, ball_oracle, make_revolution_spec, oracle_of
 from convexlab.grassmann import RngStream, Subspace, embed, sample_haar_subspace
-from convexlab.intrinsic import circle_grid, fibonacci_sphere
+from convexlab.intrinsic import (SLAB_CHUNK, _slab_support_points, circle_grid,
+                                 fibonacci_sphere, revolution_slab_widths)
 from convexlab.polykernel import HPolytope
 from convexlab.transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                                   slab_oracle, translate_oracle)
@@ -145,6 +146,67 @@ def test_slab_of_ball_support_values():
     assert not slab.member(np.array([0.0, 0.0, 0.6]))
     with pytest.raises(BodyError, match="dimension"):
         slab_oracle(ball_oracle(2), SlabSpec(np.array([0.0, 0.0, 1.0]), 0.5))
+
+
+def _slab_directions(xi, m=400):
+    """m seeded unit directions, then xi, -xi and a direction 1e-9 from xi."""
+    g = RngStream(21, 6).generator().standard_normal((m, len(xi)))
+    near = xi + 1e-9 * np.roll(xi, 1)
+    dirs = np.vstack([g, xi, -xi, near])
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+SLAB_NORMALS = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                np.array([0.48, -0.6, 0.64])]
+
+
+@pytest.mark.parametrize("xi", SLAB_NORMALS, ids=["axis", "equator", "oblique"])
+@pytest.mark.parametrize("t", [0.2, 0.5, 0.9])
+def test_slab_of_the_profile_ball_meets_its_closed_form(xi, t):
+    """The epsilon = 0 body is the unit ball: h(u) = 1 where |<u, xi>| <= t,
+    else t |<u, xi>| + sqrt(1 - t^2) |u - <u, xi> xi|."""
+    ball = oracle_of(make_revolution_spec(3, epsilon=0.0))
+    slab = slab_oracle(ball, SlabSpec(xi, t))
+    assert slab.eval_tol == ball.eval_tol
+    u = _slab_directions(xi)
+    beta = u @ xi
+    normal = np.linalg.norm(u - beta[:, None] * xi, axis=1)
+    exact = np.where(np.abs(beta) <= t, 1.0, t * np.abs(beta) + math.sqrt(1.0 - t * t) * normal)
+    assert np.abs(np.asarray(slab.support(u)) - exact).max() <= slab.eval_tol
+    assert slab.support(xi) == pytest.approx(t, abs=slab.eval_tol)
+    assert slab.support(-xi) == pytest.approx(t, abs=slab.eval_tol)
+
+
+@pytest.mark.parametrize("xi", SLAB_NORMALS, ids=["axis", "equator", "oblique"])
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_smooth_slab_supports_carry_their_rim_points(smooth_pair, xi, t):
+    """Each far row's point p lies in K on the rim, s <p, xi> = t, and
+    attains the support value; each near row is the parent's support."""
+    K = smooth_pair.oracle_K
+    u = _slab_directions(xi)
+    rows = len(u)
+    h, p, rim = _slab_support_points(K.revolution, np.tile(xi, (rows, 1)), np.full(rows, t), u)
+    assert rim.any() and not rim.all()
+    level = p[rim] @ xi
+    assert np.abs(np.abs(level) - t).max() <= 1e-14
+    assert np.all(K.member(p[rim]))
+    assert np.abs(h[rim] - np.sum(p[rim] * u[rim], axis=1)).max() <= 1e-14
+    assert np.array_equal(h[~rim], K.support(u[~rim]))
+    assert np.all(np.abs(p[~rim] @ xi) <= t)
+
+
+def test_stacked_slab_widths_equal_one_slab_calls(smooth_pair):
+    """V_1 of each slab of a stacked call, over normals and over half-widths
+    and across chunks, is the value of a call on that slab alone."""
+    spec = smooth_pair.oracle_K.revolution
+    g = RngStream(21, 7).generator().standard_normal((SLAB_CHUNK + 3, 3))
+    normals = g / np.linalg.norm(g, axis=1, keepdims=True)
+    runs = [(normals, np.full(len(normals), 0.5)),
+            (np.tile(normals[0], (4, 1)), np.array([0.4, 0.2, 0.1, 0.05]))]
+    for xis, ts in runs:
+        stacked = revolution_slab_widths(spec, xis, ts, 128)
+        for j, value in enumerate(stacked):
+            assert value == revolution_slab_widths(spec, xis[j:j + 1], ts[j:j + 1], 128)[0]
 
 
 def test_translate_oracle_values():

@@ -21,12 +21,13 @@ projections above n = 3 (4-d sections in R^5 for i = 1 to 4, projections
 with k = 3 in R^4 and k = 2 to 4 in R^5), the exact V_1 and V_2 of 3-d
 polytope sections in R^4, the translate radial of the shifted ball (3-d
 sections in R^4 and n = 3 slabs of `control-shifted`), or the work that
-samples share within one run (slab grids at i = 1 and 2, convergence at
-i = 2, stacked k = 1 widths of the shifted ball and k = 1 segments of the
-smooth pair), with sample counts kept small; and polytope sections and
-slabs with hundreds to thousands of samples, whose stacked vertex
-enumeration makes thousands of feasibility, twin and incidence tests
-against thresholds.
+samples share within one run (slab grids at i = 1 and 2, the one stacked
+solve of exact slab supports behind smooth i = 1 slabs and convergence,
+convergence at i = 2, stacked k = 1 widths of the shifted ball and k = 1
+segments of the smooth pair), with sample counts kept small; and polytope
+sections and slabs with hundreds to thousands of samples, whose stacked
+vertex enumeration makes thousands of feasibility, twin and incidence
+tests against thresholds.
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -77,6 +78,7 @@ EXTRA = (
     "slabs --pair control-shifted --i 1 --samples 2",
     "slabs --pair smooth --i 1 --samples 2",
     "slabs --pair smooth --i 2 --samples 2",
+    "convergence --pair smooth --i 1",
     "convergence --pair smooth --i 2",
     "projections --pair control-shifted --k 1 --samples 50",
     "sections --pair smooth --k 1 --samples 50",
