@@ -37,7 +37,7 @@ from .experiments import (
     ExperimentError,
     ExperimentReport,
     NoncongruenceCertificate,
-    SampleRecord,
+    SampleTable,
     certify_report,
     convergence_experiment,
     lemma1_check,
@@ -108,7 +108,7 @@ __all__ = [
     "ExperimentError", "ExperimentReport", "HPolytope", "IVEstimate",
     "NoncongruenceCertificate", "PAIR_NAMES", "Polygon",
     "PolytopeConstruction", "PolytopeError", "ProfileValidation",
-    "RevolutionBodySpec", "RngStream", "SampleRecord", "SlabSpec", "Subspace",
+    "RevolutionBodySpec", "RngStream", "SampleTable", "SlabSpec", "Subspace",
     "VRep", "area_from_support_2d", "ball_intrinsic_volume", "ball_oracle",
     "boundary_polyline", "build_polytope_pair", "bump",
     "canonical_json", "certify_report", "convergence_experiment",

@@ -252,14 +252,13 @@ def _emit_single(report, pair, args, out: Path, written: list) -> None:
     sp = out / "rel_diff.svg"
     written.append(sp)
     render_scatter_svg(sp, f"{report.experiment}: per-sample rel_diff",
-                       [s.id for s in report.samples],
-                       [s.rel_diff for s in report.samples])
+                       np.arange(len(report.samples)), report.samples.rel_diff)
     if report.experiment == "sections" and args.k == 2 and pair.oracle_K.dim == 3:
         gp = out / "sections.svg"
         written.append(gp)
         polys = []
         for j in range(min(3, len(report.samples))):
-            sub = Subspace(np.reshape(report.samples[j].basis, (3, 2)))
+            sub = Subspace(report.samples.basis[j].reshape(3, 2))
             polys.append((f"K section {j}", _section_loop(pair.oracle_K, sub)))
             polys.append((f"L section {j}", _section_loop(pair.oracle_L, sub)))
         render_polygons_svg(gp, "section overlays", polys)

@@ -35,42 +35,70 @@ class ExperimentError(ValueError):
     """Raised for invalid experiment parameters."""
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One per-sample comparison row; basis is flattened row-major."""
+VALUE_COLUMNS = ("value_K", "value_L", "abs_diff", "rel_diff", "stderr")
 
-    id: int
-    basis: tuple
-    value_K: float
-    value_L: float
-    abs_diff: float
-    rel_diff: float
-    stderr: float
-    extra: dict | None = None
+
+@dataclass(frozen=True, eq=False)
+class SampleTable:
+    """A report's samples as float64 columns; sample j is row j, its id.
+
+    basis[j] is sample j's subspace basis or normal, flattened row-major;
+    extra maps each key to one more column of all rows.  The table keeps
+    read-only views of the arrays, so its values cannot change through it.
+    """
+
+    basis: np.ndarray  # (m, w)
+    value_K: np.ndarray
+    value_L: np.ndarray
+    abs_diff: np.ndarray
+    rel_diff: np.ndarray
+    stderr: np.ndarray
+    extra: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        def frozen(column, ndim):
+            if not isinstance(column, np.ndarray) or column.dtype != np.float64:
+                raise TypeError("sample columns must be float64 arrays")
+            if column.ndim != ndim or len(column) != len(self.basis):
+                raise ValueError("sample columns must hold one row per sample")
+            view = column.view()
+            view.setflags(write=False)
+            return view
+
+        object.__setattr__(self, "basis", frozen(self.basis, 2))
+        for name in VALUE_COLUMNS:
+            object.__setattr__(self, name, frozen(getattr(self, name), 1))
+        object.__setattr__(self, "extra", {k: frozen(c, 1) for k, c in self.extra.items()})
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+
+def _sample_table(basis, value_K, value_L, abs_diff, stderr, extra=None) -> SampleTable:
+    """The table of these columns, with rel_diff = abs_diff over the mean
+    magnitude of the two values (floored at 1e-300)."""
+    scale = np.maximum(0.5 * (np.abs(value_K) + np.abs(value_L)), 1e-300)
+    return SampleTable(basis, value_K, value_L, abs_diff, abs_diff / scale, stderr, extra or {})
 
 
 @dataclass
 class ExperimentReport:
+    """One experiment's record: its samples as one SampleTable, and a
+    summary with the verdict."""
+
     experiment: str
     bodies: dict  # body snapshots; the CLI sets them from its pair
     parameters: dict
-    samples: list
+    samples: SampleTable
     summary: dict
     runtime_seconds: float = 0.0  # informational; kept out of serialized reports
 
 
-def _rel(diff: float, a: float, b: float) -> float:
-    scale = max(0.5 * (abs(a) + abs(b)), 1e-300)
-    return diff / scale
-
-
-def _judge(samples: list, tol: float) -> dict:
-    """Summary statistics and the pass verdict for a list of SampleRecords."""
-    if not samples:
+def _judge(samples: SampleTable, tol: float) -> dict:
+    """Summary statistics and the pass verdict for a table of samples."""
+    if not len(samples):
         raise ExperimentError("experiment produced no samples")
-    rels = np.array([s.rel_diff for s in samples])
-    absd = np.array([s.abs_diff for s in samples])
-    errs = np.array([s.stderr for s in samples])
+    rels, absd, errs = samples.rel_diff, samples.abs_diff, samples.stderr
     ok = np.where(errs == 0.0, rels <= tol, absd <= 3.0 * errs + tol)
     rule = "exact-rel" if np.all(errs == 0.0) else (
         "mc-3sigma" if np.all(errs > 0.0) else "mixed")
@@ -82,6 +110,12 @@ def _judge(samples: list, tol: float) -> dict:
         "tolerance": tol,
         "rule": rule,
     }
+
+
+def _columns(rows) -> tuple[np.ndarray, np.ndarray, set]:
+    """The values, stderrs and set of methods of (value, stderr, method) rows."""
+    return (np.array([v for v, _, _ in rows], dtype=float),
+            np.array([e for _, e, _ in rows], dtype=float), {m for _, _, m in rows})
 
 
 def _shared_dim(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle) -> int:
@@ -106,17 +140,12 @@ def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
     every row of these), so each sample's value is the one it gets by
     itself.
     """
-    samples = []
-    methods = set()
-    for j, (basis, (vk, sk, mk), (vl, sl, ml)) in enumerate(
-            zip(bases, values(oracle_K), values(oracle_L), strict=True)):
-        methods.update((mk, ml))
-        diff = abs(vk - vl)
-        samples.append(SampleRecord(
-            j, tuple(float(x) for x in np.ravel(basis)), vk, vl, diff,
-            _rel(diff, vk, vl), sk + sl))
+    value_K, err_K, methods_K = _columns(values(oracle_K))
+    value_L, err_L, methods_L = _columns(values(oracle_L))
+    samples = _sample_table(bases.reshape(len(bases), math.prod(bases.shape[1:])),
+                            value_K, value_L, np.abs(value_K - value_L), err_K + err_L)
     summary = _judge(samples, tol)
-    summary["methods"] = sorted(methods)
+    summary["methods"] = sorted(methods_K | methods_L)
     return ExperimentReport(experiment, {}, {
         **parameters, "samples": len(bases), "seed": rng.seed, "tol": tol,
         "dimension": oracle_K.dim,
@@ -221,12 +250,7 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     d_rho = pairing(rho_kp, rho_km, rho_lp, rho_lm)
     d_h = pairing(h_kp, h_km, h_lp, h_lm)
 
-    samples = [
-        SampleRecord(j, tuple(u), vk, vl, d, _rel(d, vk, vl), 0.0, extra={"d_h": dh})
-        for j, (u, vk, vl, d, dh) in enumerate(zip(
-            dirs.tolist(), rho_kp.tolist(), rho_lp.tolist(), d_rho.tolist(),
-            d_h.tolist()))
-    ]
+    samples = _sample_table(dirs, rho_kp, rho_lp, d_rho, np.zeros(n_dirs), {"d_h": d_h})
 
     # reflection spot-check at midpoint radii, where one body but not the
     # other should contain the probe whenever the radial values differ
@@ -477,14 +501,12 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
             slabs = [_body_value(slab_oracle(parent, SlabSpec(xi, t)), i, 100_000, width_nodes)
                      for t in ts]
 
-    samples = []
-    diffs, errs = [], []
-    for j, (t, (vk, sk, _)) in enumerate(zip(ts, slabs)):
-        d = vk - sec_value
-        diffs.append(d)
-        errs.append(sk + sec_err)
-        samples.append(SampleRecord(
-            j, (t,), vk, sec_value, abs(d), _rel(abs(d), vk, sec_value), sk + sec_err))
+    value, errs, _ = _columns(slabs)
+    errs += sec_err
+    diffs = value - sec_value
+    samples = _sample_table(np.array(ts)[:, None], value, np.full(len(ts), float(sec_value)),
+                            np.abs(diffs), errs)
+    diffs, errs = diffs.tolist(), errs.tolist()
 
     slack = [3.0 * e + 1e-12 for e in errs]
     monotone = all(diffs[j + 1] <= diffs[j] + slack[j] + slack[j + 1]
@@ -495,7 +517,7 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
     summary = _judge(samples, 0.0)
     summary.update({
         "section_value": sec_value,
-        "diffs": [float(d) for d in diffs],
+        "diffs": diffs,
         "fitted_C": float(ratio_c),
         "monotone": bool(monotone),
         "pass": bool(monotone and nonneg and final_ok),
@@ -698,5 +720,6 @@ def certify_report(pair: BodyPair) -> ExperimentReport:
             "assumptions": list(c.assumptions),
         } for c in certs],
     }
+    empty = np.empty(0)
     return ExperimentReport("certify", pair.snapshots, {"pair": pair.name},
-                            [], summary)
+                            _sample_table(np.empty((0, 0)), empty, empty, empty, empty), summary)

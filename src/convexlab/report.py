@@ -4,10 +4,14 @@ Output is byte-deterministic for identical inputs: keys are sorted, floats
 use shortest round-trip repr, and wall-clock timing never enters the files
 (it is kept on the in-memory report only).
 
-The writers render samples a column at a time: each float column is one
-C-level map of float.__repr__, and each sample fills a fixed template.
-The bytes are those of canonical_json(report_to_dict(report)) and of
-csv.writer rows of repr(float(v)) cells.
+A report's samples are one SampleTable of float64 columns.  The writers
+take each column's texts with one C-level map of float.__repr__, fill one
+template per row, and write CHUNK rows at a time.  Each float of a report
+is formatted once for its report.json and samples.csv: the writer that runs
+second takes the texts of the first from a one-slot memo, which holds at
+most one table's texts and is emptied when they are taken.  The bytes are
+those of canonical_json(report_to_dict(report)) and of csv.writer rows of
+repr(float(v)) cells.
 """
 
 from __future__ import annotations
@@ -15,17 +19,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from collections import defaultdict
-from itertools import accumulate, chain
-from operator import attrgetter
+from itertools import chain, islice
 from pathlib import Path
 
-from .experiments import ExperimentReport
+import numpy as np
 
-CSV_VALUE_COLUMNS = ("value_K", "value_L", "abs_diff", "rel_diff", "stderr")
+from .experiments import VALUE_COLUMNS as CSV_VALUE_COLUMNS
+from .experiments import ExperimentReport, SampleTable
 
-CHUNK = 4096  # samples rendered at a time; bounds the writers' temporaries
+CHUNK = 4096  # rows rendered at a time; bounds the writers' temporaries
 
 # a sample object of a report's "samples" list, as canonical_json indents it:
 # its fields, then its basis entries and extra fields one level deeper
@@ -34,6 +36,8 @@ _SAMPLE = ("{" + _FIELD + '"abs_diff": %s,' + _FIELD + '"basis": %s,%s' + _FIELD
            + '"id": %s,' + _FIELD + '"rel_diff": %s,' + _FIELD + '"stderr": %s,'
            + _FIELD + '"value_K": %s,' + _FIELD + '"value_L": %s\n    }')
 _SAMPLES_SLOT = '\n  "samples": []'
+
+_memo: list = []  # [(table, texts)] of the last table formatted, until taken
 
 
 def _envelope(report: ExperimentReport) -> dict:
@@ -49,16 +53,19 @@ def _envelope(report: ExperimentReport) -> dict:
 
 def report_to_dict(report: ExperimentReport) -> dict:
     """JSON form of a report; runtime is deliberately omitted."""
+    s = report.samples
+    extra = {key: column.tolist() for key, column in s.extra.items()}
     return {**_envelope(report), "samples": [{
-        "id": s.id,
-        "basis": list(s.basis),
-        "value_K": s.value_K,
-        "value_L": s.value_L,
-        "abs_diff": s.abs_diff,
-        "rel_diff": s.rel_diff,
-        "stderr": s.stderr,
-        **({"extra": s.extra} if s.extra else {}),
-    } for s in report.samples]}
+        "id": j,
+        "basis": basis,
+        "value_K": value_K,
+        "value_L": value_L,
+        "abs_diff": abs_diff,
+        "rel_diff": rel_diff,
+        "stderr": stderr,
+        **({"extra": {key: column[j] for key, column in extra.items()}} if extra else {}),
+    } for j, (basis, value_K, value_L, abs_diff, rel_diff, stderr) in enumerate(zip(
+        s.basis.tolist(), *(getattr(s, c).tolist() for c in CSV_VALUE_COLUMNS)))]}
 
 
 def canonical_json(data) -> str:
@@ -67,68 +74,29 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _float_texts(values) -> list[str]:
-    """repr(float(v)) of each value, in one C-level pass over the column."""
-    return list(map(float.__repr__, map(float, values)))
+def _require_finite(samples: SampleTable) -> None:
+    """Raise ValueError, as canonical_json does, for a NaN or infinite value."""
+    columns = [samples.basis, *(getattr(samples, c) for c in CSV_VALUE_COLUMNS),
+               *samples.extra.values()]
+    if not all(np.isfinite(column).all() for column in columns):
+        raise ValueError("Out of range float values are not JSON compliant")
 
 
-def _json_texts(values: list, indent: str) -> list[str]:
-    """canonical_json's text of each value inside a report, where indent
-    starts the lines of the object or list that holds the values.  json
-    writes every float, subclasses such as np.float64 included, as
-    float.__repr__ (and rejects NaN and +-inf), and every int but a bool as
-    int.__repr__."""
-    types = set(map(type, values))
-    if all(issubclass(t, float) for t in types):
-        if not all(map(math.isfinite, values)):
-            raise ValueError("Out of range float values are not JSON compliant")
-        return list(map(float.__repr__, values))
-    if all(issubclass(t, int) and not issubclass(t, bool) for t in types):
-        return list(map(int.__repr__, values))
-    return [canonical_json(v)[:-1].replace("\n", indent) for v in values]
+def _float_texts(column: np.ndarray) -> list[str]:
+    return list(map(float.__repr__, column.tolist()))
 
 
-def _basis_texts(samples, render) -> list[list[str]]:
-    """render's texts of all basis entries of samples, one list per sample."""
-    texts = render(list(chain.from_iterable(s.basis for s in samples)))
-    widths = [len(s.basis) for s in samples]
-    return [texts[end - w:end] for end, w in zip(accumulate(widths), widths)]
-
-
-def _column(samples, name: str) -> list:
-    return list(map(attrgetter(name), samples))
-
-
-def _extra_fields(samples) -> list[str]:
-    """Each sample's '"extra": {...},' text, or '' when it has none.  Samples
-    whose extra dicts share one key set are rendered one column per key."""
-    texts = [""] * len(samples)
-    by_keys = defaultdict(list)
-    for j, s in enumerate(samples):
-        if s.extra:
-            by_keys[tuple(sorted(s.extra))].append(j)
-    for keys, rows in by_keys.items():
-        names = [_ITEM + json.dumps({key: 0}, allow_nan=False)[1:-4] + ": " for key in keys]
-        columns = [_json_texts([samples[j].extra[key] for j in rows], _ITEM) for key in keys]
-        for j, *values in zip(rows, *columns):
-            texts[j] = (_FIELD + '"extra": {' + ",".join(map(str.__add__, names, values))
-                        + _FIELD + "},")
+def _texts(samples: SampleTable) -> tuple:
+    """(basis columns, {value column: texts}, {extra key: texts} in key
+    order): float.__repr__ of every value of samples.  A table formatted
+    by the last call is not formatted again."""
+    if _memo and _memo[0][0] is samples:
+        return _memo.pop()[1]
+    texts = ([_float_texts(column) for column in samples.basis.T],
+             {c: _float_texts(getattr(samples, c)) for c in CSV_VALUE_COLUMNS},
+             {key: _float_texts(samples.extra[key]) for key in sorted(samples.extra)})
+    _memo[:] = [(samples, texts)]
     return texts
-
-
-def _samples_json(samples) -> list[str]:
-    """canonical_json's text of each sample object inside a report."""
-    basis = ["[" + _ITEM + ("," + _ITEM).join(b) + _FIELD + "]" if b else "[]"
-             for b in _basis_texts(samples, lambda v: _json_texts(v, _ITEM))]
-    value = {c: _json_texts(_column(samples, c), _FIELD) for c in CSV_VALUE_COLUMNS}
-    return list(map(_SAMPLE.__mod__, zip(
-        value["abs_diff"], basis, _extra_fields(samples),
-        _json_texts(_column(samples, "id"), _FIELD), value["rel_diff"],
-        value["stderr"], value["value_K"], value["value_L"])))
-
-
-def _chunks(samples):
-    return (samples[lo:lo + CHUNK] for lo in range(0, len(samples), CHUNK))
 
 
 def write_report_json(path, report) -> Path:
@@ -138,12 +106,25 @@ def write_report_json(path, report) -> Path:
     if not isinstance(report, ExperimentReport):
         p.write_text(canonical_json(report), encoding="utf-8")
         return p
+    samples = report.samples
+    _require_finite(samples)
+    basis, values, extra = _texts(samples)
+    # canonical_json's text of a sample, its id and floats left as %s
+    basis_slot = "[" + ",".join([_ITEM + "%s"] * len(basis)) + _FIELD + "]" if basis else "[]"
+    extra_slot = (_FIELD + '"extra": {' + ",".join(
+        _ITEM + json.dumps(key).replace("%", "%%") + ": %s" for key in extra) + _FIELD + "},"
+        if extra else "")
+    template = _SAMPLE % ("%s", basis_slot, extra_slot, "%s", "%s", "%s", "%s", "%s")
+    rows = zip(values["abs_diff"], *basis, *extra.values(), map(str, range(len(samples))),
+               values["rel_diff"], values["stderr"], values["value_K"], values["value_L"])
     head, tail = canonical_json(_envelope(report)).split(_SAMPLES_SLOT)
-    chunks = [",\n    ".join(_samples_json(chunk)) for chunk in _chunks(report.samples)]
-    samples = (['\n  "samples": [\n    ', ",\n    ".join(chunks), "\n  ]"] if chunks
-               else [_SAMPLES_SLOT])
     with open(p, "w", encoding="utf-8") as fh:
-        fh.writelines([head, *samples, tail])
+        fh.write(head)
+        sep = '\n  "samples": [\n    '
+        while chunk := list(map(template.__mod__, islice(rows, CHUNK))):
+            fh.write(sep + ",\n    ".join(chunk))
+            sep = ",\n    "
+        fh.write((_SAMPLES_SLOT if len(samples) == 0 else "\n  ]") + tail)
     return p
 
 
@@ -154,43 +135,39 @@ def _csv_cell(text) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_rows(samples, lead: list, basis_sep: str | None) -> list[list[str]]:
-    """CSV cells of each sample: lead, the id, the basis entries (one packed
-    cell joined by basis_sep, or one cell each when it is None) and the
-    value columns, every float as repr(float(v))."""
-    basis = _basis_texts(samples, _float_texts)
-    if basis_sep is not None:
-        basis = [[basis_sep.join(b)] for b in basis]
-    values = [_float_texts(_column(samples, c)) for c in CSV_VALUE_COLUMNS]
-    return [[*lead, str(s.id), *b, *v] for s, b, *v in zip(samples, basis, *values)]
-
-
-def _write_csv(path, header: list, row_chunks) -> Path:
-    parts = [",".join(header) + "\n"]
-    parts += ("\n".join(map(",".join, rows)) + "\n" for rows in row_chunks)
+def _write_csv(path, header: list, rows) -> Path:
+    """Write the header and rows, tuples of cell texts, CHUNK rows at a time."""
     p = Path(path)
     with open(p, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(parts)
+        fh.write(",".join(header) + "\n")
+        while chunk := list(map(",".join, islice(rows, CHUNK))):
+            fh.write("\n".join(chunk) + "\n")
     return p
 
 
-def _samples_header(samples) -> list[str]:
-    width = max((len(s.basis) for s in samples), default=0)
-    return ["id"] + [f"basis_{j}" for j in range(width)] + list(CSV_VALUE_COLUMNS)
-
-
-def samples_csv_rows(report: ExperimentReport) -> list[list[str]]:
-    return [_samples_header(report.samples)] + _csv_rows(report.samples, [], None)
-
-
 def write_samples_csv(path, report: ExperimentReport) -> Path:
-    return _write_csv(path, _samples_header(report.samples),
-                      (_csv_rows(chunk, [], None) for chunk in _chunks(report.samples)))
+    """One row per sample: its id, one cell per basis entry, the values."""
+    samples = report.samples
+    _require_finite(samples)
+    basis, values, _ = _texts(samples)
+    header = ["id", *(f"basis_{j}" for j in range(len(basis))), *CSV_VALUE_COLUMNS]
+    return _write_csv(path, header, zip(map(str, range(len(samples))), *basis,
+                                        *values.values()))
+
+
+def _suite_rows(name: str, samples: SampleTable):
+    basis, values, _ = _texts(samples)
+    packed = map(";".join, zip(*basis)) if basis else [""] * len(samples)
+    return zip([_csv_cell(name)] * len(samples), map(str, range(len(samples))), packed,
+               *values.values())
 
 
 def write_suite_csv(path, named_reports) -> Path:
     """Aggregate CSV across experiments; the basis is one packed column
     because widths differ between experiments."""
-    return _write_csv(path, ["experiment", "id", "basis"] + list(CSV_VALUE_COLUMNS),
-                      (_csv_rows(chunk, [_csv_cell(name)], ";")
-                       for name, report in named_reports for chunk in _chunks(report.samples)))
+    named_reports = list(named_reports)
+    for _, report in named_reports:
+        _require_finite(report.samples)
+    rows = chain.from_iterable(_suite_rows(name, report.samples)
+                               for name, report in named_reports)
+    return _write_csv(path, ["experiment", "id", "basis", *CSV_VALUE_COLUMNS], rows)

@@ -20,9 +20,8 @@ from convexlab.grassmann import (RngStream, _gaussian_block, rowwise, sample_haa
                                   sample_sphere)
 from convexlab.intrinsic import (IVEstimate, centroid_3d, kubota_intrinsic_volume,
                                  mean_width_v1)
-from convexlab.report import (canonical_json, report_to_dict, samples_csv_rows,
-                              write_report_json, write_samples_csv,
-                              write_suite_csv)
+from convexlab.report import (canonical_json, report_to_dict, write_report_json,
+                              write_samples_csv, write_suite_csv)
 from convexlab.transforms import section_oracle, translate_oracle
 
 
@@ -443,11 +442,9 @@ def test_report_serialization_round_trip(tmp_path, smooth_pair):
     p = write_report_json(tmp_path / "r.json", rep)
     assert p.read_text(encoding="utf-8") == canonical_json(d)
 
-    rows = samples_csv_rows(rep)
+    rows = write_samples_csv(tmp_path / "s.csv", rep).read_text(encoding="utf-8").splitlines()
     assert len(rows) == 21
-    assert rows[0][:4] == ["id", "basis_0", "basis_1", "basis_2"]
-    csv_path = write_samples_csv(tmp_path / "s.csv", rep)
-    assert len(csv_path.read_text(encoding="utf-8").splitlines()) == 21
+    assert rows[0].split(",")[:4] == ["id", "basis_0", "basis_1", "basis_2"]
 
     suite_path = write_suite_csv(tmp_path / "suite.csv", [("a", rep), ("b", again)])
     lines = suite_path.read_text(encoding="utf-8").splitlines()
@@ -498,17 +495,17 @@ def test_sample_j_draws_from_substream_j(polytope_pair, monkeypatch):
     for k in (1, 2):
         for rep in (sections_experiment(K, L, k, 1, 4, rng, 1e-9),
                     projections_experiment(K, L, k, 4, rng, 1e-9)):
-            assert [s.id for s in rep.samples] == [0, 1, 2, 3]
-            for s in rep.samples:
-                expect = sample_haar_subspace(3, k, rng.substream(s.id)).basis
-                assert s.basis == tuple(float(x) for x in expect.flatten())
+            assert len(rep.samples) == 4
+            for j, basis in enumerate(rep.samples.basis):
+                expect = sample_haar_subspace(3, k, rng.substream(j)).basis
+                assert basis.tolist() == expect.flatten().tolist()
     rep = slab_experiment(K, L, 0.5, 3, 4, rng, 1e-9)
-    for s in rep.samples:
-        assert s.basis == tuple(float(x) for x in sample_sphere(3, rng.substream(s.id)))
+    for j, basis in enumerate(rep.samples.basis):
+        assert basis.tolist() == sample_sphere(3, rng.substream(j)).tolist()
     rep = lemma1_check(K, L, 5, 1e-9, rng)
-    assert [s.id for s in rep.samples] == [0, 1, 2, 3, 4]
-    for s in rep.samples:
-        assert s.basis == tuple(float(x) for x in sample_sphere(3, rng.substream(s.id)))
+    assert len(rep.samples) == 5
+    for j, basis in enumerate(rep.samples.basis):
+        assert basis.tolist() == sample_sphere(3, rng.substream(j)).tolist()
 
     seen = []
 

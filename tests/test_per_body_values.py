@@ -37,9 +37,9 @@ def test_k1_projections_equal_one_direction_widths(name, n):
     rng = RngStream(7, 40)
     rep = projections_experiment(pair.oracle_K, pair.oracle_L, 1, 40, rng, 1e-8)
     us = sample_haar_bases(n, 1, rng.substreams(40))[:, :, 0]
-    for s, u in zip(rep.samples, us, strict=True):
-        assert s.value_K == pair.oracle_K.support(u) + pair.oracle_K.support(-u)
-        assert s.value_L == pair.oracle_L.support(u) + pair.oracle_L.support(-u)
+    for vk, vl, u in zip(rep.samples.value_K, rep.samples.value_L, us, strict=True):
+        assert vk == pair.oracle_K.support(u) + pair.oracle_K.support(-u)
+        assert vl == pair.oracle_L.support(u) + pair.oracle_L.support(-u)
 
 
 def test_k1_sections_equal_one_direction_segments(smooth_pair):
@@ -47,9 +47,9 @@ def test_k1_sections_equal_one_direction_segments(smooth_pair):
     rng = RngStream(7, 2)
     rep = sections_experiment(K, L, 1, 1, 40, rng, 1e-8)
     us = sample_haar_bases(3, 1, rng.substreams(40))[:, :, 0]
-    for s, u in zip(rep.samples, us, strict=True):
-        assert s.value_K == K.radial(u) + K.radial(-u)
-        assert s.value_L == L.radial(u) + L.radial(-u)
+    for vk, vl, u in zip(rep.samples.value_K, rep.samples.value_L, us, strict=True):
+        assert vk == K.radial(u) + K.radial(-u)
+        assert vl == L.radial(u) + L.radial(-u)
 
 
 @pytest.mark.parametrize("name, n, i", [
@@ -61,10 +61,11 @@ def test_slabs_equal_one_slab_values(name, n, i):
     rep = slab_experiment(pair.oracle_K, pair.oracle_L, 0.5, i, 3, rng, 1e-3,
                           vol_nodes=20_000)
     xis = sample_haar_bases(n, 1, rng.substreams(3))[:, :, 0]
-    for s, xi in zip(rep.samples, xis, strict=True):
+    s = rep.samples
+    for vk_run, vl_run, err_run, xi in zip(s.value_K, s.value_L, s.stderr, xis, strict=True):
         vk, sk, _ = _body_value(slab_oracle(pair.oracle_K, SlabSpec(xi, 0.5)), i, 20_000, 512)
         vl, sl, _ = _body_value(slab_oracle(pair.oracle_L, SlabSpec(xi, 0.5)), i, 20_000, 512)
-        assert (s.value_K, s.value_L, s.stderr) == (vk, vl, sk + sl)
+        assert (vk_run, vl_run, err_run) == (vk, vl, sk + sl)
 
 
 @pytest.mark.parametrize("n, k, i", [(3, 2, 1), (3, 2, 2), (4, 2, 2), (4, 3, 1), (4, 3, 3)])
@@ -73,10 +74,11 @@ def test_polytope_sections_equal_one_section_values(n, k, i):
     rng = RngStream(7, 20 + k)
     rep = sections_experiment(pair.oracle_K, pair.oracle_L, k, i, 60, rng, 1e-9)
     bases = sample_haar_bases(n, k, rng.substreams(60))
-    for s, basis in zip(rep.samples, bases, strict=True):
+    for vk_run, vl_run, basis in zip(rep.samples.value_K, rep.samples.value_L, bases,
+                                     strict=True):
         vk = _body_value(section_oracle(pair.oracle_K, Subspace(basis)), i, None, 512)[0]
         vl = _body_value(section_oracle(pair.oracle_L, Subspace(basis)), i, None, 512)[0]
-        assert (s.value_K, s.value_L) == (vk, vl)
+        assert (vk_run, vl_run) == (vk, vl)
 
 
 def test_convergence_equals_one_slab_values(smooth_pair):
@@ -84,8 +86,8 @@ def test_convergence_equals_one_slab_values(smooth_pair):
     xi = sample_haar_bases(3, 1, [RngStream(7, 5)])[0, :, 0]
     ts = (0.4, 0.2, 0.1)
     rep = convergence_experiment(K, xi, 2, ts)
-    for s, t in zip(rep.samples, ts, strict=True):
-        assert s.value_K == _body_value(slab_oracle(K, SlabSpec(xi, t)), 2, 100_000, 512)[0]
+    for vk, t in zip(rep.samples.value_K, ts, strict=True):
+        assert vk == _body_value(slab_oracle(K, SlabSpec(xi, t)), 2, 100_000, 512)[0]
 
 
 def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):

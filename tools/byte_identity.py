@@ -27,7 +27,12 @@ convergence at i = 2, stacked k = 1 widths of the shifted ball and k = 1
 segments of the smooth pair), with sample counts kept small; and polytope
 sections and slabs with hundreds to thousands of samples, whose stacked
 vertex enumeration makes thousands of feasibility, twin and incidence
-tests against thresholds.
+tests against thresholds.  Four commands cover the sample tables the
+writers render: lemma1 in R^4 (basis width 4 plus the d_h column across a
+CHUNK edge), smooth sections with thousands of samples (basis width 6, a
+nonzero stderr on most rows, rule `mixed`), and --svg runs of lemma1 and
+sections, whose rel_diff.svg and sections.svg read sample columns
+(`all --svg` writes only profiles.svg).
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -87,6 +92,10 @@ EXTRA = (
     "slabs --pair polytope --i 1 --samples 500",
     "slabs --pair polytope --i 3 --samples 500",
     "sections --pair control-rotated --n 4 --k 2 --samples 500",
+    "lemma1 --pair polytope --n 4 --samples 5000",
+    "sections --pair smooth --k 2 --i 2 --samples 4200",
+    "lemma1 --pair smooth --samples 200 --svg",
+    "sections --pair smooth --k 2 --samples 3 --svg",
 )
 
 ORACLE_PARAMS = ((1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16), (2e-3, 0.05), (1e-3, 0.155))
