@@ -153,8 +153,10 @@ def profile(spec: RevolutionBodySpec, t, order: int = 0):
     return out if arr.ndim else float(out[0])
 
 
+@functools.lru_cache(maxsize=32)
 def validate_revolution_spec(spec: RevolutionBodySpec) -> ProfileValidation:
-    """Concavity and positivity of the profile on 100,000 interior points."""
+    """Concavity and positivity of the profile on 100,000 interior points,
+    computed once per distinct spec in a process."""
     ts = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 100_000)
     values, _, second = _profile_terms(spec, ts, 2)
     max2 = float(second.max())
@@ -512,8 +514,8 @@ def oracle_of(body) -> ConvexBodyOracle:
 
 def ball_oracle(dim: int, radius: float = 1.0) -> ConvexBodyOracle:
     """Closed-form oracle for a centered ball; the calibration reference."""
-    if dim < 1 or not radius > 0.0:
-        raise BodyError("ball needs a positive dimension and radius")
+    if dim < 1 or not 0.0 < radius < math.inf:
+        raise BodyError(f"ball needs a positive dimension and radius, got n={dim}, radius={radius}")
     r = float(radius)
 
     @rowwise

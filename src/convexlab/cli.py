@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bodies import (RevolutionBodySpec, build_polytope_pair, make_revolution_spec, oracle_of,
-                     profile, validate_revolution_spec)
+from .bodies import profile
 from .experiments import (
     PAIR_NAMES,
     BodyPair,
+    body_from_record,
     certify_report,
     convergence_experiment,
     lemma1_check,
@@ -62,78 +62,13 @@ class _Parser(argparse.ArgumentParser):
 # body specs
 
 
-_REVOLUTION_FIELDS = frozenset({"type", "n", "epsilon", "delta", "variant"})
-_POLYTOPE_FIELDS = frozenset({"type", "a", "u_signs", "v_signs", "lambda", "variant"})
-
-
-def _spec_int(value, field: str) -> int:
-    """A JSON integer (not a float or a boolean) from a body spec field."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError(f"body spec field '{field}' takes integers, got {json.dumps(value)}")
-    return value
-
-
-def _spec_float(value, field: str) -> float:
-    """A JSON number (not a string or a boolean) from a body spec field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(f"body spec field '{field}' takes numbers, got {json.dumps(value)}")
-    return float(value)
-
-
-def parse_body_spec(text: str):
-    """JSON body description -> (RevolutionBodySpec or HPolytope, record).
-
-    Unknown fields are rejected by name; absent epsilon, delta, lambda fall
-    back to their defaults.  Constraint violations surface the constructor
-    diagnostics (for example "delta must lie in (0, 1/6)"), and a revolution
-    profile must pass validate_revolution_spec, so the body is convex.  The
-    record is the body's spec with every default filled in, the JSON that
-    construct writes, so a report's bodies can be read back here.
-    """
+def parse_body_spec(text: str) -> tuple:
+    """JSON body spec -> body_from_record's (oracle, record with defaults)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON body spec: {exc}") from None
-    if not isinstance(data, dict):
-        raise CliError("body spec must be a JSON object")
-    kind = data.get("type")
-    if kind == "revolution":
-        unknown = sorted(set(data) - _REVOLUTION_FIELDS)
-        if unknown:
-            raise CliError(f"unknown field '{unknown[0]}' in revolution body spec")
-        spec = RevolutionBodySpec(
-            n=_spec_int(data.get("n", 3), "n"),
-            epsilon=_spec_float(data.get("epsilon", 1e-3), "epsilon"),
-            delta=_spec_float(data.get("delta", 0.1), "delta"),
-            variant=str(data.get("variant", "K")),
-        )
-        check = validate_revolution_spec(spec)
-        if not check.ok:
-            raise CliError("revolution profile is not concave and positive: max f'' = "
-                           f"{check.max_second_derivative:.4g}, min f = {check.min_profile:.4g}")
-        return spec, spec.snapshot()
-    if kind == "polytope":
-        unknown = sorted(set(data) - _POLYTOPE_FIELDS)
-        if unknown:
-            raise CliError(f"unknown field '{unknown[0]}' in polytope body spec")
-        if "a" not in data:
-            raise CliError("polytope body spec requires field 'a' (box half-widths)")
-        for field in ("a", "u_signs", "v_signs"):
-            if field in data and not isinstance(data[field], list):
-                raise CliError(f"body spec field '{field}' takes a list, "
-                               f"got {json.dumps(data[field])}")
-        a = [_spec_float(x, "a") for x in data["a"]]
-        n = len(a)
-        us = [_spec_int(x, "u_signs") for x in data.get("u_signs", [1] * n)]
-        vs = [_spec_int(x, "v_signs") for x in data.get("v_signs", [1] * (n - 1) + [-1])]
-        lam = data.get("lambda")
-        variant = str(data.get("variant", "K"))
-        if variant not in ("K", "L"):
-            raise CliError("polytope body spec field 'variant' must be 'K' or 'L'")
-        cons = build_polytope_pair(a, us, vs,
-                                   None if lam is None else _spec_float(lam, "lambda"))
-        return (cons.body_K if variant == "K" else cons.body_L), cons.snapshot(variant)
-    raise CliError("body spec field 'type' must be 'revolution' or 'polytope'")
+    return body_from_record(data)
 
 
 def _resolve_pair(args) -> BodyPair:
@@ -142,10 +77,9 @@ def _resolve_pair(args) -> BodyPair:
     if spec_k or spec_l:
         if not (spec_k and spec_l):
             raise CliError("--spec-k and --spec-l must be given together")
-        body_k, record_k = parse_body_spec(Path(spec_k).read_text(encoding="utf-8"))
-        body_l, record_l = parse_body_spec(Path(spec_l).read_text(encoding="utf-8"))
-        return BodyPair("custom", oracle_of(body_k), oracle_of(body_l),
-                        {"K": record_k, "L": record_l}, expect_noncongruent=True)
+        return BodyPair.from_bodies("custom", *(
+            parse_body_spec(Path(path).read_text(encoding="utf-8"))
+            for path in (spec_k, spec_l)))
     return make_pair(args.pair, args.n)
 
 
@@ -233,12 +167,12 @@ def _write_report(out: Path, report, written: list) -> None:
     write_samples_csv(cp, report)
 
 
-def _write_profiles(path: Path, spec_k, spec_l, written: list) -> None:
+def _write_profiles(path: Path, pair: BodyPair, written: list) -> None:
     written.append(path)
     ts = np.linspace(-1.0, 1.0, 1025)
     render_series_svg(path, "generating profiles", [
-        ("f (body K)", ts, profile(spec_k, ts)),
-        ("g (body L)", ts, profile(spec_l, ts)),
+        ("f (body K)", ts, profile(pair.oracle_K.revolution, ts)),
+        ("g (body L)", ts, profile(pair.oracle_L.revolution, ts)),
     ])
 
 
@@ -246,9 +180,8 @@ def _emit_single(report, pair, args, out: Path, written: list) -> None:
     _write_report(out, report, written)
     if not args.svg:
         return
-    spec_k, spec_l = pair.oracle_K.revolution, pair.oracle_L.revolution
-    if spec_k is not None and spec_l is not None:
-        _write_profiles(out / "profiles.svg", spec_k, spec_l, written)
+    if pair.oracle_K.revolution is not None and pair.oracle_L.revolution is not None:
+        _write_profiles(out / "profiles.svg", pair, written)
     sp = out / "rel_diff.svg"
     written.append(sp)
     render_scatter_svg(sp, f"{report.experiment}: per-sample rel_diff",
@@ -348,8 +281,7 @@ def _run_all(args, written: list) -> int:
     write_report_json(rp, suite)
     write_suite_csv(cp, named_reports)
     if args.svg:
-        spec_k = make_revolution_spec()
-        _write_profiles(out / "profiles.svg", spec_k, spec_k.partner(), written)
+        _write_profiles(out / "profiles.svg", pairs["smooth"], written)
     for e in entries:
         marker = "ok" if e["ok"] else "UNEXPECTED"
         expect = "pass" if e["expected_pass"] else "fail"
@@ -359,13 +291,10 @@ def _run_all(args, written: list) -> int:
 
 
 def _run_construct(args, written: list) -> int:
-    if args.out is None or len(args.out) != 2:
-        raise CliError("construct requires --out K_PATH L_PATH")
     snaps = make_pair(args.pair, args.n).snapshots
     for path_str, spec in zip(args.out, (snaps["K"], snaps["L"])):
         p = Path(path_str)
-        if p.parent != Path(""):
-            p.parent.mkdir(parents=True, exist_ok=True)
+        p.parent.mkdir(parents=True, exist_ok=True)
         written.append(p)
         p.write_text(canonical_json(spec), encoding="utf-8")
         parse_body_spec(p.read_text(encoding="utf-8"))
@@ -433,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write SVG plots")
 
     pc = sub.add_parser("construct", help="write the body specs of a fixture pair")
-    pc.add_argument("--pair", choices=("smooth", "polytope"), default="smooth")
+    pc.add_argument("--pair", choices=PAIR_NAMES, default="smooth")
     pc.add_argument("--n", type=int, default=3)
     pc.add_argument("--out", nargs=2, metavar=("K_PATH", "L_PATH"), required=True)
 

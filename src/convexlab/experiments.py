@@ -12,6 +12,7 @@ everything.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
-                     build_polytope_pair, make_revolution_spec, oracle_of,
+                     build_polytope_pair, oracle_of, validate_revolution_spec,
                      profile)
 from .grassmann import RngStream, Subspace, rowwise, sample_haar_bases
 from .intrinsic import (POLYLINE_NODES, antipodal_sums, centroid_3d, hull_surface_v2,
@@ -153,7 +154,94 @@ def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
 
 
 # ---------------------------------------------------------------------------
-# fixture pairs
+# body records and fixture pairs
+
+
+_RECORD_FIELDS = {
+    "revolution": frozenset({"type", "n", "epsilon", "delta", "variant"}),
+    "polytope": frozenset({"type", "a", "u_signs", "v_signs", "lambda", "variant"}),
+    "ball": frozenset({"type", "n", "radius"}),
+    "derived": frozenset({"type", "base", "transform", "shift"}),
+}
+
+
+def _number(value, field: str, integer: bool = False):
+    """A JSON integer, or a JSON number as a float (a boolean is neither)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ExperimentError(f"body spec field '{field}' takes "
+                              f"{'integers' if integer else 'numbers'}, got {json.dumps(value)}")
+    return value if integer else float(value)
+
+
+def body_from_record(record) -> tuple[ConvexBodyOracle, dict]:
+    """Body record -> (oracle, the record with every default filled in).
+
+    Types: `revolution` (its profile must pass validate_revolution_spec),
+    `polytope` (one body of the corner-cut box pair), `ball`, and `derived`:
+    a `base` record under a `transform`, `rotate-quarter-turn` (polytope
+    bases only) or `translate` by a `shift`, which becomes the new origin.
+    Unknown fields are rejected by name, and constraint violations surface
+    the constructor diagnostics.  A filled record reads back unchanged.
+    """
+    if not isinstance(record, dict):
+        raise ExperimentError("body spec must be a JSON object")
+    kind = record.get("type")
+    if not isinstance(kind, str) or kind not in _RECORD_FIELDS:
+        raise ExperimentError("body spec field 'type' must be 'revolution', 'polytope', "
+                              "'ball' or 'derived'")
+    unknown = sorted(set(record) - _RECORD_FIELDS[kind])
+    if unknown:
+        raise ExperimentError(f"unknown field '{unknown[0]}' in {kind} body spec")
+    for field in ("a", "u_signs", "v_signs", "shift"):
+        if field in record and not isinstance(record[field], list):
+            raise ExperimentError(f"body spec field '{field}' takes a list, "
+                                  f"got {json.dumps(record[field])}")
+    if kind == "revolution":
+        spec = RevolutionBodySpec(_number(record.get("n", 3), "n", integer=True),
+                                  _number(record.get("epsilon", 1e-3), "epsilon"),
+                                  _number(record.get("delta", 0.1), "delta"),
+                                  str(record.get("variant", "K")))
+        check = validate_revolution_spec(spec)
+        if not check.ok:
+            raise ExperimentError(
+                "revolution profile is not concave and positive: max f'' = "
+                f"{check.max_second_derivative:.4g}, min f = {check.min_profile:.4g}")
+        return oracle_of(spec), spec.snapshot()
+    if kind == "polytope":
+        if "a" not in record:
+            raise ExperimentError("polytope body spec requires field 'a' (box half-widths)")
+        n = len(record["a"])
+        variant = str(record.get("variant", "K"))
+        if variant not in ("K", "L"):
+            raise ExperimentError("polytope body spec field 'variant' must be 'K' or 'L'")
+        lam = record.get("lambda")
+        cons = build_polytope_pair(
+            [_number(x, "a") for x in record["a"]],
+            [_number(x, "u_signs", integer=True) for x in record.get("u_signs", [1] * n)],
+            [_number(x, "v_signs", integer=True)
+             for x in record.get("v_signs", [1] * (n - 1) + [-1])],
+            None if lam is None else _number(lam, "lambda"))
+        return oracle_of(getattr(cons, "body_" + variant)), cons.snapshot(variant)
+    if kind == "ball":
+        n = _number(record.get("n", 3), "n", integer=True)
+        radius = _number(record.get("radius", 1.0), "radius")
+        return ball_oracle(n, radius), {"type": "ball", "n": n, "radius": radius}
+    if not isinstance(record.get("base"), dict):
+        raise ExperimentError("derived body spec requires field 'base' (a body spec object)")
+    base, base_record = body_from_record(record["base"])
+    transform = record.get("transform")
+    if (transform, "shift" in record) not in (("rotate-quarter-turn", False), ("translate", True)):
+        raise ExperimentError("derived body spec takes transform 'rotate-quarter-turn', "
+                              "or 'translate' with a field 'shift'")
+    filled = {"type": "derived", "base": base_record, "transform": transform}
+    if transform == "translate":
+        shift = [_number(x, "shift") for x in record["shift"]]
+        return translate_oracle(base, shift), {**filled, "shift": shift}
+    if base.polytope is None:
+        raise ExperimentError(f"rotate-quarter-turn takes a polytope base, got {base.kind}")
+    q = np.eye(base.dim)
+    q[-2:, -2:] = np.array([[0.0, -1.0], [1.0, 0.0]])  # a quarter turn of the last two axes
+    return oracle_of(base.polytope.rotated(q)), filled
 
 
 @dataclass(frozen=True)
@@ -166,56 +254,36 @@ class BodyPair:
     snapshots: dict
     expect_noncongruent: bool      # is the pair genuinely noncongruent?
 
+    @classmethod
+    def from_bodies(cls, name: str, body_K: tuple, body_L: tuple) -> "BodyPair":
+        """The pair of two body_from_record results; congruent by construction
+        when L's record is K's or is derived from K's."""
+        (oracle_K, record_K), (oracle_L, record_L) = body_K, body_L
+        congruent = record_K in (record_L, record_L.get("base"))
+        return cls(name, oracle_K, oracle_L, {"K": record_K, "L": record_L}, not congruent)
 
-DEFAULT_HALF_WIDTHS = (1.0, 1.2, 1.5, 1.8)
 
 PAIR_NAMES = ("smooth", "polytope", "control-rotated", "control-shifted")
 
 
 def make_pair(name: str, n: int = 3) -> BodyPair:
-    """Build one of the named fixture pairs in dimension n."""
-    if name == "smooth":
-        spec_k = make_revolution_spec(n=n)
-        spec_l = spec_k.partner()
-        return BodyPair(
-            name, oracle_of(spec_k), oracle_of(spec_l),
-            {"K": spec_k.snapshot(), "L": spec_l.snapshot()},
-            expect_noncongruent=True,
-        )
-    if name in ("polytope", "control-rotated"):
-        if n not in (3, 4):
-            raise ExperimentError(f"pair '{name}' supports n = 3 or 4, got n={n}")
-        cons = build_polytope_pair(DEFAULT_HALF_WIDTHS[:n], [1] * n,
-                                   [1] * (n - 1) + [-1])
-        if name == "polytope":
-            return BodyPair(
-                name, oracle_of(cons.body_K), oracle_of(cons.body_L),
-                {"K": cons.snapshot("K"), "L": cons.snapshot("L")},
-                expect_noncongruent=True,
-            )
-        q = np.eye(n)
-        q[n - 2:, n - 2:] = np.array([[0.0, -1.0], [1.0, 0.0]])
-        rotated = cons.body_K.rotated(q)
-        return BodyPair(
-            name, oracle_of(cons.body_K), oracle_of(rotated),
-            {"K": cons.snapshot("K"),
-             "L": {"type": "derived", "base": cons.snapshot("K"),
-                   "transform": "rotate-quarter-turn"}},
-            expect_noncongruent=False,
-        )
-    if name == "control-shifted":
-        ball = ball_oracle(n)
-        shift = np.zeros(n)
-        shift[0] = 0.3
-        shifted = translate_oracle(ball, shift)
-        return BodyPair(
-            name, ball, shifted,
-            {"K": {"type": "ball", "n": n, "radius": 1.0},
-             "L": {"type": "derived", "base": {"type": "ball", "n": n, "radius": 1.0},
-                   "transform": "translate", "shift": [float(x) for x in shift]}},
-            expect_noncongruent=False,
-        )
-    raise ExperimentError(f"unknown pair '{name}' (choose from {PAIR_NAMES})")
+    """Build one of the named fixture pairs in dimension n from its records."""
+    if name not in PAIR_NAMES:
+        raise ExperimentError(f"unknown pair '{name}' (choose from {PAIR_NAMES})")
+    if name in ("polytope", "control-rotated") and n not in (3, 4):
+        raise ExperimentError(f"pair '{name}' supports n = 3 or 4, got n={n}")
+    poly = {"type": "polytope", "a": [1.0, 1.2, 1.5, 1.8][:n]}
+    ball = {"type": "ball", "n": n, "radius": 1.0}
+    records = {
+        "smooth": ({"type": "revolution", "n": n},
+                   {"type": "revolution", "n": n, "variant": "L"}),
+        "polytope": (poly, {**poly, "variant": "L"}),
+        "control-rotated": (poly, {"type": "derived", "base": poly,
+                                   "transform": "rotate-quarter-turn"}),
+        "control-shifted": (ball, {"type": "derived", "base": ball, "transform": "translate",
+                                   "shift": [0.3] + [0.0] * (n - 1)}),
+    }[name]
+    return BodyPair.from_bodies(name, *map(body_from_record, records))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import convexlab
 from convexlab import bodies, cli, polykernel
 from convexlab.bodies import RevolutionBodySpec
 from convexlab.cli import CliError, build_parser, main, parse_body_spec
-from convexlab.experiments import make_pair
+from convexlab.experiments import (PAIR_NAMES, BodyPair, ExperimentError, body_from_record,
+                                   make_pair)
+from convexlab.grassmann import RngStream
 from convexlab.polykernel import HPolytope
 from convexlab.report import canonical_json
 
@@ -28,38 +30,53 @@ def _validate(path: Path):
 
 
 def test_parse_body_spec():
-    spec, record = parse_body_spec('{"type": "revolution", "variant": "L"}')
+    oracle, record = parse_body_spec('{"type": "revolution", "variant": "L"}')
+    spec = oracle.revolution
     assert isinstance(spec, RevolutionBodySpec)
     assert spec.variant == "L" and spec.n == 3
     assert record == spec.snapshot()
 
-    poly, record = parse_body_spec('{"type": "polytope", "a": [1.0, 1.2, 1.5]}')
-    assert isinstance(poly, HPolytope)
-    assert poly.num_facets == 8
+    oracle, record = parse_body_spec('{"type": "polytope", "a": [1.0, 1.2, 1.5]}')
+    assert isinstance(oracle.polytope, HPolytope)
+    assert oracle.polytope.num_facets == 8
     assert record["type"] == "polytope" and record["variant"] == "K"
+    assert parse_body_spec(canonical_json(record))[1] == record
+
+    oracle, record = parse_body_spec('{"type": "derived", "base": {"type": "ball"}, '
+                                     '"transform": "translate", "shift": [0, 0.2, 0]}')
+    assert oracle.kind == "translate"
+    assert record == {"type": "derived", "base": {"type": "ball", "n": 3, "radius": 1.0},
+                      "transform": "translate", "shift": [0.0, 0.2, 0.0]}
     assert parse_body_spec(canonical_json(record))[1] == record
 
     with pytest.raises(CliError, match="malformed JSON"):
         parse_body_spec("{nope")
-    with pytest.raises(CliError, match="JSON object"):
+    with pytest.raises(ExperimentError, match="JSON object"):
         parse_body_spec("[1, 2]")
-    with pytest.raises(CliError, match="'revolution' or 'polytope'"):
+    with pytest.raises(ExperimentError, match="'revolution', 'polytope', 'ball' or 'derived'"):
         parse_body_spec('{"type": "orb"}')
-    with pytest.raises(CliError, match="unknown field 'bogus'"):
+    with pytest.raises(ExperimentError, match="'revolution', 'polytope', 'ball' or 'derived'"):
+        parse_body_spec('{"type": ["ball"]}')
+    with pytest.raises(ExperimentError, match="unknown field 'bogus'"):
         parse_body_spec('{"type": "revolution", "bogus": 1}')
-    with pytest.raises(CliError, match="unknown field 'wild'"):
+    with pytest.raises(ExperimentError, match="unknown field 'wild'"):
         parse_body_spec('{"type": "polytope", "a": [1, 1.2, 1.5], "wild": 0}')
-    with pytest.raises(CliError, match="requires field 'a'"):
+    with pytest.raises(ExperimentError, match="requires field 'a'"):
         parse_body_spec('{"type": "polytope"}')
-    with pytest.raises(CliError, match="'K' or 'L'"):
+    with pytest.raises(ExperimentError, match="'K' or 'L'"):
         parse_body_spec('{"type": "polytope", "a": [1, 1.2, 1.5], "variant": "Z"}')
 
 
-def test_construct_pair_specs_rejects_controls():
-    # control pairs are derived at run time and have no writable spec
-    with pytest.raises(CliError, match="invalid choice: 'control-rotated'"):
-        build_parser().parse_args(["construct", "--pair", "control-rotated",
-                                   "--out", "k.json", "l.json"])
+def test_construct_writes_control_pairs(tmp_path, capsys):
+    # a control's L is a derived record: its base is K's record
+    for pair in ("control-rotated", "control-shifted"):
+        k, l = tmp_path / f"{pair}-k.json", tmp_path / f"{pair}-l.json"
+        assert main(["construct", "--pair", pair, "--out", str(k), str(l)]) == 0
+        dk = json.loads(k.read_text(encoding="utf-8"))
+        dl = json.loads(l.read_text(encoding="utf-8"))
+        assert dl["type"] == "derived" and dl["base"] == dk
+        assert not BodyPair.from_bodies(pair, body_from_record(dk),
+                                        body_from_record(dl)).expect_noncongruent
 
 
 def test_construct_round_trip(tmp_path, capsys):
@@ -71,7 +88,7 @@ def test_construct_round_trip(tmp_path, capsys):
     dl = json.loads(l.read_text(encoding="utf-8"))
     assert dk["variant"] == "K" and dl["variant"] == "L"
     assert dk["a"] == dl["a"] == [1.0, 1.2, 1.5]
-    assert isinstance(parse_body_spec(k.read_text(encoding="utf-8"))[0], HPolytope)
+    assert isinstance(parse_body_spec(k.read_text(encoding="utf-8"))[0].polytope, HPolytope)
 
     ks, ls = tmp_path / "ks.json", tmp_path / "ls.json"
     assert main(["construct", "--out", str(ks), str(ls)]) == 0
@@ -126,12 +143,11 @@ def test_math_failure_exits_2(tmp_path, capsys):
     _validate(out / "report.json")  # failing reports still serialize
 
 
-def test_usage_errors_exit_1(tmp_path, capsys):
+def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["lemma1", "--pair", "banana"]) == 1
     assert main(["lemma1", "--frobnicate"]) == 1
-    assert main(["construct", "--pair", "control-rotated",
-                 "--out", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert main(["construct", "--pair", "control-rotated"]) == 1  # --out is required
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -242,6 +258,52 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
      "error: argument --seed: must be in [0, 2^64), got 18446744073709551616\n"),
     (["all", "--seed", "-5"], "error: argument --seed: must be in [0, 2^64), got -5\n"),
     (["all", "--seed", "7.5"], "error: argument --seed: invalid int value: '7.5'\n"),
+    # ball and derived records, nested bases included
+    (["lemma1", "--spec-k", '{"type": "ball", "radius": 0}', "--spec-l", '{"type": "ball"}'],
+     "error: ball needs a positive dimension and radius, got n=3, radius=0.0\n"),
+    (["lemma1", "--spec-k", '{"type": "ball", "radius": -2.5}', "--spec-l", '{"type": "ball"}'],
+     "error: ball needs a positive dimension and radius, got n=3, radius=-2.5\n"),
+    (["lemma1", "--spec-k", '{"type": "ball", "radius": Infinity}', "--spec-l", '{"type": "ball"}'],
+     "error: ball needs a positive dimension and radius, got n=3, radius=inf\n"),
+    (["lemma1", "--spec-k", '{"type": "ball"}',
+      "--spec-l", '{"type": "derived", "base": {"type": "ball"}, "transform": "translate", '
+      '"shift": 0.3}'],
+     "error: body spec field 'shift' takes a list, got 0.3\n"),
+    (["lemma1", "--spec-k", '{"type": "ball"}',
+      "--spec-l", '{"type": "derived", "base": {"type": "ball"}, "transform": "translate", '
+      '"shift": [0.3, 0.0]}'],
+     "error: shift dimension must match the body\n"),
+    (["lemma1", "--spec-k", '{"type": "ball"}',
+      "--spec-l", '{"type": "derived", "base": {"type": "ball"}, "transform": "translate", '
+      '"shift": [1.5, 0.0, 0.0]}'],
+     "error: shift must be interior with margin 1e-9 (margin -5.000e-01)\n"),
+    (["lemma1", "--spec-k", '{"type": "ball"}',
+      "--spec-l", '{"type": "derived", "base": {"type": "ball"}, "transform": "translate"}'],
+     "error: derived body spec takes transform 'rotate-quarter-turn', "
+     "or 'translate' with a field 'shift'\n"),
+    (["lemma1", "--spec-k", '{"type": "ball"}',
+      "--spec-l", '{"type": "derived", "base": {"type": "ball"}, '
+      '"transform": "rotate-quarter-turn"}'],
+     "error: rotate-quarter-turn takes a polytope base, got ball\n"),
+    (["lemma1", "--spec-k", '{"type": "revolution"}',
+      "--spec-l", '{"type": "derived", "base": {"type": "revolution"}, '
+      '"transform": "rotate-quarter-turn"}'],
+     "error: rotate-quarter-turn takes a polytope base, got revolution\n"),
+    (["lemma1", "--spec-k", '{"type": "ball"}',
+      "--spec-l", '{"type": "derived", "base": {"type": "ball"}, "transform": "reflect"}'],
+     "error: derived body spec takes transform 'rotate-quarter-turn', "
+     "or 'translate' with a field 'shift'\n"),
+    (["lemma1", "--spec-k", '{"type": "ball"}',
+      "--spec-l", '{"type": "derived", "transform": "translate", "shift": [0.3, 0.0, 0.0]}'],
+     "error: derived body spec requires field 'base' (a body spec object)\n"),
+    (["lemma1", "--spec-k", '{"type": "ball"}',
+      "--spec-l", '{"type": "derived", "base": [1, 2, 3], "transform": "translate", '
+      '"shift": [0.3, 0.0, 0.0]}'],
+     "error: derived body spec requires field 'base' (a body spec object)\n"),
+    (["lemma1", "--spec-k", '{"type": "ball"}',
+      "--spec-l", '{"type": "derived", "base": {"type": "ball", "colour": "red"}, '
+      '"transform": "translate", "shift": [0.3, 0.0, 0.0]}'],
+     "error: unknown field 'colour' in ball body spec\n"),
 ])
 def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     # a JSON body spec in argv stands for a spec file holding it
@@ -290,17 +352,22 @@ def test_spec_file_pair(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("pair, method", [("smooth", "profile-mismatch"),
-                                          ("polytope", "vertex-distance-multiset")])
+                                          ("polytope", "vertex-distance-multiset"),
+                                          ("control-rotated", "vertex-distance-multiset"),
+                                          ("control-shifted", "harmonic-spectrum")])
 def test_certify_spec_file_pair(tmp_path, capsys, pair, method):
+    # a control's files certify as congruent by construction, as --pair does
     k, l = tmp_path / "k.json", tmp_path / "l.json"
     assert main(["construct", "--pair", pair, "--out", str(k), str(l)]) == 0
     out = tmp_path / "o"
     assert main(["certify", "--spec-k", str(k), "--spec-l", str(l),
                  "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    certs = report["summary"]["certificates"]
-    assert [c["method"] for c in certs] == [method]
-    assert certs[0]["verdict"] == "noncongruent"
+    summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+    control = pair.startswith("control-")
+    assert summary["expected_noncongruent"] is not control and summary["pass"] is True
+    assert [c["method"] for c in summary["certificates"]] == [method]
+    assert summary["certificates"][0]["verdict"] == (
+        "inconclusive" if control else "noncongruent")
 
 
 def test_sections_spec_file_pair_writes_profiles(tmp_path, capsys):
@@ -359,24 +426,76 @@ def test_single_commands_record_the_pair_snapshots(tmp_path, capsys, argv):
     assert report["bodies"] == make_pair(argv[2]).snapshots
 
 
-@pytest.mark.parametrize("pair", ["smooth", "polytope"])
+@pytest.mark.parametrize("pair", PAIR_NAMES)
 def test_spec_file_report_records_the_specs(tmp_path, capsys, pair):
     # a report's bodies are the construct files, so a run can be repeated
-    # from its own report
+    # from its own report (the controls fail lemma1, with exit 2)
     k, l = tmp_path / "k.json", tmp_path / "l.json"
     assert main(["construct", "--pair", pair, "--out", str(k), str(l)]) == 0
     argv = ["lemma1", "--samples", "20", "--seed", "5"]
     out = tmp_path / "o"
-    assert main(argv + ["--spec-k", str(k), "--spec-l", str(l), "--out", str(out)]) == 0
+    code = main(argv + ["--spec-k", str(k), "--spec-l", str(l), "--out", str(out)])
+    assert code == (2 if pair.startswith("control-") else 0)
     bodies = json.loads((out / "report.json").read_text(encoding="utf-8"))["bodies"]
     k2, l2 = tmp_path / "k2.json", tmp_path / "l2.json"
     for path, record in ((k2, bodies["K"]), (l2, bodies["L"])):
         path.write_text(canonical_json(record), encoding="utf-8")
     assert k2.read_bytes() == k.read_bytes() and l2.read_bytes() == l.read_bytes()
     rerun = tmp_path / "rerun"
-    assert main(argv + ["--spec-k", str(k2), "--spec-l", str(l2), "--out", str(rerun)]) == 0
+    assert main(argv + ["--spec-k", str(k2), "--spec-l", str(l2), "--out", str(rerun)]) == code
     for name in ("report.json", "samples.csv"):
         assert (rerun / name).read_bytes() == (out / name).read_bytes()
+
+
+_SPEC_RUNS = {
+    "lemma1": ["--samples", "6"],
+    "sections": ["--k", "2", "--i", "1", "--samples", "2"],
+    "slabs": ["--i", "3", "--samples", "2"],
+    "projections": ["--k", "1", "--samples", "4"],
+    "convergence": ["--i", "1", "--t", "0.4", "--t", "0.2"],
+    "certify": [],
+}
+
+
+@pytest.mark.parametrize("pair", PAIR_NAMES)
+@pytest.mark.parametrize("command", list(_SPEC_RUNS))
+def test_construct_files_run_as_the_named_pair(tmp_path, capsys, pair, command):
+    # the files construct writes are the pair: the same report bytes as
+    # --pair, except certify's parameters.pair, which is "custom"
+    k, l = tmp_path / "k.json", tmp_path / "l.json"
+    assert main(["construct", "--pair", pair, "--out", str(k), str(l)]) == 0
+    argv = [command, *_SPEC_RUNS[command], "--seed", "3"]
+    named, spec = tmp_path / "named", tmp_path / "spec"
+    code = main(argv + ["--pair", pair, "--out", str(named)])
+    assert code in (0, 2)
+    assert main(argv + ["--spec-k", str(k), "--spec-l", str(l), "--out", str(spec)]) == code
+    reports = [json.loads((out / "report.json").read_text(encoding="utf-8"))
+               for out in (named, spec)]
+    if command == "certify":
+        assert [r["parameters"] for r in reports] == [{"pair": pair}, {"pair": "custom"}]
+        reports[1]["parameters"] = reports[0]["parameters"]
+        assert reports[0] == reports[1]
+        return
+    for name in ("report.json", "samples.csv"):
+        assert (spec / name).read_bytes() == (named / name).read_bytes()
+
+
+def test_every_suite_entry_reruns_from_its_recorded_bodies(tmp_path, capsys):
+    # each entry of `all` records its bodies; read back, they give the same
+    # pair, and the entry's run on it gives the same files
+    out = tmp_path / "all"
+    assert main(["all", "--seed", "7", "--out", str(out)]) == 0
+    for name, pair_name, _, command, stream, arguments in cli._SUITE:
+        records = json.loads((out / name / "report.json").read_text(encoding="utf-8"))["bodies"]
+        bodies = [body_from_record(records[side]) for side in ("K", "L")]
+        assert [record for _, record in bodies] == [records["K"], records["L"]]
+        pair = BodyPair.from_bodies(pair_name, *bodies)
+        assert pair.expect_noncongruent == make_pair(pair_name).expect_noncongruent
+        report = cli._experiment(command, pair, RngStream(7, stream), **arguments)
+        cli._write_report(tmp_path / "rerun" / name, report, [])
+        for file in ("report.json", "samples.csv"):
+            assert ((tmp_path / "rerun" / name / file).read_bytes()
+                    == (out / name / file).read_bytes()), (name, file)
 
 
 def test_convergence_and_certify_cli(tmp_path, capsys):

@@ -53,6 +53,16 @@ def test_make_pair_enumerates_each_polytope_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_make_pair_validates_each_revolution_spec_once():
+    # K and L profiles are each checked once per process, so passes after
+    # the first build the smooth pair without the 100,000-point check
+    bodies.validate_revolution_spec.cache_clear()
+    make_pair("smooth")
+    make_pair("smooth")
+    info = bodies.validate_revolution_spec.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
 def test_lemma1_constructed_pairs_are_exact(smooth_pair, polytope_pair):
     for pair, tol in ((smooth_pair, 1e-8), (polytope_pair, 1e-11)):
         rep = lemma1_check(pair.oracle_K, pair.oracle_L, 200, tol, RngStream(3, 0))
