@@ -8,6 +8,7 @@ files are removed on error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -335,7 +336,10 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args leaves
+    it unchanged, so every main call shares it."""
     parser = _Parser(prog="convexlab",
                      description="Numerical checks for noncongruent convex "
                                  "body pairs with matching section, slab, and "

@@ -12,6 +12,8 @@ everything.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -26,7 +28,7 @@ from .grassmann import RngStream, Subspace, rowwise, sample_haar_bases
 from .intrinsic import (POLYLINE_NODES, antipodal_sums, centroid_3d, hull_surface_v2,
                         mean_width_v1, planar_metrics_from_oracle, projection_volumes,
                         revolution_section_volumes, revolution_slab_widths, volume_radial)
-from .polykernel import (poly3_intrinsic_volumes, polygon_by_angle, polygon_metrics,
+from .polykernel import (CHUNK, poly3_stack_volumes, polygon_stack_metrics,
                          section_hpolytopes, slab_hpolytopes)
 from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                          slab_oracle, translate_oracle)
@@ -353,21 +355,35 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         }, samples, summary)
 
 
+def _exact_values(polys, i: int) -> list[tuple[float, float, str]]:
+    """(V_i, 0.0, method) of each polytope of an iterable of 2- or
+    3-polytopes, in order: `exact-polygon` (polygon_stack_metrics) or
+    `exact-poly3` (poly3_stack_volumes), one kernel pass per CHUNK
+    polytopes as the iterable yields them.  The kernels give each polytope
+    the value it gets alone, so a value does not depend on its stack."""
+    out, polys = [], iter(polys)
+    while chunk := list(itertools.islice(polys, CHUNK)):
+        if chunk[0].ambient_dim == 2:
+            area, perim = polygon_stack_metrics([p.vrep.vertices for p in chunk])
+            values, method = (perim / 2.0, area)[i - 1], "exact-polygon"
+        else:
+            values, method = poly3_stack_volumes(chunk)[:, i - 1], "exact-poly3"
+        out += [(v, 0.0, method) for v in values.tolist()]
+    return out
+
+
 def _body_value(body: ConvexBodyOracle, i: int, vol_nodes: int | None,
                 width_nodes: int, rng: RngStream | None = None) -> tuple[float, float, str]:
     """(V_i, stderr, method) of a section or slab body: the one estimator table.
 
     The first matching row wins: exact intrinsic volumes of a polytope in
-    dimension 2 or 3; a planar body's polyline; the polar volume when i is
-    the dimension (Monte Carlo from rng above dimension 3); a 3-d body's
-    mean width for i = 1 and its boundary hull for i = 2.  Callers reject
-    every other (dimension, i).
+    dimension 2 or 3 (_exact_values of the stack of one); a planar body's
+    polyline; the polar volume when i is the dimension (Monte Carlo from rng
+    above dimension 3); a 3-d body's mean width for i = 1 and its boundary
+    hull for i = 2.  Callers reject every other (dimension, i).
     """
-    if body.vrep is not None and body.dim == 2:
-        area, perim = polygon_metrics(polygon_by_angle(body.vrep.vertices))
-        return (perim / 2.0, area)[i - 1], 0.0, "exact-polygon"
     if body.vrep is not None:
-        return poly3_intrinsic_volumes(body.polytope, body.vrep)[i - 1], 0.0, "exact-poly3"
+        return _exact_values([body.polytope], i)[0]
     if body.dim == 2:
         est = planar_metrics_from_oracle(body)[i - 1]
     elif i == body.dim:
@@ -389,9 +405,10 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     """V_i(K cap H) vs V_i(L cap H) over Haar-random k-subspaces H.
 
     For k >= 2, a body of revolution takes the profile quadrature of
-    revolution_section_volumes for all samples at once, and a polytope its
-    stacked exact sections; other bodies go through the estimator table of
-    _body_value, one section oracle per sample.
+    revolution_section_volumes for all samples at once, and a polytope the
+    exact values of its stacked sections (_exact_values); other bodies go
+    through the estimator table of _body_value, one section oracle per
+    sample.
     """
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= k <= n - 1:
@@ -419,12 +436,11 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         if oracle.revolution is not None:
             return revolution_section_volumes(oracle, bases, i)
         if oracle.polytope is not None:
-            bodies = map(oracle_of, section_hpolytopes(oracle.polytope, bases))
-        else:
-            bodies = (section_oracle(oracle, sub) for sub in subs)
+            return _exact_values(section_hpolytopes(oracle.polytope, bases), i)
         # a child stream: sample j's own stream drew its subspace
-        return [_body_value(body, i, None, 512, rng.substream(j).substream(0))
-                for j, body in enumerate(bodies)]
+        return [_body_value(section_oracle(oracle, sub), i, None, 512,
+                            rng.substream(j).substream(0))
+                for j, sub in enumerate(subs)]
 
     return _paired_run("sections", oracle_K, oracle_L, bases, values, rng, tol,
                        {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
@@ -470,7 +486,8 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     """V_i(K cap S_t(xi)) vs V_i(L cap S_t(xi)) over random slab normals.
 
     A polytope's slabs are built and enumerated in stacks (slab_hpolytopes),
-    each product taken per slab.  In R^3, V_1 of the slabs of a body of
+    each product taken per slab, and their exact values come in stacked
+    passes (_exact_values).  In R^3, V_1 of the slabs of a body of
     revolution comes from one stacked solve of their exact supports
     (revolution_slab_widths).  Otherwise each body's radial on each fixed
     quadrature grid is evaluated once for all slab normals (_grid_memo),
@@ -491,8 +508,7 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 
     def values(oracle):
         if oracle.polytope is not None:
-            return [_body_value(oracle_of(p), i, vol_nodes, 512)
-                    for p in slab_hpolytopes(oracle.polytope, xis, t)]
+            return _exact_values(slab_hpolytopes(oracle.polytope, xis, t), i)
         if oracle.revolution is not None and (n, i) == (3, 1):
             return revolution_slab_widths(oracle.revolution, xis, np.full(len(xis), t), 512)
         with _grid_memo(oracle) as parent:
@@ -515,9 +531,8 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
-    # built once for K and L, for the bodies that read them
-    subs = ([Subspace(b) for b in bases]
-            if k > 1 and any(o.revolution is None for o in (oracle_K, oracle_L)) else [])
+    # built on first use, once for K and L, for the bodies that read them
+    subs = functools.cache(lambda: [Subspace(b) for b in bases])
 
     def values(oracle):
         return projection_volumes(oracle, bases, 8192, subs)

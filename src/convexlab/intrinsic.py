@@ -23,7 +23,7 @@ import numpy as np
 
 from .bodies import _profile_terms, _safeguarded_newton, profile, revolution_maximiser
 from .grassmann import RngStream, Subspace, embed, kappa, rowwise, sample_haar_bases
-from .polykernel import Polygon, polygon_metrics, projection_polygon
+from .polykernel import Polygon, cauchy_projection_volumes, polygon_metrics, projection_polygon
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 POLYLINE_NODES = 8192  # boundary angles of planar_metrics_from_oracle
@@ -307,14 +307,18 @@ def antipodal_sums(fn, us: np.ndarray) -> np.ndarray:
 
 
 def projection_volumes(body, bases: np.ndarray, area_n: int,
-                       subs: list[Subspace]) -> list[tuple[float, float, str]]:
+                       subspaces) -> list[tuple[float, float, str]]:
     """(vol_k of body|V_j, stderr, method) for every n x k basis V_j of the
-    (m, n, k) stack bases.  For k >= 2, subs are the Subspaces of the bases,
-    so a caller that projects several bodies on one stack checks each basis
-    once; k = 1 and bodies of revolution read the bases alone and ignore subs.
+    (m, n, k) stack bases.  subspaces() gives the Subspaces of the bases;
+    only the paths of _subspace_volume call it, the others read the bases
+    alone, so a caller that projects several bodies on one stack can cache
+    it and check each basis once, and only when a body needs it.
 
-    A body with vertex data (body.vrep) takes an exact path for k <= 3, and a
-    body of revolution (body.revolution) the profile quadrature of
+    A body with vertex data (body.vrep) is exact: widths for k = 1, Cauchy's
+    formula for k = n - 1 (cauchy_projection_volumes, `exact-cauchy`: the
+    facet volumes once per body, then one broadcast product for the whole
+    stack) and the hull of its projected vertices for k = 2 in R^4.  A body
+    of revolution (body.revolution) takes the profile quadrature of
     revolution_projection_volumes for every k >= 2; other bodies have
     support-based paths for k = 1 and 2.  The k = 1 widths of a body without
     vertex data come from one support call on the stacked rows (u_0, -u_0,
@@ -332,19 +336,24 @@ def projection_volumes(body, bases: np.ndarray, area_n: int,
     if k == 1:
         heights = [vrep.vertices @ u for u in bases[:, :, 0]]
         return [(float(h.max() - h.min()), 0.0, "exact-width") for h in heights]
+    if vrep is not None and k == body.dim - 1:
+        return [(v, 0.0, "exact-cauchy")
+                for v in cauchy_projection_volumes(body.polytope, bases).tolist()]
     if body.revolution is not None:
         return revolution_projection_volumes(body.revolution, bases)
-    return [_subspace_volume(body, sub, area_n) for sub in subs]
+    return [_subspace_volume(body, sub, area_n) for sub in subspaces()]
 
 
 def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, float, str]:
     """(vol_k of body|sub, stderr, method): the one-subspace case of
     projection_volumes."""
-    return projection_volumes(body, sub.basis[None], area_n, [sub])[0]
+    return projection_volumes(body, sub.basis[None], area_n, lambda: [sub])[0]
 
 
 def _subspace_volume(body, sub: Subspace, area_n: int) -> tuple[float, float, str]:
-    """(vol_k of body|sub, stderr, method) for k = sub.dim in {2, 3}."""
+    """(vol_k of body|sub, stderr, method) for k = sub.dim = 2: the hull of
+    a polytope's projected vertices (below k = n - 1, where Cauchy's formula
+    does not apply), else the support-based area."""
     k = sub.dim
     vrep = body.vrep
     if k == 2:
@@ -352,9 +361,6 @@ def _subspace_volume(body, sub: Subspace, area_n: int) -> tuple[float, float, st
             return polygon_metrics(projection_polygon(vrep, sub))[0], 0.0, "exact-polygon"
         area = area_from_support_2d(lambda d: body.support(embed(sub, d)), area_n)
         return area, 0.0, "quadrature"
-    if k == 3 and vrep is not None:
-        from scipy.spatial import ConvexHull
-        return float(ConvexHull(vrep.vertices @ sub.basis).volume), 0.0, "exact-hull"
     raise EstimateError(f"no projection-volume path for k={k} on {body.kind}")
 
 

@@ -21,6 +21,17 @@ The exact intrinsic volumes of a 3-polytope are sums over it: its 2-faces
 are the facets active at three or more vertices, its edges the pairs of
 2-faces sharing two vertices, and V1, V2, V3 are sums over those edges and
 faces (Schneider, Convex Bodies, section 4.2).
+
+Exact values come in stacked passes, one kernel per quantity, and the
+one-polytope functions are the stack of one: polygon_stack_metrics gives
+(area, perimeter) of planar vertex sets grouped by vertex count,
+poly3_stack_volumes (V1, V2, V3) of 3-polytopes by ragged face and edge
+sums, and facet_volumes vol_{n-1} of each facet of a 3- or 4-polytope,
+which cauchy_projection_volumes turns into the volumes of its hyperplane
+projections by Cauchy's formula.  Sums over the faces of one polytope are
+bincounts in an order fixed by that polytope alone, sums over a row run
+along its own contiguous axis, and no BLAS product spans polytopes or
+rows, so every value is the one its polytope or basis gets alone.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -175,7 +187,7 @@ class Polygon:
     """Convex polygon given by counterclockwise-ordered vertices.
 
     Fewer than 3 vertices marks a degenerate (empty / point / segment)
-    result; metrics handle that case explicitly.
+    result: area 0, and a segment's perimeter is twice its length.
     """
 
     vertices: np.ndarray
@@ -183,16 +195,9 @@ class Polygon:
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float).reshape(-1, 2))
-        m = v.shape[0]
-        if m >= 2:
-            d = np.linalg.norm(v - np.roll(v, -1, axis=0), axis=1)
-            if np.any(d < 1e-10):
-                raise PolytopeError("duplicate polygon vertices within 1e-10")
-        if m >= 3:
-            e = np.roll(v, -1, axis=0) - v
-            cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-            if np.any(cross < -self.convexity_tol):
-                raise PolytopeError(f"polygon not convex CCW (min cross {cross.min():.3e})")
+        fault = _polygon_fault(v[None], self.convexity_tol)
+        if fault is not None:
+            raise PolytopeError(fault[1])
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
@@ -441,17 +446,76 @@ def section_polygon(poly: HPolytope, subspace) -> Polygon:
     return polygon_by_angle(section_hpolytope(poly, subspace).vrep.vertices)
 
 
-def polygon_metrics(q: Polygon) -> tuple[float, float]:
-    """(area, perimeter) by shoelace and edge-length sums."""
-    v = q.vertices
-    m = v.shape[0]
+def _polygon_fault(v: np.ndarray, tol: float) -> tuple[int, str] | None:
+    """(index, message) of the first loop of a (G, m, 2) stack of vertex
+    loops that fails Polygon's checks, with the message it fails with
+    alone; None when every loop passes.  Twins: consecutive vertices within
+    1e-10 (m >= 2).  Convexity: the cross product of consecutive edges
+    below -tol (m >= 3)."""
+    m = v.shape[1]
     if m < 2:
-        return 0.0, 0.0
-    if m == 2:
-        return 0.0, 2.0 * float(np.linalg.norm(v[1] - v[0]))
-    nxt = np.roll(v, -1, axis=0)
-    area = 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - v[:, 1] * nxt[:, 0]))
-    perim = float(np.sum(np.linalg.norm(nxt - v, axis=1)))
+        return None
+    edges = v[:, _next(m)] - v
+    twin = (np.linalg.norm(edges, axis=2) < 1e-10).any(axis=1)
+    if m >= 3:
+        after = edges[:, _next(m)]
+        cross = edges[..., 0] * after[..., 1] - edges[..., 1] * after[..., 0]
+        bad = twin | (cross < -tol).any(axis=1)
+    else:
+        bad = twin
+    if not bad.any():
+        return None
+    g = int(np.argmax(bad))
+    if twin[g]:
+        return g, "duplicate polygon vertices within 1e-10"
+    return g, f"polygon not convex CCW (min cross {cross[g].min():.3e})"
+
+
+def _next(m: int) -> np.ndarray:
+    """The index of each vertex's successor around a loop of m vertices."""
+    return np.roll(np.arange(m), -1)
+
+
+def _polygon_sums(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(area, perimeter) of each loop of a (G, m, 2) stack by shoelace and
+    edge-length sums (0 and twice the length for a segment), each summed
+    along its own contiguous row, so a loop gets the bits it gets alone."""
+    after = v[:, _next(v.shape[1])]
+    area = 0.5 * (v[..., 0] * after[..., 1] - v[..., 1] * after[..., 0]).sum(axis=1)
+    return area, np.linalg.norm(after - v, axis=2).sum(axis=1)
+
+
+def polygon_metrics(q: Polygon) -> tuple[float, float]:
+    """(area, perimeter) by shoelace and edge-length sums: the stack of one
+    of _polygon_sums."""
+    area, perim = _polygon_sums(q.vertices[None])
+    return float(area[0]), float(perim[0])
+
+
+def polygon_stack_metrics(vertex_sets) -> tuple[np.ndarray, np.ndarray]:
+    """(area, perimeter) arrays of the convex polygons of a sequence of
+    planar vertex sets around an interior origin: polygon_metrics of
+    polygon_by_angle for each, in one pass per vertex count.
+
+    Each group is ordered by angle and gets Polygon's checks at tolerance
+    1e-9; of several failing polygons, the first in sequence order raises
+    the message it raises alone.
+    """
+    counts = np.array([len(v) for v in vertex_sets], dtype=np.intp)
+    area, perim = np.empty(len(counts)), np.empty(len(counts))
+    faults = []
+    for m in np.flatnonzero(np.bincount(counts)):
+        members = np.flatnonzero(counts == m)
+        v = np.stack([vertex_sets[j] for j in members])
+        order = np.argsort(np.arctan2(v[..., 1], v[..., 0]), axis=1)
+        v = np.take_along_axis(v, order[..., None], axis=1)
+        fault = _polygon_fault(v, 1e-9)
+        if fault is not None:
+            faults.append((members[fault[0]], fault[1]))
+        else:
+            area[members], perim[members] = _polygon_sums(v)
+    if faults:
+        raise PolytopeError(min(faults)[1])
     return area, perim
 
 
@@ -490,37 +554,154 @@ def projection_polygon(vrep: VRep, subspace) -> Polygon:
     return convex_hull_2d(vrep.vertices @ subspace.basis)
 
 
-def poly3_intrinsic_volumes(poly: HPolytope, vrep: VRep | None = None) -> tuple[float, float, float]:
-    """(V1, V2, V3) of a bounded 3-polytope with interior origin, as sums
-    over the edges and 2-faces of its incidence matrix.
+def _centroids(labels: np.ndarray, points: np.ndarray, count: int) -> np.ndarray:
+    """The mean of the points of each label 0..count-1, summed by bincount
+    in the order the points come."""
+    sums = [np.bincount(labels, points[:, c], minlength=count) for c in range(points.shape[1])]
+    return np.stack(sums, axis=1) / np.bincount(labels, minlength=count)[:, None]
+
+
+def _pairs(inc: np.ndarray) -> np.ndarray:
+    """inc^T inc of a (..., V, F) boolean incidence stack: how many rows
+    each pair of columns shares, as exact integers (no BLAS)."""
+    counts = inc.astype(np.intp)
+    return np.matmul(np.swapaxes(counts, -1, -2), counts)
+
+
+def _poly3_faces(polys) -> SimpleNamespace:
+    """The 2-faces and edges of a sequence of bounded 3-polytopes with
+    interior origin, concatenated in polytope order.
 
     A 2-face is a facet active at three or more vertices; a plane touching
     P in an edge or a vertex is none.  An edge is a pair of 2-faces sharing
     exactly two vertices.  A face's area is the fan of triangles from its
-    vertex centroid over its edges, so no vertex is ordered.  V3 is the sum
-    of facet cones (offset * area / 3), V2 half the surface area, V1 the
-    edge lengths weighted by exterior dihedral angles over 2 pi.
+    vertex centroid over its edges, so no vertex is ordered.  The polytopes
+    are padded to one (S, V, m) incidence stack, and every sum over the
+    faces or edges of a polytope is a bincount over its own rows, in an
+    order that does not depend on the other polytopes.
+
+    Fields: `poly` and `facet` of each face, its `area`; `edge_poly`, the
+    two faces `fi`, `fj` (indices into the face arrays) and the end points
+    `a`, `b` of each edge; and the padded `normals` and `offsets`.
     """
-    if poly.ambient_dim != 3:
-        raise PolytopeError("poly3_intrinsic_volumes needs a 3-dimensional polytope")
-    vrep = poly.vrep if vrep is None else vrep
-    verts = vrep.vertices
-    faces = np.flatnonzero(vrep.active.sum(axis=0) >= 3)
-    inc = vrep.active[:, faces]              # (V, F)
-    shared = np.triu(inc.T.astype(int) @ inc, 1)
+    nv = [p.vrep.num_vertices for p in polys]
+    nf = [p.num_facets for p in polys]
+    act = np.zeros((len(polys), max(nv), max(nf)), dtype=bool)
+    pts = np.zeros((len(polys), max(nv), 3))
+    nrm = np.zeros((len(polys), max(nf), 3))
+    off = np.zeros((len(polys), max(nf)))
+    for s, p in enumerate(polys):
+        act[s, :nv[s], :nf[s]] = p.vrep.active
+        pts[s, :nv[s]] = p.vrep.vertices
+        nrm[s, :nf[s]] = p.normals
+        off[s, :nf[s]] = p.offsets
+    inc = act & (act.sum(axis=1) >= 3)[:, None, :]   # vertex x 2-face
+    shared = np.triu(_pairs(inc), 1)
     if np.any(shared > 2):
-        fi, fj = np.argwhere(shared > 2)[0]
-        raise PolytopeError(f"facets {faces[fi]},{faces[fj]} share {shared[fi, fj]} "
+        s, fi, fj = np.argwhere(shared > 2)[0]
+        raise PolytopeError(f"facets {fi},{fj} share {shared[s, fi, fj]} "
                             "vertices (collinear degeneracy)")
-    fi, fj = np.nonzero(shared == 2)         # edges, as face pairs
-    ends = np.nonzero((inc[:, fi] & inc[:, fj]).T)[1].reshape(-1, 2)
-    a, b = verts[ends[:, 0]], verts[ends[:, 1]]
-    centroid = (inc.T @ verts) / inc.sum(axis=0)[:, None]
-    tri = [0.5 * np.linalg.norm(np.cross(a - centroid[f], b - a), axis=1) for f in (fi, fj)]
-    area = np.bincount(np.concatenate([fi, fj]), np.concatenate(tri), minlength=faces.size)
-    v3 = float(poly.offsets[faces] @ area) / 3.0
-    v2 = float(area.sum()) / 2.0
-    nrm = poly.normals[faces]
-    cosang = np.clip(np.sum(nrm[fi] * nrm[fj], axis=1), -1.0, 1.0)
-    v1 = float(np.linalg.norm(b - a, axis=1) @ np.arccos(cosang)) / (2.0 * np.pi)
+    poly, facet = np.nonzero(inc.any(axis=1))
+    index = np.zeros(act.shape[::2], dtype=np.intp)    # (s, facet) -> face
+    index[poly, facet] = np.arange(poly.size)
+    edge_poly, fi, fj = np.nonzero(shared == 2)
+    ends = np.nonzero(act[edge_poly, :, fi] & act[edge_poly, :, fj])[1].reshape(-1, 2)
+    a, b = pts[edge_poly, ends[:, 0]], pts[edge_poly, ends[:, 1]]
+    s, v, f = np.nonzero(inc)
+    centroid = _centroids(index[s, f], pts[s, v], poly.size)
+    fi, fj = index[edge_poly, fi], index[edge_poly, fj]
+    tri = [0.5 * np.linalg.norm(np.cross(a - centroid[g], b - a), axis=1) for g in (fi, fj)]
+    area = np.bincount(np.concatenate([fi, fj]), np.concatenate(tri), minlength=poly.size)
+    return SimpleNamespace(poly=poly, facet=facet, area=area, edge_poly=edge_poly,
+                           fi=fi, fj=fj, a=a, b=b, normals=nrm, offsets=off)
+
+
+def poly3_stack_volumes(polys) -> np.ndarray:
+    """(S, 3) array of (V1, V2, V3) of a sequence of S bounded 3-polytopes
+    with interior origin, as ragged sums over their 2-faces and edges
+    (_poly3_faces; Schneider, Convex Bodies, section 4.2).
+
+    V3 is the sum of facet cones (offset * area / 3), V2 half the surface
+    area, V1 the edge lengths weighted by exterior dihedral angles over
+    2 pi.  Every per-polytope sum is a bincount over that polytope's own
+    faces or edges, and no product runs across polytopes, so each row is
+    the one its polytope gets alone.
+    """
+    if any(p.ambient_dim != 3 for p in polys):
+        raise PolytopeError("poly3_intrinsic_volumes needs a 3-dimensional polytope")
+    g = _poly3_faces(polys)
+    nrm = g.normals[g.poly, g.facet]
+    cosang = np.clip(np.sum(nrm[g.fi] * nrm[g.fj], axis=1), -1.0, 1.0)
+    turns = np.linalg.norm(g.b - g.a, axis=1) * np.arccos(cosang)
+    cones = g.offsets[g.poly, g.facet] * g.area
+    count = len(polys)
+    return np.stack([np.bincount(g.edge_poly, turns, minlength=count) / (2.0 * np.pi),
+                     np.bincount(g.poly, g.area, minlength=count) / 2.0,
+                     np.bincount(g.poly, cones, minlength=count) / 3.0], axis=1)
+
+
+def poly3_intrinsic_volumes(poly: HPolytope, vrep: VRep | None = None) -> tuple[float, float, float]:
+    """(V1, V2, V3) of a bounded 3-polytope with interior origin: the stack
+    of one of poly3_stack_volumes.  A vrep given is the polytope's own."""
+    if vrep is not None and poly.__dict__.get("vrep") is not vrep:
+        poly = HPolytope._with_vrep(poly.normals, poly.offsets, vrep)
+    v1, v2, v3 = poly3_stack_volumes([poly])[0].tolist()
     return v1, v2, v3
+
+
+def facet_volumes(poly: HPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, volumes): the unit normal and vol_{n-1} of each facet of a
+    bounded 3- or 4-polytope with interior origin, as face sums over its
+    incidence matrix.
+
+    n = 3: the 2-faces and areas of _poly3_faces.  n = 4: a facet is a
+    hyperplane active at four or more vertices that are not all on another
+    one (a hyperplane touching P in a lower face is none); a 2-face is a
+    pair of facets sharing three or more vertices, and its edges are the
+    pairs of its vertices that share a third facet.  vol_3 of a facet is
+    the fan of tetrahedra (facet centroid, 2-face centroid, edge) over its
+    2-faces and their edges; a tetrahedron's volume is the norm of the
+    generalized cross product of its three edge vectors from the facet
+    centroid over 6, the 3-volume within the facet's own hyperplane.
+    """
+    if poly.ambient_dim == 3:
+        g = _poly3_faces([poly])
+        return poly.normals[g.facet], g.area
+    if poly.ambient_dim != 4:
+        raise PolytopeError("facet_volumes needs a 3- or 4-dimensional polytope")
+    act, pts = poly.vrep.active, poly.vrep.vertices
+    held = _pairs(act)
+    count = np.diagonal(held)
+    lower = (held == count[:, None]) & (count >= 4)[None, :] & ~np.eye(len(count), dtype=bool)
+    facets = np.flatnonzero((count >= 4) & ~lower.any(axis=1))
+    inc = act[:, facets]
+    fi, fj = np.nonzero(np.triu(_pairs(inc) >= 3, 1))
+    in_face = inc[:, fi] & inc[:, fj]                       # vertex x 2-face
+    v, f = np.nonzero(inc)
+    facet_centroid = _centroids(f, pts[v], facets.size)
+    v, f = np.nonzero(in_face)
+    face_centroid = _centroids(f, pts[v], fi.size)
+    edge = np.triu(_pairs(inc.T) >= 3, 1)
+    face, a, b = np.nonzero(in_face.T[:, :, None] & in_face.T[:, None, :] & edge)
+    owners = np.concatenate([fi[face], fj[face]])
+    apex = facet_centroid[owners]
+    rows = np.stack([np.tile(face_centroid[face], (2, 1)) - apex,
+                     np.tile(pts[a], (2, 1)) - apex, np.tile(pts[b], (2, 1)) - apex], axis=1)
+    tets = np.linalg.norm(_null_directions(rows), axis=1) / 6.0
+    return poly.normals[facets], np.bincount(owners, tets, minlength=facets.size)
+
+
+def cauchy_projection_volumes(poly: HPolytope, bases) -> np.ndarray:
+    """vol_{n-1} of the projection of a 3- or 4-polytope onto span(B_j) for
+    each basis of an (S, n, n-1) stack, by Cauchy's formula
+    vol_{n-1}(P|u^perp) = 1/2 sum_F vol_{n-1}(F) |<nu_F, u>| (Schneider,
+    Convex Bodies, section 5.3), u_j the unit null direction of B_j^T.
+
+    The facet volumes are taken once; the products are one broadcast and
+    every sum runs along a contiguous row, so each value is the one its
+    basis gets alone.
+    """
+    normals, volumes = facet_volumes(poly)
+    u = _null_directions(np.swapaxes(np.asarray(bases, dtype=float), 1, 2))
+    u = u / np.sqrt((u * u).sum(axis=1))[:, None]
+    return 0.5 * (np.abs((u[:, None, :] * normals).sum(axis=2)) * volumes).sum(axis=1)

@@ -531,7 +531,9 @@ def test_polytope_runs_do_not_import_scipy_linalg_spatial_or_optimize(tmp_path):
         "import sys\n"
         "from convexlab.cli import main\n"
         "runs = [['convergence'], ['certify'],\n"
-        "        ['sections', '--n', '4', '--k', '3', '--samples', '2']]\n"
+        "        ['sections', '--n', '4', '--k', '3', '--samples', '2'],\n"
+        "        ['projections', '--k', '2'], ['projections', '--n', '4', '--k', '3'],\n"
+        "        ['slabs', '--i', '2']]\n"
         "for j, run in enumerate(runs):\n"
         "    out = sys.argv[1] + '/' + str(j)\n"
         "    code = main(run + ['--pair', 'polytope', '--out', out])\n"
@@ -543,6 +545,35 @@ def test_polytope_runs_do_not_import_scipy_linalg_spatial_or_optimize(tmp_path):
                           cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_main_calls_in_one_process_give_the_bytes_of_fresh_interpreters(tmp_path):
+    """The parser is built once per process; a second main call must not
+    see the first one's arguments, such as the values of an append action."""
+    runs = [["convergence", "--pair", "polytope", "--t", "0.4", "--t", "0.2"],
+            ["convergence", "--pair", "polytope"]]
+    code = (
+        "import json, sys\n"
+        "from convexlab.cli import main\n"
+        "for j, run in enumerate(json.loads(sys.argv[2])):\n"
+        "    print(main(run + ['--out', sys.argv[1] + '/shared/' + str(j)]))\n")
+    shared = subprocess.run([sys.executable, "-c", code, str(tmp_path), json.dumps(runs)],
+                            env=_child_env(), capture_output=True, text=True, cwd=str(tmp_path))
+    assert shared.returncode == 0, shared.stderr
+    fresh = []
+    for j, run in enumerate(runs):
+        proc = subprocess.run([sys.executable, "-m", "convexlab.cli", *run,
+                               "--out", str(tmp_path / "fresh" / str(j))],
+                              env=_child_env(), capture_output=True, text=True,
+                              cwd=str(tmp_path))
+        fresh += [proc.stdout, f"{proc.returncode}\n"]
+    assert shared.stdout == "".join(fresh)
+    for j in range(len(runs)):
+        for name in ("report.json", "samples.csv"):
+            assert ((tmp_path / "shared" / str(j) / name).read_bytes()
+                    == (tmp_path / "fresh" / str(j) / name).read_bytes())
+    report = json.loads((tmp_path / "shared" / "1" / "report.json").read_text(encoding="utf-8"))
+    assert report["parameters"]["t_sequence"] == [0.4, 0.2, 0.1, 0.05]
 
 
 def test_harmonic_certificate_does_not_import_scipy_special(tmp_path):
@@ -609,6 +640,10 @@ def test_parser_defaults():
         build_parser().parse_args(["lemma1", "--samples", "abc"])
     for argv in (["lemma1"], ["all"]):
         assert build_parser().parse_args(argv + ["--seed", str(2**64 - 1)]).seed == 2**64 - 1
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_byte_identity_commands_parse():

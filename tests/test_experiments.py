@@ -1,5 +1,6 @@
 """End-to-end experiment behavior on the fixture pairs and the controls."""
 
+import json
 import math
 
 import numpy as np
@@ -36,6 +37,55 @@ def test_make_pair_names():
     assert not make_pair("control-shifted").expect_noncongruent
     with pytest.raises(ExperimentError, match="unknown pair"):
         make_pair("banana")
+
+
+# The filled records of every fixture pair, written out by hand: the suite
+# and spec tests rebuild bodies through the same code that makes them, so
+# only a literal sees a change to a fixture itself.
+_POLY3 = ('{"type": "polytope", "a": [1.0, 1.2, 1.5], "u_signs": [1, 1, 1], '
+          '"v_signs": [1, 1, -1], "lambda": 0.5773502691896258, "variant": "%s"}')
+_POLY4 = ('{"type": "polytope", "a": [1.0, 1.2, 1.5, 1.8], "u_signs": [1, 1, 1, 1], '
+          '"v_signs": [1, 1, 1, -1], "lambda": 0.5, "variant": "%s"}')
+_FIXTURE_RECORDS = {
+    ("smooth", 3): ('{"type": "revolution", "n": 3, "epsilon": 0.001, "delta": 0.1, '
+                    '"variant": "K"}',
+                    '{"type": "revolution", "n": 3, "epsilon": 0.001, "delta": 0.1, '
+                    '"variant": "L"}'),
+    ("smooth", 4): ('{"type": "revolution", "n": 4, "epsilon": 0.001, "delta": 0.1, '
+                    '"variant": "K"}',
+                    '{"type": "revolution", "n": 4, "epsilon": 0.001, "delta": 0.1, '
+                    '"variant": "L"}'),
+    ("polytope", 3): (_POLY3 % "K", _POLY3 % "L"),
+    ("polytope", 4): (_POLY4 % "K", _POLY4 % "L"),
+    ("control-rotated", 3): (_POLY3 % "K", '{"type": "derived", "base": %s, '
+                             '"transform": "rotate-quarter-turn"}' % (_POLY3 % "K")),
+    ("control-rotated", 4): (_POLY4 % "K", '{"type": "derived", "base": %s, '
+                             '"transform": "rotate-quarter-turn"}' % (_POLY4 % "K")),
+    ("control-shifted", 3): ('{"type": "ball", "n": 3, "radius": 1.0}',
+                             '{"type": "derived", "base": {"type": "ball", "n": 3, '
+                             '"radius": 1.0}, "transform": "translate", '
+                             '"shift": [0.3, 0.0, 0.0]}'),
+    ("control-shifted", 4): ('{"type": "ball", "n": 4, "radius": 1.0}',
+                             '{"type": "derived", "base": {"type": "ball", "n": 4, '
+                             '"radius": 1.0}, "transform": "translate", '
+                             '"shift": [0.3, 0.0, 0.0, 0.0]}'),
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(_FIXTURE_RECORDS))
+def test_fixture_records_are_pinned(name, n):
+    assert sorted(key[0] for key in _FIXTURE_RECORDS) == sorted(PAIR_NAMES * 2)
+    pair = make_pair(name, n)
+    record_K, record_L = (json.loads(text) for text in _FIXTURE_RECORDS[name, n])
+    assert pair.snapshots == {"K": record_K, "L": record_L}
+    if name == "control-rotated":
+        # the record names the turn; its direction is pinned here: e_{n-1} -> e_n
+        turn = np.eye(n)
+        turn[-2:, -2:] = [[0.0, -1.0], [1.0, 0.0]]
+        np.testing.assert_array_equal(pair.oracle_L.polytope.normals,
+                                      pair.oracle_K.polytope.normals @ turn.T)
+    if name == "control-shifted":
+        np.testing.assert_array_equal(pair.oracle_L.translate[1], [0.3] + [0.0] * (n - 1))
 
 
 def test_make_pair_enumerates_each_polytope_once(monkeypatch):
@@ -263,15 +313,16 @@ def test_projections_polytope(polytope_pair):
     rep = projections_experiment(polytope_pair.oracle_K, polytope_pair.oracle_L,
                                  2, 10, RngStream(6, 3), 1e-9)
     assert rep.summary["pass"]
-    assert rep.summary["methods"] == ["exact-polygon"]
+    assert rep.summary["methods"] == ["exact-cauchy"]
 
 
 def test_projections_dimension_four_hull():
+    # the k = 3 shadows in R^4 come from Cauchy's formula, not a hull
     pair = make_pair("polytope", n=4)
     rep = projections_experiment(pair.oracle_K, pair.oracle_L, 3, 5,
                                  RngStream(6, 4), 1e-9)
     assert rep.summary["pass"]
-    assert rep.summary["methods"] == ["exact-hull"]
+    assert rep.summary["methods"] == ["exact-cauchy"]
 
 
 def test_projections_controls(rotated_pair, shifted_pair):

@@ -168,15 +168,18 @@ def test_polytope_runs_enumerate_in_stacks(run, monkeypatch):
     assert singles == []
 
 
-@pytest.mark.parametrize("name, k", [("polytope", 2), ("smooth", 2), ("polytope", 3)])
+@pytest.mark.parametrize("name, k", [("polytope", 2), ("smooth", 2), ("polytope", 3),
+                                     ("control-shifted", 2)])
 def test_projection_bases_are_checked_once_per_experiment(name, k, monkeypatch):
     """One stacked check in sample_haar_bases, then one Subspace per basis,
-    shared by K and L; the profile quadrature of bodies of revolution reads
-    the checked stack and builds none."""
+    shared by K and L, for the support-based area of a ball and its
+    translate; the profile quadrature of bodies of revolution and Cauchy's
+    formula for polytopes (k = n - 1) read the checked stack and build
+    none."""
     pair = make_pair(name, 4 if k == 3 else 3)
     checks = []
     check = grassmann._check_orthonormal
     monkeypatch.setattr(grassmann, "_check_orthonormal",
                         lambda bases: checks.append(len(bases)) or check(bases))
     projections_experiment(pair.oracle_K, pair.oracle_L, k, 7, RngStream(7, 8), 1e-6)
-    assert checks == [7] + ([] if name == "smooth" else [1] * 7)
+    assert checks == [7] + ([1] * 7 if name == "control-shifted" else [])
