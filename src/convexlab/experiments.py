@@ -399,50 +399,47 @@ def _body_value(body: ConvexBodyOracle, i: int, vol_nodes: int | None,
 # Sections
 
 
+def _section_values(body: ConvexBodyOracle, bases: np.ndarray, i: int, subspaces,
+                    rng: RngStream | None) -> list[tuple[float, float, str]]:
+    """(V_i, stderr, method) of body cap span(B_j) for each B_j of the (S, n, k)
+    stack bases: the one choice of section estimator.  k = 1 gives segments;
+    a body of revolution takes the profile quadrature of
+    revolution_section_volumes, a polytope the exact values of its stacked
+    sections; other bodies take _body_value of one section oracle per
+    Subspace of subspaces(), sample j drawing from a child of
+    rng.substream(j), the stream that drew its subspace (none if rng is None)."""
+    if bases.shape[2] == 1:
+        us = bases[:, :, 0]
+        if body.polytope is None:
+            segs = antipodal_sums(body.radial, us).tolist()
+        else:  # polytope_radial rounds with the row count: one row per call
+            segs = [float(body.radial(u)) + float(body.radial(-u)) for u in us]
+        return [(seg, 0.0, "exact-segment") for seg in segs]
+    if body.revolution is not None:
+        return revolution_section_volumes(body, bases, i)
+    if body.polytope is not None:
+        return _exact_values(section_hpolytopes(body.polytope, bases), i)
+    return [_body_value(section_oracle(body, sub), i, None, 512,
+                        None if rng is None else rng.substream(j).substream(0))
+            for j, sub in enumerate(subspaces())]
+
+
 def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                         k: int, i: int, num_h: int, rng: RngStream,
                         tol: float) -> ExperimentReport:
-    """V_i(K cap H) vs V_i(L cap H) over Haar-random k-subspaces H.
-
-    For k >= 2, a body of revolution takes the profile quadrature of
-    revolution_section_volumes for all samples at once, and a polytope the
-    exact values of its stacked sections (_exact_values); other bodies go
-    through the estimator table of _body_value, one section oracle per
-    sample.
-    """
+    """V_i(K cap H) vs V_i(L cap H) over Haar-random k-subspaces H, each
+    body's values from _section_values."""
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= k <= n - 1:
         raise ExperimentError(f"need 1 <= i <= k <= n-1, got i={i}, k={k}, n={n}")
-    pair = (oracle_K, oracle_L)
-    if k >= 4 and i < k and any(o.revolution is None for o in pair):
+    if k >= 4 and i < k and any(o.revolution is None for o in (oracle_K, oracle_L)):
         # the estimator table has V_i for i < k only up to dimension 3
         raise ExperimentError(f"no section estimator for n={n}, k={k}, i={i}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
-    # Subspaces for the section oracles of the other bodies, built once for
-    # K and L; polytope and revolution sections take the stack, which
-    # sample_haar_bases has checked
-    subs = ([Subspace(b) for b in bases]
-            if k > 1 and any(o.polytope is None and o.revolution is None for o in pair)
-            else [])
-
-    def values(oracle):
-        if k == 1:
-            us = bases[:, :, 0]
-            if oracle.polytope is None:
-                segs = antipodal_sums(oracle.radial, us).tolist()
-            else:  # polytope_radial rounds with the row count: one row per call
-                segs = [float(oracle.radial(u)) + float(oracle.radial(-u)) for u in us]
-            return [(seg, 0.0, "exact-segment") for seg in segs]
-        if oracle.revolution is not None:
-            return revolution_section_volumes(oracle, bases, i)
-        if oracle.polytope is not None:
-            return _exact_values(section_hpolytopes(oracle.polytope, bases), i)
-        # a child stream: sample j's own stream drew its subspace
-        return [_body_value(section_oracle(oracle, sub), i, None, 512,
-                            rng.substream(j).substream(0))
-                for j, sub in enumerate(subs)]
-
-    return _paired_run("sections", oracle_K, oracle_L, bases, values, rng, tol,
+    # built on first use, once for K and L, for the bodies that read them
+    subs = functools.cache(lambda: [Subspace(b) for b in bases])
+    return _paired_run("sections", oracle_K, oracle_L, bases,
+                       lambda oracle: _section_values(oracle, bases, i, subs, rng), rng, tol,
                        {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
 
 
@@ -480,21 +477,35 @@ def _grid_memo(body: ConvexBodyOracle):
         last.clear()
 
 
-def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
-                    t: float, i: int, num_xi: int, rng: RngStream, tol: float,
-                    vol_nodes: int = 200_000) -> ExperimentReport:
-    """V_i(K cap S_t(xi)) vs V_i(L cap S_t(xi)) over random slab normals.
+def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray, i: int,
+                 vol_nodes: int | None, width_nodes: int) -> list[tuple[float, float, str]]:
+    """(V_i, stderr, method) of body cap S_{t_j}(xi_j) for each unit row
+    xi_j of xis and half-width t_j of ts: the one choice of slab estimator.
 
     A polytope's slabs are built and enumerated in stacks (slab_hpolytopes),
     each product taken per slab, and their exact values come in stacked
     passes (_exact_values).  In R^3, V_1 of the slabs of a body of
     revolution comes from one stacked solve of their exact supports
-    (revolution_slab_widths).  Otherwise each body's radial on each fixed
-    quadrature grid is evaluated once for all slab normals (_grid_memo),
-    and each slab clips those values by its own bounds; the per-sample
-    products (th @ xi) keep their shapes.  So every value is the one its
-    slab gets alone.
+    (revolution_slab_widths).  Otherwise the body's radial on each fixed
+    quadrature grid is evaluated once for all slabs (_grid_memo), and each
+    slab clips those values by its own bounds; the per-slab products
+    (th @ xi) keep their shapes.  So every value is the one its slab gets
+    alone.
     """
+    if body.polytope is not None:
+        return _exact_values(slab_hpolytopes(body.polytope, xis, ts), i)
+    if body.revolution is not None and (body.dim, i) == (3, 1):
+        return revolution_slab_widths(body.revolution, xis, ts, width_nodes)
+    with _grid_memo(body) as parent:
+        return [_body_value(slab_oracle(parent, SlabSpec(xi, t)), i, vol_nodes, width_nodes)
+                for xi, t in zip(xis, ts.tolist())]
+
+
+def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
+                    t: float, i: int, num_xi: int, rng: RngStream, tol: float,
+                    vol_nodes: int = 200_000) -> ExperimentReport:
+    """V_i(K cap S_t(xi)) vs V_i(L cap S_t(xi)) over random slab normals,
+    each body's values from _slab_values."""
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= n:
         raise ExperimentError(f"need 1 <= i <= n, got i={i}, n={n}")
@@ -505,17 +516,9 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         raise ExperimentError(
             f"slab half-width {t} outside (0, {t_max:.9g}] (max admissible t)")
     xis = sample_haar_bases(n, 1, rng.substreams(num_xi))[:, :, 0]
-
-    def values(oracle):
-        if oracle.polytope is not None:
-            return _exact_values(slab_hpolytopes(oracle.polytope, xis, t), i)
-        if oracle.revolution is not None and (n, i) == (3, 1):
-            return revolution_slab_widths(oracle.revolution, xis, np.full(len(xis), t), 512)
-        with _grid_memo(oracle) as parent:
-            return [_body_value(slab_oracle(parent, SlabSpec(xi, t)), i, vol_nodes, 512)
-                    for xi in xis]
-
-    return _paired_run("slabs", oracle_K, oracle_L, xis, values, rng, tol,
+    ts = np.full(num_xi, t)
+    return _paired_run("slabs", oracle_K, oracle_L, xis,
+                       lambda oracle: _slab_values(oracle, xis, ts, i, vol_nodes, 512), rng, tol,
                        {"t": t, "i": i})
 
 
@@ -551,9 +554,8 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
 
     Passes when the differences decrease monotonically (up to estimator
     noise) and the final difference is consistent with linear decay in t.
-    A body of revolution takes its section value from the profile
-    (revolution_section_volumes), and for i = 1 the slab values of every t
-    from one stacked solve of their exact supports (revolution_slab_widths).
+    The section value comes from _section_values and the slab values of
+    every t from _slab_values, as in the sections and slabs experiments.
     """
     n = oracle.dim
     if n != 3:
@@ -563,26 +565,19 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
     ts = [float(t) for t in t_sequence]
     if len(ts) < 2 or any(b >= a for a, b in zip(ts, ts[1:])) or ts[-1] <= 0.0:
         raise ExperimentError("t sequence must be strictly decreasing and positive")
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (n,) or not abs(np.linalg.norm(xi) - 1.0) <= 1e-12:
+        raise ExperimentError(f"slab normal must be a finite unit vector in R^{n}")
     t_max = max_slab_halfwidth(oracle)
     if ts[0] > t_max:
         raise ExperimentError(f"largest t {ts[0]} exceeds max admissible {t_max:.9g}")
-    xi = np.asarray(xi, dtype=float)
 
     # section value through the plane orthogonal to xi
     basis = _orthogonal_complement(xi)
-    if oracle.revolution is not None:
-        sec_value, sec_err, _ = revolution_section_volumes(oracle, basis[None], i)[0]
-    else:
-        sec_value, sec_err, _ = _body_value(section_oracle(oracle, Subspace(basis)),
-                                            i, None, 512)
-
-    if oracle.revolution is not None and i == 1:
-        slabs = revolution_slab_widths(oracle.revolution, np.tile(xi, (len(ts), 1)),
-                                       np.array(ts), width_nodes)
-    else:
-        with _grid_memo(oracle) as parent:
-            slabs = [_body_value(slab_oracle(parent, SlabSpec(xi, t)), i, 100_000, width_nodes)
-                     for t in ts]
+    [(sec_value, sec_err, _)] = _section_values(oracle, basis[None], i,
+                                                lambda: [Subspace(basis)], None)
+    slabs = _slab_values(oracle, np.tile(xi, (len(ts), 1)), np.array(ts), i, 100_000,
+                         width_nodes)
 
     value, errs, _ = _columns(slabs)
     errs += sec_err

@@ -418,17 +418,17 @@ def section_hpolytope(poly: HPolytope, subspace) -> HPolytope:
     return next(section_hpolytopes(poly, subspace.basis[None]))
 
 
-def slab_hpolytopes(poly: HPolytope, xis, t: float) -> Iterator[HPolytope]:
-    """poly clipped to the origin-symmetric slab {x : |<x, xi>| <= t} for
-    each unit row xi of xis, with its vertices: the facets of poly followed
-    by (xi, t) and (-xi, t).  Built and enumerated CHUNK slabs at a time, as
-    the iterator is consumed."""
+def slab_hpolytopes(poly: HPolytope, xis, ts) -> Iterator[HPolytope]:
+    """poly clipped to the slab {x : |<x, xi>| <= t} for each unit row xi of
+    xis and half-width t of ts (one t for every row if ts is a scalar), with
+    its vertices: the facets of poly followed by (xi, t) and (-xi, t).
+    Built and enumerated CHUNK slabs at a time, as the iterator is consumed."""
     xis = np.asarray(xis, dtype=float)
     count, (m, n) = len(xis), poly.normals.shape
     nrm = np.concatenate([np.broadcast_to(poly.normals, (count, m, n)),
                           xis[:, None], -xis[:, None]], axis=1)
-    off = np.concatenate([np.broadcast_to(poly.offsets, (count, m)),
-                          np.full((count, 2), float(t))], axis=1)
+    half = np.broadcast_to(np.asarray(ts, dtype=float)[..., None], (count, 2))
+    off = np.concatenate([np.broadcast_to(poly.offsets, (count, m)), half], axis=1)
     return _hpolytopes(nrm, off, np.ones((count, m + 2), dtype=bool))
 
 

@@ -1,5 +1,6 @@
 """End-to-end experiment behavior on the fixture pairs and the controls."""
 
+import dataclasses
 import json
 import math
 
@@ -370,6 +371,20 @@ def test_convergence_validation(smooth_pair):
         convergence_experiment(smooth_pair.oracle_K, xi, 3, (0.2, 0.1))
     with pytest.raises(ExperimentError, match="supports n = 3"):
         convergence_experiment(ball_oracle(2), np.array([1.0, 0.0]), 1, (0.2, 0.1))
+
+
+@pytest.mark.parametrize("xi", [(1.2, 0.0, 1.6), (math.nan, 0.0, 1.0)])
+@pytest.mark.parametrize("name, i", [("smooth", 1), ("smooth", 2), ("polytope", 2),
+                                     ("control-shifted", 1)])
+def test_convergence_rejects_a_normal_that_is_not_unit(name, i, xi):
+    """A length-2 or NaN normal raises one ExperimentError for every body,
+    before the body's radial function is called."""
+    oracle = make_pair(name).oracle_K
+    calls = []
+    probe = dataclasses.replace(oracle, radial=lambda d: calls.append(d) or oracle.radial(d))
+    with pytest.raises(ExperimentError, match="slab normal must be a finite unit vector"):
+        convergence_experiment(probe, np.array(xi), i, (0.4, 0.2, 0.1, 0.05))
+    assert calls == []
 
 
 def test_certificate_verdict_follows_the_statistic():

@@ -2,17 +2,18 @@
 and segments come from one stacked oracle call, the slabs of one run
 share their parent's radial values on the fixed quadrature grids, the
 slab widths of a body of revolution come from one stacked support solve,
-the sections and slabs of a polytope are enumerated in stacks, and each
-projection basis is checked once for both bodies.  Every value must equal,
-with ==, the value its sample gets alone, and the shared calls must not
-grow with the sample count."""
+the sections and slabs of a polytope (convergence runs included) are
+enumerated in stacks, and each projection basis is checked once for both
+bodies.  Every value must equal, with ==, the value its sample gets alone,
+and the shared calls must not grow with the sample count."""
 
 import dataclasses
 
 import pytest
 
 from convexlab import grassmann, intrinsic, polykernel
-from convexlab.experiments import (_body_value, convergence_experiment, make_pair,
+from convexlab.experiments import (_body_value, _orthogonal_complement,
+                                   convergence_experiment, make_pair,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
 from convexlab.grassmann import RngStream, Subspace, rowwise, sample_haar_bases
@@ -81,13 +82,27 @@ def test_polytope_sections_equal_one_section_values(n, k, i):
         assert (vk_run, vl_run) == (vk, vl)
 
 
-def test_convergence_equals_one_slab_values(smooth_pair):
-    K = smooth_pair.oracle_K
+@pytest.mark.parametrize("name, body", [("smooth", "K"), ("polytope", "K"),
+                                        ("control-shifted", "K"), ("control-shifted", "L")])
+@pytest.mark.parametrize("i", [1, 2])
+def test_convergence_equals_one_slab_values(name, body, i):
+    """Each slab value is the one its slab oracle gets alone, and the
+    section value the one its section gets alone from the same estimator:
+    the profile quadrature for a body of revolution, else the section
+    oracle's."""
+    oracle = getattr(make_pair(name), "oracle_" + body)
     xi = sample_haar_bases(3, 1, [RngStream(7, 5)])[0, :, 0]
     ts = (0.4, 0.2, 0.1)
-    rep = convergence_experiment(K, xi, 2, ts)
+    rep = convergence_experiment(oracle, xi, i, ts)
     for vk, t in zip(rep.samples.value_K, ts, strict=True):
-        assert vk == _body_value(slab_oracle(K, SlabSpec(xi, t)), 2, 100_000, 512)[0]
+        assert vk == _body_value(slab_oracle(oracle, SlabSpec(xi, t)), i, 100_000, 512)[0]
+    basis = _orthogonal_complement(xi)
+    if oracle.revolution is not None:
+        section = intrinsic.revolution_section_volumes(oracle, basis[None], i)[0][0]
+    else:
+        section = _body_value(section_oracle(oracle, Subspace(basis)), i, None, 512)[0]
+    assert rep.summary["section_value"] == section
+    assert list(rep.samples.value_L) == [section] * len(ts)
 
 
 def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):
@@ -146,11 +161,12 @@ def test_smooth_slab_widths_make_one_support_solve_per_body(smooth_pair, monkeyp
         assert support == [[], []]
 
 
-@pytest.mark.parametrize("run", ["sections-k2", "sections-k3", "slabs"])
+@pytest.mark.parametrize("run", ["sections-k2", "sections-k3", "slabs", "convergence"])
 def test_polytope_runs_enumerate_in_stacks(run, monkeypatch):
     """A polytope section or slab run of S samples makes ceil(S / CHUNK)
-    stacked enumerations per body, CHUNK polytopes at most each, and
-    enumerates no section or slab one at a time."""
+    stacked enumerations per body, CHUNK polytopes at most each; a
+    convergence run makes one of its section and one of all its slabs; and
+    no run enumerates a section or slab one at a time."""
     pair = make_pair("polytope", 4 if run == "sections-k3" else 3)
     stacks, singles = [], []
     enumerate_stack, enumerate_vertices = polykernel.enumerate_stack, polykernel.enumerate_vertices
@@ -160,11 +176,16 @@ def test_polytope_runs_enumerate_in_stacks(run, monkeypatch):
                         lambda poly: singles.append(poly) or enumerate_vertices(poly))
     chunk = polykernel.CHUNK
     K, L, rng = pair.oracle_K, pair.oracle_L, RngStream(7, 6)
-    if run == "slabs":
+    expected = [chunk, chunk, 3] * 2
+    if run == "convergence":
+        ts = (0.4, 0.2, 0.1, 0.05)
+        convergence_experiment(K, sample_haar_bases(3, 1, [rng])[0, :, 0], 2, ts)
+        expected = [1, len(ts)]
+    elif run == "slabs":
         slab_experiment(K, L, 0.5, 2, 2 * chunk + 3, rng, 1e-9)
     else:
         sections_experiment(K, L, int(run[-1]), 2, 2 * chunk + 3, rng, 1e-9)
-    assert stacks == [chunk, chunk, 3] * 2
+    assert stacks == expected
     assert singles == []
 
 

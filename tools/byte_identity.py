@@ -24,7 +24,10 @@ sections in R^4 and n = 3 slabs of `control-shifted`), or the work that
 samples share within one run (slab grids at i = 1 and 2, the one stacked
 solve of exact slab supports behind smooth i = 1 slabs and convergence,
 convergence at i = 2, stacked k = 1 widths of the shifted ball and k = 1
-segments of the smooth pair), with sample counts kept small; and polytope
+segments of the smooth pair), convergence on the ball of `control-shifted`
+(the mean width over zoom supports at i = 1, the boundary hull at i = 2)
+and on the polytope with half-widths other than the default sequence,
+with sample counts kept small; and polytope
 sections and slabs with hundreds to thousands of samples, whose stacked
 vertex enumeration makes thousands of feasibility, twin and incidence
 tests against thresholds.  Four commands cover the sample tables the
@@ -85,6 +88,9 @@ EXTRA = (
     "slabs --pair smooth --i 2 --samples 2",
     "convergence --pair smooth --i 1",
     "convergence --pair smooth --i 2",
+    "convergence --pair control-shifted --i 1",
+    "convergence --pair control-shifted --i 2",
+    "convergence --pair polytope --i 2 --t 0.5 --t 0.3 --t 0.1",
     "projections --pair control-shifted --k 1 --samples 50",
     "sections --pair smooth --k 1 --samples 50",
     "sections --pair polytope --k 2 --i 1 --samples 2000",
