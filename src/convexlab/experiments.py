@@ -16,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
                      build_polytope_pair, oracle_of, validate_revolution_spec,
                      profile)
-from .grassmann import RngStream, Subspace, rowwise, sample_haar_bases
+from .grassmann import RngStream, Subspace, blocks, rowwise, sample_haar_bases
 from .intrinsic import (POLYLINE_NODES, antipodal_sums, centroid_3d, hull_surface_v2,
                         mean_width_v1, planar_metrics_from_oracle, projection_volumes,
                         revolution_section_volumes, revolution_slab_widths, volume_radial)
@@ -323,20 +322,24 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     samples = _sample_table(dirs, rho_kp, rho_lp, d_rho, np.zeros(n_dirs), {"d_h": d_h})
 
     # reflection spot-check at midpoint radii, where one body but not the
-    # other should contain the probe whenever the radial values differ
-    pts_rng = rng.substream(0x7FFF_FFFF)
-    probe = pts_rng.generator().standard_normal((10 * n_dirs, n))
-    probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-    rk = np.asarray(oracle_K.radial(probe), dtype=float)
-    rl = np.asarray(oracle_L.radial(probe), dtype=float)
-    xs = 0.5 * (rk + rl)[:, None] * probe
-    in_k = np.asarray(oracle_K.member(xs))
-    in_l = np.asarray(oracle_L.member(xs))
-    in_k_neg = np.asarray(oracle_K.member(-xs))
-    in_l_neg = np.asarray(oracle_L.member(-xs))
-    bad_kl = (in_k & ~in_l) & ~(in_l_neg & ~in_k_neg)
-    bad_lk = (in_l & ~in_k) & ~(in_k_neg & ~in_l_neg)
-    failures = int(np.sum(bad_kl) + np.sum(bad_lk))
+    # other should contain the probe whenever the radial values differ.
+    # The probes are drawn and checked in the row blocks of rowwise; one
+    # generator's consecutive draws are the rows of one large draw.
+    probes = rng.substream(0x7FFF_FFFF).generator()
+    failures = 0
+    for a, b in blocks(10 * n_dirs):
+        probe = probes.standard_normal((b - a, n))
+        probe /= np.linalg.norm(probe, axis=1, keepdims=True)
+        rk = np.asarray(oracle_K.radial(probe), dtype=float)
+        rl = np.asarray(oracle_L.radial(probe), dtype=float)
+        xs = 0.5 * (rk + rl)[:, None] * probe
+        in_k = np.asarray(oracle_K.member(xs))
+        in_l = np.asarray(oracle_L.member(xs))
+        in_k_neg = np.asarray(oracle_K.member(-xs))
+        in_l_neg = np.asarray(oracle_L.member(-xs))
+        bad_kl = (in_k & ~in_l) & ~(in_l_neg & ~in_k_neg)
+        bad_lk = (in_l & ~in_k) & ~(in_k_neg & ~in_l_neg)
+        failures += int(np.sum(bad_kl) + np.sum(bad_lk))
 
     summary = _judge(samples, tol)
     max_d_rho = float(d_rho.max())
@@ -447,34 +450,47 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 # Slabs
 
 
-@contextmanager
-def _grid_memo(body: ConvexBodyOracle):
-    """body, with a radial that answers a call on an array equal to the last
-    one of its shape with that call's values; other calls go to body.
+def _grid_slabs(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray):
+    """slab_oracle(parent, SlabSpec(xi_j, t_j)) for each row, one at a time,
+    where parent is body with a radial that answers a call on a block of
+    rows it has seen with that call's values; other calls go to body.
 
     The estimators of every slab of one parent pass it the same fixed
-    quadrature grids, each of its own shape: the Fibonacci grids of
-    volume_radial and hull_surface_v2, the polyline's circle and the base
-    grid of support_from_radial.  Each slab clips the shared values by its
-    own bounds in slab_oracle's radial, so the parent evaluates each grid
-    once for all slabs.  The memo is emptied when the block exits, so its
-    grids do not live on in a slab oracle that a caller keeps.
+    quadrature grids: the Fibonacci grids of volume_radial and
+    hull_surface_v2, the polyline's circle and the base grid of
+    support_from_radial.  Each slab clips the shared values by its own
+    bounds in slab_oracle's radial, which hands a grid on in the row blocks
+    of rowwise, so the parent evaluates each block once for all slabs.  A
+    block is keyed by its shape and first row and confirmed by array_equal.
+    The first slab records every block it reads; the blocks that the
+    second slab reads again are the shared grids, and only they are kept
+    after it, so the blocks of each slab's own zoom searches do not pile
+    up.  The memo is emptied when the last slab is done, so its grids do
+    not live on in a slab oracle that a caller keeps.
     """
-    last = {}
+    memo, reread, recording = {}, set(), True
 
     @rowwise
     def radial(dirs):
-        hit = last.get(dirs.shape)
+        key = (dirs.shape, dirs[:1].tobytes())
+        hit = memo.get(key)
         if hit is not None and np.array_equal(hit[0], dirs):
+            reread.add(key)
             return hit[1]
         rho = np.asarray(body.radial(dirs), dtype=float)
-        last[dirs.shape] = (dirs.copy(), rho)
+        if recording:
+            memo[key] = (dirs.copy(), rho)
         return rho
 
+    parent = dataclasses.replace(body, radial=radial)
     try:
-        yield dataclasses.replace(body, radial=radial)
+        for j, (xi, t) in enumerate(zip(xis, ts.tolist())):
+            yield slab_oracle(parent, SlabSpec(xi, t))
+            recording = False
+            if j == 1:
+                memo = {key: memo[key] for key in reread}
     finally:
-        last.clear()
+        memo.clear()
 
 
 def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray, i: int,
@@ -487,18 +503,16 @@ def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray, i: int
     passes (_exact_values).  In R^3, V_1 of the slabs of a body of
     revolution comes from one stacked solve of their exact supports
     (revolution_slab_widths).  Otherwise the body's radial on each fixed
-    quadrature grid is evaluated once for all slabs (_grid_memo), and each
+    quadrature grid is evaluated once for all slabs (_grid_slabs), and each
     slab clips those values by its own bounds; the per-slab products
-    (th @ xi) keep their shapes.  So every value is the one its slab gets
-    alone.
+    (th @ xi) are taken per slab, in rowwise's blocks.  So every value is
+    the one its slab gets alone.
     """
     if body.polytope is not None:
         return _exact_values(slab_hpolytopes(body.polytope, xis, ts), i)
     if body.revolution is not None and (body.dim, i) == (3, 1):
         return revolution_slab_widths(body.revolution, xis, ts, width_nodes)
-    with _grid_memo(body) as parent:
-        return [_body_value(slab_oracle(parent, SlabSpec(xi, t)), i, vol_nodes, width_nodes)
-                for xi, t in zip(xis, ts.tolist())]
+    return [_body_value(slab, i, vol_nodes, width_nodes) for slab in _grid_slabs(body, xis, ts)]
 
 
 def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,

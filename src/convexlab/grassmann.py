@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTHO_TOL = 1e-10
+BLOCK = 8192  # most rows of one oracle evaluation (rowwise)
 
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
@@ -34,11 +35,29 @@ def kappa(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+def blocks(m: int) -> list[tuple[int, int]]:
+    """The row ranges [a, b) that a stack of m rows runs in: one range for
+    m <= BLOCK, else ceil(m / BLOCK) consecutive ranges of near-equal size,
+    with edges at j * m // parts, none of them shorter than BLOCK // 2."""
+    parts = max(1, -(-m // BLOCK))
+    edges = [j * m // parts for j in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def rowwise(fn):
     """Lift fn(..., rows), which maps an (m, n) stack to m values, to the
     scalar/batch convention of every oracle: a stack of rows gives fn's
     array, a single vector is evaluated as a 1 x n stack and gives a Python
     float or bool.
+
+    A stack of more than BLOCK rows runs as the consecutive blocks of
+    blocks(m), and their values are concatenated, so the temporaries of one
+    call stay cache-sized whatever the stack.  Each fn here works row by
+    row, and no block is shorter than BLOCK // 2, so the BLAS products
+    inside (th @ xi, dirs @ normals.T) never take the short tails whose
+    rounding depends on the row count: every row gets the bits of one call
+    over the whole stack (tests/test_scalar_batch.py checks every oracle
+    kind).
 
     The lifted function carries no __wrapped__ attribute, so tracers that
     skip already-wrapped callables still wrap it.
@@ -47,9 +66,11 @@ def rowwise(fn):
     def lifted(*args, **kwargs):
         *head, x = args
         rows = np.asarray(x, dtype=float)
-        if rows.ndim != 1:
+        if rows.ndim == 1:
+            return fn(*head, rows.reshape(1, -1), **kwargs)[0].item()
+        if len(rows) <= BLOCK:
             return fn(*head, rows, **kwargs)
-        return fn(*head, rows.reshape(1, -1), **kwargs)[0].item()
+        return np.concatenate([fn(*head, rows[a:b], **kwargs) for a, b in blocks(len(rows))])
 
     lifted.__name__, lifted.__qualname__ = fn.__name__, fn.__qualname__
     lifted.__doc__ = fn.__doc__

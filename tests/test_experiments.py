@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,22 @@ def test_lemma1_rejects_shifted_control(shifted_pair):
 def test_lemma1_dimension_mismatch():
     with pytest.raises(ExperimentError, match="share a dimension"):
         lemma1_check(ball_oracle(3), ball_oracle(2), 10, 1e-8, RngStream(3, 3))
+
+
+@pytest.mark.parametrize("name", ["smooth", "polytope", "control-shifted"])
+def test_lemma1_live_memory_is_bounded(name):
+    """The 10 x n_dirs reflection probes are drawn and checked in rowwise's
+    blocks, so no probe-sized array lives in full: the traced peak of
+    5,000 directions stays under 6 MB (10 to 15 MB with one probe batch)."""
+    pair = make_pair(name)
+    lemma1_check(pair.oracle_K, pair.oracle_L, 10, 1e-8, RngStream(3, 4))  # warm caches
+    tracemalloc.start()
+    try:
+        lemma1_check(pair.oracle_K, pair.oracle_L, 5000, 1e-8, RngStream(3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, f"{name}: {peak / 1e6:.1f} MB"
 
 
 def test_sections_polytope_exact(polytope_pair):

@@ -8,11 +8,13 @@ bodies.  Every value must equal, with ==, the value its sample gets alone,
 and the shared calls must not grow with the sample count."""
 
 import dataclasses
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from convexlab import grassmann, intrinsic, polykernel
-from convexlab.experiments import (_body_value, _orthogonal_complement,
+from convexlab.experiments import (_body_value, _grid_slabs, _orthogonal_complement,
                                    convergence_experiment, make_pair,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
@@ -131,16 +133,34 @@ SLAB_GRID_PAIR = {(3, 1): "control-shifted"}
     (3, 3, {4096, 2048}),           # volume_radial at vol_nodes = 4096
 ])
 def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
+    """Nor does the memo: the blocks of each slab's own calls (the zoom
+    supports at n = 3, i = 1) are not kept, so the traced peak stays put."""
+    # a grid of more than BLOCK rows reaches the parent in rowwise's blocks:
+    # 20,000 as 6,666 + 6,667 + 6,667 rows and 10,000 as 2 x 5,000
+    sizes = {b - a for g in grids for a, b in grassmann.blocks(g)}
     pair = make_pair(SLAB_GRID_PAIR.get((n, i), "smooth"), n)
-    counts = []
+    counts, peaks = [], []
     for samples in (2, 5):
         rows = [[], []]
         K, L = (_counting(o, "radial", r) for o, r in zip((pair.oracle_K, pair.oracle_L), rows))
-        slab_experiment(K, L, 0.5, i, samples, RngStream(7, 3), 1e-2, vol_nodes=4096)
-        counts.append([sorted(x for x in r if x in grids) for r in rows])
+        tracemalloc.start()
+        try:
+            slab_experiment(K, L, 0.5, i, samples, RngStream(7, 3), 1e-2, vol_nodes=4096)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        counts.append([sorted(x for x in r if x in sizes) for r in rows])
     # at i = 2 the count also holds max_slab_halfwidth's 10,000-direction grid
     assert counts[0] == counts[1]
-    assert [set(c) for c in counts[0]] == [grids, grids]
+    assert [set(c) for c in counts[0]] == [sizes, sizes]
+    assert peaks[1] < peaks[0] + 1e6, peaks
+
+
+def test_slab_grid_memo_answers_an_empty_stack(smooth_pair):
+    xis, ts = np.eye(3)[:2], np.full(2, 0.5)
+    for slab in _grid_slabs(smooth_pair.oracle_K, xis, ts):
+        for _ in range(2):  # a miss, then a hit
+            assert slab.radial(np.empty((0, 3))).shape == (0,)
 
 
 def test_smooth_slab_widths_make_one_support_solve_per_body(smooth_pair, monkeypatch):

@@ -8,6 +8,7 @@ span tracers read that attribute as "already traced" and would skip it.
 import numpy as np
 import pytest
 
+from convexlab import grassmann
 from convexlab.bodies import (ball_oracle, make_revolution_spec,
                               revolution_radial, revolution_support)
 from convexlab.experiments import make_pair
@@ -76,6 +77,34 @@ def test_oracle_scalar_matches_batch_row(name):
     assert oracle.member(points[-1]) is False
 
 
+BLOCK_SIZES = (grassmann.BLOCK - 1, grassmann.BLOCK, grassmann.BLOCK + 1,
+               2 * grassmann.BLOCK + 3)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_blocked_stacks_give_the_unblocked_bits(name, monkeypatch):
+    """A stack of more than BLOCK rows runs in blocks of BLOCK / 2 rows or
+    more; every row, of every oracle kind, gets the bits it gets when the
+    longest stack is one block."""
+    oracle = ORACLES[name]
+    longest = max(BLOCK_SIZES)
+    dirs = _directions(oracle.dim, longest)
+    rho = np.asarray(oracle.radial(dirs))
+    # alternately inside and outside along each ray
+    points = dirs * (rho * np.resize([0.5, 1.5], longest))[:, None]
+    for method in ("radial", "support", "member"):
+        fn = getattr(oracle, method)
+        rows = points if method == "member" else dirs
+        with monkeypatch.context() as patch:
+            patch.setattr(grassmann, "BLOCK", longest)
+            whole = fn(rows)
+        for m in BLOCK_SIZES:
+            blocked = fn(rows[:m])
+            assert blocked.dtype == whole.dtype and blocked.shape == (m,)
+            differ = np.flatnonzero(blocked != whole[:m])
+            assert differ.size == 0, f"{name}.{method} at {m} rows: rows {differ[:5]}"
+
+
 def test_public_batch_functions_follow_the_convention():
     spec = make_revolution_spec()
     poly = make_pair("polytope").oracle_K.polytope
@@ -93,6 +122,34 @@ def test_public_batch_functions_follow_the_convention():
         single = fn(rows[0])
         assert type(single) is float
         assert single == batch[0]
+
+
+def test_blocks_are_near_equal_and_cover_the_stack():
+    block = grassmann.BLOCK
+    assert grassmann.blocks(0) == [(0, 0)]
+    assert grassmann.blocks(block) == [(0, block)]
+    for m in (block + 1, 2 * block + 3, 200_000):
+        edges = grassmann.blocks(m)
+        assert len(edges) == -(-m // block)
+        assert edges[0][0] == 0 and edges[-1][1] == m
+        assert all(b == c for (_, b), (c, _) in zip(edges, edges[1:]))
+        sizes = [b - a for a, b in edges]
+        assert max(sizes) - min(sizes) <= 1 and block // 2 <= min(sizes) <= max(sizes) <= block
+
+
+def test_rowwise_runs_a_long_stack_in_blocks(monkeypatch):
+    calls = []
+
+    @rowwise
+    def first(rows):
+        calls.append(len(rows))
+        return rows[:, 0].copy()
+
+    monkeypatch.setattr(grassmann, "BLOCK", 4)
+    rows = np.arange(20.0).reshape(10, 2)
+    assert first(rows).tolist() == rows[:, 0].tolist() and calls == [3, 3, 4]
+    calls.clear()
+    assert first(rows[:4]).tolist() == [0.0, 2.0, 4.0, 6.0] and calls == [4]
 
 
 def test_rowwise_lifts_without_wrapped():

@@ -35,7 +35,12 @@ writers render: lemma1 in R^4 (basis width 4 plus the d_h column across a
 CHUNK edge), smooth sections with thousands of samples (basis width 6, a
 nonzero stderr on most rows, rule `mixed`), and --svg runs of lemma1 and
 sections, whose rel_diff.svg and sections.svg read sample columns
-(`all --svg` writes only profiles.svg).
+(`all --svg` writes only profiles.svg).  Three commands sit on the row
+blocks of grassmann.rowwise: lemma1 of the smooth pair with 820 samples
+(8,200 reflection probes, two blocks of 4,100), lemma1 of
+`control-shifted` with 5,000 samples (the translate secant across seven
+blocks; it exits 2, as a control should), and 3 smooth slabs at i = 3
+(the 200,000-node polar volume in 25 blocks through the slab grid memo).
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -102,6 +107,9 @@ EXTRA = (
     "sections --pair smooth --k 2 --i 2 --samples 4200",
     "lemma1 --pair smooth --samples 200 --svg",
     "sections --pair smooth --k 2 --samples 3 --svg",
+    "lemma1 --pair smooth --samples 820",
+    "lemma1 --pair control-shifted --samples 5000",
+    "slabs --pair smooth --i 3 --samples 3",
 )
 
 ORACLE_PARAMS = ((1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16), (2e-3, 0.05), (1e-3, 0.155))
