@@ -441,7 +441,8 @@ class ConvexBodyOracle:
 
     radial/support/member accept a single vector or a stack of row vectors
     and return matching scalars or 1-d arrays.  eval_tol bounds the error
-    of radial and support on unit inputs.
+    of radial and support on unit inputs.  A ball, centered or translated,
+    records ball = (radius, center), which closed-form paths read.
     """
 
     dim: int
@@ -453,6 +454,7 @@ class ConvexBodyOracle:
     revolution: RevolutionBodySpec | None = None
     polytope: HPolytope | None = None
     translate: tuple[ConvexBodyOracle, np.ndarray] | None = None  # (base, shift)
+    ball: tuple[float, np.ndarray] | None = None  # (radius, center)
 
     @property
     def vrep(self) -> VRep | None:
@@ -530,7 +532,9 @@ def ball_oracle(dim: int, radius: float = 1.0) -> ConvexBodyOracle:
     def member(pts):
         return np.linalg.norm(pts, axis=1) <= r + POLY_EVAL_TOL
 
+    center = np.zeros(dim)
+    center.setflags(write=False)
     return ConvexBodyOracle(
         dim=dim, radial=radial, support=support, member=member,
-        eval_tol=POLY_EVAL_TOL, kind="ball",
+        eval_tol=POLY_EVAL_TOL, kind="ball", ball=(r, center),
     )

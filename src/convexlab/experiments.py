@@ -24,9 +24,10 @@ from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
                      build_polytope_pair, oracle_of, validate_revolution_spec,
                      profile)
 from .grassmann import RngStream, Subspace, blocks, rowwise, sample_haar_bases
-from .intrinsic import (POLYLINE_NODES, antipodal_sums, centroid_3d, hull_surface_v2,
-                        mean_width_v1, planar_metrics_from_oracle, projection_volumes,
-                        revolution_section_volumes, revolution_slab_widths, volume_radial)
+from .intrinsic import (POLYLINE_NODES, antipodal_sums, ball_section_volumes, centroid_3d,
+                        hull_surface_v2, mean_width_v1, planar_metrics_from_oracle,
+                        projection_volumes, revolution_section_volumes,
+                        revolution_slab_widths, volume_radial)
 from .polykernel import (CHUNK, poly3_stack_volumes, polygon_stack_metrics,
                          section_hpolytopes, slab_hpolytopes)
 from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
@@ -406,7 +407,8 @@ def _section_values(body: ConvexBodyOracle, bases: np.ndarray, i: int, subspaces
                     rng: RngStream | None) -> list[tuple[float, float, str]]:
     """(V_i, stderr, method) of body cap span(B_j) for each B_j of the (S, n, k)
     stack bases: the one choice of section estimator.  k = 1 gives segments;
-    a body of revolution takes the profile quadrature of
+    a ball or translated ball takes the closed form of ball_section_volumes,
+    a body of revolution the profile quadrature of
     revolution_section_volumes, a polytope the exact values of its stacked
     sections; other bodies take _body_value of one section oracle per
     Subspace of subspaces(), sample j drawing from a child of
@@ -418,6 +420,8 @@ def _section_values(body: ConvexBodyOracle, bases: np.ndarray, i: int, subspaces
         else:  # polytope_radial rounds with the row count: one row per call
             segs = [float(body.radial(u)) + float(body.radial(-u)) for u in us]
         return [(seg, 0.0, "exact-segment") for seg in segs]
+    if body.ball is not None:
+        return ball_section_volumes(body.ball, bases, i)
     if body.revolution is not None:
         return revolution_section_volumes(body, bases, i)
     if body.polytope is not None:

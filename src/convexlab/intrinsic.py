@@ -47,7 +47,7 @@ class IVEstimate:
     index: int
     value: float
     stderr: float
-    method: str  # exact-polygon | exact-poly3 | polyline | quadrature | kubota-mc
+    method: str  # exact-polygon | exact-poly3 | exact-ball | polyline | quadrature | kubota-mc
     samples: int
 
     def __post_init__(self):
@@ -317,8 +317,10 @@ def projection_volumes(body, bases: np.ndarray, area_n: int,
     A body with vertex data (body.vrep) is exact: widths for k = 1, Cauchy's
     formula for k = n - 1 (cauchy_projection_volumes, `exact-cauchy`: the
     facet volumes once per body, then one broadcast product for the whole
-    stack) and the hull of its projected vertices for k = 2 in R^4.  A body
-    of revolution (body.revolution) takes the profile quadrature of
+    stack) and the hull of its projected vertices for k = 2 in R^4.  A ball
+    or translated ball (body.ball) projects to a k-ball of its radius R,
+    kappa_k R^k for every k >= 2 (`exact-ball`).  A body of revolution
+    (body.revolution) takes the profile quadrature of
     revolution_projection_volumes for every k >= 2; other bodies have
     support-based paths for k = 1 and 2.  The k = 1 widths of a body without
     vertex data come from one support call on the stacked rows (u_0, -u_0,
@@ -339,6 +341,8 @@ def projection_volumes(body, bases: np.ndarray, area_n: int,
     if vrep is not None and k == body.dim - 1:
         return [(v, 0.0, "exact-cauchy")
                 for v in cauchy_projection_volumes(body.polytope, bases).tolist()]
+    if body.ball is not None:
+        return [(kappa(k) * body.ball[0] ** k, 0.0, "exact-ball")] * len(bases)
     if body.revolution is not None:
         return revolution_projection_volumes(body.revolution, bases)
     return [_subspace_volume(body, sub, area_n) for sub in subspaces()]
@@ -362,6 +366,20 @@ def _subspace_volume(body, sub: Subspace, area_n: int) -> tuple[float, float, st
         area = area_from_support_2d(lambda d: body.support(embed(sub, d)), area_n)
         return area, 0.0, "quadrature"
     raise EstimateError(f"no projection-volume path for k={k} on {body.kind}")
+
+
+def ball_section_volumes(ball, bases: np.ndarray, i: int) -> list[tuple[float, float, str]]:
+    """(V_i, 0.0, "exact-ball") of the ball (radius R, center c) cap span(B_j)
+    for every n x k basis B_j of the stack bases: a k-ball of radius
+    rho_j = sqrt(R^2 - |c - B_j B_j^T c|^2), so V_i = V_i(B^k) rho_j^i.  One
+    pass over the stack, each sum taken per row, so each sample gets the
+    value it gets alone; a centered ball gives rho = R."""
+    radius, center = ball
+    along = (bases * center[:, None]).sum(axis=1)             # B^T c
+    off = center - (bases * along[:, None, :]).sum(axis=2)     # c - B B^T c
+    rho = np.sqrt(radius * radius - (off * off).sum(axis=1))
+    values = ball_intrinsic_volume(bases.shape[2], i) * rho ** i
+    return [(v, 0.0, "exact-ball") for v in values.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 Sections restrict the radial function and slabs clip it by t/|<theta, xi>|;
 both identities are exact, so derived radial data inherit the parent
 oracle's accuracy.  A translate solves for its radial function on each ray
-from the parent's gauge.  Sections and slabs of polytopes are again
-polytopes and get exact oracles.  A slab of a body of revolution gets
-exact supports from the profile: one 1-D rim solve per direction.  Only
-support functions of the other sections and slabs (those of translates and
-balls) have no closed form; both are recovered from radial data by
-support_from_radial (with a degraded eval_tol).
+from the parent's gauge; a translated ball is a ball and takes the closed
+form.  Sections and slabs of polytopes are again polytopes and get exact
+oracles.  A slab of a body of revolution gets exact supports from the
+profile, by one 1-D rim solve per direction, and a slab of a ball or a
+translated ball from a closed form.  Only the support functions of the
+other sections, and of slabs of translates of bodies other than balls, are
+recovered from radial data by support_from_radial (with a degraded
+eval_tol).
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from .intrinsic import (_zoom_extremum, revolution_slab_supports, sphere_grid,
 from .polykernel import section_hpolytope, slab_hpolytopes
 
 SECTION_SUPPORT_TOL = 1e-6
-# declared by slabs of bodies without a profile (balls, translates), whose
-# supports come from the zoom search.  Its maximizer can sit on the slab rim
-# (a kink) and the search stops short of it: on smooth K at t = 0.5 it read up
-# to 1.2e-2 low, so these slabs need not meet this tolerance
+# declared by slabs of bodies with neither a profile nor a ball (translates
+# of other bodies), whose supports come from the zoom search.  Its maximizer
+# can sit on the slab rim (a kink) and the search stops short of it: on
+# smooth K at t = 0.5 it read up to 1.2e-2 low, so these slabs need not meet
+# this tolerance
 SLAB_SUPPORT_TOL = 1e-6
 DOT_GUARD = 1e-14  # |<theta, xi>| below this counts as parallel to the slab
 # secant steps of the translate radial: room for a bracket that doubles a
@@ -57,13 +60,17 @@ def max_slab_halfwidth(oracle: ConvexBodyOracle) -> float:
     """Largest t with t*ball strictly inside the body: min rho minus margin.
 
     A polytope's facet normals are unit and its origin is interior, so its
-    min rho is exactly its smallest facet offset.  For other bodies the
-    minimum of the radial function is located on a 10,000-direction grid
-    and, in dimensions 2 and 3, refined locally; that can only read above
-    the true minimum.
+    min rho is exactly its smallest facet offset, as a ball's is its radius
+    less the distance of its center.  For other bodies the minimum of the
+    radial function is located on a 10,000-direction grid and, in
+    dimensions 2 and 3, refined locally; that can only read above the true
+    minimum.
     """
     if oracle.polytope is not None:
         return float(oracle.polytope.offsets.min()) - 1e-9
+    if oracle.ball is not None:
+        radius, center = oracle.ball
+        return radius - float(np.linalg.norm(center)) - 1e-9
     grid = 10_000
     dirs = sphere_grid(oracle.dim, grid)
     rho = np.asarray(oracle.radial(dirs), dtype=float)
@@ -113,8 +120,10 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     take an exact route instead: the slab contributes two facets, and the
     result is the polytope oracle of the clipped body.  A body of
     revolution gets exact supports from its profile, by one rim solve per
-    direction (revolution_slab_supports), and keeps its eval_tol; other
-    bodies recover supports from radial data by support_from_radial.
+    direction (revolution_slab_supports), and a ball or translated ball
+    from the closed form of ball_slab_supports; both keep the body's
+    eval_tol.  Other bodies recover supports from radial data by
+    support_from_radial.
     """
     if slab.xi.shape != (body.dim,):
         raise BodyError("slab normal dimension must match the body")
@@ -142,6 +151,13 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
             return revolution_slab_supports(spec, np.broadcast_to(xi, d.shape),
                                             np.full(d.shape[0], t), d)
         eval_tol = body.eval_tol
+    elif body.ball is not None:
+        radius, center = body.ball
+
+        @rowwise
+        def support(d):
+            return ball_slab_supports(radius, center, xi, t, d)
+        eval_tol = body.eval_tol
     else:
         shape = SimpleNamespace(dim=body.dim, radial=radial)  # as in section_oracle
 
@@ -158,6 +174,34 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     )
 
 
+def ball_slab_supports(radius: float, center: np.ndarray, xi: np.ndarray, t: float,
+                       d: np.ndarray) -> np.ndarray:
+    """The support of the ball (center + radius B) clipped to the slab
+    |<x, xi>| <= t at each row of d.
+
+    In the ball's own units the slab is lo <= <y, xi> <= hi, with
+    lo = (-t - <c, xi>) / R and hi = (t - <c, xi>) / R.  Let beta = <d, xi>.
+    Where lo |d| <= beta <= hi |d| the ball's own support point lies in the
+    slab, and h = <c, d> + R |d|.  Where beta > hi |d| the maximiser sits on
+    the rim <y, xi> = hi, at hi xi plus sqrt(1 - hi^2) times the unit part
+    of d normal to xi, so h = <c, d> + R (hi beta + sqrt(1 - hi^2)
+    |d - beta xi|); likewise with lo where beta < lo |d|.  Every sum is
+    taken per row, so each row gets the value it gets alone.
+    """
+    size = np.sqrt((d * d).sum(axis=1))
+    beta = (d * xi).sum(axis=1)
+    mid = float((center * xi).sum())
+    lo, hi = (-t - mid) / radius, (t - mid) / radius
+    rest = d - beta[:, None] * xi  # not sqrt(|d|^2 - beta^2), which cancels near +-xi
+    normal = np.sqrt((rest * rest).sum(axis=1))
+    inner = size
+    for edge, out in ((hi, beta > hi * size), (lo, beta < lo * size)):
+        if out.any():
+            rim = edge * beta + np.sqrt(max(1.0 - edge * edge, 0.0)) * normal
+            inner = np.where(out, rim, inner)
+    return (d * center).sum(axis=1) + radius * inner
+
+
 def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     """The body translated by -shift (so `shift` becomes the new origin).
 
@@ -170,6 +214,11 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     bracket starts at [0, inf) and doubles until it closes, and a step
     bisects when the secant step is not finite or leaves the bracket.  A
     direction with a NaN coordinate gets NaN.
+
+    A translate of a ball (radius R, center c) is the ball of center
+    c - shift, recorded in `ball`; its radial function is the positive root
+    r = (b + sqrt(b^2 - a (|c|^2 - R^2))) / a of |r theta - c| = R, with
+    a = |theta|^2 and b = <theta, c>, and takes no secant.
 
     A translate of a translate is the base body translated once, by the
     sum of the shifts; `translate` records that (base, shift).
@@ -197,27 +246,43 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     def support(ds):
         return np.asarray(body.support(ds), dtype=float) - ds @ s
 
-    def excess(r, th):
-        p = r[:, None] * th + s
-        size = np.linalg.norm(p, axis=1)
-        with np.errstate(invalid="ignore"):  # p = 0 has no direction
-            gauge = size / np.asarray(body.radial(p / size[:, None]), dtype=float)
-        return np.where(size > 0.0, gauge, 0.0) - 1.0, None
+    ball = None
+    if body.ball is not None:
+        radius, center = body.ball
+        center = center - s
+        center.setflags(write=False)
+        ball = (radius, center)
+        level = float((center * center).sum()) - radius * radius  # < 0: 0 is interior
 
-    @rowwise
-    def radial(th):
-        r = np.full(th.shape[0], np.nan)
-        ok = ~np.isnan(th).any(axis=1)
-        if np.any(ok):
-            th = th[ok]
-            guess = np.asarray(body.radial(th), dtype=float)
-            zero = np.zeros_like(guess)
-            r[ok] = _safeguarded_newton(
-                excess, guess, zero, np.full_like(guess, np.inf), th,
-                prev=(zero, np.full_like(guess, gauge0 - 1.0)), steps=TRANSLATE_STEPS)
-        return r
+        @rowwise
+        def radial(th):
+            a = (th * th).sum(axis=1)
+            b = (th * center).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):  # th = 0 has no ray
+                return (b + np.sqrt(b * b - a * level)) / a
+    else:
+        def excess(r, th):
+            p = r[:, None] * th + s
+            size = np.linalg.norm(p, axis=1)
+            with np.errstate(invalid="ignore"):  # p = 0 has no direction
+                gauge = size / np.asarray(body.radial(p / size[:, None]), dtype=float)
+            return np.where(size > 0.0, gauge, 0.0) - 1.0, None
+
+        @rowwise
+        def radial(th):
+            r = np.full(th.shape[0], np.nan)
+            ok = ~np.isnan(th).any(axis=1)
+            if np.any(ok):
+                th = th[ok]
+                guess = np.asarray(body.radial(th), dtype=float)
+                zero = np.zeros_like(guess)
+                r[ok] = _safeguarded_newton(
+                    excess, guess, zero, np.full_like(guess, np.inf), th,
+                    prev=(zero, np.full_like(guess, gauge0 - 1.0)), steps=TRANSLATE_STEPS)
+            return r
 
     return ConvexBodyOracle(
         dim=body.dim, radial=radial, support=support, member=member,
         eval_tol=max(body.eval_tol, 1e-10), kind="translate", translate=(body, s),
+        ball=ball,
     )

@@ -318,15 +318,29 @@ def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_projections_k3_on_shifted_control_n4_exits_1(tmp_path, capsys):
-    # the ball and its translate have no k = 3 projection row
+def test_projections_k3_of_a_translated_smooth_body_exits_1(tmp_path, capsys):
+    # a translate of a body other than a ball has no k = 3 projection row
+    spec = tmp_path / "l.json"
+    spec.write_text('{"type": "derived", "base": {"type": "revolution", "n": 4}, '
+                    '"transform": "translate", "shift": [0.1, 0.0, 0.0, 0.0]}', encoding="utf-8")
     out = tmp_path / "o"
-    code = main(["projections", "--pair", "control-shifted", "--n", "4", "--k", "3",
+    code = main(["projections", "--spec-k", str(spec), "--spec-l", str(spec), "--k", "3",
                  "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: no projection-volume path for k=3 on ball\n")
+        "error: no projection-volume path for k=3 on translate\n")
     assert not out.exists()
+
+
+def test_projections_k3_of_the_shifted_control_are_exact(tmp_path, capsys):
+    # a ball and its translate project to the same 3-ball
+    out = tmp_path / "o"
+    code = main(["projections", "--pair", "control-shifted", "--n", "4", "--k", "3",
+                 "--samples", "3", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+    assert summary["methods"] == ["exact-ball"]
+    assert summary["max_abs_diff"] == 0.0
 
 
 def test_partial_outputs_are_removed_on_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """End-to-end experiment behavior on the fixture pairs and the controls."""
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -12,17 +13,17 @@ from convexlab import bodies, polykernel
 from convexlab.bodies import ConvexBodyOracle, ball_oracle
 from convexlab.experiments import (_distance_signature, _harmonic_grid,
                                    _orthogonal_complement, _radial_energy_spectrum)
-from convexlab.experiments import (BodyPair, ExperimentError,
+from convexlab.experiments import (BodyPair, ExperimentError, _section_values,
                                    NoncongruenceCertificate, PAIR_NAMES,
                                    certify_report, convergence_experiment,
                                    lemma1_check, make_pair,
                                    noncongruence_certificates,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
-from convexlab.grassmann import (RngStream, _gaussian_block, rowwise, sample_haar_subspace,
-                                  sample_sphere)
+from convexlab.grassmann import (RngStream, Subspace, _gaussian_block, rowwise,
+                                  sample_haar_bases, sample_haar_subspace, sample_sphere)
 from convexlab.intrinsic import (IVEstimate, centroid_3d, kubota_intrinsic_volume,
-                                 mean_width_v1)
+                                 mean_width_v1, projection_volumes)
 from convexlab.report import (canonical_json, report_to_dict, write_report_json,
                               write_samples_csv, write_suite_csv)
 from convexlab.transforms import section_oracle, translate_oracle
@@ -220,11 +221,18 @@ def test_section_mean_width_agrees_with_kubota():
     assert abs(kubota.value - width.value) <= 3.0 * (kubota.stderr + width.stderr)
 
 
+def _translated_smooth(n: int) -> ConvexBodyOracle:
+    """The smooth K in R^n translated off its axis: a body that is neither a
+    polytope, a body of revolution nor a ball, so its sections take the
+    section oracle's rows."""
+    return translate_oracle(make_pair("smooth", n).oracle_K, [0.1, -0.05] + [0.2] * (n - 2))
+
+
 def test_sections_volume_monte_carlo_shares_the_sample_stream():
-    # above dimension 3 the section volume of a body other than a polytope
-    # or a body of revolution is Monte Carlo; K and L of a sample draw the
-    # same directions, so a body against itself gives 0
-    oracle = make_pair("control-shifted", n=5).oracle_L
+    # above dimension 3 the section volume of a body other than a polytope,
+    # a body of revolution or a ball is Monte Carlo; K and L of a sample
+    # draw the same directions, so a body against itself gives 0
+    oracle = _translated_smooth(5)
     rep = sections_experiment(oracle, oracle, 4, 4, 1, RngStream(4, 47), 0.0)
     assert rep.summary["methods"] == ["quadrature"]
     assert rep.summary["max_abs_diff"] == 0.0
@@ -240,7 +248,7 @@ def test_sections_volume_monte_carlo_draws_apart_from_the_subspace(monkeypatch):
         return IVEstimate(k, 1.0, 0.0, "quadrature", 1)
 
     monkeypatch.setattr("convexlab.experiments.volume_radial", recording_volume)
-    oracle = make_pair("control-shifted", n=5).oracle_L
+    oracle = _translated_smooth(5)
     rng = RngStream(4, 48)
     sections_experiment(oracle, oracle, 4, 4, 2, rng, 0.0)
     assert len(streams) == 4  # K and L of each sample
@@ -260,6 +268,66 @@ def test_sections_reject_controls(rotated_pair, shifted_pair):
                               2, 2, 15, RngStream(4, 21), 1e-5)
     assert not rep.summary["pass"]
     assert rep.summary["max_rel_diff"] > 1e-3
+
+
+# the relative deficit (2 pi / N)^2 / 6 of an N-gon inscribed in a circle,
+# to leading order, at the polyline's N = 8192 nodes: it bounds the bias of
+# the polyline's area and perimeter, and of the support-based area, whose
+# centered differences have the same step
+POLYLINE_BIAS = (2.0 * math.pi / 8192) ** 2 / 6.0
+
+
+def _ball_and_generic(n: int, seed: int):
+    """The control-shifted L in R^n (seed 0), else a translate of a ball
+    of random radius by a random interior shift; and the same body built
+    without its `ball` record, whose translate takes the bracketed secant
+    and whose sections and projections take the section oracle's rows."""
+    if seed == 0:
+        exact = make_pair("control-shifted", n).oracle_L
+        radius, shift = exact.ball[0], exact.translate[1]
+    else:
+        draw = np.random.default_rng([n, seed])
+        radius = draw.uniform(0.5, 2.0)
+        shift = draw.standard_normal(n)
+        shift *= 0.6 * radius * draw.uniform() / np.linalg.norm(shift)
+        exact = translate_oracle(ball_oracle(n, radius), shift)
+    generic = translate_oracle(dataclasses.replace(ball_oracle(n, radius), ball=None), shift)
+    return exact, generic
+
+
+@pytest.mark.parametrize("n, k, i", [(3, 2, 1), (3, 2, 2), (4, 2, 1), (4, 2, 2), (4, 3, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_ball_sections_agree_with_the_section_oracle(n, k, i, seed):
+    """The closed-form section rows of a translated ball against the section
+    oracle's polyline (k = 2) and polar volume (k = 3): within that path's
+    stderr plus the polyline bias."""
+    exact, generic = _ball_and_generic(n, seed)
+    bases = sample_haar_bases(n, k, RngStream(11, seed).substreams(2))
+    subs = functools.cache(lambda: [Subspace(b) for b in bases])
+    rows = _section_values(exact, bases, i, subs, None)
+    reference = _section_values(generic, bases, i, subs, None)
+    for (value, err, method), (ref, ref_err, ref_method) in zip(rows, reference, strict=True):
+        assert (err, method) == (0.0, "exact-ball")
+        assert ref_method == ("polyline" if k == 2 else "quadrature")
+        assert abs(value - ref) <= ref_err + POLYLINE_BIAS * value
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_ball_projections_agree_with_the_support_area(n, seed):
+    """The closed-form k = 2 projection rows of a translated ball against
+    the support-based area, which reports no stderr: within the bias of its
+    centered differences."""
+    exact, generic = _ball_and_generic(n, seed)
+    bases = sample_haar_bases(n, 2, RngStream(12, seed).substreams(3))
+    subs = functools.cache(lambda: [Subspace(b) for b in bases])
+    rows = projection_volumes(exact, bases, 8192, subs)
+    reference = projection_volumes(generic, bases, 8192, subs)
+    radius = exact.ball[0]
+    for (value, err, method), (ref, _, ref_method) in zip(rows, reference, strict=True):
+        assert (value, err, method) == (math.pi * radius ** 2, 0.0, "exact-ball")
+        assert ref_method == "quadrature"
+        assert abs(value - ref) <= POLYLINE_BIAS * value
 
 
 def test_sections_validation(smooth_pair):
@@ -616,6 +684,6 @@ def test_sample_j_draws_from_substream_j(polytope_pair, monkeypatch):
 
 
 def test_projections_have_no_support_only_path_for_k3():
-    pair = make_pair("control-shifted", n=4)
-    with pytest.raises(ValueError, match="no projection-volume path for k=3 on ball"):
-        projections_experiment(pair.oracle_K, pair.oracle_L, 3, 2, RngStream(0), 1e-4)
+    oracle = _translated_smooth(4)
+    with pytest.raises(ValueError, match="no projection-volume path for k=3 on translate"):
+        projections_experiment(oracle, oracle, 3, 2, RngStream(0), 1e-4)

@@ -63,7 +63,8 @@ def polytope_cuts(draw, dims=(3, 4)):
 
 
 KINDS = ("revolution", "polytope", "ball", "translate", "section-smooth",
-         "section-polytope-k2", "section-polytope-k3", "slab-smooth")
+         "section-polytope-k2", "section-polytope-k3", "slab-smooth", "slab-ball",
+         "slab-translate")
 
 
 @st.composite
@@ -72,7 +73,7 @@ def oracles(draw, kind):
 
     Sections are hyperplane sections of a drawn revolution or polytope body
     in dimension 3 or 4; translates move a ball or a revolution body; slabs
-    clip a revolution body.
+    clip a revolution body, a ball or a translated ball.
     """
     seed = draw(seeds)
     base = draw(st.sampled_from(("revolution", "ball"))) if kind == "translate" else kind
@@ -86,16 +87,18 @@ def oracles(draw, kind):
         body = oracle_of(draw(st.sampled_from((cons.body_K, cons.body_L))))
     else:
         body = ball_oracle(draw(st.sampled_from((2, 3, 4))), draw(st.floats(0.2, 5.0)))
-    if kind == "translate":
+    inner = 1.0 if base == "revolution" else float(body.radial(np.eye(body.dim)[0]))
+    if kind in ("translate", "slab-translate"):
         # revolution bodies contain the unit ball; shifts up to 0.6 of the
         # inner radius keep the new origin interior
-        inner = 1.0 if base == "revolution" else float(body.radial(np.eye(body.dim)[0]))
         shift = 0.6 * inner * draw(st.floats(0.0, 1.0)) * sample_sphere(body.dim, RngStream(seed))
         body = translate_oracle(body, shift)
-    if kind == "slab-smooth":
-        # revolution bodies contain the unit ball, so every t < 1 is admissible
-        body = slab_oracle(body, SlabSpec(sample_sphere(body.dim, RngStream(seed, 2)),
-                                          draw(fractions)))
+    if kind.startswith("slab"):
+        # every t > 0 is admissible once the origin is interior; beyond
+        # 0.4 of a ball's radius the slab may clip the translate on one side
+        # or not at all
+        t = draw(fractions) * (1.0 if kind == "slab-smooth" else 1.5 * inner)
+        body = slab_oracle(body, SlabSpec(sample_sphere(body.dim, RngStream(seed, 2)), t))
     if kind.startswith("section"):
         body = section_oracle(body, sample_haar_subspace(body.dim, body.dim - 1,
                                                          RngStream(seed, 1)))

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from convexlab import grassmann, intrinsic, polykernel
-from convexlab.experiments import (_body_value, _grid_slabs, _orthogonal_complement,
-                                   convergence_experiment, make_pair,
+from convexlab.experiments import (BodyPair, _body_value, _grid_slabs, _orthogonal_complement,
+                                   body_from_record, convergence_experiment, make_pair,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
 from convexlab.grassmann import RngStream, Subspace, rowwise, sample_haar_bases
@@ -90,8 +90,8 @@ def test_polytope_sections_equal_one_section_values(n, k, i):
 def test_convergence_equals_one_slab_values(name, body, i):
     """Each slab value is the one its slab oracle gets alone, and the
     section value the one its section gets alone from the same estimator:
-    the profile quadrature for a body of revolution, else the section
-    oracle's."""
+    the closed form for a ball or translated ball, the profile quadrature
+    for a body of revolution, else the section oracle's."""
     oracle = getattr(make_pair(name), "oracle_" + body)
     xi = sample_haar_bases(3, 1, [RngStream(7, 5)])[0, :, 0]
     ts = (0.4, 0.2, 0.1)
@@ -99,7 +99,9 @@ def test_convergence_equals_one_slab_values(name, body, i):
     for vk, t in zip(rep.samples.value_K, ts, strict=True):
         assert vk == _body_value(slab_oracle(oracle, SlabSpec(xi, t)), i, 100_000, 512)[0]
     basis = _orthogonal_complement(xi)
-    if oracle.revolution is not None:
+    if oracle.ball is not None:
+        section = intrinsic.ball_section_volumes(oracle.ball, basis[None], i)[0][0]
+    elif oracle.revolution is not None:
         section = intrinsic.revolution_section_volumes(oracle, basis[None], i)[0][0]
     else:
         section = _body_value(section_oracle(oracle, Subspace(basis)), i, None, 512)[0]
@@ -120,29 +122,32 @@ def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):
         assert radial == [[2 * samples]] * 2
 
 
-# V_1 of a 3-d slab of a body of revolution comes from its profile (next
-# test), so the zoom search's support grid is counted on the shifted
-# control: a ball and its translate, whose slabs still search
-SLAB_GRID_PAIR = {(3, 1): "control-shifted"}
-
-
 @pytest.mark.parametrize("n, i, grids", [
     (2, 1, {8192}),                 # the polyline's circle
     (3, 1, {1024}),                 # support_from_radial's base grid
     (3, 2, {20_000, 10_000}),       # hull_surface_v2
     (3, 3, {4096, 2048}),           # volume_radial at vol_nodes = 4096
 ])
-def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
+def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids, ellipsoid):
     """Nor does the memo: the blocks of each slab's own calls (the zoom
-    supports at n = 3, i = 1) are not kept, so the traced peak stays put."""
+    supports at n = 3, i = 1) are not kept, so the traced peak stays put.
+
+    V_1 of a 3-d slab comes from the profile for a body of revolution (next
+    test) and from a closed form for a ball or a translated ball, so the
+    zoom search's support grid is counted on two ellipsoids, whose slabs
+    still search."""
     # a grid of more than BLOCK rows reaches the parent in rowwise's blocks:
     # 20,000 as 6,666 + 6,667 + 6,667 rows and 10,000 as 2 x 5,000
     sizes = {b - a for g in grids for a, b in grassmann.blocks(g)}
-    pair = make_pair(SLAB_GRID_PAIR.get((n, i), "smooth"), n)
+    if (n, i) == (3, 1):
+        bodies = (ellipsoid([1.2, 1.0, 0.8]), ellipsoid([0.8, 1.0, 1.2]))
+    else:
+        pair = make_pair("smooth", n)
+        bodies = (pair.oracle_K, pair.oracle_L)
     counts, peaks = [], []
     for samples in (2, 5):
         rows = [[], []]
-        K, L = (_counting(o, "radial", r) for o, r in zip((pair.oracle_K, pair.oracle_L), rows))
+        K, L = (_counting(o, "radial", r) for o, r in zip(bodies, rows))
         tracemalloc.start()
         try:
             slab_experiment(K, L, 0.5, i, samples, RngStream(7, 3), 1e-2, vol_nodes=4096)
@@ -210,17 +215,23 @@ def test_polytope_runs_enumerate_in_stacks(run, monkeypatch):
 
 
 @pytest.mark.parametrize("name, k", [("polytope", 2), ("smooth", 2), ("polytope", 3),
-                                     ("control-shifted", 2)])
+                                     ("control-shifted", 2), ("translated-smooth", 2)])
 def test_projection_bases_are_checked_once_per_experiment(name, k, monkeypatch):
     """One stacked check in sample_haar_bases, then one Subspace per basis,
-    shared by K and L, for the support-based area of a ball and its
-    translate; the profile quadrature of bodies of revolution and Cauchy's
-    formula for polytopes (k = n - 1) read the checked stack and build
-    none."""
-    pair = make_pair(name, 4 if k == 3 else 3)
+    shared by K and L, for the support-based area of translated smooth
+    bodies; the closed form of a ball and its translate, the profile
+    quadrature of bodies of revolution and Cauchy's formula for polytopes
+    (k = n - 1) read the checked stack and build none."""
+    if name == "translated-smooth":
+        shift = [0.1, -0.05, 0.2]
+        pair = BodyPair.from_bodies(name, *(body_from_record(
+            {"type": "derived", "base": {"type": "revolution", "variant": v},
+             "transform": "translate", "shift": shift}) for v in "KL"))
+    else:
+        pair = make_pair(name, 4 if k == 3 else 3)
     checks = []
     check = grassmann._check_orthonormal
     monkeypatch.setattr(grassmann, "_check_orthonormal",
                         lambda bases: checks.append(len(bases)) or check(bases))
     projections_experiment(pair.oracle_K, pair.oracle_L, k, 7, RngStream(7, 8), 1e-6)
-    assert checks == [7] + ([1] * 7 if name == "control-shifted" else [])
+    assert checks == [7] + ([1] * 7 if name == "translated-smooth" else [])

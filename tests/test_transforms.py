@@ -134,18 +134,61 @@ def test_slab_radial_pairing_survives_clipping(smooth_pair):
 
 def test_slab_of_ball_support_values():
     slab = slab_oracle(ball_oracle(3), SlabSpec(np.array([0.0, 0.0, 1.0]), 0.5))
+    assert slab.eval_tol == ball_oracle(3).eval_tol
     e1, e3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    assert slab.support(e3) == pytest.approx(0.5, abs=1e-5)
-    assert slab.support(e1) == pytest.approx(1.0, abs=1e-5)
+    assert slab.support(e3) == pytest.approx(0.5, abs=slab.eval_tol)
+    assert slab.support(e1) == pytest.approx(1.0, abs=slab.eval_tol)
     diag = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-    # maximizer sits on the rim circle (a kink), so accuracy degrades there
+    # the maximizer sits on the rim circle (a kink)
     rim = (math.sqrt(3.0) + 1.0) / (2.0 * math.sqrt(2.0))
-    assert slab.support(diag) == pytest.approx(rim, abs=2e-4)
+    assert slab.support(diag) == pytest.approx(rim, abs=slab.eval_tol)
     assert slab.radial(e3) == pytest.approx(0.5, abs=1e-12)
     assert slab.member(np.array([0.9, 0.0, 0.1]))
     assert not slab.member(np.array([0.0, 0.0, 0.6]))
     with pytest.raises(BodyError, match="dimension"):
         slab_oracle(ball_oracle(2), SlabSpec(np.array([0.0, 0.0, 1.0]), 0.5))
+
+
+SLAB_NORMALS = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                np.array([0.48, -0.6, 0.64])]
+
+
+def _clipped_ball_support(radius, center, xi, t, u):
+    """The support of (center + radius B) cap {|<x, xi>| <= t} at the rows
+    of u as the infimal convolution min over mu of h_ball(u - mu xi)
+    + t |mu| (Rockafellar, Convex Analysis, Cor. 16.4.1), by golden-section
+    search on mu: a reference independent of the closed form."""
+    def cost(mu):
+        w = u - mu[:, None] * xi
+        return w @ center + radius * np.linalg.norm(w, axis=1) + t * np.abs(mu)
+
+    lo, hi = np.full(len(u), -1e3), np.full(len(u), 1e3)
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(200):
+        a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+        left = cost(a) <= cost(b)
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+    return cost(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("radius, shift", [
+    (1.0, [0.0, 0.0, 0.0]), (1.0, [0.3, 0.0, 0.0]), (2.5, [0.5, -0.4, 0.6]),
+    (0.4, [-0.1, 0.2, 0.1])])
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.9])
+@pytest.mark.parametrize("xi", SLAB_NORMALS, ids=["axis", "equator", "oblique"])
+def test_slab_of_a_translated_ball_meets_its_infimal_convolution(radius, shift, t, xi):
+    """The closed-form supports of a slab of a ball or a translated ball
+    meet an independent reference at the eval_tol the slab declares, which
+    is its parent's, on random directions and at and next to +-xi; t = 0.9
+    leaves some of these balls unclipped on one side."""
+    body = ball_oracle(3, radius)
+    if any(shift):
+        body = translate_oracle(body, shift)
+    slab = slab_oracle(body, SlabSpec(xi, t))
+    assert slab.eval_tol == body.eval_tol
+    u = _slab_directions(xi)
+    exact = _clipped_ball_support(radius, -np.array(shift), xi, t, u)
+    assert np.abs(np.asarray(slab.support(u)) - exact).max() <= slab.eval_tol
 
 
 def _slab_directions(xi, m=400):
@@ -154,10 +197,6 @@ def _slab_directions(xi, m=400):
     near = xi + 1e-9 * np.roll(xi, 1)
     dirs = np.vstack([g, xi, -xi, near])
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-
-
-SLAB_NORMALS = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
-                np.array([0.48, -0.6, 0.64])]
 
 
 @pytest.mark.parametrize("xi", SLAB_NORMALS, ids=["axis", "equator", "oblique"])
@@ -258,7 +297,25 @@ def test_translate_ball_radial_matches_closed_form(radius, shift):
     a = np.sum(dirs * dirs, axis=1)
     b = dirs @ s
     exact = (-b + np.sqrt(b * b - a * (s @ s - radius * radius))) / a
-    assert np.max(np.abs(rho - exact)) <= 1e-13
+    assert np.max(np.abs(rho - exact)) <= 1e-15
+    # the bracketed secant, which translates of other bodies take, meets it too
+    secant = translate_oracle(replace(ball_oracle(3, radius), ball=None), s).radial(dirs)
+    assert np.max(np.abs(secant - exact)) <= 1e-13
+
+
+def test_a_translated_ball_is_a_ball():
+    """translate_oracle carries the ball over with its center moved by
+    -shift, through the translate-of-translate fold, and keeps its kind and
+    (base, shift) record."""
+    a, b = np.array([0.3, -0.1, 0.2]), np.array([-0.25, 0.05, 0.1])
+    base = ball_oracle(3, 2.0)
+    twice = translate_oracle(translate_oracle(base, a), b)
+    assert twice.kind == "translate" and twice.translate[0] is base
+    radius, center = twice.ball
+    assert radius == 2.0
+    assert np.array_equal(center, -(a + b))
+    assert not center.flags.writeable
+    assert translate_oracle(oracle_of(make_revolution_spec(3)), a).ball is None
 
 
 def test_translated_polytope_matches_the_shifted_facets(polytope_pair):
@@ -325,6 +382,18 @@ def test_max_slab_halfwidth(polytope_pair, ellipsoid):
     c, s = math.cos(0.1234), math.sin(0.1234)
     ellipse = ellipsoid([2.0, 0.7], frame=[[c, -s], [s, c]])
     assert max_slab_halfwidth(ellipse) == pytest.approx(0.7 - 1e-9, abs=1e-10)
+
+
+def test_max_slab_halfwidth_of_a_ball_is_its_inner_radius():
+    """Exact for a ball and a translated ball: the radius less the distance
+    of the center; the radial grid-and-zoom search can only read above it,
+    up to the rounding of the radial values it reads."""
+    for oracle in (ball_oracle(3, 0.7), translate_oracle(ball_oracle(3), [0.3, 0.0, 0.0]),
+                   translate_oracle(ball_oracle(2, 2.0), [0.5, -1.2])):
+        radius, center = oracle.ball
+        exact = max_slab_halfwidth(oracle)
+        assert exact == radius - float(np.linalg.norm(center)) - 1e-9
+        assert max_slab_halfwidth(replace(oracle, ball=None)) >= exact - 1e-15
 
 
 def test_max_slab_halfwidth_of_a_polytope_is_its_smallest_offset(polytope_pair):

@@ -19,14 +19,16 @@ slabs of the smooth pair above and below n = 3, lemma1 at n = 2 and 5, and
 k = 1 projections at n = 4), the profile quadrature of smooth sections and
 projections above n = 3 (4-d sections in R^5 for i = 1 to 4, projections
 with k = 3 in R^4 and k = 2 to 4 in R^5), the exact V_1 and V_2 of 3-d
-polytope sections in R^4, the translate radial of the shifted ball (3-d
-sections in R^4 and n = 3 slabs of `control-shifted`), or the work that
-samples share within one run (slab grids at i = 1 and 2, the one stacked
-solve of exact slab supports behind smooth i = 1 slabs and convergence,
-convergence at i = 2, stacked k = 1 widths of the shifted ball and k = 1
-segments of the smooth pair), convergence on the ball of `control-shifted`
-(the mean width over zoom supports at i = 1, the boundary hull at i = 2)
-and on the polytope with half-widths other than the default sequence,
+polytope sections in R^4, the closed forms of the shifted ball (its
+radial, exact-ball sections and projections: 3-d sections in R^4, k = 2
+projections in R^3 and k = 3 in R^4, and n = 3 slabs of `control-shifted`
+with their closed-form supports), or the work that samples share within
+one run (slab grids at i = 1 and 2, the one stacked solve of exact slab
+supports behind smooth i = 1 slabs and convergence, convergence at
+i = 2, stacked k = 1 widths of the shifted ball and k = 1 segments of the
+smooth pair), convergence on the ball of `control-shifted` (the mean
+width over closed-form slab supports at i = 1, the boundary hull at
+i = 2) and on the polytope with half-widths other than the default sequence,
 with sample counts kept small; and polytope
 sections and slabs with hundreds to thousands of samples, whose stacked
 vertex enumeration makes thousands of feasibility, twin and incidence
@@ -38,8 +40,9 @@ sections, whose rel_diff.svg and sections.svg read sample columns
 (`all --svg` writes only profiles.svg).  Three commands sit on the row
 blocks of grassmann.rowwise: lemma1 of the smooth pair with 820 samples
 (8,200 reflection probes, two blocks of 4,100), lemma1 of
-`control-shifted` with 5,000 samples (the translate secant across seven
-blocks; it exits 2, as a control should), and 3 smooth slabs at i = 3
+`control-shifted` with 5,000 samples (the translated ball's closed-form
+radial across seven blocks; it exits 2, as a control should), and 3
+smooth slabs at i = 3
 (the 200,000-node polar volume in 25 blocks through the slab grid memo).
 
 --oracles compares the smooth-body oracles themselves instead of the
@@ -97,6 +100,8 @@ EXTRA = (
     "convergence --pair control-shifted --i 2",
     "convergence --pair polytope --i 2 --t 0.5 --t 0.3 --t 0.1",
     "projections --pair control-shifted --k 1 --samples 50",
+    "projections --pair control-shifted --k 2",
+    "projections --pair control-shifted --n 4 --k 3",
     "sections --pair smooth --k 1 --samples 50",
     "sections --pair polytope --k 2 --i 1 --samples 2000",
     "sections --pair polytope --n 4 --k 3 --i 3 --samples 300",
