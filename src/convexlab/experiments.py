@@ -439,7 +439,8 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= k <= n - 1:
         raise ExperimentError(f"need 1 <= i <= k <= n-1, got i={i}, k={k}, n={n}")
-    if k >= 4 and i < k and any(o.revolution is None for o in (oracle_K, oracle_L)):
+    if k >= 4 and i < k and any(o.revolution is None and o.ball is None
+                                for o in (oracle_K, oracle_L)):
         # the estimator table has V_i for i < k only up to dimension 3
         raise ExperimentError(f"no section estimator for n={n}, k={k}, i={i}")
     bases = sample_haar_bases(n, k, rng.substreams(num_h))
@@ -461,38 +462,31 @@ def _grid_slabs(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray):
 
     The estimators of every slab of one parent pass it the same fixed
     quadrature grids: the Fibonacci grids of volume_radial and
-    hull_surface_v2, the polyline's circle and the base grid of
-    support_from_radial.  Each slab clips the shared values by its own
-    bounds in slab_oracle's radial, which hands a grid on in the row blocks
-    of rowwise, so the parent evaluates each block once for all slabs.  A
-    block is keyed by its shape and first row and confirmed by array_equal.
-    The first slab records every block it reads; the blocks that the
-    second slab reads again are the shared grids, and only they are kept
-    after it, so the blocks of each slab's own zoom searches do not pile
-    up.  The memo is emptied when the last slab is done, so its grids do
-    not live on in a slab oracle that a caller keeps.
+    hull_surface_v2 and the polyline's circle.  Each slab clips the shared
+    values by its own bounds in slab_oracle's radial, which hands a grid on
+    in the row blocks of rowwise, so the parent evaluates each block once
+    for all slabs.  A block is keyed by its shape and first row and
+    confirmed by array_equal.  No slab support calls the parent's radial,
+    so every block the memo keeps is a shared grid block.  The memo is
+    emptied when the last slab is done, so its grids do not live on in a
+    slab oracle that a caller keeps.
     """
-    memo, reread, recording = {}, set(), True
+    memo = {}
 
     @rowwise
     def radial(dirs):
         key = (dirs.shape, dirs[:1].tobytes())
         hit = memo.get(key)
         if hit is not None and np.array_equal(hit[0], dirs):
-            reread.add(key)
             return hit[1]
         rho = np.asarray(body.radial(dirs), dtype=float)
-        if recording:
-            memo[key] = (dirs.copy(), rho)
+        memo[key] = (dirs.copy(), rho)
         return rho
 
     parent = dataclasses.replace(body, radial=radial)
     try:
-        for j, (xi, t) in enumerate(zip(xis, ts.tolist())):
+        for xi, t in zip(xis, ts.tolist()):
             yield slab_oracle(parent, SlabSpec(xi, t))
-            recording = False
-            if j == 1:
-                memo = {key: memo[key] for key in reread}
     finally:
         memo.clear()
 

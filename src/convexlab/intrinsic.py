@@ -33,7 +33,7 @@ PROFILE_CHUNK = 16  # subspaces per stacked profile integral: bounds its
 AXIS_FLOOR = 1e-100  # |B^T e_n| below this counts as 0: a ball, to rounding
 SLAB_CHUNK = 16  # slabs per stacked support solve of revolution_slab_widths
 RIM_STEPS = 64  # secant steps of the slab rim solve; rows stop once they settle
-RIM_LEVEL_TOL = 2.0 ** -50  # |s <p, xi> - t| that counts as on the slab rim
+RIM_LEVEL_TOL = 2.0 ** -50  # |s <p, xi> - c| that counts as on the slab rim
 
 
 class EstimateError(ValueError):
@@ -549,10 +549,11 @@ def _projection_chunk(bases, spec):
 #
 # The support of K cap S(xi, t), S(xi, t) = {|<x, xi>| <= t}, is the
 # infimal convolution of h_K and t|<., xi>| (Rockafellar, Convex Analysis,
-# Cor. 16.4.1).  Only <x, xi> and <x, u> matter, so the maximiser of <u, x>
-# over K cap S solves a planar problem on the projection of K onto
-# span(u_perp, xi), and one angle of a support direction in that plane
-# locates it on the slab rim.
+# Cor. 16.4.1), and so is that of K clipped to low <= <x, xi> <= high,
+# with h(lambda xi) = max(high lambda, low lambda) for the slab.  Only
+# <x, xi> and <x, u> matter, so the maximiser of <u, x> over K cap S solves
+# a planar problem on the projection of K onto span(u_perp, xi), and one
+# angle of a support direction in that plane locates it on the slab rim.
 
 
 def _support_points(spec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -568,30 +569,36 @@ def _support_points(spec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points, np.maximum(xp * f + xn * t, np.abs(xn))
 
 
-def _slab_support_points(spec, xis: np.ndarray, ts: np.ndarray,
+def _slab_support_points(spec, xis: np.ndarray, lows: np.ndarray, highs: np.ndarray,
                          dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, p, rim) for the rows (xi_r, t_r, u_r): h_r is the support of
-    K cap S(xi_r, t_r) at u_r, p_r a point of that body with <p_r, u_r> = h_r,
-    and rim marks the rows where p_r sits on the slab rim.
+    """(h, p, rim) for the rows (xi_r, low_r, high_r, u_r): h_r is the
+    support of K cap {low_r <= <x, xi_r> <= high_r} at u_r, p_r a point of
+    that body with <p_r, u_r> = h_r, and rim marks the rows where p_r sits
+    on a slab rim.  The slab must meet the interior of K; S(xi, t) has the
+    levels (-t, t).
 
-    Where |<x_K(u), xi>| <= t the support point of K lies in the slab, and
-    h = h_K(u).  Otherwise let s = sign <x_K(u), xi>, u = beta xi + alpha e
-    with e a unit vector normal to xi, and w(phi) = cos(phi) e
-    + s sin(phi) xi.  g(phi) = s <x_K(w(phi)), xi> - t increases from
-    g(-pi/2) < 0 to g(atan2(|beta|, alpha)) > 0, and its root phi* gives the
-    rim point p = x_K(w(phi*)), the point of K on s <x, xi> = t furthest
-    along e.  So h = s t beta + alpha <p, e>.  The bracketed secant of
-    _safeguarded_newton finds phi* from the unit ball's root asin(t).  Every
-    product is taken per row, so each row gets the value it gets alone.
+    Where low <= <x_K(u), xi> <= high the support point of K lies in the
+    slab, and h = h_K(u).  Otherwise let s = +1 and c = high where it lies
+    above, s = -1 and c = -low where below, u = beta xi + alpha e with e a
+    unit vector normal to xi, and w(phi) = cos(phi) e + s sin(phi) xi.
+    g(phi) = s <x_K(w(phi)), xi> - c increases from g(-pi/2) < 0 to
+    g(atan2(|beta|, alpha)) > 0, and its root phi* gives the rim point
+    p = x_K(w(phi*)), the point of K on s <x, xi> = c furthest along e.  So
+    h = s c beta + alpha <p, e>.  The bracketed secant of _safeguarded_newton
+    finds phi* from the unit ball's root asin(c), clipped to [-pi/2, pi/2].
+    Every product is taken per row, so each row gets the value it gets
+    alone.
     """
     p, h = _support_points(spec, dirs)
     beta = (dirs * xis).sum(axis=1)
     level = (p * xis).sum(axis=1)
-    rim = np.abs(level) > ts
+    above = level > highs
+    rim = above | (level < lows)
     if not rim.any():
         return h, p, rim
-    u, xi, t, b = dirs[rim], xis[rim], ts[rim], beta[rim]
-    sxi = np.sign(level[rim])[:, None] * xi
+    u, xi, b, above = dirs[rim], xis[rim], beta[rim], above[rim]
+    c = np.where(above, highs[rim], -lows[rim])
+    sxi = np.where(above, 1.0, -1.0)[:, None] * xi
     e = u - b[:, None] * xi
     alpha = np.linalg.norm(e, axis=1)
     # u = +-xi has no normal part of its own; any unit normal to xi serves
@@ -603,27 +610,28 @@ def _slab_support_points(spec, xis: np.ndarray, ts: np.ndarray,
     def toward(phi, e, sxi):
         return np.cos(phi)[:, None] * e + np.sin(phi)[:, None] * sxi
 
-    def excess(phi, e, sxi, t):
-        g = (_support_points(spec, toward(phi, e, sxi))[0] * sxi).sum(axis=1) - t
+    def excess(phi, e, sxi, c):
+        g = (_support_points(spec, toward(phi, e, sxi))[0] * sxi).sum(axis=1) - c
         # rounding leaves g a few ulps of noise at the root, where a secant
         # slope is noise too: a row within RIM_LEVEL_TOL takes this phi
         return np.where(np.abs(g) <= RIM_LEVEL_TOL, 0.0, g), None
 
-    lo, hi = np.full_like(t, -0.5 * np.pi), np.arctan2(np.abs(b), alpha)
-    phi = _safeguarded_newton(excess, np.minimum(np.arcsin(t), hi), lo, hi, e, sxi, t,
-                              prev=(lo, -1.0 - t), steps=RIM_STEPS)
+    lo, hi = np.full_like(c, -0.5 * np.pi), np.arctan2(np.abs(b), alpha)
+    guess = np.minimum(np.arcsin(np.clip(c, -1.0, 1.0)), hi)
+    phi = _safeguarded_newton(excess, guess, lo, hi, e, sxi, c,
+                              prev=(lo, -1.0 - c), steps=RIM_STEPS)
     q = _support_points(spec, toward(phi, e, sxi))[0]
     p[rim] = q
-    h[rim] = (sxi * u).sum(axis=1) * t + alpha * (q * e).sum(axis=1)
+    h[rim] = (sxi * u).sum(axis=1) * c + alpha * (q * e).sum(axis=1)
     return h, p, rim
 
 
-def revolution_slab_supports(spec, xis: np.ndarray, ts: np.ndarray,
+def revolution_slab_supports(spec, xis: np.ndarray, lows: np.ndarray, highs: np.ndarray,
                              dirs: np.ndarray) -> np.ndarray:
-    """The support h_{K cap S(xi_r, t_r)}(u_r) of the body of spec clipped
-    to a slab, for each row: xis and dirs are (R, n) stacks, ts has R
-    entries.  See _slab_support_points."""
-    return _slab_support_points(spec, xis, ts, dirs)[0]
+    """The support at u_r of the body of spec clipped to the slab
+    low_r <= <x, xi_r> <= high_r, for each row: xis and dirs are (R, n)
+    stacks, lows and highs have R entries.  See _slab_support_points."""
+    return _slab_support_points(spec, xis, lows, highs, dirs)[0]
 
 
 def revolution_slab_widths(spec, xis: np.ndarray, ts: np.ndarray,
@@ -638,7 +646,8 @@ def revolution_slab_widths(spec, xis: np.ndarray, ts: np.ndarray,
     out = []
     for lo in range(0, len(xis), SLAB_CHUNK):
         xc, tc = xis[lo:lo + SLAB_CHUNK], ts[lo:lo + SLAB_CHUNK]
-        h = revolution_slab_supports(spec, np.repeat(xc, m, axis=0), np.repeat(tc, m),
+        tr = np.repeat(tc, m)
+        h = revolution_slab_supports(spec, np.repeat(xc, m, axis=0), -tr, tr,
                                      np.tile(grid, (len(xc), 1)))
         for row in h.reshape(len(xc), m):
             full, half = (4.0 * float(np.mean(part)) for part in (row[:nodes], row[nodes:]))

@@ -4,11 +4,12 @@ Sections restrict the radial function and slabs clip it by t/|<theta, xi>|;
 both identities are exact, so derived radial data inherit the parent
 oracle's accuracy.  A translate solves for its radial function on each ray
 from the parent's gauge; a translated ball is a ball and takes the closed
-form.  Sections and slabs of polytopes are again polytopes and get exact
-oracles.  A slab of a body of revolution gets exact supports from the
-profile, by one 1-D rim solve per direction, and a slab of a ball or a
-translated ball from a closed form.  Only the support functions of the
-other sections, and of slabs of translates of bodies other than balls, are
+form, and a translated polytope is the polytope of the shifted facets.
+Sections and slabs of polytopes are again polytopes and get exact oracles.
+A slab of a body of revolution, or of a translate of one, gets exact
+supports from the profile, by one 1-D rim solve per direction, and a slab
+of a ball or translated ball from a closed form; a slab of any other body
+has no support.  Only the support functions of the other sections are
 recovered from radial data by support_from_radial (with a degraded
 eval_tol).
 """
@@ -22,17 +23,11 @@ import numpy as np
 
 from .bodies import BodyError, ConvexBodyOracle, _safeguarded_newton, oracle_of
 from .grassmann import Subspace, embed, rowwise
-from .intrinsic import (_zoom_extremum, revolution_slab_supports, sphere_grid,
+from .intrinsic import (EstimateError, _zoom_extremum, revolution_slab_supports, sphere_grid,
                         support_from_radial)
-from .polykernel import section_hpolytope, slab_hpolytopes
+from .polykernel import HPolytope, section_hpolytope, slab_hpolytopes
 
 SECTION_SUPPORT_TOL = 1e-6
-# declared by slabs of bodies with neither a profile nor a ball (translates
-# of other bodies), whose supports come from the zoom search.  Its maximizer
-# can sit on the slab rim (a kink) and the search stops short of it: on
-# smooth K at t = 0.5 it read up to 1.2e-2 low, so these slabs need not meet
-# this tolerance
-SLAB_SUPPORT_TOL = 1e-6
 DOT_GUARD = 1e-14  # |<theta, xi>| below this counts as parallel to the slab
 # secant steps of the translate radial: room for a bracket that doubles a
 # dozen times and then bisects to the last ulp; rows stop once they settle
@@ -118,12 +113,14 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     Along theta the slab boundary sits at t/|<theta, xi>|, so the radial
     function of the intersection is the pointwise minimum.  Polytope bodies
     take an exact route instead: the slab contributes two facets, and the
-    result is the polytope oracle of the clipped body.  A body of
-    revolution gets exact supports from its profile, by one rim solve per
-    direction (revolution_slab_supports), and a ball or translated ball
-    from the closed form of ball_slab_supports; both keep the body's
-    eval_tol.  Other bodies recover supports from radial data by
-    support_from_radial.
+    result is the polytope oracle of the clipped body.  A ball or
+    translated ball gets exact supports from the closed form of
+    ball_slab_supports.  A body of revolution gets them from its profile,
+    by one rim solve per direction (revolution_slab_supports), and so does
+    its translate K - s: (K - s) cap S(xi, t) is K clipped to the levels
+    <s, xi> -+ t, shifted by -s, so its support at d is the base's at those
+    levels less <s, d>.  Every slab keeps the body's eval_tol.  The support
+    of a slab of any other body raises EstimateError.
     """
     if slab.xi.shape != (body.dim,):
         raise BodyError("slab normal dimension must match the body")
@@ -144,33 +141,27 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     def member(pts):
         return np.asarray(body.member(pts)) & (np.abs(pts @ xi) <= t + body.eval_tol)
 
-    spec = body.revolution
-    if spec is not None:
-        @rowwise
-        def support(d):
-            return revolution_slab_supports(spec, np.broadcast_to(xi, d.shape),
-                                            np.full(d.shape[0], t), d)
-        eval_tol = body.eval_tol
-    elif body.ball is not None:
+    base, s = body.translate or (body, np.zeros(body.dim))
+    spec, mid = base.revolution, float(s @ xi)
+    if body.ball is not None:
         radius, center = body.ball
 
         @rowwise
         def support(d):
             return ball_slab_supports(radius, center, xi, t, d)
-        eval_tol = body.eval_tol
-    else:
-        shape = SimpleNamespace(dim=body.dim, radial=radial)  # as in section_oracle
-
+    elif spec is not None:
+        @rowwise
         def support(d):
-            # the maximizer often sits on the slab rim (a kink), so extra zoom
-            # rounds buy little: ~1e-7 argument accuracy suffices for the
-            # quadrature consumers of slab supports
-            return support_from_radial(shape, d, grid=1024, rounds=16, shrink=0.45)
-        eval_tol = max(body.eval_tol, SLAB_SUPPORT_TOL)
+            lows, highs = np.full(len(d), mid - t), np.full(len(d), mid + t)
+            h = revolution_slab_supports(spec, np.broadcast_to(xi, d.shape), lows, highs, d)
+            return h - d @ s
+    else:
+        def support(d):
+            raise EstimateError(f"no exact slab support for a body of kind '{body.kind}'")
 
     return ConvexBodyOracle(
         dim=body.dim, radial=radial, support=support, member=member,
-        eval_tol=eval_tol, kind="slab",
+        eval_tol=body.eval_tol, kind="slab",
     )
 
 
@@ -218,7 +209,9 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
     A translate of a ball (radius R, center c) is the ball of center
     c - shift, recorded in `ball`; its radial function is the positive root
     r = (b + sqrt(b^2 - a (|c|^2 - R^2))) / a of |r theta - c| = R, with
-    a = |theta|^2 and b = <theta, c>, and takes no secant.
+    a = |theta|^2 and b = <theta, c>, and takes no secant.  A translate of
+    a polytope {A x <= b} is the polytope oracle of {A x <= b - A shift},
+    with every exact polytope path.
 
     A translate of a translate is the base body translated once, by the
     sum of the shifts; `translate` records that (base, shift).
@@ -236,6 +229,9 @@ def translate_oracle(body: ConvexBodyOracle, shift) -> ConvexBodyOracle:
         if not margin >= 1e-9:
             raise BodyError(f"shift must be interior with margin 1e-9 (margin {margin:.3e})")
         gauge0 = norm / rho_s
+    if body.polytope is not None:
+        poly = body.polytope
+        return oracle_of(HPolytope(poly.normals, poly.offsets - poly.normals @ s))
     s.setflags(write=False)
 
     @rowwise

@@ -172,7 +172,9 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
     (["sections", "--pair", "control-rotated", "--n", "2"],
      "error: pair 'control-rotated' supports n = 3 or 4, got n=2\n"),
     (["slabs", "--n", "4"], "error: no slab estimator for n=4, i=4\n"),
-    (["sections", "--pair", "control-shifted", "--n", "5", "--k", "4", "--i", "1"],
+    (["sections", "--spec-k", '{"type": "derived", "base": {"type": "revolution", "n": 5}, '
+      '"transform": "translate", "shift": [0.1, 0.0, 0.0, 0.0, 0.0]}',
+      "--spec-l", '{"type": "revolution", "n": 5, "variant": "L"}', "--k", "4", "--i", "1"],
      "error: no section estimator for n=5, k=4, i=1\n"),
     (["lemma1", "--spec-k", '{"type": "revolution", "epsilon": 0.5}',
       "--spec-l", '{"type": "revolution", "epsilon": 0.5, "variant": "L"}'],
@@ -341,6 +343,18 @@ def test_projections_k3_of_the_shifted_control_are_exact(tmp_path, capsys):
     summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
     assert summary["methods"] == ["exact-ball"]
     assert summary["max_abs_diff"] == 0.0
+
+
+def test_sections_k4_of_the_shifted_control_fail_on_exact_ball_rows(tmp_path, capsys):
+    # a ball and a translated ball have a row for every i < k, so the
+    # control runs and fails, as a control should
+    out = tmp_path / "o"
+    code = main(["sections", "--pair", "control-shifted", "--n", "5", "--k", "4", "--i", "1",
+                 "--samples", "2", "--out", str(out)])
+    assert code == 2
+    assert "sections: FAIL" in capsys.readouterr().out
+    summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+    assert summary["methods"] == ["exact-ball"]
 
 
 def test_partial_outputs_are_removed_on_error(tmp_path, capsys):

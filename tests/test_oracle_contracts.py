@@ -62,9 +62,9 @@ def polytope_cuts(draw, dims=(3, 4)):
     return a, us, vs, draw(fractions) * _lam_max(a, us, vs)
 
 
-KINDS = ("revolution", "polytope", "ball", "translate", "section-smooth",
-         "section-polytope-k2", "section-polytope-k3", "slab-smooth", "slab-ball",
-         "slab-translate")
+KINDS = ("revolution", "polytope", "ball", "translate", "translate-polytope",
+         "section-smooth", "section-polytope-k2", "section-polytope-k3", "slab-smooth",
+         "slab-ball", "slab-translate")
 
 
 @st.composite
@@ -72,32 +72,38 @@ def oracles(draw, kind):
     """(oracle of the given kind, seed), with its parameters drawn at random.
 
     Sections are hyperplane sections of a drawn revolution or polytope body
-    in dimension 3 or 4; translates move a ball or a revolution body; slabs
-    clip a revolution body, a ball or a translated ball.
+    in dimension 3 or 4; translates move a ball, a revolution body or a
+    polytope; slabs clip a revolution body, a ball, or a translated ball or
+    revolution body.
     """
     seed = draw(seeds)
-    base = draw(st.sampled_from(("revolution", "ball"))) if kind == "translate" else kind
+    base = kind
+    if kind in ("translate", "slab-translate"):
+        base = draw(st.sampled_from(("revolution", "ball")))
     if base in ("revolution", "section-smooth", "slab-smooth"):
         spec = make_revolution_spec(draw(st.sampled_from((3, 4))), draw(epsilons),
                                     draw(deltas), draw(st.sampled_from("KL")))
         body = oracle_of(spec)
-    elif base.startswith(("polytope", "section-polytope")):
+    elif base.startswith(("polytope", "section-polytope", "translate-polytope")):
         dims = {"section-polytope-k2": (3,), "section-polytope-k3": (4,)}.get(base, (3, 4))
         cons = build_polytope_pair(*draw(polytope_cuts(dims)))
         body = oracle_of(draw(st.sampled_from((cons.body_K, cons.body_L))))
     else:
         body = ball_oracle(draw(st.sampled_from((2, 3, 4))), draw(st.floats(0.2, 5.0)))
     inner = 1.0 if base == "revolution" else float(body.radial(np.eye(body.dim)[0]))
-    if kind in ("translate", "slab-translate"):
-        # revolution bodies contain the unit ball; shifts up to 0.6 of the
-        # inner radius keep the new origin interior
+    if kind == "translate-polytope":
+        inner = float(body.polytope.offsets.min())
+    if kind.startswith(("translate", "slab-translate")):
+        # revolution bodies contain the unit ball and a polytope the ball of
+        # its smallest facet offset; shifts up to 0.6 of the inner radius
+        # keep the new origin interior
         shift = 0.6 * inner * draw(st.floats(0.0, 1.0)) * sample_sphere(body.dim, RngStream(seed))
         body = translate_oracle(body, shift)
     if kind.startswith("slab"):
         # every t > 0 is admissible once the origin is interior; beyond
         # 0.4 of a ball's radius the slab may clip the translate on one side
         # or not at all
-        t = draw(fractions) * (1.0 if kind == "slab-smooth" else 1.5 * inner)
+        t = draw(fractions) * (1.0 if base in ("revolution", "slab-smooth") else 1.5 * inner)
         body = slab_oracle(body, SlabSpec(sample_sphere(body.dim, RngStream(seed, 2)), t))
     if kind.startswith("section"):
         body = section_oracle(body, sample_haar_subspace(body.dim, body.dim - 1,

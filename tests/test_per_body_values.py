@@ -124,23 +124,25 @@ def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):
 
 @pytest.mark.parametrize("n, i, grids", [
     (2, 1, {8192}),                 # the polyline's circle
-    (3, 1, {1024}),                 # support_from_radial's base grid
+    (3, 1, {10_000}),               # max_slab_halfwidth's grid only
     (3, 2, {20_000, 10_000}),       # hull_surface_v2
     (3, 3, {4096, 2048}),           # volume_radial at vol_nodes = 4096
 ])
-def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids, ellipsoid):
-    """Nor does the memo: the blocks of each slab's own calls (the zoom
-    supports at n = 3, i = 1) are not kept, so the traced peak stays put.
+def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
+    """Nor does the memo, which keeps only shared grid blocks, so the
+    traced peak stays put.
 
-    V_1 of a 3-d slab comes from the profile for a body of revolution (next
-    test) and from a closed form for a ball or a translated ball, so the
-    zoom search's support grid is counted on two ellipsoids, whose slabs
-    still search."""
+    V_1 of a 3-d slab of a body of revolution comes from one stacked solve
+    (next test), so i = 1 is counted on the smooth pair translated by
+    (0.1, -0.05, 0.2): its slabs go through the memo, and their supports,
+    from the rim solve of the base, make no radial call of the parent."""
     # a grid of more than BLOCK rows reaches the parent in rowwise's blocks:
     # 20,000 as 6,666 + 6,667 + 6,667 rows and 10,000 as 2 x 5,000
     sizes = {b - a for g in grids for a, b in grassmann.blocks(g)}
     if (n, i) == (3, 1):
-        bodies = (ellipsoid([1.2, 1.0, 0.8]), ellipsoid([0.8, 1.0, 1.2]))
+        bodies = tuple(body_from_record({"type": "derived", "transform": "translate",
+                                         "base": {"type": "revolution", "variant": v},
+                                         "shift": [0.1, -0.05, 0.2]})[0] for v in "KL")
     else:
         pair = make_pair("smooth", n)
         bodies = (pair.oracle_K, pair.oracle_L)

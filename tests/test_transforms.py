@@ -10,7 +10,8 @@ import pytest
 
 from convexlab.bodies import BodyError, ball_oracle, make_revolution_spec, oracle_of
 from convexlab.grassmann import RngStream, Subspace, embed, sample_haar_subspace
-from convexlab.intrinsic import (SLAB_CHUNK, _slab_support_points, circle_grid,
+from convexlab.experiments import make_pair
+from convexlab.intrinsic import (SLAB_CHUNK, EstimateError, _slab_support_points, circle_grid,
                                  fibonacci_sphere, revolution_slab_widths)
 from convexlab.polykernel import HPolytope
 from convexlab.transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
@@ -153,21 +154,27 @@ SLAB_NORMALS = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
                 np.array([0.48, -0.6, 0.64])]
 
 
-def _clipped_ball_support(radius, center, xi, t, u):
-    """The support of (center + radius B) cap {|<x, xi>| <= t} at the rows
-    of u as the infimal convolution min over mu of h_ball(u - mu xi)
-    + t |mu| (Rockafellar, Convex Analysis, Cor. 16.4.1), by golden-section
-    search on mu: a reference independent of the closed form."""
+def _clipped_support(support, xi, t, u):
+    """The support of a body with support function `support` clipped to
+    {|<x, xi>| <= t}, at the rows of u, as the infimal convolution min over
+    mu of h(u - mu xi) + t |mu| (Rockafellar, Convex Analysis,
+    Cor. 16.4.1), by golden-section search on mu: a reference independent
+    of the closed forms and of the rim solve."""
     def cost(mu):
-        w = u - mu[:, None] * xi
-        return w @ center + radius * np.linalg.norm(w, axis=1) + t * np.abs(mu)
+        return np.asarray(support(u - mu[:, None] * xi)) + t * np.abs(mu)
 
-    lo, hi = np.full(len(u), -1e3), np.full(len(u), 1e3)
     g = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(200):
-        a, b = hi - g * (hi - lo), lo + g * (hi - lo)
-        left = cost(a) <= cost(b)
+    lo, hi = np.full(len(u), -1e3), np.full(len(u), 1e3)
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = cost(a), cost(b)
+    for _ in range(120):
+        # keep the side of the smaller value; its inner point is reused
+        left = fa <= fb
         lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+        new = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        f = cost(new)
+        a, b, fa, fb = (np.where(left, new, b), np.where(left, a, new),
+                        np.where(left, f, fb), np.where(left, fa, f))
     return cost(0.5 * (lo + hi))
 
 
@@ -187,8 +194,84 @@ def test_slab_of_a_translated_ball_meets_its_infimal_convolution(radius, shift, 
     slab = slab_oracle(body, SlabSpec(xi, t))
     assert slab.eval_tol == body.eval_tol
     u = _slab_directions(xi)
-    exact = _clipped_ball_support(radius, -np.array(shift), xi, t, u)
+    center = -np.array(shift)
+    exact = _clipped_support(lambda w: w @ center + radius * np.linalg.norm(w, axis=1), xi, t, u)
     assert np.abs(np.asarray(slab.support(u)) - exact).max() <= slab.eval_tol
+
+
+@pytest.mark.parametrize("n, variant", [(2, "K"), (3, "K"), (3, "L"), (4, "L")])
+@pytest.mark.parametrize("fraction", [0.3, 0.6])
+@pytest.mark.parametrize("t", [0.1, 0.3, 0.5])
+def test_slab_of_a_translated_body_of_revolution_meets_its_infimal_convolution(
+        n, variant, fraction, t):
+    """A slab of K - s takes the rim solve of K at the levels <s, xi> -+ t;
+    against the infimal convolution of the translate's own support, with
+    shifts up to 0.6 of the unit inner radius, it meets the eval_tol it
+    declares, which is its parent's."""
+    draw = RngStream(22, n).generator()
+    shift, xi = draw.standard_normal((2, n))
+    shift *= fraction / np.linalg.norm(shift)
+    xi /= np.linalg.norm(xi)
+    body = translate_oracle(oracle_of(make_revolution_spec(n, variant=variant)), shift)
+    slab = slab_oracle(body, SlabSpec(xi, t))
+    assert slab.eval_tol == body.eval_tol
+    u = _slab_directions(xi, 100)
+    exact = _clipped_support(body.support, xi, t, u)
+    assert np.abs(np.asarray(slab.support(u)) - exact).max() <= slab.eval_tol
+
+
+GRAMMAR = {
+    "revolution": lambda: oracle_of(make_revolution_spec(3)),
+    "polytope": lambda: make_pair("polytope").oracle_K,
+    "ball": lambda: ball_oracle(3, 0.8),
+    "translated-ball": lambda: translate_oracle(ball_oracle(3), [0.3, -0.2, 0.1]),
+    "translated-revolution": lambda: translate_oracle(
+        oracle_of(make_revolution_spec(3, variant="L")), [0.1, -0.05, 0.2]),
+    "translated-polytope": lambda: translate_oracle(make_pair("polytope").oracle_L,
+                                                    [0.1, -0.05, 0.2]),
+}
+
+
+@pytest.mark.parametrize("kind", GRAMMAR)
+def test_slabs_of_every_grammar_body_meet_their_parents_eval_tol(kind):
+    """Every body the spec grammar builds has exact slab supports, at the
+    eval_tol of its parent."""
+    body = GRAMMAR[kind]()
+    xi = SLAB_NORMALS[2]
+    slab = slab_oracle(body, SlabSpec(xi, 0.4))
+    assert slab.eval_tol == body.eval_tol
+    u = _slab_directions(xi, 100)
+    exact = _clipped_support(body.support, xi, 0.4, u)
+    assert np.abs(np.asarray(slab.support(u)) - exact).max() <= slab.eval_tol
+
+
+def test_a_slab_of_a_body_outside_the_grammar_has_no_support(ellipsoid):
+    """No exact route reaches a test-side ellipsoid, and no search stands in
+    for one: its slab's radial and membership work, its support raises."""
+    slab = slab_oracle(ellipsoid([1.2, 1.0, 0.8]), SlabSpec(SLAB_NORMALS[2], 0.4))
+    assert slab.radial(SLAB_NORMALS[2]) == pytest.approx(0.4, abs=1e-15)
+    assert slab.member(np.zeros(3))
+    with pytest.raises(EstimateError, match="no exact slab support for a body of kind 'ellipsoid'"):
+        slab.support(SLAB_NORMALS[0])
+
+
+def test_symmetric_levels_take_one_level_per_row(smooth_pair):
+    """With levels (-t, t) each row is solved on the one rim it crosses, as
+    the symmetric solve did: it gets the bits of a call whose other level is
+    infinite, and a slab normal of the other sign gives the same bits."""
+    spec = smooth_pair.oracle_K.revolution
+    draw = RngStream(22, 9).generator()
+    xis, u = draw.standard_normal((2, 3000, 3))
+    xis /= np.linalg.norm(xis, axis=1, keepdims=True)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    t = draw.uniform(0.05, 0.95, 3000)
+    inf = np.full(3000, np.inf)
+    h, p, rim = _slab_support_points(spec, xis, -t, t, u)
+    above = rim & ((p * xis).sum(axis=1) > 0.0)
+    assert above.any() and (rim & ~above).any() and not rim.all()
+    assert np.array_equal(h, np.where(above, _slab_support_points(spec, xis, -inf, t, u)[0],
+                                      _slab_support_points(spec, xis, -t, inf, u)[0]))
+    assert np.array_equal(h, _slab_support_points(spec, -xis, -t, t, u)[0])
 
 
 def _slab_directions(xi, m=400):
@@ -224,7 +307,8 @@ def test_smooth_slab_supports_carry_their_rim_points(smooth_pair, xi, t):
     K = smooth_pair.oracle_K
     u = _slab_directions(xi)
     rows = len(u)
-    h, p, rim = _slab_support_points(K.revolution, np.tile(xi, (rows, 1)), np.full(rows, t), u)
+    h, p, rim = _slab_support_points(K.revolution, np.tile(xi, (rows, 1)), np.full(rows, -t),
+                                     np.full(rows, t), u)
     assert rim.any() and not rim.all()
     level = p[rim] @ xi
     assert np.abs(np.abs(level) - t).max() <= 1e-14
@@ -269,8 +353,9 @@ def test_translate_oracle_values():
 
 def test_translate_radial_reaches_far_boundary_of_elongated_body():
     # the long half-axis of 20 is 400 times the short one: rays that start
-    # from the short radius must double their bracket until it leaves the box
-    box = oracle_of(HPolytope.box([0.05, 1.0, 20.0]))
+    # from the short radius must double their bracket until it leaves the
+    # box; without its polytope record the box's translate takes the secant
+    box = replace(oracle_of(HPolytope.box([0.05, 1.0, 20.0])), polytope=None)
     shifted = translate_oracle(box, np.array([0.0, 0.0, 0.5]))
     e3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     assert np.allclose(shifted.radial(e3), [19.5, 20.5], rtol=0.0, atol=1e-10)
@@ -319,11 +404,17 @@ def test_a_translated_ball_is_a_ball():
 
 
 def test_translated_polytope_matches_the_shifted_facets(polytope_pair):
+    """A translated polytope is the polytope oracle of its shifted facets;
+    the secant, which it took before, meets that to 1e-12."""
     s = np.array([0.02, -0.03, 0.01])
     for oracle in (polytope_pair.oracle_K, oracle_of(HPolytope.box([0.05, 1.0, 20.0]))):
         poly = oracle.polytope
         moved = HPolytope(poly.normals, poly.offsets - poly.normals @ s)
-        shifted = translate_oracle(oracle, s)
+        translated = translate_oracle(oracle, s)
+        assert translated.kind == "polytope" and translated.translate is None
+        assert np.array_equal(translated.polytope.offsets, moved.offsets)
+        assert np.array_equal(translated.polytope.normals, poly.normals)
+        shifted = translate_oracle(replace(oracle, polytope=None), s)
         dirs = np.vstack([_unit_rows(62, 5000), np.eye(3), -np.eye(3)])
         exact = oracle_of(moved).radial(dirs)
         assert np.max(np.abs(shifted.radial(dirs) - exact)) <= 1e-12 * np.max(exact)

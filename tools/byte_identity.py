@@ -44,6 +44,12 @@ blocks of grassmann.rowwise: lemma1 of the smooth pair with 820 samples
 radial across seven blocks; it exits 2, as a control should), and 3
 smooth slabs at i = 3
 (the 200,000-node polar volume in 25 blocks through the slab grid memo).
+The exact-ball rows of 4-d sections in R^5 run on `control-shifted`,
+which exits 2.  Two translated pairs, the smooth pair and the 3-d polytope
+pair each moved by SHIFT, are given as spec files (SPECS, written into
+each command's directory): `slabs --i 1` reaches the level rim solve of a
+translated body of revolution, and `sections --k 2`, `projections --k 2`
+and `certify` the polytope paths that a translated polytope takes.
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -115,7 +121,19 @@ EXTRA = (
     "lemma1 --pair smooth --samples 820",
     "lemma1 --pair control-shifted --samples 5000",
     "slabs --pair smooth --i 3 --samples 3",
-)
+    "sections --pair control-shifted --n 5 --k 4 --i 1 --samples 2",
+) + tuple(f"{command} --spec-k {pair}-k.json --spec-l {pair}-l.json"
+          for pair in ("translated-smooth", "translated-polytope")
+          for command in ("slabs --i 1 --samples 2", "sections --k 2 --samples 3",
+                          "projections --k 2 --samples 3", "certify"))
+
+SHIFT = [0.1, -0.05, 0.2]
+SPECS = {f"{pair}-{variant.lower()}.json": {"type": "derived", "transform": "translate",
+                                             "base": {**base, "variant": variant},
+                                             "shift": SHIFT}
+         for pair, base in (("translated-smooth", {"type": "revolution"}),
+                            ("translated-polytope", {"type": "polytope", "a": [1.0, 1.2, 1.5]}))
+         for variant in "KL"}
 
 ORACLE_PARAMS = ((1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16), (2e-3, 0.05), (1e-3, 0.155))
 ORACLE_RANDOM = 100_000
@@ -152,6 +170,8 @@ def export(rev: str, dest: Path) -> None:
 
 def _start(tree: Path, argv: list[str], seed: int, cwd: Path) -> subprocess.Popen:
     cwd.mkdir(parents=True)
+    for name, spec in SPECS.items():
+        (cwd / name).write_text(json.dumps(spec), encoding="utf-8")
     env = dict(os.environ, CONVEXLAB_THREADS="1", PYTHONPATH=str(tree / "src"))
     return subprocess.Popen(
         [sys.executable, "-m", "convexlab.cli", *argv, "--seed", str(seed), "--out", "out"],
