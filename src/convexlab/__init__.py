@@ -67,7 +67,6 @@ from .intrinsic import (
     kubota_intrinsic_volume,
     mean_width_v1,
     planar_metrics_from_oracle,
-    radial_from_support,
     steiner_disc_area,
     support_from_radial,
     volume_radial,
@@ -118,7 +117,7 @@ __all__ = [
     "mean_width_v1", "noncongruence_certificates", "oracle_of",
     "planar_metrics_from_oracle", "poly3_intrinsic_volumes",
     "polygon_metrics", "polytope_radial", "profile", "projection_polygon",
-    "projections_experiment", "radial_from_support", "report_to_dict",
+    "projections_experiment", "report_to_dict",
     "revolution_radial", "revolution_support", "sample_haar_bases",
     "sample_haar_subspace", "sample_sphere", "section_hpolytope",
     "section_oracle", "section_polygon", "sections_experiment",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -191,18 +190,6 @@ def support_from_radial(oracle, xi, grid: int = 2048, rounds: int = 24,
         _, best = _zoom_extremum(score_rows, centers, grid, rounds, shrink, +1.0)
         out[s:s + block] = np.maximum(best, coarse.max(axis=0))
     return out
-
-
-def radial_from_support(support_fn, dirs):
-    """Radial function of a planar or 3-d convex body given only its support.
-
-    By polar duality rho_K = 1/h_{K°} and rho_{K°} = 1/h_K (Schneider, Convex
-    Bodies, 1.6), so this is support_from_radial run on a radial-only
-    stand-in for the polar body.  The origin is interior, so h_K > 0.
-    """
-    polar = SimpleNamespace(dim=np.shape(dirs)[-1],
-                            radial=lambda d: 1.0 / np.asarray(support_fn(d), dtype=float))
-    return 1.0 / support_from_radial(polar, dirs)
 
 
 def volume_radial(oracle, k: int, nodes: int | None = None,
@@ -655,18 +642,13 @@ def revolution_slab_widths(spec, xis: np.ndarray, ts: np.ndarray,
     return out
 
 
-def _shadow_volume_from_support(body, sub: Subspace) -> float:
-    """vol_3 of body|sub from support values alone, via its radial function."""
-    rho = radial_from_support(lambda d: body.support(embed(sub, d)), fibonacci_sphere(512))
-    return float(np.sum(rho ** 3) * (4.0 * np.pi / 512) / 3.0)
-
-
 def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream) -> IVEstimate:
     """V_i via Kubota's recursion: flag coefficient times the Haar average
     of i-dimensional projection volumes over G(k, i).
 
-    `body` lives in dimension k; a body with vertex data (body.vrep) takes
-    the exact polytope path for every projection.
+    `body` lives in dimension k; every projection volume comes from
+    projection_volume, so a body with no projection row for i raises
+    EstimateError.
     """
     if not 1 <= i <= k:
         raise EstimateError(f"invalid Kubota indices i={i}, k={k}")
@@ -678,11 +660,7 @@ def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream) -> IVE
         raise EstimateError("need at least one subspace sample")
     vols = np.empty(m)
     for j, basis in enumerate(sample_haar_bases(k, i, rng.substreams(m))):
-        sub = Subspace(basis)
-        if i == 3 and body.vrep is None:
-            vols[j] = _shadow_volume_from_support(body, sub)
-        else:
-            vols[j] = projection_volume(body, sub, 2048)[0]
+        vols[j] = projection_volume(body, Subspace(basis), 2048)[0]
     c = flag_coefficient(k, i)
     value = c * float(vols.mean())
     stderr = c * float(vols.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0

@@ -6,29 +6,27 @@ oracle's accuracy.  A translate solves for its radial function on each ray
 from the parent's gauge; a translated ball is a ball and takes the closed
 form, and a translated polytope is the polytope of the shifted facets.
 Sections and slabs of polytopes are again polytopes and get exact oracles.
-A slab of a body of revolution, or of a translate of one, gets exact
-supports from the profile, by one 1-D rim solve per direction, and a slab
-of a ball or translated ball from a closed form; a slab of any other body
-has no support.  Only the support functions of the other sections are
-recovered from radial data by support_from_radial (with a degraded
-eval_tol).
+A section is a slab of width 0: every other section and slab takes its
+supports from _cut_support, the exact support of the body cut to
+|<x, xi>| <= t, and declares its parent's eval_tol.  A body with no exact
+route has a support that raises EstimateError: no search stands in for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .bodies import BodyError, ConvexBodyOracle, _safeguarded_newton, oracle_of
 from .grassmann import Subspace, embed, rowwise
-from .intrinsic import (EstimateError, _zoom_extremum, revolution_slab_supports, sphere_grid,
-                        support_from_radial)
+from .intrinsic import EstimateError, revolution_slab_supports
 from .polykernel import HPolytope, section_hpolytope, slab_hpolytopes
 
-SECTION_SUPPORT_TOL = 1e-6
 DOT_GUARD = 1e-14  # |<theta, xi>| below this counts as parallel to the slab
+# an axis this close to span(B) lies in it: the parent's support then errs
+# by O(AXIS_TOL^2) on the section
+AXIS_TOL = 1e-8
 # secant steps of the translate radial: room for a bracket that doubles a
 # dozen times and then bisects to the last ulp; rows stop once they settle
 TRANSLATE_STEPS = 64
@@ -54,56 +52,100 @@ class SlabSpec:
 def max_slab_halfwidth(oracle: ConvexBodyOracle) -> float:
     """Largest t with t*ball strictly inside the body: min rho minus margin.
 
-    A polytope's facet normals are unit and its origin is interior, so its
-    min rho is exactly its smallest facet offset, as a ball's is its radius
-    less the distance of its center.  For other bodies the minimum of the
-    radial function is located on a 10,000-direction grid and, in
-    dimensions 2 and 3, refined locally; that can only read above the true
-    minimum.
+    A polytope's min rho is its smallest facet offset (unit normals), a
+    ball's its radius less the distance of its center.  A body of
+    revolution has f(t) >= sqrt(1 - t^2) and meets the unit ball on the
+    equator, where both bumps vanish, so its min rho is 1; a translate
+    K - s takes 1 - |s|, exact when the nearest boundary point lies off the
+    bumps and never above the true minimum.  Other bodies raise
+    EstimateError.
     """
     if oracle.polytope is not None:
         return float(oracle.polytope.offsets.min()) - 1e-9
     if oracle.ball is not None:
         radius, center = oracle.ball
         return radius - float(np.linalg.norm(center)) - 1e-9
-    grid = 10_000
-    dirs = sphere_grid(oracle.dim, grid)
-    rho = np.asarray(oracle.radial(dirs), dtype=float)
-    best = float(rho.min())
-    if oracle.dim in (2, 3):
-        center = dirs[int(np.argmin(rho))].reshape(1, -1)
-        _, refined = _zoom_extremum(oracle.radial, center, grid,
-                                    rounds=20, shrink=0.4, sign=-1.0)
-        best = min(best, float(refined[0]))
-    return best - 1e-9
+    base, s = oracle.translate or (oracle, np.zeros(oracle.dim))
+    if base.revolution is None:
+        raise EstimateError(f"no inner radius for a body of kind '{oracle.kind}'")
+    return 1.0 - float(np.linalg.norm(s)) - 1e-9
+
+
+def _cut_support(body: ConvexBodyOracle, xi: np.ndarray | None, t: float, what: str):
+    """The support of body cap {|<x, xi>| <= t} on (m, n) rows; t = 0 cuts
+    by the hyperplane xi^perp.
+
+    A ball or translated ball takes the closed form of ball_slab_supports.
+    A body of revolution takes its rim solve (revolution_slab_supports), and
+    so does a translate K - s of one: (K - s) cap {|<x, xi>| <= t} is K
+    clipped to the levels <s, xi> -+ t, shifted by -s, so its support at d
+    is the base's at those levels less <s, d> (Rockafellar, Convex
+    Analysis, Cor. 16.4.1).  Any other body, or xi = None, gets a support
+    that raises EstimateError naming `what`.
+    """
+    if body.ball is not None:
+        radius, center = body.ball
+        return lambda d: ball_slab_supports(radius, center, xi, t, d)
+    base, s = body.translate or (body, np.zeros(body.dim))
+    if base.revolution is None or xi is None:
+        def support(d):
+            raise EstimateError(f"no exact {what} support for a body of kind '{body.kind}'")
+        return support
+    mid = float(s @ xi)
+
+    def support(d):
+        lows, highs = np.full(len(d), mid - t), np.full(len(d), mid + t)
+        h = revolution_slab_supports(base.revolution, np.broadcast_to(xi, d.shape), lows, highs, d)
+        return h - d @ s
+    return support
+
+
+def _unit_off(basis: np.ndarray, axis: np.ndarray) -> np.ndarray | None:
+    """The unit part of axis normal to span(basis), or None where the axis
+    lies within AXIS_TOL of the span."""
+    rest = axis - basis @ (basis.T @ axis)
+    size = np.linalg.norm(rest)
+    return rest / size if size > AXIS_TOL else None
 
 
 def section_oracle(body: ConvexBodyOracle, subspace: Subspace) -> ConvexBodyOracle:
-    """The section body intersect span(B), in subspace coordinates.
+    """The section body cap span(B), in subspace coordinates.
 
     A polytope body gives the exact polytope oracle of its restricted
     facets.  Otherwise radial and membership are exact restrictions, and
-    the support function is recovered from radial data by
-    support_from_radial, so eval_tol is degraded accordingly.
+    the support is that of the cut of width 0 by nu^perp, nu the unit part
+    off span(B) of an axis a: e_n for a body of revolution, the center for
+    a ball.  K cap span(B) = (K cap span(B, a)) cap nu^perp, and
+    K cap span(B, a) is a body of revolution about a (Schneider, Convex
+    Bodies, section 4.2), so the cut's maximiser at d in span(B) lies in
+    span(B).  Where a lies in span(B), the parent's support serves.  A
+    translate of a body of revolution has its axis off the origin: only its
+    hyperplane sections are such cuts, along their normal.
     """
     if subspace.ambient_dim != body.dim:
         raise BodyError("subspace ambient dimension must match the body")
     if body.polytope is not None:
         return oracle_of(section_hpolytope(body.polytope, subspace))
 
+    basis = subspace.basis
+    n, k = basis.shape
     radial = rowwise(lambda u: np.asarray(body.radial(embed(subspace, u)), dtype=float))
     member = rowwise(lambda y: np.asarray(body.member(embed(subspace, y))))
-    # the support reads dim and radial, not the oracle: an oracle that its
-    # own support refers to would wait for the cycle collector to be freed
-    shape = SimpleNamespace(dim=subspace.dim, radial=radial)
-
+    if body.ball is not None:
+        axis = body.ball[1]
+    elif body.revolution is not None:
+        axis = np.eye(n)[-1]
+    else:  # the unit part off a hyperplane of any axis is its normal
+        axis = np.eye(n)[np.argmin((basis * basis).sum(axis=1))] if k >= n - 1 else None
+    nu = None if axis is None else _unit_off(basis, axis)
+    if axis is not None and nu is None:
+        cut = body.support
+    else:
+        cut = _cut_support(body, nu, 0.0, "section" if k >= n - 1 else
+                           f"codimension-{n - k} section")
     return ConvexBodyOracle(
-        dim=subspace.dim,
-        radial=radial,
-        support=lambda d: support_from_radial(shape, d),
-        member=member,
-        eval_tol=max(body.eval_tol, SECTION_SUPPORT_TOL),
-        kind="section",
+        dim=k, radial=radial, support=rowwise(lambda d: cut(embed(subspace, d))),
+        member=member, eval_tol=body.eval_tol, kind="section",
     )
 
 
@@ -113,14 +155,9 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     Along theta the slab boundary sits at t/|<theta, xi>|, so the radial
     function of the intersection is the pointwise minimum.  Polytope bodies
     take an exact route instead: the slab contributes two facets, and the
-    result is the polytope oracle of the clipped body.  A ball or
-    translated ball gets exact supports from the closed form of
-    ball_slab_supports.  A body of revolution gets them from its profile,
-    by one rim solve per direction (revolution_slab_supports), and so does
-    its translate K - s: (K - s) cap S(xi, t) is K clipped to the levels
-    <s, xi> -+ t, shifted by -s, so its support at d is the base's at those
-    levels less <s, d>.  Every slab keeps the body's eval_tol.  The support
-    of a slab of any other body raises EstimateError.
+    result is the polytope oracle of the clipped body.  Every other slab
+    takes its supports from _cut_support and keeps the body's eval_tol; the
+    support of a slab of a body with no exact route raises EstimateError.
     """
     if slab.xi.shape != (body.dim,):
         raise BodyError("slab normal dimension must match the body")
@@ -141,27 +178,9 @@ def slab_oracle(body: ConvexBodyOracle, slab: SlabSpec) -> ConvexBodyOracle:
     def member(pts):
         return np.asarray(body.member(pts)) & (np.abs(pts @ xi) <= t + body.eval_tol)
 
-    base, s = body.translate or (body, np.zeros(body.dim))
-    spec, mid = base.revolution, float(s @ xi)
-    if body.ball is not None:
-        radius, center = body.ball
-
-        @rowwise
-        def support(d):
-            return ball_slab_supports(radius, center, xi, t, d)
-    elif spec is not None:
-        @rowwise
-        def support(d):
-            lows, highs = np.full(len(d), mid - t), np.full(len(d), mid + t)
-            h = revolution_slab_supports(spec, np.broadcast_to(xi, d.shape), lows, highs, d)
-            return h - d @ s
-    else:
-        def support(d):
-            raise EstimateError(f"no exact slab support for a body of kind '{body.kind}'")
-
     return ConvexBodyOracle(
-        dim=body.dim, radial=radial, support=support, member=member,
-        eval_tol=body.eval_tol, kind="slab",
+        dim=body.dim, radial=radial, support=rowwise(_cut_support(body, xi, t, "slab")),
+        member=member, eval_tol=body.eval_tol, kind="slab",
     )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import convexlab
-from convexlab import bodies, cli, polykernel
+from convexlab import bodies, cli, intrinsic, polykernel
 from convexlab.bodies import RevolutionBodySpec
 from convexlab.cli import CliError, build_parser, main, parse_body_spec
 from convexlab.experiments import (PAIR_NAMES, BodyPair, ExperimentError, body_from_record,
@@ -355,6 +355,63 @@ def test_sections_k4_of_the_shifted_control_fail_on_exact_ball_rows(tmp_path, ca
     assert "sections: FAIL" in capsys.readouterr().out
     summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
     assert summary["methods"] == ["exact-ball"]
+
+
+def _translated_smooth_specs(tmp_path, n: int) -> list[str]:
+    """--spec-k/--spec-l arguments of the smooth pair in R^n, each body
+    translated by (0.1, -0.05, 0.2, 0.05, ...)."""
+    shift = ([0.1, -0.05, 0.2] + [0.05] * n)[:n]
+    argv = []
+    for flag, variant in (("--spec-k", "K"), ("--spec-l", "L")):
+        path = tmp_path / f"translated-{n}-{variant}.json"
+        path.write_text(json.dumps({"type": "derived", "transform": "translate", "shift": shift,
+                                    "base": {"type": "revolution", "n": n, "variant": variant}}),
+                        encoding="utf-8")
+        argv += [flag, str(path)]
+    return argv
+
+
+def test_codimension_2_sections_of_a_translated_smooth_body_exit_1(tmp_path, capsys):
+    # a translate has a rim only on hyperplane sections: V_1 of its 3-d
+    # sections in R^5 has no exact support route, and no search stands in
+    out = tmp_path / "o"
+    code = main(["sections", *_translated_smooth_specs(tmp_path, 5), "--k", "3", "--i", "1",
+                 "--samples", "3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: no exact codimension-2 section support for a body of kind 'translate'\n")
+    assert not out.exists()
+
+
+def test_hyperplane_sections_of_a_translated_smooth_body_take_the_rim_solve(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["sections", *_translated_smooth_specs(tmp_path, 4), "--k", "3", "--i", "1",
+                 "--samples", "3", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+    assert summary["methods"] == ["quadrature"]
+
+
+def test_no_command_runs_a_sphere_search(tmp_path, capsys, monkeypatch):
+    """With the grid-and-zoom search made to raise in every module that
+    binds it, every entry of `all` runs, and so do the sections, slabs and
+    convergence of translated smooth bodies."""
+    def search(*args, **kwargs):
+        raise AssertionError("a sphere search ran")
+
+    searches = [getattr(intrinsic, name)
+                for name in ("support_from_radial", "_zoom_extremum", "sphere_grid")]
+    for module in [m for name, m in sys.modules.items() if name.startswith("convexlab")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in searches):
+                monkeypatch.setattr(module, attr, search)
+    assert main(["all", "--out", str(tmp_path / "all")]) == 0
+    runs = [(4, ["sections", "--k", "3", "--i", "1", "--samples", "2"])] + [
+        (3, ["slabs", "--i", i, "--samples", "2"]) for i in "123"] + [
+        (3, ["convergence", "--i", "1"]), (3, ["convergence", "--i", "2"])]
+    for j, (n, argv) in enumerate(runs):
+        code = main(argv + _translated_smooth_specs(tmp_path, n) + ["--out", str(tmp_path / str(j))])
+        assert code in (0, 2), (argv, capsys.readouterr().err)
 
 
 def test_partial_outputs_are_removed_on_error(tmp_path, capsys):

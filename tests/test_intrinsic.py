@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from convexlab.bodies import ball_oracle, oracle_of
+from convexlab.bodies import ball_oracle, make_revolution_spec, oracle_of
 from convexlab.experiments import _harmonic_grid
 from convexlab.grassmann import RngStream, kappa
 from convexlab.intrinsic import (EstimateError, IVEstimate, area_from_support_2d,
@@ -13,7 +13,7 @@ from convexlab.intrinsic import (EstimateError, IVEstimate, area_from_support_2d
                                  centroid_3d, circle_grid, fibonacci_sphere,
                                  flag_coefficient, hull_surface_v2,
                                  kubota_intrinsic_volume, mean_width_v1,
-                                 planar_metrics_from_oracle, radial_from_support,
+                                 planar_metrics_from_oracle,
                                  sphere_grid, steiner_disc_area,
                                  support_from_radial, volume_radial)
 from convexlab.polykernel import (HPolytope, Polygon, enumerate_vertices,
@@ -110,24 +110,6 @@ def test_support_from_radial_matches_exact_support(ellipsoid):
 
     with pytest.raises(EstimateError, match="dimensions 2 and 3"):
         support_from_radial(ball_oracle(4), np.ones(4) / 2.0)
-
-
-def test_radial_from_support(ellipsoid):
-    ones = lambda d: np.ones(np.asarray(d).reshape(-1, 3).shape[0])
-    dirs = fibonacci_sphere(40)
-    assert np.allclose(radial_from_support(ones, dirs), 1.0, atol=1e-8)
-
-    cube_h = lambda d: np.abs(np.asarray(d).reshape(-1, 3)).sum(axis=1)
-    diag = np.ones(3) / math.sqrt(3.0)
-    rho = radial_from_support(cube_h, np.vstack([diag, np.eye(3)]))
-    assert rho[0] == pytest.approx(math.sqrt(3.0), abs=1e-8)
-    assert np.allclose(rho[1:], 1.0, atol=1e-5)  # axis minimizers sit on a kink
-
-    for axes in ((2.0, 0.7), (1.5, 0.8, 1.1)):
-        grid = sphere_grid(len(axes), 41)
-        exact = np.sum((grid / np.asarray(axes)) ** 2, axis=1) ** -0.5
-        rho = radial_from_support(ellipsoid(axes).support, grid)
-        assert np.max(np.abs(rho - exact)) <= 1e-8
 
 
 def test_volume_radial_balls():
@@ -233,6 +215,11 @@ def test_kubota_validation():
         kubota_intrinsic_volume(ball_oracle(3), 2, 1, 4, rng)
     with pytest.raises(EstimateError, match="at least one subspace"):
         kubota_intrinsic_volume(ball_oracle(3), 3, 1, 0, rng)
+    # every projection goes through projection_volume, which has no k = 3
+    # row for a translated body of revolution
+    moved = translate_oracle(oracle_of(make_revolution_spec(4)), [0.1, 0.0, 0.0, 0.0])
+    with pytest.raises(EstimateError, match="no projection-volume path for k=3 on translate"):
+        kubota_intrinsic_volume(moved, 4, 3, 2, rng)
 
 
 def test_kubota_vrep_path_against_exact_box():

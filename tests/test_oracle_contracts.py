@@ -63,8 +63,8 @@ def polytope_cuts(draw, dims=(3, 4)):
 
 
 KINDS = ("revolution", "polytope", "ball", "translate", "translate-polytope",
-         "section-smooth", "section-polytope-k2", "section-polytope-k3", "slab-smooth",
-         "slab-ball", "slab-translate")
+         "section-smooth", "section-polytope-k2", "section-polytope-k3", "section-ball",
+         "section-translate", "slab-smooth", "slab-ball", "slab-translate")
 
 
 @st.composite
@@ -72,15 +72,18 @@ def oracles(draw, kind):
     """(oracle of the given kind, seed), with its parameters drawn at random.
 
     Sections are hyperplane sections of a drawn revolution or polytope body
-    in dimension 3 or 4; translates move a ball, a revolution body or a
-    polytope; slabs clip a revolution body, a ball, or a translated ball or
-    revolution body.
+    in dimension 3 or 4, of a ball or translated ball in dimension 3 or 4,
+    or of a translated revolution body; translates move a ball, a
+    revolution body or a polytope; slabs clip a revolution body, a ball, or
+    a translated ball or revolution body.
     """
     seed = draw(seeds)
     base = kind
     if kind in ("translate", "slab-translate"):
         base = draw(st.sampled_from(("revolution", "ball")))
-    if base in ("revolution", "section-smooth", "slab-smooth"):
+    if kind == "section-ball":
+        base = draw(st.sampled_from(("ball", "translated-ball")))
+    if base in ("revolution", "section-smooth", "section-translate", "slab-smooth"):
         spec = make_revolution_spec(draw(st.sampled_from((3, 4))), draw(epsilons),
                                     draw(deltas), draw(st.sampled_from("KL")))
         body = oracle_of(spec)
@@ -89,11 +92,14 @@ def oracles(draw, kind):
         cons = build_polytope_pair(*draw(polytope_cuts(dims)))
         body = oracle_of(draw(st.sampled_from((cons.body_K, cons.body_L))))
     else:
-        body = ball_oracle(draw(st.sampled_from((2, 3, 4))), draw(st.floats(0.2, 5.0)))
-    inner = 1.0 if base == "revolution" else float(body.radial(np.eye(body.dim)[0]))
+        dims = (3, 4) if kind == "section-ball" else (2, 3, 4)  # sections of dimension 2 or 3
+        body = ball_oracle(draw(st.sampled_from(dims)), draw(st.floats(0.2, 5.0)))
+    inner = (1.0 if base in ("revolution", "section-translate")
+             else float(body.radial(np.eye(body.dim)[0])))
     if kind == "translate-polytope":
         inner = float(body.polytope.offsets.min())
-    if kind.startswith(("translate", "slab-translate")):
+    if kind.startswith(("translate", "slab-translate", "section-translate")) or (
+            base == "translated-ball"):
         # revolution bodies contain the unit ball and a polytope the ball of
         # its smallest facet offset; shifts up to 0.6 of the inner radius
         # keep the new origin interior

@@ -124,7 +124,7 @@ def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):
 
 @pytest.mark.parametrize("n, i, grids", [
     (2, 1, {8192}),                 # the polyline's circle
-    (3, 1, {10_000}),               # max_slab_halfwidth's grid only
+    (3, 1, set()),                  # none: the inner radius is a closed form
     (3, 2, {20_000, 10_000}),       # hull_surface_v2
     (3, 3, {4096, 2048}),           # volume_radial at vol_nodes = 4096
 ])
@@ -135,7 +135,8 @@ def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
     V_1 of a 3-d slab of a body of revolution comes from one stacked solve
     (next test), so i = 1 is counted on the smooth pair translated by
     (0.1, -0.05, 0.2): its slabs go through the memo, and their supports,
-    from the rim solve of the base, make no radial call of the parent."""
+    from the rim solve of the base, make no radial call of the parent, nor
+    does its closed-form inner radius."""
     # a grid of more than BLOCK rows reaches the parent in rowwise's blocks:
     # 20,000 as 6,666 + 6,667 + 6,667 rows and 10,000 as 2 x 5,000
     sizes = {b - a for g in grids for a, b in grassmann.blocks(g)}
@@ -157,7 +158,7 @@ def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
         finally:
             tracemalloc.stop()
         counts.append([sorted(x for x in r if x in sizes) for r in rows])
-    # at i = 2 the count also holds max_slab_halfwidth's 10,000-direction grid
+    # at i = 2 the 10,000 rows are hull_surface_v2's N/2 grid
     assert counts[0] == counts[1]
     assert [set(c) for c in counts[0]] == [sizes, sizes]
     assert peaks[1] < peaks[0] + 1e6, peaks

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from convexlab.bodies import BodyError, ball_oracle, make_revolution_spec, oracle_of
-from convexlab.grassmann import RngStream, Subspace, embed, sample_haar_subspace
+from convexlab.grassmann import RngStream, Subspace, embed, sample_haar_subspace, sample_sphere
 from convexlab.experiments import make_pair
 from convexlab.intrinsic import (SLAB_CHUNK, EstimateError, _slab_support_points, circle_grid,
-                                 fibonacci_sphere, revolution_slab_widths)
+                                 fibonacci_sphere, revolution_slab_widths, sphere_grid)
 from convexlab.polykernel import HPolytope
 from convexlab.transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                                   slab_oracle, translate_oracle)
@@ -71,7 +71,7 @@ def test_section_support_recovery():
     sub2 = sample_haar_subspace(3, 2, RngStream(21, 1))
     sec2 = section_oracle(ball, sub2)
     assert np.allclose(sec2.support(circle_grid(32)), 1.0, atol=1e-6)
-    assert sec2.eval_tol >= 1e-6
+    assert sec2.eval_tol == ball.eval_tol
 
     sec3 = section_oracle(ball, Subspace(np.eye(3)))
     dirs = fibonacci_sphere(25)
@@ -463,38 +463,134 @@ def test_translate_radial_through_the_parent_origin():
     assert shifted.radial(theta) == pytest.approx(2.0 * rho, abs=1e-10)
 
 
-def test_max_slab_halfwidth(polytope_pair, ellipsoid):
-    assert 0.999 <= max_slab_halfwidth(ball_oracle(3)) < 1.0
-    assert 0.999 <= max_slab_halfwidth(ball_oracle(2)) < 1.0
-    # the corner-cut box keeps the +-e1 facets at distance 1
-    assert 0.999 <= max_slab_halfwidth(polytope_pair.oracle_K) < 1.0
-    # turned off the grid, so the minimum radius (the minor semi-axis) sits
-    # between grid directions and only the zoom reaches it
-    c, s = math.cos(0.1234), math.sin(0.1234)
-    ellipse = ellipsoid([2.0, 0.7], frame=[[c, -s], [s, c]])
-    assert max_slab_halfwidth(ellipse) == pytest.approx(0.7 - 1e-9, abs=1e-10)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("epsilon, delta", [(1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16),
+                                            (2e-3, 0.05), (1e-3, 0.155)])
+@pytest.mark.parametrize("variant", ["K", "L"])
+def test_max_slab_halfwidth_of_a_body_of_revolution_is_one(n, epsilon, delta, variant):
+    """f >= sqrt(1 - t^2) and both bumps vanish on the equator, so every
+    body of the family has inner radius 1."""
+    body = oracle_of(make_revolution_spec(n, epsilon, delta, variant))
+    assert max_slab_halfwidth(body) == 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("n, variant", [(2, "K"), (3, "K"), (3, "L"), (4, "L")])
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 0.6])
+def test_max_slab_halfwidth_of_a_translate_is_one_less_its_shift(n, variant, fraction):
+    """K - s contains the unit ball about -s: 1 - |s| never reads above the
+    minimum radial over a dense lattice."""
+    shift = RngStream(23, n).generator().standard_normal(n)
+    shift *= fraction / np.linalg.norm(shift)
+    body = translate_oracle(oracle_of(make_revolution_spec(n, variant=variant)), shift)
+    inner = max_slab_halfwidth(body)
+    assert inner == pytest.approx(1.0 - np.linalg.norm(shift) - 1e-9, abs=1e-15)
+    lattice = circle_grid(20_000) if n == 2 else sphere_grid(n, 20_000)
+    assert inner <= np.asarray(body.radial(lattice)).min()
+
+
+def test_max_slab_halfwidth_of_a_body_outside_the_grammar_raises(ellipsoid):
+    ellipse = ellipsoid([2.0, 0.7])
+    with pytest.raises(EstimateError, match="no inner radius for a body of kind 'ellipsoid'"):
+        max_slab_halfwidth(ellipse)
+    with pytest.raises(EstimateError, match="kind 'translate'"):
+        max_slab_halfwidth(translate_oracle(ellipse, [0.1, 0.0]))
 
 
 def test_max_slab_halfwidth_of_a_ball_is_its_inner_radius():
-    """Exact for a ball and a translated ball: the radius less the distance
-    of the center; the radial grid-and-zoom search can only read above it,
-    up to the rounding of the radial values it reads."""
+    """The radius less the distance of the center, for a ball and a
+    translated ball."""
     for oracle in (ball_oracle(3, 0.7), translate_oracle(ball_oracle(3), [0.3, 0.0, 0.0]),
                    translate_oracle(ball_oracle(2, 2.0), [0.5, -1.2])):
         radius, center = oracle.ball
-        exact = max_slab_halfwidth(oracle)
-        assert exact == radius - float(np.linalg.norm(center)) - 1e-9
-        assert max_slab_halfwidth(replace(oracle, ball=None)) >= exact - 1e-15
+        assert max_slab_halfwidth(oracle) == radius - float(np.linalg.norm(center)) - 1e-9
 
 
 def test_max_slab_halfwidth_of_a_polytope_is_its_smallest_offset(polytope_pair):
-    """Exact for polytopes; the radial grid-and-zoom search, which other
-    bodies use, can only read above it."""
     box = oracle_of(HPolytope.box([1.3, 0.7, 2.0]))
     for oracle in (polytope_pair.oracle_K, polytope_pair.oracle_L, box):
-        exact = max_slab_halfwidth(oracle)
-        assert exact == float(oracle.polytope.offsets.min()) - 1e-9
-        assert max_slab_halfwidth(replace(oracle, polytope=None)) >= exact
+        assert max_slab_halfwidth(oracle) == float(oracle.polytope.offsets.min()) - 1e-9
+
+
+def _section_cases():
+    """(id, parent, basis): bodies of revolution at n = 3 to 5 and every
+    2 <= k <= n - 1, and a basis that contains e_n; balls and translated
+    balls with the center off span(B) and in it; hyperplane sections of
+    translated bodies of revolution."""
+    cases = []
+    for n in (3, 4, 5):
+        for variant, (epsilon, delta) in zip("KL", [(1e-3, 0.1), (4e-3, 0.16)]):
+            body = oracle_of(make_revolution_spec(n, epsilon, delta, variant))
+            for k in range(2, n):
+                basis = sample_haar_subspace(n, k, RngStream(24, 10 * n + k)).basis
+                cases.append((f"revolution-{variant}-n{n}-k{k}", body, basis))
+            # a basis that contains e_n, and one turned 1e-6 off it
+            draw = RngStream(25, n).generator().standard_normal((n, n - 1))
+            q = np.linalg.qr(np.column_stack([np.eye(n)[:, -1], draw]))[0]
+            cases.append((f"revolution-{variant}-n{n}-axis", body, q[:, :n - 1]))
+            k = max(2, n - 2)
+            tilted = q[:, :k].copy()
+            tilted[:, 0] = math.cos(1e-6) * q[:, 0] + math.sin(1e-6) * q[:, k]
+            cases.append((f"revolution-{variant}-n{n}-near-axis", body, tilted))
+            shift = 0.5 * sample_sphere(n, RngStream(26, n))
+            basis = sample_haar_subspace(n, n - 1, RngStream(27, n)).basis
+            cases.append((f"translate-{variant}-n{n}", translate_oracle(body, shift), basis))
+        for radius in (0.5, 2.0):
+            shift = 0.4 * radius * sample_sphere(n, RngStream(28, n))
+            moved = translate_oracle(ball_oracle(n, radius), shift)
+            for k in range(2, n):
+                basis = sample_haar_subspace(n, k, RngStream(29, 10 * n + k)).basis
+                cases.append((f"ball-r{radius}-n{n}-k{k}", ball_oracle(n, radius), basis))
+                cases.append((f"translated-ball-r{radius}-n{n}-k{k}", moved, basis))
+            draw = RngStream(30, n).generator().standard_normal((n, n - 2))
+            basis = np.linalg.qr(np.column_stack([shift, draw]))[0]
+            cases.append((f"translated-ball-r{radius}-n{n}-center", moved, basis))
+    return cases
+
+
+SECTION_CASES = _section_cases()
+
+
+@pytest.mark.parametrize("parent, basis", [case[1:] for case in SECTION_CASES],
+                         ids=[case[0] for case in SECTION_CASES])
+def test_section_supports_meet_their_infimal_convolution(parent, basis):
+    """A section is a cut of width 0: K cap span(B) at d in span(B) has the
+    support min over mu of h_K(d - mu nu), with nu the unit part off span(B)
+    of the axis (e_n or the center) where that is not 0, and any normal of
+    span(B) where it is (and for a hyperplane section of a translate).
+    Every section meets that at its parent's eval_tol, on random directions
+    and on the images of the basis vectors."""
+    n, k = basis.shape
+    section = section_oracle(parent, Subspace(basis))
+    assert section.eval_tol == parent.eval_tol
+    nu = np.linalg.svd(basis)[0][:, -1]
+    if parent.ball is not None or parent.revolution is not None:
+        axis = np.eye(n)[-1] if parent.ball is None else parent.ball[1]
+        rest = axis - basis @ (basis.T @ axis)
+        if np.linalg.norm(rest) > 1e-12:
+            nu = rest / np.linalg.norm(rest)
+    d = np.vstack([_unit_rows(31, 200, k), np.eye(k), -np.eye(k)])
+    u = d @ basis.T
+    exact = _clipped_support(parent.support, nu, 0.0, u)
+    assert np.abs(np.asarray(section.support(d)) - exact).max() <= parent.eval_tol
+
+
+def test_sections_without_a_rim_have_no_support(ellipsoid):
+    """A translate of a body of revolution has a rim only on hyperplane
+    sections, and a body outside the grammar has none: their sections'
+    radial and membership work, their supports raise."""
+    moved = translate_oracle(oracle_of(make_revolution_spec(5)), [0.1, -0.05, 0.2, 0.0, 0.1])
+    section = section_oracle(moved, sample_haar_subspace(5, 3, RngStream(32)))
+    assert section.member(np.zeros(3)) and section.radial(np.eye(3)[0]) > 0.5
+    with pytest.raises(EstimateError, match="no exact codimension-2 section support for a "
+                                            "body of kind 'translate'"):
+        section.support(np.eye(3)[0])
+    section = section_oracle(ellipsoid([1.2, 1.0, 0.8]), sample_haar_subspace(3, 2, RngStream(33)))
+    with pytest.raises(EstimateError, match="no exact section support for a body of kind "
+                                            "'ellipsoid'"):
+        section.support(np.eye(2)[0])
+    # the whole space is no cut: the translate's own support serves
+    whole = section_oracle(moved, Subspace(np.eye(5)))
+    assert whole.support(np.eye(5)[0]) == moved.support(np.eye(5)[0])
 
 
 def test_derived_oracles_are_freed_without_the_cycle_collector():

@@ -45,11 +45,13 @@ radial across seven blocks; it exits 2, as a control should), and 3
 smooth slabs at i = 3
 (the 200,000-node polar volume in 25 blocks through the slab grid memo).
 The exact-ball rows of 4-d sections in R^5 run on `control-shifted`,
-which exits 2.  Two translated pairs, the smooth pair and the 3-d polytope
-pair each moved by SHIFT, are given as spec files (SPECS, written into
-each command's directory): `slabs --i 1` reaches the level rim solve of a
-translated body of revolution, and `sections --k 2`, `projections --k 2`
-and `certify` the polytope paths that a translated polytope takes.
+which exits 2.  Three translated pairs, the smooth pair and the 3-d
+polytope pair each moved by SHIFT and the 4-d smooth pair moved by SHIFT
+and 0.05, are given as spec files (SPECS, written into each command's
+directory): `slabs --i 1` reaches the level rim solve of a translated body
+of revolution, `sections --k 2`, `projections --k 2` and `certify` the
+polytope paths that a translated polytope takes, and `sections --k 3
+--i 1` in R^4 the rim solve of a hyperplane section of a translate.
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -125,14 +127,18 @@ EXTRA = (
 ) + tuple(f"{command} --spec-k {pair}-k.json --spec-l {pair}-l.json"
           for pair in ("translated-smooth", "translated-polytope")
           for command in ("slabs --i 1 --samples 2", "sections --k 2 --samples 3",
-                          "projections --k 2 --samples 3", "certify"))
+                          "projections --k 2 --samples 3", "certify")) + (
+    "sections --n 4 --k 3 --i 1 --samples 3"
+    " --spec-k translated-smooth-4-k.json --spec-l translated-smooth-4-l.json",)
 
 SHIFT = [0.1, -0.05, 0.2]
 SPECS = {f"{pair}-{variant.lower()}.json": {"type": "derived", "transform": "translate",
                                              "base": {**base, "variant": variant},
-                                             "shift": SHIFT}
-         for pair, base in (("translated-smooth", {"type": "revolution"}),
-                            ("translated-polytope", {"type": "polytope", "a": [1.0, 1.2, 1.5]}))
+                                             "shift": shift}
+         for pair, base, shift in (
+             ("translated-smooth", {"type": "revolution"}, SHIFT),
+             ("translated-polytope", {"type": "polytope", "a": [1.0, 1.2, 1.5]}, SHIFT),
+             ("translated-smooth-4", {"type": "revolution", "n": 4}, SHIFT + [0.05]))
          for variant in "KL"}
 
 ORACLE_PARAMS = ((1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16), (2e-3, 0.05), (1e-3, 0.155))
