@@ -78,10 +78,13 @@ def _resolve_pair(args) -> BodyPair:
     if spec_k or spec_l:
         if not (spec_k and spec_l):
             raise CliError("--spec-k and --spec-l must be given together")
-        return BodyPair.from_bodies("custom", *(
+        pair = BodyPair.from_bodies("custom", *(
             parse_body_spec(Path(path).read_text(encoding="utf-8"))
             for path in (spec_k, spec_l)))
-    return make_pair(args.pair, args.n)
+        if args.n not in (None, pair.oracle_K.dim):  # the experiment checks L's
+            raise CliError(f"--n {args.n} differs from the specs' dimension {pair.oracle_K.dim}")
+        return pair
+    return make_pair(args.pair, 3 if args.n is None else args.n)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +328,9 @@ def _number(kind, low, above: bool = False):
 
 
 def _seed(text: str) -> int:
-    """argparse type: an RNG seed.  RngStream keeps 64 bits of it, so a seed
-    outside [0, 2^64) would silently run as another seed."""
+    """argparse type: an RNG seed in [0, 2^64).  RngStream gives the seed to
+    SeedSequence whole: a negative seed would raise there, and one of 2^128
+    or more would run into the words of the stream's spawn key."""
     try:
         value = int(text)
     except ValueError:
@@ -351,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="named fixture pair (default: smooth)")
         p.add_argument("--spec-k", help="JSON body spec file for body K")
         p.add_argument("--spec-l", help="JSON body spec file for body L")
-        p.add_argument("--n", type=int, default=3,
-                       help="ambient dimension for named pairs (default: 3)")
+        p.add_argument("--n", type=int, default=None,
+                       help="ambient dimension (default: 3 for named pairs, "
+                            "the specs' dimension for --spec-k/--spec-l, "
+                            "which it must match if given)")
         p.add_argument("--seed", type=_seed, default=0,
                        help="RNG seed in [0, 2^64) (default: 0)")
         if with_samples:

@@ -302,7 +302,7 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     spot-checks the reflection property of the difference set directly.
     """
     n = _shared_dim(oracle_K, oracle_L)
-    dirs = sample_haar_bases(n, 1, rng.substreams(n_dirs))[:, :, 0]
+    dirs = sample_haar_bases(n, 1, n_dirs, rng)[:, :, 0]
     rho_kp = np.asarray(oracle_K.radial(dirs), dtype=float)
     rho_km = np.asarray(oracle_K.radial(-dirs), dtype=float)
     rho_lp = np.asarray(oracle_L.radial(dirs), dtype=float)
@@ -324,9 +324,9 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 
     # reflection spot-check at midpoint radii, where one body but not the
     # other should contain the probe whenever the radial values differ.
-    # The probes are drawn and checked in the row blocks of rowwise; one
-    # generator's consecutive draws are the rows of one large draw.
-    probes = rng.substream(0x7FFF_FFFF).generator()
+    # The probes, from a child stream, are drawn and checked in the row
+    # blocks of rowwise: one generator's consecutive draws are one draw.
+    probes = rng.substream(0).generator()
     failures = 0
     for a, b in blocks(10 * n_dirs):
         probe = probes.standard_normal((b - a, n))
@@ -411,8 +411,8 @@ def _section_values(body: ConvexBodyOracle, bases: np.ndarray, i: int, subspaces
     a body of revolution the profile quadrature of
     revolution_section_volumes, a polytope the exact values of its stacked
     sections; other bodies take _body_value of one section oracle per
-    Subspace of subspaces(), sample j drawing from a child of
-    rng.substream(j), the stream that drew its subspace (none if rng is None)."""
+    Subspace of subspaces(), sample j drawing from rng.substream(j), a child
+    apart from rng's draw of the subspaces (none if rng is None)."""
     if bases.shape[2] == 1:
         us = bases[:, :, 0]
         if body.polytope is None:
@@ -427,7 +427,7 @@ def _section_values(body: ConvexBodyOracle, bases: np.ndarray, i: int, subspaces
     if body.polytope is not None:
         return _exact_values(section_hpolytopes(body.polytope, bases), i)
     return [_body_value(section_oracle(body, sub), i, None, 512,
-                        None if rng is None else rng.substream(j).substream(0))
+                        None if rng is None else rng.substream(j))
             for j, sub in enumerate(subspaces())]
 
 
@@ -443,7 +443,7 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                                 for o in (oracle_K, oracle_L)):
         # the estimator table has V_i for i < k only up to dimension 3
         raise ExperimentError(f"no section estimator for n={n}, k={k}, i={i}")
-    bases = sample_haar_bases(n, k, rng.substreams(num_h))
+    bases = sample_haar_bases(n, k, num_h, rng)
     # built on first use, once for K and L, for the bodies that read them
     subs = functools.cache(lambda: [Subspace(b) for b in bases])
     return _paired_run("sections", oracle_K, oracle_L, bases,
@@ -527,7 +527,7 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     if not 0.0 < t <= t_max:
         raise ExperimentError(
             f"slab half-width {t} outside (0, {t_max:.9g}] (max admissible t)")
-    xis = sample_haar_bases(n, 1, rng.substreams(num_xi))[:, :, 0]
+    xis = sample_haar_bases(n, 1, num_xi, rng)[:, :, 0]
     ts = np.full(num_xi, t)
     return _paired_run("slabs", oracle_K, oracle_L, xis,
                        lambda oracle: _slab_values(oracle, xis, ts, i, vol_nodes, 512), rng, tol,
@@ -545,7 +545,7 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    bases = sample_haar_bases(n, k, rng.substreams(num_h))
+    bases = sample_haar_bases(n, k, num_h, rng)
     # built on first use, once for K and L, for the bodies that read them
     subs = functools.cache(lambda: [Subspace(b) for b in bases])
 
@@ -621,14 +621,14 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
 
 
 def _orthogonal_complement(xi: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to xi.
+    """Deterministic orthonormal basis of the hyperplane orthogonal to the
+    unit vector xi (convergence_experiment checks its length).
 
-    The trailing right singular vectors of the 1 x n matrix u^T: the basis
+    The trailing right singular vectors of the 1 x n matrix xi^T: the basis
     scipy.linalg.null_space returns, without the memory of importing
     scipy.linalg (about 35 MB resident).
     """
-    u = xi / np.linalg.norm(xi)
-    return np.linalg.svd(u[None], full_matrices=True)[2][1:].T
+    return np.linalg.svd(xi[None], full_matrices=True)[2][1:].T
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class IVEstimate:
     index: int
     value: float
     stderr: float
-    method: str  # exact-polygon | exact-poly3 | exact-ball | polyline | quadrature | kubota-mc
+    method: str  # polyline | quadrature | kubota-mc
     samples: int
 
     def __post_init__(self):
@@ -314,8 +314,8 @@ def projection_volumes(body, bases: np.ndarray, area_n: int,
     u_1, -u_1, ...), whatever the sample count.  Those bodies (revolution,
     ball, translate) give each row the value it gets alone, so every width is
     the one projection_volume gives its subspace.  The other paths take one
-    subspace per product: a polytope's vertices @ u and the embedded support
-    rows round their last ulp differently with the row count.
+    subspace per product: a polytope's vertices @ u rounds its last ulp
+    differently with the row count.
     """
     k = bases.shape[2]
     vrep = body.vrep
@@ -659,7 +659,7 @@ def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream) -> IVE
     if m < 1:
         raise EstimateError("need at least one subspace sample")
     vols = np.empty(m)
-    for j, basis in enumerate(sample_haar_bases(k, i, rng.substreams(m))):
+    for j, basis in enumerate(sample_haar_bases(k, i, m, rng)):
         vols[j] = projection_volume(body, Subspace(basis), 2048)[0]
     c = flag_coefficient(k, i)
     value = c * float(vols.mean())

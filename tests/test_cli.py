@@ -392,6 +392,23 @@ def test_hyperplane_sections_of_a_translated_smooth_body_take_the_rim_solve(tmp_
     assert summary["methods"] == ["quadrature"]
 
 
+@pytest.mark.parametrize("n_args", [["--n", "5"], ["--n", "4"], []])
+def test_n_with_spec_files_must_be_their_dimension(tmp_path, capsys, n_args):
+    # --n sets a named pair's dimension; with spec files it is theirs, and
+    # a different --n is an error that writes nothing
+    out = tmp_path / "o"
+    code = main(["sections", *_translated_smooth_specs(tmp_path, 4), *n_args, "--k", "3",
+                 "--i", "1", "--samples", "2", "--out", str(out)])
+    if n_args == ["--n", "5"]:
+        assert code == 1
+        assert capsys.readouterr().err == "error: --n 5 differs from the specs' dimension 4\n"
+        assert not out.exists()
+    else:
+        assert code == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["parameters"]["dimension"] == 4
+
+
 def test_no_command_runs_a_sphere_search(tmp_path, capsys, monkeypatch):
     """With the grid-and-zoom search made to raise in every module that
     binds it, every entry of `all` runs, and so do the sections, slabs and
@@ -565,6 +582,15 @@ def test_construct_files_run_as_the_named_pair(tmp_path, capsys, pair, command):
         assert (spec / name).read_bytes() == (named / name).read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_suite_verdicts_hold_at_other_seeds(tmp_path, capsys, seed):
+    # every verdict is a property of its pair, not of one seed's draw
+    out = tmp_path / "all"
+    assert main(["all", "--seed", str(seed), "--out", str(out)]) == 0
+    summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+    assert (summary["entries_ok"], summary["entries_total"]) == (22, 22)
+
+
 def test_every_suite_entry_reruns_from_its_recorded_bodies(tmp_path, capsys):
     # each entry of `all` records its bodies; read back, they give the same
     # pair, and the entry's run on it gives the same files
@@ -716,7 +742,7 @@ def test_reports_carry_runtime(tmp_path, monkeypatch, capsys):
 
 def test_parser_defaults():
     args = build_parser().parse_args(["sections"])
-    assert args.k == 2 and args.i is None and args.pair == "smooth"
+    assert args.k == 2 and args.i is None and args.pair == "smooth" and args.n is None
     args = build_parser().parse_args(["slabs"])
     assert args.t == 0.5 and args.i is None
     args = build_parser().parse_args(["convergence"])

@@ -20,7 +20,7 @@ from convexlab.experiments import (BodyPair, ExperimentError, _section_values,
                                    noncongruence_certificates,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
-from convexlab.grassmann import (RngStream, Subspace, _gaussian_block, rowwise,
+from convexlab.grassmann import (RngStream, Subspace, rowwise,
                                   sample_haar_bases, sample_haar_subspace, sample_sphere)
 from convexlab.intrinsic import (IVEstimate, centroid_3d, kubota_intrinsic_volume,
                                  mean_width_v1, projection_volumes)
@@ -228,6 +228,32 @@ def _translated_smooth(n: int) -> ConvexBodyOracle:
     return translate_oracle(make_pair("smooth", n).oracle_K, [0.1, -0.05] + [0.2] * (n - 2))
 
 
+_PREFIX_RUNS = [("lemma1", "smooth", 3, {}), ("lemma1", "polytope", 3, {}),
+                ("sections", "smooth", 3, {"k": 2, "i": 1}),
+                ("sections", "polytope", 3, {"k": 2, "i": 2}),
+                ("sections", "smooth", 4, {"k": 3, "i": 1}),
+                ("sections", "polytope", 4, {"k": 3, "i": 3}),
+                ("slabs", "smooth", 3, {"t": 0.5, "i": 1}),
+                ("slabs", "polytope", 3, {"t": 0.5, "i": 2}),
+                ("projections", "smooth", 3, {"k": 1}), ("projections", "polytope", 3, {"k": 1}),
+                ("projections", "smooth", 3, {"k": 2}), ("projections", "polytope", 3, {"k": 2})]
+
+
+@pytest.mark.parametrize("command, pair, n, arguments", _PREFIX_RUNS)
+def test_more_samples_keep_the_first_rows(command, pair, n, arguments):
+    # sample j is row j of one draw, valued as it is alone: a run with 5
+    # more samples repeats every column of the shorter run's rows
+    from convexlab.cli import _experiment
+    runs = [_experiment(command, make_pair(pair, n), RngStream(9, 3), samples=m, **arguments)
+            for m in (6, 11)]
+    short, long = (run.samples for run in runs)
+    for name in ("basis", "value_K", "value_L", "abs_diff", "rel_diff", "stderr"):
+        assert np.array_equal(getattr(long, name)[:6], getattr(short, name)), name
+    assert short.extra.keys() == long.extra.keys()
+    for name, column in short.extra.items():
+        assert np.array_equal(long.extra[name][:6], column), name
+
+
 def test_sections_volume_monte_carlo_shares_the_sample_stream():
     # above dimension 3 the section volume of a body other than a polytope,
     # a body of revolution or a ball is Monte Carlo; K and L of a sample
@@ -239,8 +265,8 @@ def test_sections_volume_monte_carlo_shares_the_sample_stream():
 
 
 def test_sections_volume_monte_carlo_draws_apart_from_the_subspace(monkeypatch):
-    # sample j's stream drew its subspace's Gaussian block; the Monte Carlo
-    # volume must not start from that same block
+    # the root stream drew every subspace's Gaussian block in one draw; the
+    # Monte Carlo volume of sample j must not start from block j
     streams = []
 
     def recording_volume(body, k, nodes=None, rng=None):
@@ -252,8 +278,8 @@ def test_sections_volume_monte_carlo_draws_apart_from_the_subspace(monkeypatch):
     rng = RngStream(4, 48)
     sections_experiment(oracle, oracle, 4, 4, 2, rng, 0.0)
     assert len(streams) == 4  # K and L of each sample
-    for j in range(2):
-        block = _gaussian_block(rng.substream(j), 5, 4, 0)
+    blocks = rng.generator().standard_normal((2, 5, 4))
+    for j, block in enumerate(blocks):
         for stream in streams[2 * j:2 * j + 2]:
             first = stream.generator().standard_normal((5, 4))
             assert not np.any(first == block)
@@ -302,7 +328,7 @@ def test_exact_ball_sections_agree_with_the_section_oracle(n, k, i, seed):
     oracle's polyline (k = 2) and polar volume (k = 3): within that path's
     stderr plus the polyline bias."""
     exact, generic = _ball_and_generic(n, seed)
-    bases = sample_haar_bases(n, k, RngStream(11, seed).substreams(2))
+    bases = sample_haar_bases(n, k, 2, RngStream(11, seed))
     subs = functools.cache(lambda: [Subspace(b) for b in bases])
     rows = _section_values(exact, bases, i, subs, None)
     reference = _section_values(generic, bases, i, subs, None)
@@ -319,7 +345,7 @@ def test_exact_ball_projections_agree_with_the_support_area(n, seed):
     the support-based area, which reports no stderr: within the bias of its
     centered differences."""
     exact, generic = _ball_and_generic(n, seed)
-    bases = sample_haar_bases(n, 2, RngStream(12, seed).substreams(3))
+    bases = sample_haar_bases(n, 2, 3, RngStream(12, seed))
     subs = functools.cache(lambda: [Subspace(b) for b in bases])
     rows = projection_volumes(exact, bases, 8192, subs)
     reference = projection_volumes(generic, bases, 8192, subs)
@@ -639,18 +665,17 @@ def test_numpy_replacements_equal_scipy_bitwise():
         n = int(gen.integers(2, 6))
         xi = gen.standard_normal(n) * gen.uniform(0.1, 10.0)
         u = xi / np.linalg.norm(xi)
-        assert np.array_equal(_orthogonal_complement(xi), null_space(u.reshape(1, -1)))
+        assert np.array_equal(_orthogonal_complement(u), null_space(u.reshape(1, -1)))
         verts = gen.standard_normal((int(gen.integers(2, 30)), n))
         centered = verts - verts.mean(axis=0)
         assert np.array_equal(_distance_signature(verts), np.sort(pdist(centered)))
 
 
-def test_sample_j_draws_from_substream_j(polytope_pair, monkeypatch):
-    """Sample j of sections/projections gets the Haar subspace of
-    rng.substream(j), sample j of slabs and lemma1 the direction of
-    rng.substream(j), and Kubota's j-th subspace is that of rng.substream(j)."""
+def test_sample_j_is_row_j_of_the_root_draw(polytope_pair, monkeypatch):
+    """Sample j of sections/projections gets row j of the stream's Haar
+    draw, sample j of slabs and lemma1 the direction of row j, and Kubota's
+    j-th subspace is row j too."""
     from convexlab import intrinsic
-    from convexlab.grassmann import sample_haar_subspace
     K, L = polytope_pair.oracle_K, polytope_pair.oracle_L
     rng = RngStream(13, 2)
     for k in (1, 2):
@@ -658,15 +683,15 @@ def test_sample_j_draws_from_substream_j(polytope_pair, monkeypatch):
                     projections_experiment(K, L, k, 4, rng, 1e-9)):
             assert len(rep.samples) == 4
             for j, basis in enumerate(rep.samples.basis):
-                expect = sample_haar_subspace(3, k, rng.substream(j)).basis
+                expect = sample_haar_bases(3, k, 4, rng)[j]
                 assert basis.tolist() == expect.flatten().tolist()
     rep = slab_experiment(K, L, 0.5, 3, 4, rng, 1e-9)
     for j, basis in enumerate(rep.samples.basis):
-        assert basis.tolist() == sample_sphere(3, rng.substream(j)).tolist()
+        assert basis.tolist() == sample_haar_bases(3, 1, 4, rng)[j, :, 0].tolist()
     rep = lemma1_check(K, L, 5, 1e-9, rng)
     assert len(rep.samples) == 5
     for j, basis in enumerate(rep.samples.basis):
-        assert basis.tolist() == sample_sphere(3, rng.substream(j)).tolist()
+        assert basis.tolist() == sample_haar_bases(3, 1, 5, rng)[j, :, 0].tolist()
 
     seen = []
 
@@ -680,7 +705,7 @@ def test_sample_j_draws_from_substream_j(polytope_pair, monkeypatch):
         intrinsic.kubota_intrinsic_volume(ball_oracle(k), k, i, 6, rng)
         assert len(seen) == 6
         for j, basis in enumerate(seen):
-            assert basis.tobytes() == sample_haar_subspace(k, i, rng.substream(j)).basis.tobytes()
+            assert basis.tobytes() == sample_haar_bases(k, i, 6, rng)[j].tobytes()
 
 
 def test_projections_have_no_support_only_path_for_k3():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from convexlab import grassmann
 from convexlab.grassmann import (
     RngStream,
     Subspace,
@@ -39,16 +38,21 @@ def test_rng_stream_reproducible():
     assert not np.array_equal(a, d)
 
 
-def test_rng_substreams_are_independent_and_stable():
+def test_substreams_are_distinct_spawn_keys():
     root = RngStream(7, 0)
     x = root.substream(5).generator().standard_normal(4)
     y = root.substream(5).generator().standard_normal(4)
     z = root.substream(6).generator().standard_normal(4)
     assert np.array_equal(x, y)
     assert not np.array_equal(x, z)
-    # nesting reaches distinct states too
+    # nesting reaches distinct states too, and a child is not its parent
     w = root.substream(5).substream(1).generator().standard_normal(4)
     assert not np.array_equal(x, w)
+    assert not np.array_equal(x, root.generator().standard_normal(4))
+    # a hash mix of (stream_index, key) sent these two to one stream
+    a = RngStream(7, 0).substream(0x9E3779B97F4A7C15).generator().standard_normal(4)
+    b = RngStream(7, 1).substream(0).generator().standard_normal(4)
+    assert not np.array_equal(a, b)
 
 
 def test_subspace_requires_orthonormal_columns():
@@ -68,71 +72,50 @@ def test_subspace_owns_a_read_only_copy():
     assert not sub.basis.flags.writeable
 
 
-def _single_draw(n, k, stream):
-    """One stream's basis by the unbatched recipe: Gaussian block, thin QR
-    of that matrix alone, signs so that diag(R) > 0."""
-    q, r = np.linalg.qr(stream.generator().standard_normal((n, k)))
+def _single_qr(block):
+    """One Gaussian block's basis by the unbatched recipe: thin QR of that
+    matrix alone, signs so that diag(R) > 0."""
+    q, r = np.linalg.qr(block)
     return q * np.sign(np.diagonal(r))
 
 
+_SHAPES = [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (4, 3), (5, 4)]
+
+
+@pytest.mark.parametrize("n, k", _SHAPES)
+def test_haar_draw_is_prefix_stable(n, k):
+    rng = RngStream(23, n * 10 + k)
+    longest = sample_haar_bases(n, k, 1000, rng)
+    assert longest.shape == (1000, n, k) and longest.flags.c_contiguous
+    for m in (0, 1, 2, 7, 37):
+        assert sample_haar_bases(n, k, m, rng).tobytes() == longest[:m].tobytes()
+    assert sample_haar_bases(n, k, 0, rng).shape == (0, n, k)
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 1000])
-@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (4, 2),
-                                  (4, 3), (5, 4)])
-def test_haar_bases_are_the_per_stream_draws(n, k, m):
-    streams = RngStream(23, m).substreams(m)
-    stack = sample_haar_bases(n, k, streams)
-    assert stack.shape == (m, n, k) and stack.flags.c_contiguous
-    for row, stream in zip(stack, streams):
-        assert row.tobytes() == sample_haar_subspace(n, k, stream).basis.tobytes()
-        assert row.tobytes() == _single_draw(n, k, stream).tobytes()
+@pytest.mark.parametrize("n, k", _SHAPES)
+def test_haar_row_is_the_qr_of_its_gaussian_block(n, k, m):
+    rng = RngStream(23, m)
+    stack = sample_haar_bases(n, k, m, rng)
+    gauss = rng.generator().standard_normal((m, n, k))
+    for row, block in zip(stack, gauss, strict=True):
+        assert row.tobytes() == _single_qr(block).tobytes()
+    assert stack[0].tobytes() == sample_haar_subspace(n, k, rng).basis.tobytes()
     if k == 1:
-        assert stack[0, :, 0].tobytes() == sample_sphere(n, streams[0]).tobytes()
-
-
-_EDGE_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**64 + 5, -1, -(2**70))
-_EDGE_INDICES = (0, 1, 2**32 - 1, 2**32, 2**40, 2**64 - 1)
-
-
-def _edge_streams():
-    """Seeds and stream indices at every word-count boundary of the seed
-    hash (a seed >= 2^64 or negative is masked to 64 bits, as generator()
-    does), plus substreams of substreams."""
-    streams = [RngStream(s, i) for s in _EDGE_SEEDS for i in _EDGE_INDICES]
-    for root in (RngStream(11), RngStream(2**64 - 1, 2**32)):
-        streams += [c.substream(j) for c in root.substreams(3) for j in (0, 2**32 - 1)]
-    return streams
-
-
-def test_stacked_seeding_is_numpy_seed_sequence():
-    streams = _edge_streams()
-    for stream, (state, inc) in zip(streams, grassmann._pcg64_states(streams)):
-        expected = stream.generator().bit_generator.state
-        assert expected["state"] == {"state": state, "inc": inc}
-        assert (expected["has_uint32"], expected["uinteger"]) == (0, 0)
-    assert grassmann._pcg64_states([]) == []
-
-
-@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 3)])
-def test_stacked_draw_is_each_streams_generator(n, k):
-    streams = _edge_streams()
-    stack = grassmann._stacked_normals(streams, n, k)
-    assert stack.shape == (len(streams), n, k)
-    for block, stream in zip(stack, streams):
-        assert block.tobytes() == stream.generator().standard_normal((n, k)).tobytes()
-    assert grassmann._stacked_normals([], n, k).shape == (0, n, k)
+        assert stack[0, :, 0].tobytes() == sample_sphere(n, rng).tobytes()
 
 
 @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (1, 2)])
 def test_haar_sampling_rejects_invalid_k(n, k):
     message = f"need 1 <= k <= n, got n={n}, k={k}"
     with pytest.raises(ValueError, match=message):
-        sample_haar_bases(n, k, [RngStream(1)])
+        sample_haar_bases(n, k, 1, RngStream(1))
     with pytest.raises(ValueError, match=message):
         sample_haar_subspace(n, k, RngStream(1))
 
 
 def test_orthonormality_check_covers_the_whole_stack(monkeypatch):
-    stack = sample_haar_bases(4, 2, RngStream(5).substreams(50))
+    stack = sample_haar_bases(4, 2, 50, RngStream(5))
     _check_orthonormal(stack)
     bad = stack.copy()
     bad[37, 1, 0] += 1e-8
@@ -150,48 +133,29 @@ def test_orthonormality_check_covers_the_whole_stack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", perturbed_qr)
     with pytest.raises(ValueError, match="not orthonormal"):
-        sample_haar_bases(4, 2, RngStream(5).substreams(50))
+        sample_haar_bases(4, 2, 50, RngStream(5))
 
 
-class _ScriptedStream:
-    """A stream whose generator gives `zeros` all-zero (rank-deficient)
-    blocks before the Gaussian draws of RngStream(seed)."""
+class _ZeroBlockStream:
+    """A stream whose draw of an (m, n, k) stack is RngStream(seed)'s with
+    block `zero` all zeros (rank-deficient)."""
 
-    def __init__(self, zeros, seed):
-        self.zeros, self.seed = zeros, seed
+    def __init__(self, zero, seed):
+        self.zero, self.seed = zero, seed
 
     def generator(self):
-        return _ScriptedGenerator(self.zeros, RngStream(self.seed).generator())
+        return self
+
+    def standard_normal(self, shape):
+        stack = RngStream(self.seed).generator().standard_normal(shape)
+        stack[self.zero] = 0.0
+        return stack
 
 
-class _ScriptedGenerator:
-    def __init__(self, zeros, gen):
-        self.zeros, self.gen = zeros, gen
-
-    def standard_normal(self, size=None, out=None):
-        shape = out.shape if out is not None else size
-        if self.zeros:
-            self.zeros -= 1
-            block = np.zeros(shape)
-        else:
-            block = self.gen.standard_normal(shape)
-        if out is None:
-            return block
-        out[...] = block
-        return out
-
-
-def test_degenerate_draw_is_redrawn_from_its_own_stream(monkeypatch):
-    # the stacked first draw reads the streams' seeds, not their generators:
-    # draw it per stream here so the scripted streams inject their zeros
-    monkeypatch.setattr(grassmann, "_stacked_normals", lambda streams, n, k: np.array(
-        [s.generator().standard_normal((n, k)) for s in streams]))
-    streams = [RngStream(3), _ScriptedStream(2, 4), RngStream(5), _ScriptedStream(7, 6)]
-    stack = sample_haar_bases(3, 2, streams)
-    for row, seed in zip(stack, (3, 4, 5, 6)):
-        assert row.tobytes() == _single_draw(3, 2, RngStream(seed)).tobytes()
-    with pytest.raises(RuntimeError, match="rank-deficient"):
-        sample_haar_bases(3, 2, [RngStream(3), _ScriptedStream(8, 4)])
+def test_rank_deficient_block_raises():
+    for zero in (0, 3):
+        with pytest.raises(RuntimeError, match="rank-deficient"):
+            sample_haar_bases(3, 2, 4, _ZeroBlockStream(zero, 5))
 
 
 def test_haar_subspace_orthonormal_and_deterministic():

@@ -39,7 +39,7 @@ def test_k1_projections_equal_one_direction_widths(name, n):
     pair = make_pair(name, n)
     rng = RngStream(7, 40)
     rep = projections_experiment(pair.oracle_K, pair.oracle_L, 1, 40, rng, 1e-8)
-    us = sample_haar_bases(n, 1, rng.substreams(40))[:, :, 0]
+    us = sample_haar_bases(n, 1, 40, rng)[:, :, 0]
     for vk, vl, u in zip(rep.samples.value_K, rep.samples.value_L, us, strict=True):
         assert vk == pair.oracle_K.support(u) + pair.oracle_K.support(-u)
         assert vl == pair.oracle_L.support(u) + pair.oracle_L.support(-u)
@@ -49,7 +49,7 @@ def test_k1_sections_equal_one_direction_segments(smooth_pair):
     K, L = smooth_pair.oracle_K, smooth_pair.oracle_L
     rng = RngStream(7, 2)
     rep = sections_experiment(K, L, 1, 1, 40, rng, 1e-8)
-    us = sample_haar_bases(3, 1, rng.substreams(40))[:, :, 0]
+    us = sample_haar_bases(3, 1, 40, rng)[:, :, 0]
     for vk, vl, u in zip(rep.samples.value_K, rep.samples.value_L, us, strict=True):
         assert vk == K.radial(u) + K.radial(-u)
         assert vl == L.radial(u) + L.radial(-u)
@@ -63,7 +63,7 @@ def test_slabs_equal_one_slab_values(name, n, i):
     rng = RngStream(7, 30 + i)
     rep = slab_experiment(pair.oracle_K, pair.oracle_L, 0.5, i, 3, rng, 1e-3,
                           vol_nodes=20_000)
-    xis = sample_haar_bases(n, 1, rng.substreams(3))[:, :, 0]
+    xis = sample_haar_bases(n, 1, 3, rng)[:, :, 0]
     s = rep.samples
     for vk_run, vl_run, err_run, xi in zip(s.value_K, s.value_L, s.stderr, xis, strict=True):
         vk, sk, _ = _body_value(slab_oracle(pair.oracle_K, SlabSpec(xi, 0.5)), i, 20_000, 512)
@@ -76,7 +76,7 @@ def test_polytope_sections_equal_one_section_values(n, k, i):
     pair = make_pair("polytope", n)
     rng = RngStream(7, 20 + k)
     rep = sections_experiment(pair.oracle_K, pair.oracle_L, k, i, 60, rng, 1e-9)
-    bases = sample_haar_bases(n, k, rng.substreams(60))
+    bases = sample_haar_bases(n, k, 60, rng)
     for vk_run, vl_run, basis in zip(rep.samples.value_K, rep.samples.value_L, bases,
                                      strict=True):
         vk = _body_value(section_oracle(pair.oracle_K, Subspace(basis)), i, None, 512)[0]
@@ -93,7 +93,7 @@ def test_convergence_equals_one_slab_values(name, body, i):
     the closed form for a ball or translated ball, the profile quadrature
     for a body of revolution, else the section oracle's."""
     oracle = getattr(make_pair(name), "oracle_" + body)
-    xi = sample_haar_bases(3, 1, [RngStream(7, 5)])[0, :, 0]
+    xi = sample_haar_bases(3, 1, 1, RngStream(7, 5))[0, :, 0]
     ts = (0.4, 0.2, 0.1)
     rep = convergence_experiment(oracle, xi, i, ts)
     for vk, t in zip(rep.samples.value_K, ts, strict=True):
@@ -207,7 +207,7 @@ def test_polytope_runs_enumerate_in_stacks(run, monkeypatch):
     expected = [chunk, chunk, 3] * 2
     if run == "convergence":
         ts = (0.4, 0.2, 0.1, 0.05)
-        convergence_experiment(K, sample_haar_bases(3, 1, [rng])[0, :, 0], 2, ts)
+        convergence_experiment(K, sample_haar_bases(3, 1, 1, rng)[0, :, 0], 2, ts)
         expected = [1, len(ts)]
     elif run == "slabs":
         slab_experiment(K, L, 0.5, 2, 2 * chunk + 3, rng, 1e-9)

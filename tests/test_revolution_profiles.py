@@ -31,7 +31,7 @@ def _axis_bases(n: int, k: int) -> np.ndarray:
 
 
 def _bases(n: int, k: int, count: int, index: int) -> np.ndarray:
-    return sample_haar_bases(n, k, RngStream(23, index).substreams(count))
+    return sample_haar_bases(n, k, count, RngStream(23, index))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

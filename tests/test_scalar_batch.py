@@ -45,14 +45,13 @@ def _oracles():
 
 
 ORACLES = _oracles()
-# Polytopes, sections and slabs go through BLAS products whose kernel
-# depends on the row count, so a row's last ulp can depend on its batch
-# (ROADMAP Known defects): only their row 0 is compared.  Every other
-# oracle method, the translate's per-row secant and the smooth slab's
-# per-row rim solve included, is checked on every row.
+# Polytopes and slabs go through BLAS products whose kernel depends on the
+# row count, so a row's last ulp can depend on its batch (ROADMAP Known
+# defects): only their row 0 is compared.  Every other oracle method, the
+# sections' column-sum embedding, the translate's per-row secant and the
+# smooth slab's per-row rim solve included, is checked on every row.
 ALL_METHODS = {"radial", "support", "member"}
-ROW_ZERO_ONLY = {"polytope": ALL_METHODS, "section-k2": ALL_METHODS,
-                 "section-k3": ALL_METHODS, "slab-polytope": ALL_METHODS,
+ROW_ZERO_ONLY = {"polytope": ALL_METHODS, "slab-polytope": ALL_METHODS,
                  "slab-smooth": {"radial", "member"}}
 
 

@@ -52,7 +52,7 @@ def test_stacked_sections_equal_one_section_each(body_seed, k, count):
     body, seed = body_seed
     n = body.ambient_dim
     k = min(k, n - 1)
-    bases = sample_haar_bases(n, k, RngStream(seed, k).substreams(count))
+    bases = sample_haar_bases(n, k, count, RngStream(seed, k))
     stacked = list(section_hpolytopes(body, bases))
     assert len(stacked) == count
     for sec, basis in zip(stacked, bases, strict=True):
@@ -65,7 +65,7 @@ def test_stacked_slabs_equal_one_slab_each(body_seed, fraction, count):
     body, seed = body_seed
     n = body.ambient_dim
     t = fraction * (float(body.offsets.min()) - 1e-9)
-    xis = sample_haar_bases(n, 1, RngStream(seed, 1).substreams(count))[:, :, 0]
+    xis = sample_haar_bases(n, 1, count, RngStream(seed, 1))[:, :, 0]
     stacked = list(slab_hpolytopes(body, xis, t))
     assert len(stacked) == count
     for slab, xi in zip(stacked, xis, strict=True):
@@ -80,7 +80,7 @@ def test_sections_with_mixed_facet_counts():
     c = math.sqrt(1.0 - tilt * tilt)
     poly = HPolytope.box([1.0, 1.0, 1.0]).with_facets([[tilt, 0.0, c]], [c * (1.0 + 5e-10)])
     eye = np.eye(3)
-    rand = sample_haar_bases(3, 2, RngStream(5, 0).substreams(3))
+    rand = sample_haar_bases(3, 2, 3, RngStream(5, 0))
     bases = np.stack([rand[0], eye[:, 1:], rand[1], eye[:, :2], rand[2], eye[:, 1:]])
     stacked = list(section_hpolytopes(poly, bases))
     assert [p.num_facets for p in stacked] == [7, 4, 7, 5, 7, 4]
@@ -155,7 +155,7 @@ def test_groups_of_facet_counts_raise_the_first_failing_member():
 
 def test_a_stacked_polytope_is_built_like_a_checked_one():
     body = build_polytope_pair([1.0, 1.2, 1.5], [1, 1, 1], [1, 1, -1], 0.4).body_K
-    bases = sample_haar_bases(3, 2, RngStream(3, 2).substreams(2))
+    bases = sample_haar_bases(3, 2, 2, RngStream(3, 2))
     for sec in section_hpolytopes(body, bases):
         fresh = HPolytope(sec.normals, sec.offsets)
         for f in fields(HPolytope):

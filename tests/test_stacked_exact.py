@@ -37,7 +37,7 @@ def _box_shadow(a, u):
 
 def test_polygon_stack_equals_one_polygon_each():
     body = _pair_bodies(3)[0]
-    bases = sample_haar_bases(3, 2, RngStream(61, 0).substreams(40))
+    bases = sample_haar_bases(3, 2, 40, RngStream(61, 0))
     verts = [p.vrep.vertices for p in section_hpolytopes(body, bases)]
     assert len({len(v) for v in verts}) > 1  # more than one vertex-count group
     area, perim = polygon_stack_metrics(verts)
@@ -82,8 +82,8 @@ def _fails(vertices) -> bool:
 
 def _slabs_and_sections():
     body3, body4 = _pair_bodies(3)[0], _pair_bodies(4)[1]
-    xis = sample_haar_bases(3, 1, RngStream(62, 0).substreams(20))[:, :, 0]
-    bases = sample_haar_bases(4, 3, RngStream(62, 1).substreams(20))
+    xis = sample_haar_bases(3, 1, 20, RngStream(62, 0))[:, :, 0]
+    bases = sample_haar_bases(4, 3, 20, RngStream(62, 1))
     return list(slab_hpolytopes(body3, xis, 0.5)) + list(section_hpolytopes(body4, bases))
 
 
@@ -140,7 +140,7 @@ def test_hyperplanes_touching_a_lower_face_are_no_facets(normal):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_cauchy_matches_box_closed_form(n):
-    bases = sample_haar_bases(n, n - 1, RngStream(63, n).substreams(50))
+    bases = sample_haar_bases(n, n - 1, 50, RngStream(63, n))
     got = cauchy_projection_volumes(HPolytope.box(BOX[n]), bases)
     for value, basis in zip(got, bases, strict=True):
         u = np.linalg.svd(basis.T)[2][-1]   # the normal of span(basis)
@@ -151,7 +151,7 @@ def test_cauchy_matches_box_closed_form(n):
 def test_cauchy_matches_the_hull_of_projected_vertices(n):
     from scipy.spatial import ConvexHull
 
-    bases = sample_haar_bases(n, n - 1, RngStream(64, n).substreams(200))
+    bases = sample_haar_bases(n, n - 1, 200, RngStream(64, n))
     for body in _pair_bodies(n):
         got = cauchy_projection_volumes(body, bases)
         hull = [ConvexHull(body.vrep.vertices @ b).volume for b in bases]
@@ -162,7 +162,7 @@ def test_cauchy_matches_the_hull_of_projected_vertices(n):
 def test_cauchy_rows_equal_one_basis_each_in_any_order(n):
     body = _pair_bodies(n)[0]
     oracle = oracle_of(body)
-    bases = sample_haar_bases(n, n - 1, RngStream(65, n).substreams(30))
+    bases = sample_haar_bases(n, n - 1, 30, RngStream(65, n))
     rows = projection_volumes(oracle, bases, 8192, lambda: [Subspace(b) for b in bases])
     assert {m for _, _, m in rows} == {"exact-cauchy"}
     for row, basis in zip(rows, bases, strict=True):
@@ -173,7 +173,7 @@ def test_cauchy_rows_equal_one_basis_each_in_any_order(n):
 
 
 def test_cauchy_ignores_redundant_facets():
-    bases = sample_haar_bases(3, 2, RngStream(66, 0).substreams(20))
+    bases = sample_haar_bases(3, 2, 20, RngStream(66, 0))
     box = HPolytope.box([1.0, 1.0, 1.0])
     for normal, offset in (([0.0, 0.0, 1.0], 5.0),
                            ([1 / math.sqrt(2), 1 / math.sqrt(2), 0.0], math.sqrt(2)),

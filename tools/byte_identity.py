@@ -10,7 +10,10 @@ Each command gets its own empty directory and a relative --out, so paths in
 the output are the same on both sides.  The output trees, stdout, stderr and
 exit codes are compared; every command that differs is printed with the
 summary line, methods and first sample of both sides, and the exit status
-is 1 if any does.
+is 1 if any does.  A second count names the commands whose verdict moved:
+their exit code, or the summary's `pass` or `methods` in any report.json
+of their output tree, differs.  A change that moves sampled values on
+purpose should leave that count at 0.
 
 The list is `all --svg`, every `polytope-exact` and `bulk` command of
 perfbench/workloads.py, and EXTRA: a fixed set of commands outside the
@@ -206,8 +209,20 @@ def _describe(stdout: bytes, stderr: bytes, code: int, out: Path) -> str:
     return text
 
 
-def compare(base: Path, head: Path, argv: list[str], seed: int, work: Path) -> list[str]:
-    """Run argv under both trees at once; the list of parts that differ."""
+def _verdicts(files: dict[str, bytes]) -> dict[str, tuple]:
+    """(summary pass, summary methods) of every report.json of an output tree."""
+    out = {}
+    for name, data in files.items():
+        if Path(name).name == "report.json":
+            summary = json.loads(data)["summary"]
+            out[name] = (summary.get("pass"), summary.get("methods"))
+    return out
+
+
+def compare(base: Path, head: Path, argv: list[str], seed: int,
+            work: Path) -> tuple[list[str], bool]:
+    """Run argv under both trees at once; the list of parts that differ,
+    and whether the verdict moved (see the module docstring)."""
     procs = [_start(tree, argv, seed, work / side)
              for tree, side in ((base, "base"), (head, "head"))]
     (b_out, b_err), (h_out, h_err) = (p.communicate() for p in procs)
@@ -217,12 +232,15 @@ def compare(base: Path, head: Path, argv: list[str], seed: int, work: Path) -> l
         ("stdout", b_out, h_out), ("stderr", b_err, h_err)) if b != h]
     parts += [f"file {f}" for f in sorted(set(b_files) | set(h_files))
               if b_files.get(f) != h_files.get(f)]
+    moved = procs[0].returncode != procs[1].returncode or _verdicts(b_files) != _verdicts(h_files)
+    if moved:
+        parts.append("verdict moved")
     if parts:
         parts.append("base " + _describe(b_out, b_err, procs[0].returncode,
                                          work / "base" / "out"))
         parts.append("head " + _describe(h_out, h_err, procs[1].returncode,
                                          work / "head" / "out"))
-    return parts
+    return parts, moved
 
 
 def oracle_directions(n: int) -> np.ndarray:
@@ -293,14 +311,15 @@ def main(argv=None) -> int:
     parser.add_argument("--oracles", action="store_true",
                         help="compare the smooth-body oracle values, not the commands")
     args = parser.parse_args(argv)
-    differing = 0
+    differing = verdicts = 0
     with tempfile.TemporaryDirectory(prefix="convexlab-identity-") as tmp:
         tmp = Path(tmp)
         export(args.base_rev, tmp / "tree")
         if args.oracles:
             return 1 if compare_oracles(tmp / "tree", tmp) else 0
         for j, cmd in enumerate(command_list()):
-            parts = compare(tmp / "tree", ROOT, cmd, args.seed, tmp / f"run{j}")
+            parts, moved = compare(tmp / "tree", ROOT, cmd, args.seed, tmp / f"run{j}")
+            verdicts += moved
             label = " ".join(cmd + ["--seed", str(args.seed)])
             if parts:
                 differing += 1
@@ -311,6 +330,7 @@ def main(argv=None) -> int:
                 print(f"same    {label}")
             sys.stdout.flush()
     print(f"{differing} command(s) differ")
+    print(f"{verdicts} command(s) differ in a verdict")
     return 1 if differing else 0
 
 
