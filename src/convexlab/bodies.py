@@ -177,6 +177,10 @@ def make_revolution_spec(n: int = 3, epsilon: float = 1e-3, delta: float = 0.1,
 
 
 _NEWTON_STEPS = 8
+# Newton steps at most this long (every argument solved for here is O(1))
+# are rounding noise near the root: rtsafe's guard lets them through
+NEWTON_NOISE = 2.0 ** -46
+MAXIMISER_STEPS = 12  # room for a guarded bisection and the Newton steps after it
 
 
 def _safeguarded_newton(fun, x, lo, hi, *args, prev=None,
@@ -186,9 +190,14 @@ def _safeguarded_newton(fun, x, lo, hi, *args, prev=None,
 
     fun(x, *args) returns (value, slope); args are per-row arrays.  Each
     step moves one bracket end to x by the sign of the value, then takes
-    the Newton step, or bisects when that step is not finite or leaves the
-    bracket (rtsafe, Numerical Recipes 9.4).  A step landing on the bracket
-    is kept, since a root can sit exactly on it.
+    the Newton step, or bisects when that step is not finite, leaves the
+    bracket, or is more than half the step before last, |2 g| > |dx_old g'|
+    (rtsafe, Numerical Recipes 9.4), so that a step from a tiny slope that
+    lands near a pole does not leave the row to crawl back.  That guard
+    spares steps no longer than NEWTON_NOISE: in the last ulps the steps
+    stop halving, and a bisection there would throw a row that came from
+    one side back to the middle of its first bracket.  A step landing on
+    the bracket is kept, since a root can sit exactly on it.
 
     A fun that returns (value, None) gets the secant slope through its last
     two iterates instead, the first of them prev = (x, value) per row
@@ -199,8 +208,9 @@ def _safeguarded_newton(fun, x, lo, hi, *args, prev=None,
     A row stops once a step leaves its x unchanged, and returns that x.  For
     Newton this is a fixed point: the next step would see the same x, hence
     the same value and slope, would move a bracket end already at x, and
-    would take the same step again; so a stopped row holds the value that
-    all `steps` steps give.  For the secant, the correction has rounded to
+    would take the same step again (rtsafe's guard passes a step that short,
+    and a bisection that lands on x had a bracket too narrow for any longer
+    step); so a stopped row holds the value that all `steps` steps give.  For the secant, the correction has rounded to
     zero or the bracket has shrunk to x and its neighbour.  Rows that never
     settle (last-ulp oscillation, NaN) run every step.  The rule looks at
     each row alone, so a row's result does not depend on the batch it
@@ -209,6 +219,7 @@ def _safeguarded_newton(fun, x, lo, hi, *args, prev=None,
     out = np.empty_like(x)
     live = np.arange(x.size)
     xp, gp = prev if prev is not None else (None, None)
+    dx = dx_old = hi - lo  # the last two steps, as rtsafe starts them
     for _ in range(steps):
         g, dg = fun(x, *args)
         secant = dg is None
@@ -222,15 +233,20 @@ def _safeguarded_newton(fun, x, lo, hi, *args, prev=None,
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x - g / dg
         ok = np.isfinite(step) & (step >= lo) & (step <= hi)
+        if not secant:
+            size = np.abs(dg)
+            ok &= (np.abs(2.0 * g) <= np.abs(dx_old) * size) | (np.abs(g) <= NEWTON_NOISE * size)
         fallback = 0.5 * (lo + hi)
         if secant:
             fallback = np.where(np.isinf(hi), 2.0 * lo, fallback)
         new = np.where(ok, step, fallback)
         moving = new != x  # NaN rows keep moving
+        dx_old, dx = dx, new - x
         x = new
         if not moving.all():
             out[live[~moving]] = x[~moving]
             live, x, lo, hi = live[moving], x[moving], lo[moving], hi[moving]
+            dx, dx_old = dx[moving], dx_old[moving]
             if secant:
                 xp, gp = xp[moving], gp[moving]
             args = tuple(a[moving] for a in args)
@@ -289,7 +305,7 @@ def revolution_maximiser(spec: RevolutionBodySpec, xp: np.ndarray,
 
     t0 = xn / np.maximum(np.hypot(xp, xn), 1e-300)
     return _safeguarded_newton(falling_slope, t0, np.full_like(xn, -1.0),
-                               np.ones_like(xn), xp, xn)
+                               np.ones_like(xn), xp, xn, steps=MAXIMISER_STEPS)
 
 
 @rowwise

@@ -227,8 +227,7 @@ _SUITE = (
     ("slabs-polytope-i1", "polytope", True, "slabs", 30, dict(t=0.5, i=1, samples=25)),
     ("slabs-polytope-i2", "polytope", True, "slabs", 31, dict(t=0.5, i=2, samples=25)),
     ("slabs-polytope-i3", "polytope", True, "slabs", 32, dict(t=0.5, i=3, samples=25)),
-    ("slabs-smooth-i3", "smooth", True, "slabs", 33,
-     dict(t=0.5, i=3, samples=8, vol_nodes=50_000)),
+    ("slabs-smooth-i3", "smooth", True, "slabs", 33, dict(t=0.5, i=3, samples=8)),
     ("projections-smooth-k1", "smooth", True, "projections", 40, dict(k=1, samples=300)),
     ("projections-smooth-k2", "smooth", True, "projections", 41, dict(k=2, samples=30)),
     ("projections-polytope-k1", "polytope", True, "projections", 42,
@@ -238,7 +237,7 @@ _SUITE = (
     ("projections-control-shifted-k1", "control-shifted", True, "projections", 44,
      dict(k=1, samples=100)),
     ("convergence-polytope-i2", "polytope", True, "convergence", 50, dict(i=2)),
-    ("convergence-smooth-i1", "smooth", True, "convergence", 51, dict(i=1, width_nodes=256)),
+    ("convergence-smooth-i1", "smooth", True, "convergence", 51, dict(i=1)),
     ("certify-smooth", "smooth", True, "certify", 0, {}),
     ("certify-polytope", "polytope", True, "certify", 0, {}),
 )

@@ -27,7 +27,7 @@ from .grassmann import RngStream, Subspace, blocks, rowwise, sample_haar_bases
 from .intrinsic import (POLYLINE_NODES, antipodal_sums, ball_section_volumes, centroid_3d,
                         hull_surface_v2, mean_width_v1, planar_metrics_from_oracle,
                         projection_volumes, revolution_section_volumes,
-                        revolution_slab_widths, volume_radial)
+                        revolution_slab_volumes, volume_radial)
 from .polykernel import (CHUNK, poly3_stack_volumes, polygon_stack_metrics,
                          section_hpolytopes, slab_hpolytopes)
 from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
@@ -498,18 +498,22 @@ def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray, i: int
 
     A polytope's slabs are built and enumerated in stacks (slab_hpolytopes),
     each product taken per slab, and their exact values come in stacked
-    passes (_exact_values).  In R^3, V_1 of the slabs of a body of
-    revolution comes from one stacked solve of their exact supports
-    (revolution_slab_widths).  Otherwise the body's radial on each fixed
-    quadrature grid is evaluated once for all slabs (_grid_slabs), and each
-    slab clips those values by its own bounds; the per-slab products
+    passes (_exact_values).  In R^3 the slabs of a body of revolution take
+    the axial integrals of revolution_slab_volumes at levels (-t, t), and so
+    do those of a translate K - s of one, at levels <s, xi> -+ t: (K - s)
+    cap S_t(xi) is K cap {|<x, xi> - <s, xi>| <= t} moved by -s.  Otherwise
+    (balls and translated balls, planar bodies) the body's radial on each
+    fixed quadrature grid is evaluated once for all slabs (_grid_slabs), and
+    each slab clips those values by its own bounds; the per-slab products
     (th @ xi) are taken per slab, in rowwise's blocks.  So every value is
     the one its slab gets alone.
     """
     if body.polytope is not None:
         return _exact_values(slab_hpolytopes(body.polytope, xis, ts), i)
-    if body.revolution is not None and (body.dim, i) == (3, 1):
-        return revolution_slab_widths(body.revolution, xis, ts, width_nodes)
+    base, shift = body.translate or (body, np.zeros(body.dim))
+    if base.revolution is not None and body.dim == 3:
+        mid = (xis * shift).sum(axis=1)
+        return revolution_slab_volumes(base.revolution, xis, mid - ts, mid + ts, i)
     return [_body_value(slab, i, vol_nodes, width_nodes) for slab in _grid_slabs(body, xis, ts)]
 
 

@@ -3,7 +3,8 @@
 Deterministic quadrature wherever the geometry allows it: trapezoid sums on
 the circle, Fibonacci lattices on the sphere, boundary polylines for planar
 bodies, and Gauss-Legendre sums over the profile for the sections and
-projections of a body of revolution, which are again bodies of revolution.
+projections of a body of revolution, which are again bodies of revolution,
+and along its axis for its slabs.
 The Kubota Monte-Carlo estimator averages projection volumes over
 Haar-random subspaces; the experiments keep it as a reference only.
 
@@ -30,7 +31,8 @@ PROFILE_NODES = 256  # Gauss-Legendre nodes per piece of a profile integral
 PROFILE_CHUNK = 16  # subspaces per stacked profile integral: bounds its
                     # (chunk, 7 pieces, 1.5 * PROFILE_NODES) temporaries to ~350 kB
 AXIS_FLOOR = 1e-100  # |B^T e_n| below this counts as 0: a ball, to rounding
-SLAB_CHUNK = 16  # slabs per stacked support solve of revolution_slab_widths
+GRADES, GRADE_RATIO, GRADE_SPAN = 10, 32.0, 0.05  # pole cuts of an axial slab integral
+AXIAL_FLOOR = 1e-100  # |xi'| below this counts as this in an axial slab integral
 RIM_STEPS = 64  # secant steps of the slab rim solve; rows stop once they settle
 RIM_LEVEL_TOL = 2.0 ** -50  # |s <p, xi> - c| that counts as on the slab rim
 
@@ -429,13 +431,14 @@ def _axis_cosines(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return b, c, np.sqrt((rest * rest).sum(axis=1))
 
 
-def _in_chunks(fn, bases: np.ndarray, *args) -> list[tuple[float, float, str]]:
-    """[(value, stderr, "quadrature"), ...] from fn(chunk, *args) -> (values,
-    stderrs) over PROFILE_CHUNK bases at a time."""
+def _in_chunks(fn, bases: np.ndarray, *args, method: str = "quadrature"
+               ) -> list[tuple[float, float, str]]:
+    """[(value, stderr, method), ...] from fn(chunk, *args) -> (values,
+    stderrs) over PROFILE_CHUNK bases (or rows) at a time."""
     out = []
     for lo in range(0, len(bases), PROFILE_CHUNK):
         values, errs = fn(bases[lo:lo + PROFILE_CHUNK], *args)
-        out += [(v, e, "quadrature") for v, e in zip(values.tolist(), errs.tolist())]
+        out += [(v, e, method) for v, e in zip(values.tolist(), errs.tolist())]
     return out
 
 
@@ -621,25 +624,260 @@ def revolution_slab_supports(spec, xis: np.ndarray, lows: np.ndarray, highs: np.
     return _slab_support_points(spec, xis, lows, highs, dirs)[0]
 
 
-def revolution_slab_widths(spec, xis: np.ndarray, ts: np.ndarray,
-                           nodes: int) -> list[tuple[float, float, str]]:
-    """(V_1, stderr, "quadrature") of K cap S(xi_j, t_j) for every slab j:
-    4 times the mean of its exact supports on fibonacci_sphere(nodes), with
-    the halving difference to nodes/2 as stderr, as mean_width_v1 gives it
-    on the slab's oracle.  The supports of SLAB_CHUNK slabs come from one
-    stacked solve."""
-    grid = np.concatenate([fibonacci_sphere(nodes), fibonacci_sphere(nodes // 2)])
-    m = len(grid)
-    out = []
-    for lo in range(0, len(xis), SLAB_CHUNK):
-        xc, tc = xis[lo:lo + SLAB_CHUNK], ts[lo:lo + SLAB_CHUNK]
-        tr = np.repeat(tc, m)
-        h = revolution_slab_supports(spec, np.repeat(xc, m, axis=0), -tr, tr,
-                                     np.tile(grid, (len(xc), 1)))
-        for row in h.reshape(len(xc), m):
-            full, half = (4.0 * float(np.mean(part)) for part in (row[:nodes], row[nodes:]))
-            out.append((full, abs(full - half), "quadrature"))
-    return out
+# ---------------------------------------------------------------------------
+# slabs of a body of revolution, along its axis
+#
+# K = {(y, z) : |y| <= f(z)} in R^3, and the slab low <= <x, xi> <= high with
+# xi = (s e, xi_n), s = |xi'|.  At height z the slab cuts the disc of radius
+# r = f(z) to the strip a <= <y, e> <= b, a = (low - z xi_n) / s and
+# b = (high - z xi_n) / s.  With v = b / r clipped to [-1, 1] (likewise v_a)
+# and w = sqrt(1 - v^2), every V_i is one integral over z:
+#   V_3 = int r^2 [G(v_b) - G(v_a)],  G(v) = v w + asin v  (the strip's area);
+#   V_2 = int r sqrt(1 + f'^2) [asin v_b - asin v_a] + (r / s) (w_b + w_a),
+#     half the lateral area and the two caps, whose chords 2 r w sweep area
+#     dz / s;
+#   V_1 = (1/pi) int (1 - r f'' / (1 + f'^2)) [asin v_b - asin v_a]
+#                    + alpha_b rho_b + alpha_a rho_a,
+#     the mean curvature H = (1/(r sqrt(1 + f'^2)) - f''/(1 + f'^2)^(3/2))/2
+#     over the lateral part, (1/pi) int H dA, and the two rims: each height
+#     holds two rim points, which sweep arc length rho dz,
+#     rho = sqrt(w^2 + (s f' + v xi_n)^2) / (s w), at the exterior angle
+#     alpha = arccos(+-<nu_K, xi>), <nu_K, xi> = (s v - f' xi_n) / sqrt(1 + f'^2)
+#     (+ on the high rim, - on the low one); (1/2 pi) times the angle along
+#     the rims (Schneider, Convex Bodies, section 4.2).
+# The integrands kink where b or a crosses +-r: at the rim roots of
+# phi(z) = s f(z) + sigma (z xi_n - level), sigma = +-1, which is concave, so
+# it has at most one root on each side of its maximiser.  Each piece between
+# the roots, the bump edges and the poles takes its own cosine map: with one
+# shared map cut at the roots, the square-root ends of the integrand at a
+# root are not analytic in theta.
+#
+# Near the axis (|xi_n| > s) a rim lies within O(s) of the height
+# level / xi_n, and z - level / xi_n, not z, must carry its digits: there
+# each level has its own coordinate zeta = z - level / xi_n, in which
+# level - z xi_n = -zeta xi_n exactly, and a piece takes the coordinate of
+# the level on its side of the midway height.  A normal xi = +-e_n takes
+# s = AXIAL_FLOOR: the V_i are even in s, so that moves them by O(s^2).
+
+
+def revolution_slab_volumes(spec, xis: np.ndarray, lows: np.ndarray, highs: np.ndarray,
+                            i: int) -> list[tuple[float, float, str]]:
+    """(V_i, stderr, "axial-gl") of the 3-d body of spec clipped to the slab
+    low_r <= <x, xi_r> <= high_r, for each unit row xi_r of xis; stderr is
+    |Q(N) - Q(N/2)| of the Gauss-Legendre sums.  The slab must meet the
+    interior of the body.  The rim roots of PROFILE_CHUNK slabs come from
+    one revolution_maximiser call and one _safeguarded_newton call (V_1
+    adds one for the rims' widest chords), and every sum is taken per row,
+    so each slab gets the value it gets alone.
+    """
+    if spec.n != 3 or not 1 <= i <= 3:
+        raise EstimateError(f"axial slab volumes handle V_1 to V_3 in R^3, got n={spec.n}, i={i}")
+    rows = np.column_stack([xis, lows, highs])
+    return _in_chunks(_axial_chunk, rows, spec, i, method="axial-gl")
+
+
+def _rim_roots(spec, s, xn, levels, shift, anchor) -> np.ndarray:
+    """The (m, 2 levels, 2 signs, 2 sides) roots of phi, each in its level's
+    coordinate zeta = z - anchor: the root below the maximiser of
+    s f(z) + sigma z xi_n (side 0) and above it (side 1).  A side where phi
+    keeps its sign gets the end where phi is largest: the pole, or the
+    maximiser where the level misses that side of K."""
+    m = len(s)
+    sig = np.array([1.0, -1.0])[None, None, :, None]
+    left = np.array([True, False])[None, None, None, :]
+    top = revolution_maximiser(spec, np.concatenate([s, s]), np.concatenate([xn, -xn]))
+    top = top.reshape(2, m).T[:, None, :, None]                       # (m, 1, 2, 1)
+    sc, xc = s[:, None, None, None], xn[:, None, None, None]
+    lev = levels[:, :, None, None]
+    pole = np.where(left, -1.0, 1.0)
+    peak = sc * _profile_terms(spec, top, 0)[0] + sig * (xc * top - lev)
+    z = np.where(peak <= 0.0, top, np.where(sig * (xc * pole - lev) >= 0.0, pole, np.nan))
+    shape = z.shape
+    za = np.broadcast_to(anchor[:, :, None, None], shape)
+    root = z - za
+    solve = np.isnan(root)
+    if solve.any():
+        pick = [np.broadcast_to(a, shape)[solve] for a in (
+            sc, xc, sig, np.where(left, 1.0, -1.0), lev, lev - shift[:, :, None, None], top)]
+        sr, xr, sg, sd, lv, d0, tr = pick
+        za = za[solve]
+        lo, hi = np.where(sd > 0.0, -1.0, tr) - za, np.where(sd > 0.0, tr, 1.0) - za
+        # the unit sphere's crossings of the level, as a first guess
+        guess = lv * xr - sd * sr * np.sqrt(np.maximum(1.0 - lv * lv, 0.0)) - za
+
+        def signed_phi(zeta, za, d0, sg, sd, s, xn):
+            f, df = _profile_terms(spec, za + zeta, 1)
+            phi = s * f + sg * (xn * zeta - d0)
+            # rounding leaves phi a few ulps of noise at the root: a row
+            # within RIM_LEVEL_TOL of its level takes this zeta
+            phi = np.where(np.abs(phi) <= RIM_LEVEL_TOL * (s + np.abs(d0)), 0.0, phi)
+            return sd * phi, sd * (s * df + sg * xn)
+
+        root[solve] = _safeguarded_newton(signed_phi, np.clip(guess, lo, hi), lo, hi,
+                                          za, d0, sg, sd, sr, xr, steps=RIM_STEPS)
+    return root
+
+
+def _strip(spec, z, d, s, xn, order):
+    """Profile terms [f, f', f''][:order + 1] at heights z, and v = d / (s f)
+    clipped to [-1, 1] for each d of the sequence d."""
+    terms = _profile_terms(spec, z, order)
+    sr = s * terms[0]
+    return terms, [np.clip(np.divide(e, sr, out=np.sign(e), where=sr > 0.0), -1.0, 1.0)
+                   for e in d]
+
+
+def _rim_angle(s, xn, v, terms, out):
+    """(alpha, d alpha / dz) on a rim at v, out = +1 on the high rim and -1 on
+    the low one: alpha = arccos(out <nu_K, xi>) is the exterior angle there,
+    and d/dz follows the rim, on which v' = -(xi_n + s v f') / (s f)."""
+    r, df = terms[0], terms[1]
+    q = np.sqrt(1.0 + df * df)
+    c = np.clip(out * (s * v - df * xn) / q, -1.0, 1.0)
+    if len(terms) < 3:
+        return np.arccos(c), None
+    sr = s * r
+    dv = np.divide(-(xn + s * v * df), sr, out=np.zeros_like(sr), where=sr > 0.0)
+    dc = out * ((s * dv - terms[2] * xn) / q - (s * v - df * xn) * df * terms[2] / q ** 3)
+    sine = np.sqrt((1.0 - c) * (1.0 + c))
+    return np.arccos(c), np.divide(-dc, sine, out=np.zeros_like(sine), where=sine > 0.0)
+
+
+def _rim_peaks(spec, s, xn, d0, anchor, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """(zeta_m, 2 alpha W at zeta_m) for each (m, 2) rim over [lower, upper]:
+    zeta_m is the height of its widest chord 2 W, where W' = g / (s w),
+    g = s f' + v xi_n, falls through 0.  The chord length of a convex cap is
+    concave in z, so g has one root there.  An empty rim (lower >= upper)
+    gets lower and 0."""
+    peak, term = lower.copy(), np.zeros_like(lower)
+    live = lower < upper
+    if not live.any():
+        return peak, term
+    sl = np.broadcast_to(s[:, None], lower.shape)[live]
+    xl = np.broadcast_to(xn[:, None], lower.shape)[live]
+    za, dl, lo, hi = anchor[live], d0[live], lower[live], upper[live]
+
+    def falling(zeta, za, d0, s, xn):
+        terms, (v,) = _strip(spec, za + zeta, [d0 - xn * zeta], s, xn, 2)
+        _, df, d2f = terms
+        g = s * df + v * xn
+        g = np.where(np.abs(g) <= RIM_LEVEL_TOL * (1.0 + s * np.abs(df)), 0.0, g)
+        dv = np.divide(-(xn + s * v * df), s * terms[0], out=np.zeros_like(v),
+                       where=terms[0] > 0.0)
+        return -g, -(s * d2f + xn * dv)
+
+    zeta = _safeguarded_newton(falling, 0.5 * (lo + hi), lo, hi, za, dl, sl, xl,
+                               steps=RIM_STEPS)
+    terms, (v,) = _strip(spec, za + zeta, [dl - xl * zeta], sl, xl, 1)
+    peak[live] = zeta
+    out = np.broadcast_to(np.array([-1.0, 1.0]), lower.shape)[live]
+    w = np.sqrt((1.0 - v) * (1.0 + v))
+    term[live] = 2.0 * _rim_angle(sl, xl, v, terms, out)[0] * terms[0] * w
+    return peak, term
+
+
+def _axial_chunk(rows, spec, i):
+    m = len(rows)
+    xn = rows[:, 2]
+    s = np.maximum(np.sqrt(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1]), AXIAL_FLOOR)
+    levels = rows[:, 3:5]
+    near = (np.abs(xn) > s)[:, None]
+    shift = np.where(near, levels, 0.0)
+    anchor = np.divide(shift, xn[:, None], out=np.zeros_like(shift), where=near)
+    roots = _rim_roots(spec, s, xn, levels, shift, anchor)             # (m, 2, 2, 2)
+    # each rim spans {phi_+ >= 0} cap {phi_- >= 0}
+    lower, upper = roots[..., 0].max(axis=2), roots[..., 1].min(axis=2)
+    if i == 1:
+        peaks, widest = _rim_peaks(spec, s, xn, levels - shift, anchor, lower, upper)
+    else:
+        peaks, widest = 1.0 - anchor, np.zeros((m, 2))
+    own = np.concatenate([roots.reshape(m, 2, 4), peaks[:, :, None]], axis=2)  # (m, 2, 5)
+
+    # every break in both levels' coordinates: each level's roots and peak,
+    # the poles, the bump edges and the midway height (a pole where the
+    # levels share one coordinate)
+    other = (shift - shift[:, ::-1]) / np.where(near, xn[:, None], 1.0)  # anchor_P - anchor_Q
+    fixed = np.array([-1.0, 1.0, *spec.bump_edges()])
+    midway = np.where(near[:, 0], 0.5 * (anchor[:, 0] + anchor[:, 1]), 1.0)
+    # a rim root at a distance gap from a pole leaves the pole's square-root
+    # end just beyond its piece: cut the pieces before it at gap * 32^k from
+    # the pole, out to GRADE_SPAN
+    zr = (roots + anchor[:, :, None, None]).reshape(m, 8)
+    grades = []
+    for pole in (1.0, -1.0):
+        gap = np.min(np.where(np.abs(zr) < 1.0, 1.0 - pole * zr, 1.0), axis=1)[:, None]
+        span = gap * GRADE_RATIO ** np.arange(1, GRADES + 1)
+        grades.append(np.where(span < GRADE_SPAN, pole * (1.0 - span), pole))
+    plain = np.concatenate([np.broadcast_to(fixed, (m, len(fixed))), midway[:, None], *grades],
+                           axis=1)
+    zeta = np.concatenate([
+        np.stack([own[:, 0], own[:, 0] + other[:, :1]], axis=1),
+        np.stack([own[:, 1] + other[:, 1:], own[:, 1]], axis=1),
+        plain[:, None, :] - anchor[:, :, None]], axis=2)                # (m, 2, B)
+    z = np.concatenate([own[:, 0] + anchor[:, :1], own[:, 1] + anchor[:, 1:], plain], axis=1)
+    below = (anchor[:, 1] < anchor[:, 0]).astype(int)[:, None]          # the lower anchor
+    side = np.where(z < midway[:, None], below, 1 - below)
+    key = np.take_along_axis(zeta, side[:, None, :], axis=1)[:, 0]
+    order = np.lexsort((key, z), axis=-1)
+    z = np.take_along_axis(z, order, axis=1)
+    zeta = np.take_along_axis(zeta, order[:, None, :], axis=2)
+    owner = np.where(0.5 * (z[:, :-1] + z[:, 1:]) < midway[:, None], below, 1 - below)
+    lo = np.take_along_axis(zeta[:, :, :-1], owner[:, None, :], axis=1)[:, 0]
+    hi = np.take_along_axis(zeta[:, :, 1:], owner[:, None, :], axis=1)[:, 0]
+    za = np.take_along_axis(anchor, owner, axis=1)
+    d_lo = levels[:, :1] - np.take_along_axis(shift, owner, axis=1)     # low - xi_n z at zeta = 0
+    d_hi = levels[:, 1:] - np.take_along_axis(shift, owner, axis=1)
+    # -1 on the pieces below a rim's widest chord, +1 above it
+    k = np.arange(lo.shape[1])
+    sg_lo, sg_hi = (np.where(k < np.argmax(order == 5 * p + 4, axis=1)[:, None], -1.0, 1.0)
+                    for p in (0, 1))
+
+    # a piece the slab misses (its midpoint lies wholly above or below it) adds 0
+    sn, xs = np.broadcast_to(s[:, None], lo.shape), np.broadcast_to(xn[:, None], lo.shape)
+    mid = 0.5 * (lo + hi)
+    reach = sn * _profile_terms(spec, za + mid, 0)[0]
+    live = (hi > lo) & (d_lo - xs * mid < reach) & (d_hi - xs * mid > -reach)
+    par = [a[live][:, None] for a in (za, d_lo, d_hi, sn, xs, sg_lo, sg_hi)]
+
+    def integrand(zeta):
+        za, d_lo, d_hi, s, xn, sg_lo, sg_hi = par
+        terms, (v_a, v_b) = _strip(spec, za + zeta, [d_lo - xn * zeta, d_hi - xn * zeta],
+                                   s, xn, 0 if i == 3 else 3 - i)
+        r = terms[0]
+        w_a, w_b = (np.sqrt((1.0 - v) * (1.0 + v)) for v in (v_a, v_b))
+        # a thin strip would cancel in v_b - v_a: where neither end is
+        # clipped, take it from the levels, and asin v_b - asin v_a and
+        # v_b w_b - v_a w_a from it, with w_a - w_b = gap (v_a + v_b) / (w_a + w_b)
+        sr = s * r
+        gap = np.divide(d_hi - d_lo, sr, out=np.zeros_like(sr), where=sr > 0.0)
+        gap = np.where((np.abs(v_a) < 1.0) & (np.abs(v_b) < 1.0), gap, v_b - v_a)
+        both = w_a + w_b
+        lean = np.divide(v_a * (v_a + v_b), both, out=np.zeros_like(both), where=both > 0.0)
+        arc = np.arctan2(gap * (w_a + lean), w_a * w_b + v_a * v_b)
+        if i == 3:
+            return r * r * (gap * (w_b - lean) + arc)
+        df = terms[1]
+        if i == 2:
+            return np.sqrt(r * r + (r * df) ** 2) * arc + r / s * (w_a + w_b)
+        # each rim: alpha times its arc length rho = sqrt(1/s^2 + W'^2) with
+        # W = r w, as alpha (rho - |W'|), which ends like a square root, and
+        # alpha |W'| by parts: 2 alpha W at the widest chord (_rim_peaks)
+        # plus the integral of -+alpha' W below and above it
+        rims = 0.0
+        for v, w, out, sg in ((v_b, w_b, 1.0, sg_hi), (v_a, w_a, -1.0, sg_lo)):
+            g = s * df + v * xn
+            alpha, dalpha = _rim_angle(s, xn, v, terms, out)
+            size = s * (np.sqrt(w * w + g * g) + np.abs(g))
+            rest = np.divide(w, size, out=np.zeros_like(w), where=size > 0.0)
+            rims = rims + alpha * rest + sg * dalpha * r * w
+        return (1.0 - r * terms[2] / (1.0 + df * df)) * arc + rims
+
+    full, half = np.zeros(lo.shape), np.zeros(lo.shape)
+    full[live], half[live] = _profile_integrals(lo[live], hi[live], np.empty(0), integrand)
+    full, half = full.sum(axis=1), half.sum(axis=1)
+    if i == 1:
+        return (full + widest.sum(axis=1)) / math.pi, np.abs(full - half) / math.pi
+    return full, np.abs(full - half)
 
 
 def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream) -> IVEstimate:

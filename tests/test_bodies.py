@@ -307,17 +307,23 @@ def test_newton_oracles_match_bracketing_references(n, variant, epsilon, delta):
         assert revolution_support(spec, dirs[j]) == h[j]
 
 
-def _fixed_step_newton(fun, x, lo, hi, *args):
-    # the solver before rows stopped at their fixed point: every row, every step
-    for _ in range(bodies._NEWTON_STEPS):
+def _fixed_step_newton(fun, x, lo, hi, *args, steps=bodies._NEWTON_STEPS):
+    # the solver without rows stopping at their fixed point: every row, every
+    # step, with rtsafe's guard on steps longer than NEWTON_NOISE
+    dx = dx_old = hi - lo
+    for _ in range(steps):
         g, dg = fun(x, *args)
         below = g < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x - g / dg
-        ok = np.isfinite(step) & (step >= lo) & (step <= hi)
-        x = np.where(ok, step, 0.5 * (lo + hi))
+        ok = np.isfinite(step) & (step >= lo) & (step <= hi) & (
+            (np.abs(2.0 * g) <= np.abs(dx_old * dg))
+            | (np.abs(g) <= bodies.NEWTON_NOISE * np.abs(dg)))
+        new = np.where(ok, step, 0.5 * (lo + hi))
+        dx_old, dx = dx, new - x
+        x = new
     return x
 
 
@@ -364,6 +370,20 @@ def test_profile_rows_per_direction(monkeypatch, oracle, bound):
     monkeypatch.setattr(bodies, "_profile_terms", counting)
     oracle(spec, dirs)
     assert sum(rows) <= bound * dirs.shape[0]
+
+
+def test_support_does_not_stop_short_after_a_step_near_a_pole():
+    """From t0 = 0.2257 the slope -xp f'' is tiny (a bump edge), and the
+    first Newton step lands at t = 0.9999, near the pole.  Without rtsafe's
+    guard the next steps crawl back and 8 of them stop at t = 0.8496, where
+    the support reads 0.70560 against 1.0000633504."""
+    spec = make_revolution_spec(4, 2e-3, 0.12, "K")
+    w = np.array([0.95027416, 0.07307093, -0.20178354, 0.22572106])
+    h = revolution_support(spec, w)
+    assert abs(h - _golden_support(spec, w[None])[0]) <= SMOOTH_EVAL_TOL
+    assert h == pytest.approx(1.0000633504, abs=1e-10)
+    t = bodies.revolution_maximiser(spec, np.array([np.linalg.norm(w[:-1])]), w[-1:])
+    assert t[0] == pytest.approx(0.237539, abs=1e-6)
 
 
 @pytest.mark.parametrize("d", [[np.nan, 0.0, 1.0], [0.0, 0.0, np.nan],

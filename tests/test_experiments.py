@@ -384,9 +384,9 @@ def test_slab_halfwidth_out_of_range(polytope_pair):
 
 def test_slabs_smooth_quadrature(smooth_pair):
     rep = slab_experiment(smooth_pair.oracle_K, smooth_pair.oracle_L,
-                          0.5, 3, 3, RngStream(5, 20), 1e-4, vol_nodes=50_000)
+                          0.5, 3, 3, RngStream(5, 20), 1e-4)
     assert rep.summary["pass"]
-    assert rep.summary["methods"] == ["quadrature"]
+    assert rep.summary["methods"] == ["axial-gl"]
 
 
 def test_slabs_smooth_width_and_hull(smooth_pair):

@@ -1,7 +1,7 @@
 """Experiments evaluate each body once for all their samples: k = 1 widths
 and segments come from one stacked oracle call, the slabs of one run
 share their parent's radial values on the fixed quadrature grids, the
-slab widths of a body of revolution come from one stacked support solve,
+slabs of a 3-d body of revolution come from stacked axial integrals,
 the sections and slabs of a polytope (convergence runs included) are
 enumerated in stacks, and each projection basis is checked once for both
 bodies.  Every value must equal, with ==, the value its sample gets alone,
@@ -20,6 +20,16 @@ from convexlab.experiments import (BodyPair, _body_value, _grid_slabs, _orthogon
                                    slab_experiment)
 from convexlab.grassmann import RngStream, Subspace, rowwise, sample_haar_bases
 from convexlab.transforms import SlabSpec, section_oracle, slab_oracle
+
+
+def _slab_alone(body, xi, t, i):
+    """(V_i, stderr, method) of body cap S_t(xi) from its estimator alone:
+    the axial integrals of one slab for a 3-d body of revolution, else the
+    estimator table on the slab's oracle."""
+    if body.revolution is not None and body.dim == 3:
+        return intrinsic.revolution_slab_volumes(body.revolution, xi[None], np.array([-t]),
+                                                 np.array([t]), i)[0]
+    return _body_value(slab_oracle(body, SlabSpec(xi, t)), i, 20_000, 512)
 
 
 def _counting(oracle, method: str, rows: list):
@@ -66,8 +76,8 @@ def test_slabs_equal_one_slab_values(name, n, i):
     xis = sample_haar_bases(n, 1, 3, rng)[:, :, 0]
     s = rep.samples
     for vk_run, vl_run, err_run, xi in zip(s.value_K, s.value_L, s.stderr, xis, strict=True):
-        vk, sk, _ = _body_value(slab_oracle(pair.oracle_K, SlabSpec(xi, 0.5)), i, 20_000, 512)
-        vl, sl, _ = _body_value(slab_oracle(pair.oracle_L, SlabSpec(xi, 0.5)), i, 20_000, 512)
+        vk, sk, _ = _slab_alone(pair.oracle_K, xi, 0.5, i)
+        vl, sl, _ = _slab_alone(pair.oracle_L, xi, 0.5, i)
         assert (vk_run, vl_run, err_run) == (vk, vl, sk + sl)
 
 
@@ -88,7 +98,7 @@ def test_polytope_sections_equal_one_section_values(n, k, i):
                                         ("control-shifted", "K"), ("control-shifted", "L")])
 @pytest.mark.parametrize("i", [1, 2])
 def test_convergence_equals_one_slab_values(name, body, i):
-    """Each slab value is the one its slab oracle gets alone, and the
+    """Each slab value is the one its slab gets alone, and the
     section value the one its section gets alone from the same estimator:
     the closed form for a ball or translated ball, the profile quadrature
     for a body of revolution, else the section oracle's."""
@@ -97,7 +107,7 @@ def test_convergence_equals_one_slab_values(name, body, i):
     ts = (0.4, 0.2, 0.1)
     rep = convergence_experiment(oracle, xi, i, ts)
     for vk, t in zip(rep.samples.value_K, ts, strict=True):
-        assert vk == _body_value(slab_oracle(oracle, SlabSpec(xi, t)), i, 100_000, 512)[0]
+        assert vk == _slab_alone(oracle, xi, t, i)[0]
     basis = _orthogonal_complement(xi)
     if oracle.ball is not None:
         section = intrinsic.ball_section_volumes(oracle.ball, basis[None], i)[0][0]
@@ -124,7 +134,7 @@ def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):
 
 @pytest.mark.parametrize("n, i, grids", [
     (2, 1, {8192}),                 # the polyline's circle
-    (3, 1, set()),                  # none: the inner radius is a closed form
+    (3, 1, set()),                  # none: closed-form supports and inner radius
     (3, 2, {20_000, 10_000}),       # hull_surface_v2
     (3, 3, {4096, 2048}),           # volume_radial at vol_nodes = 4096
 ])
@@ -132,25 +142,17 @@ def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
     """Nor does the memo, which keeps only shared grid blocks, so the
     traced peak stays put.
 
-    V_1 of a 3-d slab of a body of revolution comes from one stacked solve
-    (next test), so i = 1 is counted on the smooth pair translated by
-    (0.1, -0.05, 0.2): its slabs go through the memo, and their supports,
-    from the rim solve of the base, make no radial call of the parent, nor
-    does its closed-form inner radius."""
+    The slabs of a 3-d body of revolution take no grid (the axial
+    integrals), so n = 3 is counted on `control-shifted`, a ball and its
+    translate, whose slabs go through the memo."""
     # a grid of more than BLOCK rows reaches the parent in rowwise's blocks:
     # 20,000 as 6,666 + 6,667 + 6,667 rows and 10,000 as 2 x 5,000
     sizes = {b - a for g in grids for a, b in grassmann.blocks(g)}
-    if (n, i) == (3, 1):
-        bodies = tuple(body_from_record({"type": "derived", "transform": "translate",
-                                         "base": {"type": "revolution", "variant": v},
-                                         "shift": [0.1, -0.05, 0.2]})[0] for v in "KL")
-    else:
-        pair = make_pair("smooth", n)
-        bodies = (pair.oracle_K, pair.oracle_L)
+    pair = make_pair("smooth" if n == 2 else "control-shifted", n)
     counts, peaks = [], []
     for samples in (2, 5):
         rows = [[], []]
-        K, L = (_counting(o, "radial", r) for o, r in zip(bodies, rows))
+        K, L = (_counting(o, "radial", r) for o, r in zip((pair.oracle_K, pair.oracle_L), rows))
         tracemalloc.start()
         try:
             slab_experiment(K, L, 0.5, i, samples, RngStream(7, 3), 1e-2, vol_nodes=4096)
@@ -171,22 +173,28 @@ def test_slab_grid_memo_answers_an_empty_stack(smooth_pair):
             assert slab.radial(np.empty((0, 3))).shape == (0,)
 
 
-def test_smooth_slab_widths_make_one_support_solve_per_body(smooth_pair, monkeypatch):
-    """V_1 of the slabs of a body of revolution takes one stacked rim solve
-    per body for every SLAB_CHUNK samples, of all their directions, and
-    never calls the body's own support."""
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_smooth_slabs_make_one_stacked_solve_per_body(smooth_pair, monkeypatch, i):
+    """The slabs of a body of revolution take one maximiser call and one
+    rim-root solve per body for every PROFILE_CHUNK samples (V_1 one more
+    solve, of the rims' widest chords), whatever the sample count, and never
+    call the body's radial or support."""
     solves = []
-    solve = intrinsic.revolution_slab_supports
-    monkeypatch.setattr(intrinsic, "revolution_slab_supports",
-                        lambda spec, *rows: solves.append(len(rows[-1])) or solve(spec, *rows))
+    for name in ("_safeguarded_newton", "revolution_maximiser"):
+        fn = getattr(intrinsic, name)
+        monkeypatch.setattr(intrinsic, name, lambda *a, fn=fn, name=name, **k:
+                            solves.append(name) or fn(*a, **k))
     for samples in (2, 5):
         solves.clear()
-        support = [[], []]
-        K, L = (_counting(o, "support", r) for o, r in
-                zip((smooth_pair.oracle_K, smooth_pair.oracle_L), support))
-        slab_experiment(K, L, 0.5, 1, samples, RngStream(7, 3), 1e-2)
-        assert solves == [samples * (512 + 256)] * 2
-        assert support == [[], []]
+        calls = [[], [], [], []]
+        K, L = (_counting(_counting(o, "support", calls[2 * b]), "radial", calls[2 * b + 1])
+                for b, o in enumerate((smooth_pair.oracle_K, smooth_pair.oracle_L)))
+        slab_experiment(K, L, 0.5, i, samples, RngStream(7, 3), 1e-2)
+        # per body: the maximisers, the rim roots and, for V_1, the widest chords
+        per_body = ["revolution_maximiser", "_safeguarded_newton"] + (
+            ["_safeguarded_newton"] if i == 1 else [])
+        assert solves == per_body * 2
+        assert calls == [[], [], [], []]
 
 
 @pytest.mark.parametrize("run", ["sections-k2", "sections-k3", "slabs", "convergence"])

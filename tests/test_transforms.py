@@ -11,8 +11,8 @@ import pytest
 from convexlab.bodies import BodyError, ball_oracle, make_revolution_spec, oracle_of
 from convexlab.grassmann import RngStream, Subspace, embed, sample_haar_subspace, sample_sphere
 from convexlab.experiments import make_pair
-from convexlab.intrinsic import (SLAB_CHUNK, EstimateError, _slab_support_points, circle_grid,
-                                 fibonacci_sphere, revolution_slab_widths, sphere_grid)
+from convexlab.intrinsic import (EstimateError, _slab_support_points, circle_grid,
+                                 fibonacci_sphere, sphere_grid)
 from convexlab.polykernel import HPolytope
 from convexlab.transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
                                   slab_oracle, translate_oracle)
@@ -316,20 +316,6 @@ def test_smooth_slab_supports_carry_their_rim_points(smooth_pair, xi, t):
     assert np.abs(h[rim] - np.sum(p[rim] * u[rim], axis=1)).max() <= 1e-14
     assert np.array_equal(h[~rim], K.support(u[~rim]))
     assert np.all(np.abs(p[~rim] @ xi) <= t)
-
-
-def test_stacked_slab_widths_equal_one_slab_calls(smooth_pair):
-    """V_1 of each slab of a stacked call, over normals and over half-widths
-    and across chunks, is the value of a call on that slab alone."""
-    spec = smooth_pair.oracle_K.revolution
-    g = RngStream(21, 7).generator().standard_normal((SLAB_CHUNK + 3, 3))
-    normals = g / np.linalg.norm(g, axis=1, keepdims=True)
-    runs = [(normals, np.full(len(normals), 0.5)),
-            (np.tile(normals[0], (4, 1)), np.array([0.4, 0.2, 0.1, 0.05]))]
-    for xis, ts in runs:
-        stacked = revolution_slab_widths(spec, xis, ts, 128)
-        for j, value in enumerate(stacked):
-            assert value == revolution_slab_widths(spec, xis[j:j + 1], ts[j:j + 1], 128)[0]
 
 
 def test_translate_oracle_values():
