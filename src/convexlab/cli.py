@@ -117,26 +117,23 @@ def _default_tol(command: str, pair: BodyPair, k: int | None) -> float:
 
 
 def _experiment(cmd: str, pair: BodyPair, rng: RngStream, samples=None, tol=None,
-                k=None, i=None, t=None, **options):
+                k=None, i=None, t=None):
     """Run one experiment command on a pair: the one dispatch behind single
     commands and suite entries.  An absent tol, i or t takes the command's
-    default; options go to the experiment function; bodies come from the pair."""
+    default; bodies come from the pair."""
     K, L = pair.oracle_K, pair.oracle_L
     if tol is None:
         tol = _default_tol(cmd, pair, k)
     if cmd == "lemma1":
         report = lemma1_check(K, L, samples, tol, rng)
     elif cmd == "sections":
-        report = sections_experiment(K, L, k, k if i is None else i, samples, rng,
-                                     tol, **options)
+        report = sections_experiment(K, L, k, k if i is None else i, samples, rng, tol)
     elif cmd == "slabs":
-        report = slab_experiment(K, L, t, K.dim if i is None else i, samples, rng,
-                                 tol, **options)
+        report = slab_experiment(K, L, t, K.dim if i is None else i, samples, rng, tol)
     elif cmd == "projections":
         report = projections_experiment(K, L, k, samples, rng, tol)
     elif cmd == "convergence":
-        report = convergence_experiment(K, sample_sphere(K.dim, rng), i,
-                                        t or DEFAULT_T_SEQUENCE, **options)
+        report = convergence_experiment(K, sample_sphere(K.dim, rng), i, t or DEFAULT_T_SEQUENCE)
     elif cmd == "certify":
         report = certify_report(pair)
     else:

@@ -3,7 +3,7 @@ volumes for the constructed pairs, the slab-to-section limit, and
 noncongruence certificates, each producing a structured report.
 
 Pass rules: exact paths compare relative differences against the tolerance;
-stochastic paths require every |difference| within 3 combined standard
+paths with a stderr require every |difference| within 3 combined standard
 errors plus the tolerance.  Controls (rotated / shifted copies) are wired
 to FAIL the equality experiments, guarding against a harness that accepts
 everything.
@@ -23,15 +23,13 @@ import numpy as np
 from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
                      build_polytope_pair, oracle_of, validate_revolution_spec,
                      profile)
-from .grassmann import RngStream, Subspace, blocks, rowwise, sample_haar_bases
-from .intrinsic import (POLYLINE_NODES, antipodal_sums, ball_section_volumes, centroid_3d,
-                        hull_surface_v2, mean_width_v1, planar_metrics_from_oracle,
-                        projection_volumes, revolution_section_volumes,
-                        revolution_slab_volumes, volume_radial)
+from .grassmann import RngStream, Subspace, blocks, sample_haar_bases
+from .intrinsic import (POLYLINE_NODES, antipodal_sums, ball_section_volumes, ball_slab_volumes,
+                        centroid_3d, planar_metrics_from_oracle, projection_volumes,
+                        revolution_section_volumes, revolution_slab_volumes)
 from .polykernel import (CHUNK, poly3_stack_volumes, polygon_stack_metrics,
                          section_hpolytopes, slab_hpolytopes)
-from .transforms import (SlabSpec, max_slab_halfwidth, section_oracle,
-                         slab_oracle, translate_oracle)
+from .transforms import SlabSpec, max_slab_halfwidth, slab_oracle, translate_oracle
 
 
 class ExperimentError(ValueError):
@@ -376,43 +374,18 @@ def _exact_values(polys, i: int) -> list[tuple[float, float, str]]:
     return out
 
 
-def _body_value(body: ConvexBodyOracle, i: int, vol_nodes: int | None,
-                width_nodes: int, rng: RngStream | None = None) -> tuple[float, float, str]:
-    """(V_i, stderr, method) of a section or slab body: the one estimator table.
-
-    The first matching row wins: exact intrinsic volumes of a polytope in
-    dimension 2 or 3 (_exact_values of the stack of one); a planar body's
-    polyline; the polar volume when i is the dimension (Monte Carlo from rng
-    above dimension 3); a 3-d body's mean width for i = 1 and its boundary
-    hull for i = 2.  Callers reject every other (dimension, i).
-    """
-    if body.vrep is not None:
-        return _exact_values([body.polytope], i)[0]
-    if body.dim == 2:
-        est = planar_metrics_from_oracle(body)[i - 1]
-    elif i == body.dim:
-        est = volume_radial(body, i, nodes=vol_nodes, rng=rng)
-    elif i == 1:
-        est = mean_width_v1(body, nodes=width_nodes)
-    else:
-        est = hull_surface_v2(body)
-    return est.value, est.stderr, est.method
-
-
 # ---------------------------------------------------------------------------
 # Sections
 
 
-def _section_values(body: ConvexBodyOracle, bases: np.ndarray, i: int, subspaces,
-                    rng: RngStream | None) -> list[tuple[float, float, str]]:
+def _section_values(body: ConvexBodyOracle, bases: np.ndarray,
+                    i: int) -> list[tuple[float, float, str]]:
     """(V_i, stderr, method) of body cap span(B_j) for each B_j of the (S, n, k)
     stack bases: the one choice of section estimator.  k = 1 gives segments;
     a ball or translated ball takes the closed form of ball_section_volumes,
-    a body of revolution the profile quadrature of
+    a body of revolution or a translate of one the profile quadrature of
     revolution_section_volumes, a polytope the exact values of its stacked
-    sections; other bodies take _body_value of one section oracle per
-    Subspace of subspaces(), sample j drawing from rng.substream(j), a child
-    apart from rng's draw of the subspaces (none if rng is None)."""
+    sections.  Any other body raises ExperimentError."""
     if bases.shape[2] == 1:
         us = bases[:, :, 0]
         if body.polytope is None:
@@ -422,13 +395,11 @@ def _section_values(body: ConvexBodyOracle, bases: np.ndarray, i: int, subspaces
         return [(seg, 0.0, "exact-segment") for seg in segs]
     if body.ball is not None:
         return ball_section_volumes(body.ball, bases, i)
-    if body.revolution is not None:
+    if (body.translate or (body,))[0].revolution is not None:
         return revolution_section_volumes(body, bases, i)
     if body.polytope is not None:
         return _exact_values(section_hpolytopes(body.polytope, bases), i)
-    return [_body_value(section_oracle(body, sub), i, None, 512,
-                        None if rng is None else rng.substream(j))
-            for j, sub in enumerate(subspaces())]
+    raise ExperimentError(f"no section estimator for a body of kind '{body.kind}'")
 
 
 def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
@@ -439,15 +410,9 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= k <= n - 1:
         raise ExperimentError(f"need 1 <= i <= k <= n-1, got i={i}, k={k}, n={n}")
-    if k >= 4 and i < k and any(o.revolution is None and o.ball is None
-                                for o in (oracle_K, oracle_L)):
-        # the estimator table has V_i for i < k only up to dimension 3
-        raise ExperimentError(f"no section estimator for n={n}, k={k}, i={i}")
     bases = sample_haar_bases(n, k, num_h, rng)
-    # built on first use, once for K and L, for the bodies that read them
-    subs = functools.cache(lambda: [Subspace(b) for b in bases])
     return _paired_run("sections", oracle_K, oracle_L, bases,
-                       lambda oracle: _section_values(oracle, bases, i, subs, rng), rng, tol,
+                       lambda oracle: _section_values(oracle, bases, i), rng, tol,
                        {"k": k, "i": i, "polyline_n": POLYLINE_NODES})
 
 
@@ -455,71 +420,39 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 # Slabs
 
 
-def _grid_slabs(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray):
-    """slab_oracle(parent, SlabSpec(xi_j, t_j)) for each row, one at a time,
-    where parent is body with a radial that answers a call on a block of
-    rows it has seen with that call's values; other calls go to body.
-
-    The estimators of every slab of one parent pass it the same fixed
-    quadrature grids: the Fibonacci grids of volume_radial and
-    hull_surface_v2 and the polyline's circle.  Each slab clips the shared
-    values by its own bounds in slab_oracle's radial, which hands a grid on
-    in the row blocks of rowwise, so the parent evaluates each block once
-    for all slabs.  A block is keyed by its shape and first row and
-    confirmed by array_equal.  No slab support calls the parent's radial,
-    so every block the memo keeps is a shared grid block.  The memo is
-    emptied when the last slab is done, so its grids do not live on in a
-    slab oracle that a caller keeps.
-    """
-    memo = {}
-
-    @rowwise
-    def radial(dirs):
-        key = (dirs.shape, dirs[:1].tobytes())
-        hit = memo.get(key)
-        if hit is not None and np.array_equal(hit[0], dirs):
-            return hit[1]
-        rho = np.asarray(body.radial(dirs), dtype=float)
-        memo[key] = (dirs.copy(), rho)
-        return rho
-
-    parent = dataclasses.replace(body, radial=radial)
-    try:
-        for xi, t in zip(xis, ts.tolist()):
-            yield slab_oracle(parent, SlabSpec(xi, t))
-    finally:
-        memo.clear()
-
-
-def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray, i: int,
-                 vol_nodes: int | None, width_nodes: int) -> list[tuple[float, float, str]]:
+def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray,
+                 i: int) -> list[tuple[float, float, str]]:
     """(V_i, stderr, method) of body cap S_{t_j}(xi_j) for each unit row
     xi_j of xis and half-width t_j of ts: the one choice of slab estimator.
 
     A polytope's slabs are built and enumerated in stacks (slab_hpolytopes),
     each product taken per slab, and their exact values come in stacked
-    passes (_exact_values).  In R^3 the slabs of a body of revolution take
-    the axial integrals of revolution_slab_volumes at levels (-t, t), and so
-    do those of a translate K - s of one, at levels <s, xi> -+ t: (K - s)
-    cap S_t(xi) is K cap {|<x, xi> - <s, xi>| <= t} moved by -s.  Otherwise
-    (balls and translated balls, planar bodies) the body's radial on each
-    fixed quadrature grid is evaluated once for all slabs (_grid_slabs), and
-    each slab clips those values by its own bounds; the per-slab products
-    (th @ xi) are taken per slab, in rowwise's blocks.  So every value is
-    the one its slab gets alone.
+    passes (_exact_values).  A planar slab takes the boundary polyline of
+    its slab oracle, one slab at a time.  In R^3 the slabs of a body of
+    revolution take the axial integrals of revolution_slab_volumes at levels
+    (-t, t), and so do those of a translate K - s of one, at levels
+    <s, xi> -+ t: (K - s) cap S_t(xi) is K cap {|<x, xi> - <s, xi>| <= t}
+    moved by -s.  A ball or translated ball takes the closed forms of
+    ball_slab_volumes.  So every value is the one its slab gets alone.  Any
+    other body raises ExperimentError.
     """
     if body.polytope is not None:
         return _exact_values(slab_hpolytopes(body.polytope, xis, ts), i)
+    if body.dim == 2:
+        ests = [planar_metrics_from_oracle(slab_oracle(body, SlabSpec(xi, t)))[i - 1]
+                for xi, t in zip(xis, ts.tolist())]
+        return [(est.value, est.stderr, est.method) for est in ests]
+    if body.dim == 3 and body.ball is not None:
+        return ball_slab_volumes(body.ball, xis, -ts, ts, i)
     base, shift = body.translate or (body, np.zeros(body.dim))
-    if base.revolution is not None and body.dim == 3:
+    if body.dim == 3 and base.revolution is not None:
         mid = (xis * shift).sum(axis=1)
         return revolution_slab_volumes(base.revolution, xis, mid - ts, mid + ts, i)
-    return [_body_value(slab, i, vol_nodes, width_nodes) for slab in _grid_slabs(body, xis, ts)]
+    raise ExperimentError(f"no slab estimator for a body of kind '{body.kind}' in R^{body.dim}")
 
 
 def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
-                    t: float, i: int, num_xi: int, rng: RngStream, tol: float,
-                    vol_nodes: int = 200_000) -> ExperimentReport:
+                    t: float, i: int, num_xi: int, rng: RngStream, tol: float) -> ExperimentReport:
     """V_i(K cap S_t(xi)) vs V_i(L cap S_t(xi)) over random slab normals,
     each body's values from _slab_values."""
     n = _shared_dim(oracle_K, oracle_L)
@@ -534,7 +467,7 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     xis = sample_haar_bases(n, 1, num_xi, rng)[:, :, 0]
     ts = np.full(num_xi, t)
     return _paired_run("slabs", oracle_K, oracle_L, xis,
-                       lambda oracle: _slab_values(oracle, xis, ts, i, vol_nodes, 512), rng, tol,
+                       lambda oracle: _slab_values(oracle, xis, ts, i), rng, tol,
                        {"t": t, "i": i})
 
 
@@ -554,7 +487,7 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
     subs = functools.cache(lambda: [Subspace(b) for b in bases])
 
     def values(oracle):
-        return projection_volumes(oracle, bases, 8192, subs)
+        return projection_volumes(oracle, bases, subs)
 
     return _paired_run("projections", oracle_K, oracle_L, bases, values, rng, tol,
                        {"k": k})
@@ -565,7 +498,7 @@ def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracl
 
 
 def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
-                           t_sequence, width_nodes: int = 512) -> ExperimentReport:
+                           t_sequence) -> ExperimentReport:
     """V_i(K cap S_t(xi)) against the central-section value as t shrinks.
 
     Passes when the differences decrease monotonically (up to estimator
@@ -590,10 +523,8 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
 
     # section value through the plane orthogonal to xi
     basis = _orthogonal_complement(xi)
-    [(sec_value, sec_err, _)] = _section_values(oracle, basis[None], i,
-                                                lambda: [Subspace(basis)], None)
-    slabs = _slab_values(oracle, np.tile(xi, (len(ts), 1)), np.array(ts), i, 100_000,
-                         width_nodes)
+    [(sec_value, sec_err, _)] = _section_values(oracle, basis[None], i)
+    slabs = _slab_values(oracle, np.tile(xi, (len(ts), 1)), np.array(ts), i)
 
     value, errs, _ = _columns(slabs)
     errs += sec_err

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .bodies import _profile_terms, _safeguarded_newton, profile, revolution_maximiser
-from .grassmann import RngStream, Subspace, embed, kappa, rowwise, sample_haar_bases
+from .grassmann import RngStream, Subspace, kappa, rowwise, sample_haar_bases
 from .polykernel import Polygon, cauchy_projection_volumes, polygon_metrics, projection_polygon
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -295,11 +295,10 @@ def antipodal_sums(fn, us: np.ndarray) -> np.ndarray:
     return vals[0::2] + vals[1::2]
 
 
-def projection_volumes(body, bases: np.ndarray, area_n: int,
-                       subspaces) -> list[tuple[float, float, str]]:
+def projection_volumes(body, bases: np.ndarray, subspaces) -> list[tuple[float, float, str]]:
     """(vol_k of body|V_j, stderr, method) for every n x k basis V_j of the
     (m, n, k) stack bases.  subspaces() gives the Subspaces of the bases;
-    only the paths of _subspace_volume call it, the others read the bases
+    only a polytope's projected hull calls it, the others read the bases
     alone, so a caller that projects several bodies on one stack can cache
     it and check each basis once, and only when a body needs it.
 
@@ -309,15 +308,15 @@ def projection_volumes(body, bases: np.ndarray, area_n: int,
     stack) and the hull of its projected vertices for k = 2 in R^4.  A ball
     or translated ball (body.ball) projects to a k-ball of its radius R,
     kappa_k R^k for every k >= 2 (`exact-ball`).  A body of revolution
-    (body.revolution) takes the profile quadrature of
-    revolution_projection_volumes for every k >= 2; other bodies have
-    support-based paths for k = 1 and 2.  The k = 1 widths of a body without
-    vertex data come from one support call on the stacked rows (u_0, -u_0,
-    u_1, -u_1, ...), whatever the sample count.  Those bodies (revolution,
-    ball, translate) give each row the value it gets alone, so every width is
-    the one projection_volume gives its subspace.  The other paths take one
-    subspace per product: a polytope's vertices @ u rounds its last ulp
-    differently with the row count.
+    (body.revolution) and a translate of one, which projects as its base,
+    take the profile quadrature of revolution_projection_volumes for every
+    k >= 2.  The k = 1 widths of a
+    body without vertex data come from one support call on the stacked rows
+    (u_0, -u_0, u_1, -u_1, ...), whatever the sample count.  Those bodies
+    (revolution, ball, translate) give each row the value it gets alone, so
+    every width is the one projection_volume gives its subspace.  A polytope
+    takes one subspace per product: its vertices @ u rounds its last ulp
+    differently with the row count.  Any other body raises EstimateError.
     """
     k = bases.shape[2]
     vrep = body.vrep
@@ -332,29 +331,19 @@ def projection_volumes(body, bases: np.ndarray, area_n: int,
                 for v in cauchy_projection_volumes(body.polytope, bases).tolist()]
     if body.ball is not None:
         return [(kappa(k) * body.ball[0] ** k, 0.0, "exact-ball")] * len(bases)
-    if body.revolution is not None:
-        return revolution_projection_volumes(body.revolution, bases)
-    return [_subspace_volume(body, sub, area_n) for sub in subspaces()]
+    base = body.translate[0] if body.translate is not None else body
+    if base.revolution is not None:
+        return revolution_projection_volumes(base.revolution, bases)
+    if vrep is not None and k == 2:
+        return [(polygon_metrics(projection_polygon(vrep, sub))[0], 0.0, "exact-polygon")
+                for sub in subspaces()]
+    raise EstimateError(f"no projection-volume path for k={k} on {body.kind}")
 
 
-def projection_volume(body, sub: Subspace, area_n: int) -> tuple[float, float, str]:
+def projection_volume(body, sub: Subspace) -> tuple[float, float, str]:
     """(vol_k of body|sub, stderr, method): the one-subspace case of
     projection_volumes."""
-    return projection_volumes(body, sub.basis[None], area_n, lambda: [sub])[0]
-
-
-def _subspace_volume(body, sub: Subspace, area_n: int) -> tuple[float, float, str]:
-    """(vol_k of body|sub, stderr, method) for k = sub.dim = 2: the hull of
-    a polytope's projected vertices (below k = n - 1, where Cauchy's formula
-    does not apply), else the support-based area."""
-    k = sub.dim
-    vrep = body.vrep
-    if k == 2:
-        if vrep is not None:
-            return polygon_metrics(projection_polygon(vrep, sub))[0], 0.0, "exact-polygon"
-        area = area_from_support_2d(lambda d: body.support(embed(sub, d)), area_n)
-        return area, 0.0, "quadrature"
-    raise EstimateError(f"no projection-volume path for k={k} on {body.kind}")
+    return projection_volumes(body, sub.basis[None], lambda: [sub])[0]
 
 
 def ball_section_volumes(ball, bases: np.ndarray, i: int) -> list[tuple[float, float, str]]:
@@ -371,6 +360,34 @@ def ball_section_volumes(ball, bases: np.ndarray, i: int) -> list[tuple[float, f
     return [(v, 0.0, "exact-ball") for v in values.tolist()]
 
 
+def ball_slab_volumes(ball, xis: np.ndarray, lows: np.ndarray, highs: np.ndarray,
+                      i: int) -> list[tuple[float, float, str]]:
+    """(V_i, 0.0, "exact-ball") of the 3-d ball (radius R, center c) clipped to
+    the slab low_r <= <x, xi_r> <= high_r, for each unit row xi_r of xis.
+    With the levels u = (level - <c, xi>) / R clipped to [-1, 1] (lo, hi):
+    V_3 = pi R^3 [u - u^3 / 3] from lo to hi, V_2 = pi R^2 [(hi - lo)
+    + ((1 - hi^2) + (1 - lo^2)) / 2] and V_1 = R [2 (hi - lo)
+    + sqrt(1 - hi^2) arccos(hi) + sqrt(1 - lo^2) arccos(-lo)].  Every sum is
+    taken per row, so each slab gets the value it gets alone."""
+    if xis.shape[1] != 3 or not 1 <= i <= 3:
+        raise EstimateError(f"ball slab volumes handle V_1 to V_3 in R^3, "
+                            f"got n={xis.shape[1]}, i={i}")
+    radius, center = ball
+    mid = (xis * center).sum(axis=1)
+    lo, hi = (np.clip((level - mid) / radius, -1.0, 1.0) for level in (lows, highs))
+    # 1 - u^2 and 1 - hi lo as sums of products of 1 -+ u, which do not cancel near a pole
+    ww_lo, ww_hi = (1.0 - lo) * (1.0 + lo), (1.0 - hi) * (1.0 + hi)
+    if i == 3:  # (hi - lo) (1 - (hi^2 + hi lo + lo^2) / 3)
+        cross = 0.5 * ((1.0 - hi) * (1.0 + lo) + (1.0 + hi) * (1.0 - lo))
+        values = math.pi * radius ** 3 * (hi - lo) * (ww_hi + ww_lo + cross) / 3.0
+    elif i == 2:
+        values = math.pi * radius ** 2 * ((hi - lo) + (ww_hi + ww_lo) / 2.0)
+    else:
+        values = radius * (2.0 * (hi - lo) + np.sqrt(ww_hi) * np.arccos(hi)
+                           + np.sqrt(ww_lo) * np.arccos(-lo))
+    return [(v, 0.0, "exact-ball") for v in values.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # sections and projections of a body of revolution, from its profile
 #
@@ -379,6 +396,14 @@ def ball_section_volumes(ball, bases: np.ndarray, i: int) -> list[tuple[float, f
 # K cap span(B) and K|span(B) are bodies of revolution in span(B) about the
 # unit axis a = b / c (Schneider, Convex Bodies, section 4.2).  Where c = 0
 # both are k-balls, of radius f(0) and max f.
+#
+# So is a section of a translate K - s.  With s_perp = s - B B^T s, the
+# section moved by B^T s is {x : B x + s_perp in K}.  At x = tau a + y,
+# y normal to a, the point p = B x + s_perp has p_n = z0 + c tau, z0 =
+# (s_perp)_n, and |p'|^2 = |x|^2 + |s_perp|^2 - p_n^2, so x lies in it iff
+# |y|^2 <= g(tau)^2 = f(z0 + c tau)^2 - sigma^2 tau^2 + q0 + 2 z0 c tau with
+# q0 = z0^2 - |s_perp|^2; where c = 0 it is a k-ball of radius^2
+# f(z0)^2 + q0.  K - s projects as K does, moved.
 
 
 @cache
@@ -444,12 +469,14 @@ def _in_chunks(fn, bases: np.ndarray, *args, method: str = "quadrature"
 
 def revolution_section_volumes(body, bases: np.ndarray, i: int) -> list[tuple[float, float, str]]:
     """(V_i, stderr, "quadrature") of body cap span(B_j) for every n x k basis
-    B_j, k >= 2, of the stack bases, where body.revolution is the body's
-    spec; stderr is |Q(N) - Q(N/2)|.
+    B_j, k >= 2, of the stack bases, where body is a body of revolution
+    (body.revolution) or a translate K - s of one; stderr is |Q(N) - Q(N/2)|.
 
-    The section has profile g(s)^2 = f(cs)^2 - sigma^2 s^2 on
-    [-rho(-Ba), rho(Ba)], both ends from one radial call of body per chunk.
-    With w = (1 + g'^2)^(-1/2), the Steiner expansion of its meridian gives
+    The section has the profile g above (z0 = q0 = 0 without a translate).
+    A body of revolution's ends are rho(-Ba) and rho(Ba), from one radial
+    call per chunk; a translate's are the roots of g^2 from one
+    _safeguarded_newton call per chunk (_section_ends).  With
+    w = (1 + g'^2)^(-1/2), the Steiner expansion of its meridian gives
     V_i = kappa_{k-1} / kappa_{k-i} * [C(k-1, k-i) int g^(i-1) w^(k-i) ds
           + C(k-1, k-i-1) int g^i w^(k-i-1) |g''| w^3 ds].
     Each sample gets the value it gets alone.
@@ -458,27 +485,35 @@ def revolution_section_volumes(body, bases: np.ndarray, i: int) -> list[tuple[fl
 
 
 def _section_chunk(bases, body, i):
-    spec, k = body.revolution, bases.shape[2]
+    base, shift = body.translate or (body, np.zeros(body.dim))
+    spec, k = base.revolution, bases.shape[2]
     b, c, sigma = _axis_cosines(bases)
+    along = (bases * shift[:, None]).sum(axis=1)                    # B^T s
+    off = shift - (bases * along[:, None, :]).sum(axis=2)           # s_perp
+    z0, q0 = off[:, -1], -(off[:, :-1] * off[:, :-1]).sum(axis=1)   # q0 = z0^2 - |s_perp|^2
     value, err = np.empty(len(bases)), np.zeros(len(bases))
     flat = c < AXIS_FLOOR
-    value[flat] = profile(spec, 0.0) ** i * ball_intrinsic_volume(k, i)
+    radius = np.sqrt(_profile_terms(spec, z0[flat], 0)[0] ** 2 + q0[flat])
+    value[flat] = radius ** i * ball_intrinsic_volume(k, i)
     live = ~flat
     if not live.any():
         return value, err
     c, ss = c[live, None], sigma[live, None] ** 2
+    z0, q0 = z0[live, None], q0[live, None]
     axis = (bases[live] * (b[live] / c)[:, None, :]).sum(axis=2)   # B a, a unit vector
-    ends = np.asarray(body.radial(np.concatenate([axis, -axis])), dtype=float)
-    rows = len(axis)
+    if body.translate is None:
+        ends = np.asarray(body.radial(np.concatenate([axis, -axis])), dtype=float)
+        lo, hi = -ends[len(axis):], ends[:len(axis)]
+    else:
+        lo, hi = _section_ends(spec, (axis * shift).sum(axis=1), c, ss, z0, q0)
 
     def integrand(s):
-        terms = _profile_terms(spec, c * s, 0 if i == k else 2)
-        gg = np.maximum(terms[0] * terms[0] - ss * s * s, 0.0)      # g^2
+        terms, gg, d1 = _section_square(spec, s, c, ss, z0, q0, 0 if i == k else 2)
+        gg = np.maximum(gg, 0.0)
         g = np.sqrt(gg)
         if i == k:
             return g ** (k - 1)
         _, df, d2f = terms
-        d1 = 2.0 * (c * terms[0] * df - ss * s)                      # (g^2)'
         d2 = 2.0 * (c * c * (df * df + terms[0] * d2f) - ss)         # (g^2)''
         # 4 g^2 + (g^2)'^2 vanishes only where g and g' both do (a pole of
         # a section through the axis); the floor keeps w and |g''| w^3 at 0 there
@@ -488,11 +523,44 @@ def _section_chunk(bases, body, i):
         return (math.comb(k - 1, k - i) * g ** (i - 1) * w ** (k - i)
                 + math.comb(k - 1, k - i - 1) * g ** i * w ** (k - i - 1) * curv)
 
-    breaks = np.asarray(spec.bump_edges()) / c
-    full, half = _profile_integrals(-ends[rows:], ends[:rows], breaks, integrand)
+    breaks = (np.asarray(spec.bump_edges()) - z0) / c
+    full, half = _profile_integrals(lo, hi, breaks, integrand)
     scale = kappa(k - 1) / kappa(k - i)
     value[live], err[live] = scale * full, scale * np.abs(full - half)
     return value, err
+
+
+def _section_square(spec, s, c, ss, z0, q0, order):
+    """([f, f', f''][:order + 1] at z0 + c s, g^2, (g^2)' if order >= 1) at s.
+    Each term with z0 = 0 or q0 = -0 adds a zero: g^2 keeps the bits of
+    f^2 - sigma^2 s^2 without a translate."""
+    terms = _profile_terms(spec, z0 + c * s, order)
+    gg = terms[0] * terms[0] - ss * s * s + q0 + 2.0 * z0 * c * s
+    if order == 0:
+        return terms, gg, None
+    return terms, gg, 2.0 * (c * terms[0] * terms[1] - ss * s) + 2.0 * z0 * c
+
+
+def _section_ends(spec, mid, c, ss, z0, q0) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the roots of g^2 below and above mid = <s, Ba>, the axis
+    coordinate of the interior point B^T s, for the (R, 1) columns of
+    _section_chunk.  The parent lies within 2 of the origin, so [-2, mid]
+    and [mid, 2] bracket them; the unit ball's roots +-sqrt(1 - |s_perp|^2)
+    are the first guesses."""
+    rows = len(mid)
+    side = np.repeat([-1.0, 1.0], rows)    # -1: the root below mid; +1: above it
+    at = np.concatenate([mid, mid])
+    lo, hi = np.where(side > 0.0, at, -2.0), np.where(side > 0.0, 2.0, at)
+    c, ss, z0, q0 = (np.concatenate([a[:, 0], a[:, 0]]) for a in (c, ss, z0, q0))
+    guess = np.clip(side * np.sqrt(np.maximum(1.0 - z0 * z0 + q0, 0.0)), lo, hi)
+
+    def signed(s, side, c, ss, z0, q0):
+        # g^2 for the root below mid, -g^2 for the one above: negative below it
+        _, gg, d1 = _section_square(spec, s, c, ss, z0, q0, 1)
+        return side * -gg, side * -d1
+
+    ends = _safeguarded_newton(signed, guess, lo, hi, side, c, ss, z0, q0, steps=RIM_STEPS)
+    return ends[:rows], ends[rows:]
 
 
 def revolution_projection_volumes(spec, bases: np.ndarray) -> list[tuple[float, float, str]]:
@@ -898,7 +966,7 @@ def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream) -> IVE
         raise EstimateError("need at least one subspace sample")
     vols = np.empty(m)
     for j, basis in enumerate(sample_haar_bases(k, i, m, rng)):
-        vols[j] = projection_volume(body, Subspace(basis), 2048)[0]
+        vols[j] = projection_volume(body, Subspace(basis))[0]
     c = flag_coefficient(k, i)
     value = c * float(vols.mean())
     stderr = c * float(vols.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0

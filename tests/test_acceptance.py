@@ -94,8 +94,7 @@ def test_criterion_04_slabs(smooth_pair, polytope_pair):
         if not rep.summary["pass"]:
             worst_exact = max(worst_exact, 1.0)
     rep_s = slab_experiment(smooth_pair.oracle_K, smooth_pair.oracle_L,
-                            0.5, 3, 50, RngStream(104, 9), 1e-4,
-                            vol_nodes=100_000)
+                            0.5, 3, 50, RngStream(104, 9), 1e-4)
     elapsed = time.monotonic() - t0
     ok = worst_exact <= 1e-9 and rep_s.summary["pass"] and elapsed < 120.0
     _report(4, ok, f"slab volumes: cut boxes i in {{1,2,3}} 100 normals max "
@@ -258,12 +257,11 @@ def test_criterion_10_slab_to_section_convergence(smooth_pair, polytope_pair):
     t0 = time.monotonic()
     ts = (0.4, 0.2, 0.1, 0.05)
     ok = True
-    for idx, (pair, kwargs) in enumerate(((polytope_pair, {}),
-                                          (smooth_pair, {"width_nodes": 256}))):
+    for idx, pair in enumerate((polytope_pair, smooth_pair)):
         for i in (1, 2):
             xi = RngStream(110, 10 * idx + i).generator().standard_normal(3)
             xi /= np.linalg.norm(xi)
-            rep = convergence_experiment(pair.oracle_K, xi, i, ts, **kwargs)
+            rep = convergence_experiment(pair.oracle_K, xi, i, ts)
             ok = ok and rep.summary["pass"] and rep.summary["monotone"]
 
     cube = oracle_of(HPolytope.box([1.0, 1.0, 1.0]))

@@ -1,5 +1,7 @@
 """Slabs of a 3-d body of revolution as axial integrals (revolution_slab_volumes):
-the ball's closed forms, the pair's equal slabs, stacking and translates."""
+the ball's closed forms, the pair's equal slabs, stacking and translates; and
+the closed forms of ball_slab_volumes, which balls and translated balls take,
+against those integrals."""
 
 import math
 from fractions import Fraction
@@ -7,12 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convexlab.bodies import RevolutionBodySpec, make_revolution_spec, oracle_of
-from convexlab.experiments import (_body_value, _slab_values, body_from_record, make_pair,
-                                   slab_experiment)
+from convexlab.bodies import RevolutionBodySpec, ball_oracle, make_revolution_spec, oracle_of
+from convexlab.experiments import _slab_values, body_from_record, make_pair, slab_experiment
 from convexlab.grassmann import RngStream, sample_haar_bases
-from convexlab.intrinsic import PROFILE_CHUNK, EstimateError, revolution_slab_volumes
-from convexlab.transforms import SlabSpec, max_slab_halfwidth, slab_oracle
+from convexlab.intrinsic import (PROFILE_CHUNK, EstimateError, ball_slab_volumes,
+                                 revolution_slab_volumes, volume_radial)
+from convexlab.transforms import SlabSpec, max_slab_halfwidth, slab_oracle, translate_oracle
 
 BALL = RevolutionBodySpec(3, 0.0, 0.1, "K")  # epsilon = 0: the unit ball
 
@@ -146,7 +148,7 @@ def test_slabs_of_a_translate_are_the_base_at_shifted_levels(i):
     for epsilon in (1e-3, 0.0):
         body = body_from_record({"type": "derived", "transform": "translate", "shift": list(shift),
                                  "base": {"type": "revolution", "epsilon": epsilon}})[0]
-        rows = _slab_values(body, xis, ts, i, None, 512)
+        rows = _slab_values(body, xis, ts, i)
         spec = body.translate[0].revolution
         assert rows == revolution_slab_volumes(spec, xis, mid - ts, mid + ts, i)
         if epsilon == 0.0:
@@ -155,15 +157,15 @@ def test_slabs_of_a_translate_are_the_base_at_shifted_levels(i):
 
 
 def test_the_polar_estimator_converges_to_the_axial_value():
-    """The polar volume of the slab oracle (volume_radial, which balls still
-    take) errs by up to 1.4e-5 at 50,000 nodes on the suite's slabs and by
+    """The polar volume of the slab oracle (volume_radial) errs by up to
+    1.4e-5 at 50,000 nodes on the suite's slabs and by
     less than 1e-6 at 200,000; its halving stderr does not bound that error
     (21 times below it at 50,000 nodes), so only the trend is checked."""
     K = make_pair("smooth").oracle_K
     xis = sample_haar_bases(3, 1, 8, RngStream(7, 33))[:, :, 0]
     t = np.full(len(xis), 0.5)
     axial = _values(K.revolution, xis, -t, t, 3)
-    errors = [np.abs([_body_value(slab_oracle(K, SlabSpec(xi, 0.5)), 3, nodes, 512)[0]
+    errors = [np.abs([volume_radial(slab_oracle(K, SlabSpec(xi, 0.5)), 3, nodes=nodes).value
                       for xi in xis] - axial).max() for nodes in (50_000, 200_000)]
     assert errors[1] < errors[0] / 4
     assert errors[1] < 1e-6
@@ -175,3 +177,45 @@ def test_axial_slabs_are_3d_only():
                                 np.array([0.5]), 4)
     with pytest.raises(EstimateError, match="V_1 to V_3"):
         revolution_slab_volumes(BALL, np.eye(3)[:1], np.array([-0.5]), np.array([0.5]), 0)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_ball_slab_closed_forms_meet_the_axial_integrals(i):
+    """A ball of radius R about c clipped to low <= <x, xi> <= high is R
+    times the unit ball clipped to the levels (level - <c, xi>) / R, moved
+    by c: ball_slab_volumes against revolution_slab_volumes of the
+    epsilon = 0 spec times R^i, to 1e-13 relative.  Over the NORMALS and
+    LEVELS above scaled by R, and over random balls with symmetric slabs,
+    whose levels in the ball's units are asymmetric."""
+    g = RngStream(34, 4).generator()
+    for radius in (1.0, 0.7, 1.9):
+        center = g.standard_normal(3) * 0.1 * radius
+        for name in NORMALS:
+            xi = np.tile(_unit(NORMALS[name]), (len(LEVELS), 1))
+            mid = (xi * center).sum(axis=1)  # as ball_slab_volumes takes it
+            lows, highs = (radius * np.array(c) + mid for c in zip(*LEVELS))
+            got = [v for v, _, _ in ball_slab_volumes((radius, center), xi, lows, highs, i)]
+            axial = _values(BALL, xi, (lows - mid) / radius, (highs - mid) / radius, i)
+            assert np.abs(np.array(got) / (axial * radius ** i) - 1.0).max() <= 1e-13, name
+    for trial in range(5):
+        radius = g.uniform(0.5, 2.0)
+        shift = g.standard_normal(3)
+        shift *= 0.6 * radius * g.uniform() / np.linalg.norm(shift)
+        ball = translate_oracle(ball_oracle(3, radius), shift).ball
+        xis = sample_haar_bases(3, 1, 20, RngStream(34, 5 + trial))[:, :, 0]
+        ts = g.uniform(0.01, 1.0, 20) * max_slab_halfwidth(translate_oracle(ball_oracle(3, radius),
+                                                                              shift))
+        mid = (xis * ball[1]).sum(axis=1)
+        rows = ball_slab_volumes(ball, xis, -ts, ts, i)
+        axial = _values(BALL, xis, (-ts - mid) / radius, (ts - mid) / radius, i) * radius ** i
+        assert {(e, m) for _, e, m in rows} == {(0.0, "exact-ball")}
+        assert np.abs(np.array([v for v, _, _ in rows]) / axial - 1.0).max() <= 1e-13
+
+
+def test_ball_slabs_are_3d_only():
+    ball = (1.0, np.zeros(4))
+    with pytest.raises(EstimateError, match="R\\^3"):
+        ball_slab_volumes(ball, np.eye(4)[:1], np.array([-0.5]), np.array([0.5]), 1)
+    with pytest.raises(EstimateError, match="V_1 to V_3"):
+        ball_slab_volumes((1.0, np.zeros(3)), np.eye(3)[:1], np.array([-0.5]), np.array([0.5]),
+                          4)

@@ -172,10 +172,6 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
     (["sections", "--pair", "control-rotated", "--n", "2"],
      "error: pair 'control-rotated' supports n = 3 or 4, got n=2\n"),
     (["slabs", "--n", "4"], "error: no slab estimator for n=4, i=4\n"),
-    (["sections", "--spec-k", '{"type": "derived", "base": {"type": "revolution", "n": 5}, '
-      '"transform": "translate", "shift": [0.1, 0.0, 0.0, 0.0, 0.0]}',
-      "--spec-l", '{"type": "revolution", "n": 5, "variant": "L"}', "--k", "4", "--i", "1"],
-     "error: no section estimator for n=5, k=4, i=1\n"),
     (["lemma1", "--spec-k", '{"type": "revolution", "epsilon": 0.5}',
       "--spec-l", '{"type": "revolution", "epsilon": 0.5, "variant": "L"}'],
      "error: revolution profile is not concave and positive: max f'' = 386.4, "
@@ -320,18 +316,22 @@ def test_bad_input_exits_1_naming_the_problem(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_projections_k3_of_a_translated_smooth_body_exits_1(tmp_path, capsys):
-    # a translate of a body other than a ball has no k = 3 projection row
+def test_projections_k3_of_a_translated_smooth_body_are_its_base_projections(tmp_path,
+                                                                             capsys):
+    # a translate of a body of revolution projects as its base does, moved,
+    # so its k = 3 rows are the base's profile quadrature
     spec = tmp_path / "l.json"
     spec.write_text('{"type": "derived", "base": {"type": "revolution", "n": 4}, '
                     '"transform": "translate", "shift": [0.1, 0.0, 0.0, 0.0]}', encoding="utf-8")
+    base = tmp_path / "k.json"
+    base.write_text('{"type": "revolution", "n": 4}', encoding="utf-8")
     out = tmp_path / "o"
-    code = main(["projections", "--spec-k", str(spec), "--spec-l", str(spec), "--k", "3",
-                 "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: no projection-volume path for k=3 on translate\n")
-    assert not out.exists()
+    code = main(["projections", "--spec-k", str(base), "--spec-l", str(spec), "--k", "3",
+                 "--samples", "3", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+    assert summary["methods"] == ["quadrature"]
+    assert summary["max_abs_diff"] == 0.0
 
 
 def test_projections_k3_of_the_shifted_control_are_exact(tmp_path, capsys):
@@ -371,19 +371,20 @@ def _translated_smooth_specs(tmp_path, n: int) -> list[str]:
     return argv
 
 
-def test_codimension_2_sections_of_a_translated_smooth_body_exit_1(tmp_path, capsys):
-    # a translate has a rim only on hyperplane sections: V_1 of its 3-d
-    # sections in R^5 has no exact support route, and no search stands in
+@pytest.mark.parametrize("k, i", [(3, 1), (4, 1), (4, 4)])
+def test_codimension_2_sections_of_a_translated_smooth_body_take_the_profile(tmp_path, capsys,
+                                                                            k, i):
+    # a section of a translate is again a body of revolution, whatever its
+    # codimension: 3-d and 4-d sections in R^5 take the profile quadrature
     out = tmp_path / "o"
-    code = main(["sections", *_translated_smooth_specs(tmp_path, 5), "--k", "3", "--i", "1",
-                 "--samples", "3", "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: no exact codimension-2 section support for a body of kind 'translate'\n")
-    assert not out.exists()
+    code = main(["sections", *_translated_smooth_specs(tmp_path, 5), "--k", str(k),
+                 "--i", str(i), "--samples", "3", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+    assert summary["methods"] == ["quadrature"]
 
 
-def test_hyperplane_sections_of_a_translated_smooth_body_take_the_rim_solve(tmp_path, capsys):
+def test_hyperplane_sections_of_a_translated_smooth_body_take_the_profile(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["sections", *_translated_smooth_specs(tmp_path, 4), "--k", "3", "--i", "1",
                  "--samples", "3", "--out", str(out)])

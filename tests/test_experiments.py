@@ -1,7 +1,6 @@
 """End-to-end experiment behavior on the fixture pairs and the controls."""
 
 import dataclasses
-import functools
 import json
 import math
 import tracemalloc
@@ -13,17 +12,18 @@ from convexlab import bodies, polykernel
 from convexlab.bodies import ConvexBodyOracle, ball_oracle
 from convexlab.experiments import (_distance_signature, _harmonic_grid,
                                    _orthogonal_complement, _radial_energy_spectrum)
-from convexlab.experiments import (BodyPair, ExperimentError, _section_values,
+from convexlab.experiments import (BodyPair, ExperimentError, _section_values, _slab_values,
                                    NoncongruenceCertificate, PAIR_NAMES,
                                    certify_report, convergence_experiment,
                                    lemma1_check, make_pair,
                                    noncongruence_certificates,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
-from convexlab.grassmann import (RngStream, Subspace, rowwise,
+from convexlab.grassmann import (RngStream, Subspace, embed, rowwise,
                                   sample_haar_bases, sample_haar_subspace, sample_sphere)
-from convexlab.intrinsic import (IVEstimate, centroid_3d, kubota_intrinsic_volume,
-                                 mean_width_v1, projection_volumes)
+from convexlab.intrinsic import (area_from_support_2d, centroid_3d, kubota_intrinsic_volume,
+                                 mean_width_v1, planar_metrics_from_oracle, projection_volumes,
+                                 volume_radial)
 from convexlab.report import (canonical_json, report_to_dict, write_report_json,
                               write_samples_csv, write_suite_csv)
 from convexlab.transforms import section_oracle, translate_oracle
@@ -195,7 +195,7 @@ def test_sections_dimension_four_polytope():
 
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_sections_dimension_four_smooth(i):
-    # 3-d sections of a smooth pair take the 3-d rows of the estimator table
+    # 3-d sections of a smooth pair take the profile quadrature
     pair = make_pair("smooth", n=4)
     rep = sections_experiment(pair.oracle_K, pair.oracle_L, 3, i, 2,
                               RngStream(4, 40 + i), 1e-4)
@@ -212,8 +212,8 @@ def test_sections_dimension_four_reject_shifted_control():
 
 
 def test_section_mean_width_agrees_with_kubota():
-    # Kubota's formula over 64 subspaces stays a reference for the table's
-    # 3-d mean width row
+    # Kubota's formula over 64 subspaces and the mean width of a section
+    # oracle, two library estimators, agree
     oracle = make_pair("smooth", n=4).oracle_K
     sec = section_oracle(oracle, sample_haar_subspace(4, 3, RngStream(4, 45)))
     kubota = kubota_intrinsic_volume(sec, 3, 1, 64, RngStream(4, 46))
@@ -223,8 +223,8 @@ def test_section_mean_width_agrees_with_kubota():
 
 def _translated_smooth(n: int) -> ConvexBodyOracle:
     """The smooth K in R^n translated off its axis: a body that is neither a
-    polytope, a body of revolution nor a ball, so its sections take the
-    section oracle's rows."""
+    polytope, a body of revolution nor a ball; its sections are bodies of
+    revolution again, and its projections are its base's moved."""
     return translate_oracle(make_pair("smooth", n).oracle_K, [0.1, -0.05] + [0.2] * (n - 2))
 
 
@@ -254,35 +254,44 @@ def test_more_samples_keep_the_first_rows(command, pair, n, arguments):
         assert np.array_equal(long.extra[name][:6], column), name
 
 
-def test_sections_volume_monte_carlo_shares_the_sample_stream():
-    # above dimension 3 the section volume of a body other than a polytope,
-    # a body of revolution or a ball is Monte Carlo; K and L of a sample
-    # draw the same directions, so a body against itself gives 0
+def test_sections_volume_of_a_translate_in_r5_is_the_profile_quadrature():
+    # above dimension 3 the section volume of a translated body of
+    # revolution is the profile quadrature, with a stderr near rounding, not
+    # a Monte Carlo mean; a body against itself gives 0
     oracle = _translated_smooth(5)
     rep = sections_experiment(oracle, oracle, 4, 4, 1, RngStream(4, 47), 0.0)
     assert rep.summary["methods"] == ["quadrature"]
     assert rep.summary["max_abs_diff"] == 0.0
+    assert rep.samples.stderr[0] <= 1e-12 * rep.samples.value_K[0]
 
 
-def test_sections_volume_monte_carlo_draws_apart_from_the_subspace(monkeypatch):
-    # the root stream drew every subspace's Gaussian block in one draw; the
-    # Monte Carlo volume of sample j must not start from block j
-    streams = []
+def test_sections_of_a_translate_draw_only_their_subspaces(monkeypatch):
+    # the root stream draws every subspace's Gaussian block in one draw, and
+    # no row of a translated body of revolution draws more: no child stream,
+    # no Monte Carlo volume
+    def refuse(*args, **kwargs):
+        raise AssertionError("a section row drew from a stream")
 
-    def recording_volume(body, k, nodes=None, rng=None):
-        streams.append(rng)
-        return IVEstimate(k, 1.0, 0.0, "quadrature", 1)
-
-    monkeypatch.setattr("convexlab.experiments.volume_radial", recording_volume)
+    monkeypatch.setattr(RngStream, "substream", refuse)
+    monkeypatch.setattr("convexlab.intrinsic.volume_radial", refuse)
     oracle = _translated_smooth(5)
     rng = RngStream(4, 48)
-    sections_experiment(oracle, oracle, 4, 4, 2, rng, 0.0)
-    assert len(streams) == 4  # K and L of each sample
-    blocks = rng.generator().standard_normal((2, 5, 4))
-    for j, block in enumerate(blocks):
-        for stream in streams[2 * j:2 * j + 2]:
-            first = stream.generator().standard_normal((5, 4))
-            assert not np.any(first == block)
+    for k, i in ((4, 4), (4, 1), (3, 1), (2, 2)):
+        rep = sections_experiment(oracle, oracle, k, i, 2, rng, 0.0)
+        assert rep.summary["methods"] == ["quadrature"]
+
+
+def test_a_body_outside_the_grammar_has_no_section_or_slab_row():
+    """A body that is no polytope, ball, body of revolution or translate of
+    one (a ball that lost its record) gets an ExperimentError that names its
+    kind, at every k, not a search or a Monte Carlo stand-in."""
+    odd = dataclasses.replace(ball_oracle(5), ball=None)
+    for k, i in ((4, 1), (4, 4), (2, 2)):
+        with pytest.raises(ExperimentError, match="no section estimator for a body of kind 'ball'"):
+            sections_experiment(odd, odd, k, i, 2, RngStream(4, 49), 1e-4)
+    odd3 = dataclasses.replace(ball_oracle(3), ball=None)
+    with pytest.raises(ExperimentError, match="no slab estimator for a body of kind 'ball' in R"):
+        _slab_values(odd3, np.eye(3)[:1], np.array([0.5]), 1)
 
 
 def test_sections_reject_controls(rotated_pair, shifted_pair):
@@ -306,8 +315,8 @@ POLYLINE_BIAS = (2.0 * math.pi / 8192) ** 2 / 6.0
 def _ball_and_generic(n: int, seed: int):
     """The control-shifted L in R^n (seed 0), else a translate of a ball
     of random radius by a random interior shift; and the same body built
-    without its `ball` record, whose translate takes the bracketed secant
-    and whose sections and projections take the section oracle's rows."""
+    without its `ball` record, whose translate takes the bracketed secant,
+    for the library estimators on its section oracles and supports."""
     if seed == 0:
         exact = make_pair("control-shifted", n).oracle_L
         radius, shift = exact.ball[0], exact.translate[1]
@@ -324,35 +333,34 @@ def _ball_and_generic(n: int, seed: int):
 @pytest.mark.parametrize("n, k, i", [(3, 2, 1), (3, 2, 2), (4, 2, 1), (4, 2, 2), (4, 3, 3)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_ball_sections_agree_with_the_section_oracle(n, k, i, seed):
-    """The closed-form section rows of a translated ball against the section
-    oracle's polyline (k = 2) and polar volume (k = 3): within that path's
-    stderr plus the polyline bias."""
+    """The closed-form section rows of a translated ball against the
+    polyline (k = 2) and the polar volume (k = 3) of the section oracle:
+    within that estimator's stderr plus the polyline bias."""
     exact, generic = _ball_and_generic(n, seed)
     bases = sample_haar_bases(n, k, 2, RngStream(11, seed))
-    subs = functools.cache(lambda: [Subspace(b) for b in bases])
-    rows = _section_values(exact, bases, i, subs, None)
-    reference = _section_values(generic, bases, i, subs, None)
-    for (value, err, method), (ref, ref_err, ref_method) in zip(rows, reference, strict=True):
+    rows = _section_values(exact, bases, i)
+    for (value, err, method), basis in zip(rows, bases, strict=True):
+        sec = section_oracle(generic, Subspace(basis))
+        ref = planar_metrics_from_oracle(sec)[i - 1] if k == 2 else volume_radial(sec, k)
         assert (err, method) == (0.0, "exact-ball")
-        assert ref_method == ("polyline" if k == 2 else "quadrature")
-        assert abs(value - ref) <= ref_err + POLYLINE_BIAS * value
+        assert ref.method == ("polyline" if k == 2 else "quadrature")
+        assert abs(value - ref.value) <= ref.stderr + POLYLINE_BIAS * value
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_ball_projections_agree_with_the_support_area(n, seed):
     """The closed-form k = 2 projection rows of a translated ball against
-    the support-based area, which reports no stderr: within the bias of its
-    centered differences."""
+    the support-based area (area_from_support_2d) of its supports, which
+    reports no stderr: within the bias of its centered differences."""
     exact, generic = _ball_and_generic(n, seed)
     bases = sample_haar_bases(n, 2, 3, RngStream(12, seed))
-    subs = functools.cache(lambda: [Subspace(b) for b in bases])
-    rows = projection_volumes(exact, bases, 8192, subs)
-    reference = projection_volumes(generic, bases, 8192, subs)
+    rows = projection_volumes(exact, bases, lambda: [Subspace(b) for b in bases])
     radius = exact.ball[0]
-    for (value, err, method), (ref, _, ref_method) in zip(rows, reference, strict=True):
+    for (value, err, method), basis in zip(rows, bases, strict=True):
+        sub = Subspace(basis)
+        ref = area_from_support_2d(lambda d: generic.support(embed(sub, d)), 8192)
         assert (value, err, method) == (math.pi * radius ** 2, 0.0, "exact-ball")
-        assert ref_method == "quadrature"
         assert abs(value - ref) <= POLYLINE_BIAS * value
 
 
@@ -467,8 +475,7 @@ def test_convergence_polytope(polytope_pair):
 
 def test_convergence_smooth(smooth_pair):
     xi = sample_sphere(3, RngStream(7, 0))
-    rep = convergence_experiment(smooth_pair.oracle_K, xi, 1,
-                                 (0.4, 0.2, 0.1, 0.05), width_nodes=256)
+    rep = convergence_experiment(smooth_pair.oracle_K, xi, 1, (0.4, 0.2, 0.1, 0.05))
     assert rep.summary["pass"], rep.summary
 
 
@@ -695,7 +702,7 @@ def test_sample_j_is_row_j_of_the_root_draw(polytope_pair, monkeypatch):
 
     seen = []
 
-    def record(body, sub, area_n):
+    def record(body, sub):
         seen.append(sub.basis)
         return 1.0, "recorded"
 
@@ -708,7 +715,12 @@ def test_sample_j_is_row_j_of_the_root_draw(polytope_pair, monkeypatch):
             assert basis.tobytes() == sample_haar_bases(k, i, 6, rng)[j].tobytes()
 
 
-def test_projections_have_no_support_only_path_for_k3():
+def test_projections_of_a_translate_are_its_base_projections():
+    # a translate of a body of revolution projects as its base does, moved:
+    # every k >= 2 takes the base's profile quadrature, bit for bit
     oracle = _translated_smooth(4)
-    with pytest.raises(ValueError, match="no projection-volume path for k=3 on translate"):
-        projections_experiment(oracle, oracle, 3, 2, RngStream(0), 1e-4)
+    base = oracle.translate[0]
+    for k in (2, 3):
+        rep = projections_experiment(oracle, base, k, 3, RngStream(0), 0.0)
+        assert rep.summary["methods"] == ["quadrature"]
+        assert rep.summary["max_abs_diff"] == 0.0

@@ -1,5 +1,6 @@
 """Estimator checks against closed forms: balls, boxes, regular polygons."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -215,11 +216,16 @@ def test_kubota_validation():
         kubota_intrinsic_volume(ball_oracle(3), 2, 1, 4, rng)
     with pytest.raises(EstimateError, match="at least one subspace"):
         kubota_intrinsic_volume(ball_oracle(3), 3, 1, 0, rng)
-    # every projection goes through projection_volume, which has no k = 3
-    # row for a translated body of revolution
-    moved = translate_oracle(oracle_of(make_revolution_spec(4)), [0.1, 0.0, 0.0, 0.0])
-    with pytest.raises(EstimateError, match="no projection-volume path for k=3 on translate"):
-        kubota_intrinsic_volume(moved, 4, 3, 2, rng)
+    # every projection goes through projection_volume: a translated body of
+    # revolution projects as its base, and a body with no projection row
+    # (a ball that lost its record) raises
+    base = oracle_of(make_revolution_spec(4))
+    moved = translate_oracle(base, [0.1, 0.0, 0.0, 0.0])
+    assert kubota_intrinsic_volume(moved, 4, 3, 2, rng) == kubota_intrinsic_volume(base, 4, 3, 2,
+                                                                                   rng)
+    odd = dataclasses.replace(ball_oracle(4), ball=None)
+    with pytest.raises(EstimateError, match="no projection-volume path for k=3 on ball"):
+        kubota_intrinsic_volume(odd, 4, 3, 2, rng)
 
 
 def test_kubota_vrep_path_against_exact_box():

@@ -1,11 +1,11 @@
 """Experiments evaluate each body once for all their samples: k = 1 widths
-and segments come from one stacked oracle call, the slabs of one run
-share their parent's radial values on the fixed quadrature grids, the
-slabs of a 3-d body of revolution come from stacked axial integrals,
-the sections and slabs of a polytope (convergence runs included) are
-enumerated in stacks, and each projection basis is checked once for both
-bodies.  Every value must equal, with ==, the value its sample gets alone,
-and the shared calls must not grow with the sample count."""
+and segments come from one stacked oracle call, the slabs of a 3-d body of
+revolution come from stacked axial integrals and those of a 3-d ball from
+closed forms, the sections and slabs of a polytope (convergence runs
+included) are enumerated in stacks, and each projection basis is checked
+once for both bodies.  Every value must equal, with ==, the value its
+sample gets alone, and the shared calls must not grow with the sample
+count."""
 
 import dataclasses
 import tracemalloc
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from convexlab import grassmann, intrinsic, polykernel
-from convexlab.experiments import (BodyPair, _body_value, _grid_slabs, _orthogonal_complement,
+from convexlab.experiments import (BodyPair, _exact_values, _orthogonal_complement,
                                    body_from_record, convergence_experiment, make_pair,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
@@ -24,12 +24,25 @@ from convexlab.transforms import SlabSpec, section_oracle, slab_oracle
 
 def _slab_alone(body, xi, t, i):
     """(V_i, stderr, method) of body cap S_t(xi) from its estimator alone:
-    the axial integrals of one slab for a 3-d body of revolution, else the
-    estimator table on the slab's oracle."""
+    the exact values of one clipped polytope, the axial integrals of one
+    slab for a 3-d body of revolution, the closed forms of one slab for a
+    3-d ball, the polyline of the slab oracle in the plane."""
+    if body.polytope is not None:
+        return _exact_values([slab_oracle(body, SlabSpec(xi, t)).polytope], i)[0]
     if body.revolution is not None and body.dim == 3:
         return intrinsic.revolution_slab_volumes(body.revolution, xi[None], np.array([-t]),
                                                  np.array([t]), i)[0]
-    return _body_value(slab_oracle(body, SlabSpec(xi, t)), i, 20_000, 512)
+    if body.ball is not None and body.dim == 3:
+        return intrinsic.ball_slab_volumes(body.ball, xi[None], np.array([-t]), np.array([t]),
+                                           i)[0]
+    est = intrinsic.planar_metrics_from_oracle(slab_oracle(body, SlabSpec(xi, t)))[i - 1]
+    return est.value, est.stderr, est.method
+
+
+def _section_alone(body, basis, i):
+    """V_i of the polytope body cap span(basis), from its section oracle's
+    polytope alone."""
+    return _exact_values([section_oracle(body, Subspace(basis)).polytope], i)[0][0]
 
 
 def _counting(oracle, method: str, rows: list):
@@ -71,8 +84,7 @@ def test_k1_sections_equal_one_direction_segments(smooth_pair):
 def test_slabs_equal_one_slab_values(name, n, i):
     pair = make_pair(name, n)
     rng = RngStream(7, 30 + i)
-    rep = slab_experiment(pair.oracle_K, pair.oracle_L, 0.5, i, 3, rng, 1e-3,
-                          vol_nodes=20_000)
+    rep = slab_experiment(pair.oracle_K, pair.oracle_L, 0.5, i, 3, rng, 1e-3)
     xis = sample_haar_bases(n, 1, 3, rng)[:, :, 0]
     s = rep.samples
     for vk_run, vl_run, err_run, xi in zip(s.value_K, s.value_L, s.stderr, xis, strict=True):
@@ -89,9 +101,8 @@ def test_polytope_sections_equal_one_section_values(n, k, i):
     bases = sample_haar_bases(n, k, 60, rng)
     for vk_run, vl_run, basis in zip(rep.samples.value_K, rep.samples.value_L, bases,
                                      strict=True):
-        vk = _body_value(section_oracle(pair.oracle_K, Subspace(basis)), i, None, 512)[0]
-        vl = _body_value(section_oracle(pair.oracle_L, Subspace(basis)), i, None, 512)[0]
-        assert (vk_run, vl_run) == (vk, vl)
+        assert (vk_run, vl_run) == (_section_alone(pair.oracle_K, basis, i),
+                                    _section_alone(pair.oracle_L, basis, i))
 
 
 @pytest.mark.parametrize("name, body", [("smooth", "K"), ("polytope", "K"),
@@ -101,7 +112,7 @@ def test_convergence_equals_one_slab_values(name, body, i):
     """Each slab value is the one its slab gets alone, and the
     section value the one its section gets alone from the same estimator:
     the closed form for a ball or translated ball, the profile quadrature
-    for a body of revolution, else the section oracle's."""
+    for a body of revolution, the exact polygon of a polytope's section."""
     oracle = getattr(make_pair(name), "oracle_" + body)
     xi = sample_haar_bases(3, 1, 1, RngStream(7, 5))[0, :, 0]
     ts = (0.4, 0.2, 0.1)
@@ -114,7 +125,7 @@ def test_convergence_equals_one_slab_values(name, body, i):
     elif oracle.revolution is not None:
         section = intrinsic.revolution_section_volumes(oracle, basis[None], i)[0][0]
     else:
-        section = _body_value(section_oracle(oracle, Subspace(basis)), i, None, 512)[0]
+        section = _section_alone(oracle, basis, i)
     assert rep.summary["section_value"] == section
     assert list(rep.samples.value_L) == [section] * len(ts)
 
@@ -132,45 +143,35 @@ def test_k1_runs_make_one_oracle_call_per_body(smooth_pair):
         assert radial == [[2 * samples]] * 2
 
 
-@pytest.mark.parametrize("n, i, grids", [
-    (2, 1, {8192}),                 # the polyline's circle
-    (3, 1, set()),                  # none: closed-form supports and inner radius
-    (3, 2, {20_000, 10_000}),       # hull_surface_v2
-    (3, 3, {4096, 2048}),           # volume_radial at vol_nodes = 4096
-])
-def test_slab_grid_calls_do_not_grow_with_samples(n, i, grids):
-    """Nor does the memo, which keeps only shared grid blocks, so the
-    traced peak stays put.
-
-    The slabs of a 3-d body of revolution take no grid (the axial
-    integrals), so n = 3 is counted on `control-shifted`, a ball and its
-    translate, whose slabs go through the memo."""
-    # a grid of more than BLOCK rows reaches the parent in rowwise's blocks:
-    # 20,000 as 6,666 + 6,667 + 6,667 rows and 10,000 as 2 x 5,000
-    sizes = {b - a for g in grids for a, b in grassmann.blocks(g)}
-    pair = make_pair("smooth" if n == 2 else "control-shifted", n)
-    counts, peaks = [], []
+@pytest.mark.parametrize("name, n, i, calls", [
+    ("smooth", 2, 1, 1), ("smooth", 2, 2, 1),              # the polyline's circle, per slab
+    ("control-shifted", 3, 1, 0), ("control-shifted", 3, 2, 0),
+    ("control-shifted", 3, 3, 0)])                         # none: closed forms
+def test_slab_radial_calls_are_the_polylines_of_planar_slabs(name, n, i, calls):
+    """A planar slab takes the polyline of its own slab oracle: one radial
+    call of its parent on the 8192-node circle per slab and body, so the
+    calls grow with the samples and the traced peak does not.  The slabs of
+    a ball and a translated ball take closed forms and no radial call."""
+    pair = make_pair(name, n)
+    peaks = []
     for samples in (2, 5):
         rows = [[], []]
         K, L = (_counting(o, "radial", r) for o, r in zip((pair.oracle_K, pair.oracle_L), rows))
         tracemalloc.start()
         try:
-            slab_experiment(K, L, 0.5, i, samples, RngStream(7, 3), 1e-2, vol_nodes=4096)
+            slab_experiment(K, L, 0.5, i, samples, RngStream(7, 3), 1e-2)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        counts.append([sorted(x for x in r if x in sizes) for r in rows])
-    # at i = 2 the 10,000 rows are hull_surface_v2's N/2 grid
-    assert counts[0] == counts[1]
-    assert [set(c) for c in counts[0]] == [sizes, sizes]
+        assert rows == [[intrinsic.POLYLINE_NODES] * calls * samples] * 2
     assert peaks[1] < peaks[0] + 1e6, peaks
 
 
-def test_slab_grid_memo_answers_an_empty_stack(smooth_pair):
-    xis, ts = np.eye(3)[:2], np.full(2, 0.5)
-    for slab in _grid_slabs(smooth_pair.oracle_K, xis, ts):
-        for _ in range(2):  # a miss, then a hit
-            assert slab.radial(np.empty((0, 3))).shape == (0,)
+def test_planar_slab_oracles_answer_an_empty_stack():
+    pair = make_pair("smooth", 2)
+    for xi in np.eye(2):
+        slab = slab_oracle(pair.oracle_K, SlabSpec(xi, 0.5))
+        assert slab.radial(np.empty((0, 2))).shape == (0,)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -228,11 +229,10 @@ def test_polytope_runs_enumerate_in_stacks(run, monkeypatch):
 @pytest.mark.parametrize("name, k", [("polytope", 2), ("smooth", 2), ("polytope", 3),
                                      ("control-shifted", 2), ("translated-smooth", 2)])
 def test_projection_bases_are_checked_once_per_experiment(name, k, monkeypatch):
-    """One stacked check in sample_haar_bases, then one Subspace per basis,
-    shared by K and L, for the support-based area of translated smooth
-    bodies; the closed form of a ball and its translate, the profile
-    quadrature of bodies of revolution and Cauchy's formula for polytopes
-    (k = n - 1) read the checked stack and build none."""
+    """One stacked check in sample_haar_bases: the closed form of a ball and
+    its translate, the profile quadrature of bodies of revolution and their
+    translates and Cauchy's formula for polytopes (k = n - 1) read the
+    checked stack and build no Subspace."""
     if name == "translated-smooth":
         shift = [0.1, -0.05, 0.2]
         pair = BodyPair.from_bodies(name, *(body_from_record(
@@ -245,4 +245,4 @@ def test_projection_bases_are_checked_once_per_experiment(name, k, monkeypatch):
     monkeypatch.setattr(grassmann, "_check_orthonormal",
                         lambda bases: checks.append(len(bases)) or check(bases))
     projections_experiment(pair.oracle_K, pair.oracle_L, k, 7, RngStream(7, 8), 1e-6)
-    assert checks == [7] + ([1] * 7 if name == "translated-smooth" else [])
+    assert checks == [7]

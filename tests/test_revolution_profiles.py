@@ -1,9 +1,10 @@
-"""Sections and projections of a body of revolution from its profile: the
-Gauss-Legendre rows of intrinsic.revolution_section_volumes and
-revolution_projection_volumes.  Checked against closed forms on the unit
-ball and on the subspaces orthogonal to or through the axis, against the
-oracle-only estimators within their own stderr, for equality with the value
-each sample gets alone, and for one endpoint call per body and chunk."""
+"""Sections and projections of a body of revolution, and sections of its
+translates, from its profile: the Gauss-Legendre rows of
+intrinsic.revolution_section_volumes and revolution_projection_volumes.
+Checked against closed forms on the unit ball and its translates and on the
+subspaces orthogonal to or through the axis, against the oracle-only
+estimators within their own stderr, for equality with the value each sample
+gets alone, and for one endpoint call or solve per body and chunk."""
 
 import dataclasses
 import math
@@ -13,14 +14,21 @@ import pytest
 from scipy.integrate import quad
 
 from convexlab import intrinsic
-from convexlab.bodies import make_revolution_spec, oracle_of, profile, revolution_support
+from convexlab.bodies import (ball_oracle, make_revolution_spec, oracle_of, profile,
+                              revolution_support)
 from convexlab.cli import main
 from convexlab.experiments import make_pair, projections_experiment, sections_experiment
 from convexlab.grassmann import RngStream, Subspace, embed, kappa, rowwise, sample_haar_bases
 from convexlab.intrinsic import (PROFILE_CHUNK, area_from_support_2d, ball_intrinsic_volume,
+                                 ball_section_volumes, hull_surface_v2,
                                  planar_metrics_from_oracle, revolution_projection_volumes,
                                  revolution_section_volumes, volume_radial)
-from convexlab.transforms import section_oracle
+from convexlab.transforms import section_oracle, translate_oracle
+
+SHIFT = [0.1, -0.05, 0.2, 0.05, -0.1]
+# the relative deficit (2 pi / N)^2 / 6 of an N-gon inscribed in a circle at
+# the polyline's N = 8192 nodes, to leading order: it bounds the polyline's bias
+POLYLINE_BIAS = (2.0 * math.pi / 8192) ** 2 / 6.0
 
 
 def _axis_bases(n: int, k: int) -> np.ndarray:
@@ -187,3 +195,72 @@ def test_sections_n4_k3_i2_reject_the_ball(tmp_path, capsys):
             "--spec-k", str(tmp_path / "k.json"), "--out", str(tmp_path / "o")]
     assert main(argv + ["--spec-l", str(tmp_path / "l.json")]) == 2
     assert "sections: FAIL" in capsys.readouterr().out
+
+
+def _translate(n: int, epsilon: float = 1e-3, variant: str = "K"):
+    """The body of revolution of (n, epsilon, variant) moved by -SHIFT[:n]."""
+    return translate_oracle(oracle_of(make_revolution_spec(n, epsilon, variant=variant)),
+                            SHIFT[:n])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sections_of_a_translated_ball_meet_the_closed_form(n):
+    """The epsilon = 0 translate is the unit ball about -s: every k >= 2 and
+    i, over random subspaces and those orthogonal to or through the axis,
+    to 1e-13 relative."""
+    moved, ball = _translate(n, 0.0), translate_oracle(ball_oracle(n), SHIFT[:n])
+    for k in range(2, n):
+        bases = np.concatenate([_bases(n, k, 8, 50 * n + k), _axis_bases(n, k)])
+        for i in range(1, k + 1):
+            rows = revolution_section_volumes(moved, bases, i)
+            exact = [v for v, _, _ in ball_section_volumes(ball.ball, bases, i)]
+            for (value, err, method), ref in zip(rows, exact, strict=True):
+                assert method == "quadrature"
+                assert abs(value - ref) <= 1e-13 * ref and err <= 1e-12 * ref, (k, i)
+
+
+def test_translated_sections_agree_with_oracle_estimators():
+    """Sections of a translated smooth body against the estimators on its
+    section oracle, within their stderr plus the polyline bias: the
+    polyline in R^3 (k = 2), the boundary hull and the polar volume of 3-d
+    sections in R^4."""
+    moved = _translate(3)
+    for basis in _bases(3, 2, 2, 60):
+        polyline = planar_metrics_from_oracle(section_oracle(moved, Subspace(basis)))
+        for i, est in zip((1, 2), polyline):
+            value, err, _ = revolution_section_volumes(moved, basis[None], i)[0]
+            assert abs(value - est.value) <= est.stderr + err + POLYLINE_BIAS * value, i
+    moved = _translate(4)
+    for basis in _bases(4, 3, 1, 61):
+        sec = section_oracle(moved, Subspace(basis))
+        for i, est in ((2, hull_surface_v2(sec)), (3, volume_radial(sec, 3))):
+            value, err, _ = revolution_section_volumes(moved, basis[None], i)[0]
+            assert abs(value - est.value) <= est.stderr + err + POLYLINE_BIAS * value, i
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_translated_row_on_a_stack_is_the_row_alone(n):
+    moved = _translate(n, variant="L")
+    for k in range(2, n):
+        bases = np.concatenate([_bases(n, k, 2 * PROFILE_CHUNK + 3, 70 * n + k),
+                                _axis_bases(n, k)])
+        for i in (1, k):
+            stacked = revolution_section_volumes(moved, bases, i)
+            assert stacked == [revolution_section_volumes(moved, b[None], i)[0] for b in bases]
+
+
+@pytest.mark.parametrize("samples", [3, PROFILE_CHUNK + 1])
+def test_translated_sections_solve_their_ends_once_per_chunk(samples, monkeypatch):
+    """Both ends of every section of a chunk come from one safeguarded
+    Newton call of 2 x chunk rows, and no oracle of the translate is called."""
+    radial, support = [], []
+    pair = [_counting(_counting(_translate(4, variant=v), "radial", radial), "support", support)
+            for v in "KL"]
+    solves = []
+    newton = intrinsic._safeguarded_newton
+    monkeypatch.setattr(intrinsic, "_safeguarded_newton",
+                        lambda fun, x, *a, **kw: solves.append(len(x)) or newton(fun, x, *a, **kw))
+    sections_experiment(*pair, 3, 2, samples, RngStream(7, 11), 1e-4)
+    chunks = [min(PROFILE_CHUNK, samples - lo) for lo in range(0, samples, PROFILE_CHUNK)]
+    assert solves == [2 * c for c in chunks] * 2
+    assert radial == support == []

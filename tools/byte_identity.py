@@ -28,37 +28,39 @@ projections above n = 3 (4-d sections in R^5 for i = 1 to 4, projections
 with k = 3 in R^4 and k = 2 to 4 in R^5), the exact V_1 and V_2 of 3-d
 polytope sections in R^4, the closed forms of the shifted ball (its
 radial, exact-ball sections and projections: 3-d sections in R^4, k = 2
-projections in R^3 and k = 3 in R^4, and n = 3 slabs of `control-shifted`
-with their closed-form supports), or the work that samples share within
-one run (the stacked axial integrals behind smooth slabs at i = 1 and 2
-and smooth convergence at i = 1 and 2, stacked k = 1 widths of the
-shifted ball and k = 1 segments of the smooth pair), convergence on the
-ball of `control-shifted` (the mean width over closed-form slab supports
-at i = 1, the boundary hull at i = 2) and on the polytope with half-widths
-other than the default sequence, with sample counts kept small; and polytope
-sections and slabs with hundreds to thousands of samples, whose stacked
-vertex enumeration makes thousands of feasibility, twin and incidence
-tests against thresholds.  Four commands cover the sample tables the
-writers render: lemma1 in R^4 (basis width 4 plus the d_h column across a
-CHUNK edge), smooth sections with thousands of samples (basis width 6, a
-nonzero stderr on most rows, rule `mixed`), and --svg runs of lemma1 and
-sections, whose rel_diff.svg and sections.svg read sample columns
-(`all --svg` writes only profiles.svg).  Three commands sit on the row
-blocks of grassmann.rowwise: lemma1 of the smooth pair with 820 samples
-(8,200 reflection probes, two blocks of 4,100), lemma1 of
+projections in R^3 and k = 3 in R^4, and the exact-ball slab volumes of
+n = 3 slabs of `control-shifted` at i = 1 and 3 and of its convergence at
+i = 1 and 2), or the work that samples share within one run (the stacked
+axial integrals behind smooth slabs at i = 1 and 2 and smooth convergence
+at i = 1 and 2, stacked k = 1 widths of the shifted ball and k = 1
+segments of the smooth pair), and convergence on the polytope with
+half-widths other than the default sequence, with sample counts kept
+small; and polytope sections and slabs with hundreds to thousands of
+samples, whose stacked vertex enumeration makes thousands of feasibility,
+twin and incidence tests against thresholds.  Four commands cover the
+sample tables the writers render: lemma1 in R^4 (basis width 4 plus the
+d_h column across a CHUNK edge), smooth sections with thousands of samples
+(basis width 6, a nonzero stderr on most rows, rule `mixed`), and --svg
+runs of lemma1 and sections, whose rel_diff.svg and sections.svg read
+sample columns (`all --svg` writes only profiles.svg).  Two commands sit
+on the row blocks of grassmann.rowwise: lemma1 of the smooth pair with 820
+samples (8,200 reflection probes, two blocks of 4,100) and lemma1 of
 `control-shifted` with 5,000 samples (the translated ball's closed-form
-radial across seven blocks; it exits 2, as a control should), and 3
-slabs of `control-shifted` at i = 3 (the 200,000-node polar volume in 25
-blocks through the slab grid memo, which only balls reach; it exits 2).
-The exact-ball rows of 4-d sections in R^5 run on `control-shifted`,
-which exits 2.  Three translated pairs, the smooth pair and the 3-d
-polytope pair each moved by SHIFT and the 4-d smooth pair moved by SHIFT
-and 0.05, are given as spec files (SPECS, written into each command's
-directory): `slabs --i 1` reaches the axial integrals of a translated
-body of revolution at shifted levels, `sections --k 2`, `projections --k
-2` and `certify` the polytope paths that a translated polytope takes, and
-`sections --k 3 --i 1` in R^4 the rim solve of a hyperplane section of a
-translate.
+radial across seven blocks; it exits 2, as a control should).  The
+`control-shifted` slabs at i = 3 exit 2 on the V_3 closed form of a ball
+against a translated ball: a slab control that fails as it should.  The
+exact-ball rows of 4-d sections in R^5 run on `control-shifted`, which
+exits 2.  Four translated pairs, the smooth pair and the 3-d polytope pair
+each moved by SHIFT, the 4-d smooth pair moved by SHIFT and 0.05 and the
+5-d smooth pair moved by SHIFT, 0.05 and -0.1, are given as spec files
+(SPECS, written into each command's directory): `slabs --i 1` reaches the
+axial integrals of a translated body of revolution at shifted levels,
+`sections --k 2`, `projections --k 2` and `certify` the profile
+quadrature of a translate's sections and its base's projections and the
+polytope paths that a translated polytope takes, `sections --k 3 --i 1`
+in R^4 and R^5 and `sections --k 4 --i 4` in R^5 the section ends of a
+translate (roots of its section profile), and `projections --k 3` in R^4
+the base's projection quadrature.
 
 --oracles compares the smooth-body oracles themselves instead of the
 commands.  One interpreter per tree imports its `convexlab` and evaluates
@@ -136,7 +138,13 @@ EXTRA = (
           for command in ("slabs --i 1 --samples 2", "sections --k 2 --samples 3",
                           "projections --k 2 --samples 3", "certify")) + (
     "sections --n 4 --k 3 --i 1 --samples 3"
-    " --spec-k translated-smooth-4-k.json --spec-l translated-smooth-4-l.json",)
+    " --spec-k translated-smooth-4-k.json --spec-l translated-smooth-4-l.json",
+    "projections --k 3 --samples 3"
+    " --spec-k translated-smooth-4-k.json --spec-l translated-smooth-4-l.json",
+    "sections --k 3 --i 1 --samples 3"
+    " --spec-k translated-smooth-5-k.json --spec-l translated-smooth-5-l.json",
+    "sections --k 4 --i 4 --samples 2"
+    " --spec-k translated-smooth-5-k.json --spec-l translated-smooth-5-l.json",)
 
 DRAWN = {f"{command} --spec-k {pair}-k.json --spec-l {pair}-l.json"
          for pair in ("translated-smooth", "translated-polytope")
@@ -149,7 +157,8 @@ SPECS = {f"{pair}-{variant.lower()}.json": {"type": "derived", "transform": "tra
          for pair, base, shift in (
              ("translated-smooth", {"type": "revolution"}, SHIFT),
              ("translated-polytope", {"type": "polytope", "a": [1.0, 1.2, 1.5]}, SHIFT),
-             ("translated-smooth-4", {"type": "revolution", "n": 4}, SHIFT + [0.05]))
+             ("translated-smooth-4", {"type": "revolution", "n": 4}, SHIFT + [0.05]),
+             ("translated-smooth-5", {"type": "revolution", "n": 5}, SHIFT + [0.05, -0.1]))
          for variant in "KL"}
 
 ORACLE_PARAMS = ((1e-3, 0.1), (0.0, 0.1), (4e-3, 0.16), (2e-3, 0.05), (1e-3, 0.155))
