@@ -40,6 +40,7 @@ from .experiments import (
     SampleTable,
     certify_report,
     convergence_experiment,
+    kubota_intrinsic_volume,
     lemma1_check,
     make_pair,
     noncongruence_certificates,
@@ -64,7 +65,6 @@ from .intrinsic import (
     boundary_polyline,
     flag_coefficient,
     hull_surface_v2,
-    kubota_intrinsic_volume,
     mean_width_v1,
     planar_metrics_from_oracle,
     steiner_disc_area,

@@ -12,7 +12,6 @@ everything.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -23,12 +22,14 @@ import numpy as np
 from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
                      build_polytope_pair, oracle_of, validate_revolution_spec,
                      profile)
-from .grassmann import RngStream, Subspace, blocks, sample_haar_bases
-from .intrinsic import (POLYLINE_NODES, antipodal_sums, ball_section_volumes, ball_slab_volumes,
-                        centroid_3d, planar_metrics_from_oracle, projection_volumes,
-                        revolution_section_volumes, revolution_slab_volumes)
-from .polykernel import (CHUNK, poly3_stack_volumes, polygon_stack_metrics,
-                         section_hpolytopes, slab_hpolytopes)
+from .grassmann import RngStream, Subspace, blocks, kappa, sample_haar_bases
+from .intrinsic import (POLYLINE_NODES, EstimateError, IVEstimate, antipodal_sums,
+                        ball_section_volumes, ball_slab_volumes, centroid_3d, flag_coefficient,
+                        planar_metrics_from_oracle, revolution_projection_volumes,
+                        revolution_section_volumes, revolution_slab_volumes, volume_radial)
+from .polykernel import (CHUNK, cauchy_projection_volumes, poly3_stack_volumes, polygon_metrics,
+                         polygon_stack_metrics, projection_polygon, section_hpolytopes,
+                         slab_hpolytopes)
 from .transforms import SlabSpec, max_slab_halfwidth, slab_oracle, translate_oracle
 
 
@@ -399,7 +400,8 @@ def _section_values(body: ConvexBodyOracle, bases: np.ndarray,
         return revolution_section_volumes(body, bases, i)
     if body.polytope is not None:
         return _exact_values(section_hpolytopes(body.polytope, bases), i)
-    raise ExperimentError(f"no section estimator for a body of kind '{body.kind}'")
+    raise ExperimentError(
+        f"no section estimator for a body of kind '{body.kind}' in R^{body.dim}")
 
 
 def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
@@ -434,9 +436,9 @@ def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray,
     <s, xi> -+ t: (K - s) cap S_t(xi) is K cap {|<x, xi> - <s, xi>| <= t}
     moved by -s.  A ball or translated ball takes the closed forms of
     ball_slab_volumes.  So every value is the one its slab gets alone.  Any
-    other body raises ExperimentError.
+    other body, and every body above R^3, raises ExperimentError.
     """
-    if body.polytope is not None:
+    if body.polytope is not None and body.dim <= 3:
         return _exact_values(slab_hpolytopes(body.polytope, xis, ts), i)
     if body.dim == 2:
         ests = [planar_metrics_from_oracle(slab_oracle(body, SlabSpec(xi, t)))[i - 1]
@@ -458,8 +460,6 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= i <= n:
         raise ExperimentError(f"need 1 <= i <= n, got i={i}, n={n}")
-    if n not in (2, 3):
-        raise ExperimentError(f"no slab estimator for n={n}, i={i}")
     t_max = min(max_slab_halfwidth(oracle_K), max_slab_halfwidth(oracle_L))
     if not 0.0 < t <= t_max:
         raise ExperimentError(
@@ -475,22 +475,81 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 # Projections
 
 
+def _projection_values(body: ConvexBodyOracle,
+                       bases: np.ndarray) -> list[tuple[float, float, str]]:
+    """(vol_k of body|V_j, stderr, method) for every n x k basis V_j of the
+    (m, n, k) stack bases: the one choice of projection estimator.
+
+    A body with vertex data (body.vrep) is exact: widths for k = 1, one
+    subspace per product (its vertices @ u rounds its last ulp with the row
+    count); Cauchy's formula for k = n - 1 (cauchy_projection_volumes,
+    `exact-cauchy`: facet volumes once per body, one broadcast product per
+    stack); and for k = 2 in R^4 the hull of its projected vertices, one
+    Subspace per basis.  For every k >= 2 a ball or translated ball projects
+    to a k-ball of its radius R (`exact-ball`), and a body of revolution or
+    a translate of one, which projects as its base, takes the profile
+    quadrature of revolution_projection_volumes.  Their k = 1 widths come
+    from one support call on the stacked rows (u_0, -u_0, u_1, -u_1, ...),
+    which gives each row the value it gets alone.  Any other body raises
+    ExperimentError.
+    """
+    k = bases.shape[2]
+    vrep = body.vrep
+    if k == 1 and vrep is None:
+        return [(w, 0.0, "exact-width")
+                for w in antipodal_sums(body.support, bases[:, :, 0]).tolist()]
+    if k == 1:
+        heights = [vrep.vertices @ u for u in bases[:, :, 0]]
+        return [(float(h.max() - h.min()), 0.0, "exact-width") for h in heights]
+    if vrep is not None and k == body.dim - 1:
+        return [(v, 0.0, "exact-cauchy")
+                for v in cauchy_projection_volumes(body.polytope, bases).tolist()]
+    if body.ball is not None:
+        return [(kappa(k) * body.ball[0] ** k, 0.0, "exact-ball")] * len(bases)
+    if (base := (body.translate or (body,))[0]).revolution is not None:
+        return revolution_projection_volumes(base.revolution, bases)
+    if vrep is not None and k == 2:
+        return [(polygon_metrics(projection_polygon(vrep, Subspace(b)))[0], 0.0, "exact-polygon")
+                for b in bases]
+    raise ExperimentError(
+        f"no projection estimator for a body of kind '{body.kind}' in R^{body.dim}")
+
+
 def projections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
                            k: int, num_h: int, rng: RngStream,
                            tol: float) -> ExperimentReport:
-    """vol_k(K|V) vs vol_k(L|V) over Haar-random k-subspaces V."""
+    """vol_k(K|V) vs vol_k(L|V) over Haar-random k-subspaces V, each body's
+    values from _projection_values."""
     n = _shared_dim(oracle_K, oracle_L)
     if not 1 <= k <= n - 1:
         raise ExperimentError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     bases = sample_haar_bases(n, k, num_h, rng)
-    # built on first use, once for K and L, for the bodies that read them
-    subs = functools.cache(lambda: [Subspace(b) for b in bases])
+    return _paired_run("projections", oracle_K, oracle_L, bases,
+                       lambda oracle: _projection_values(oracle, bases), rng, tol, {"k": k})
 
-    def values(oracle):
-        return projection_volumes(oracle, bases, subs)
 
-    return _paired_run("projections", oracle_K, oracle_L, bases, values, rng, tol,
-                       {"k": k})
+def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream) -> IVEstimate:
+    """V_i via Kubota's recursion: flag coefficient times the Haar average
+    of i-dimensional projection volumes over G(k, i).
+
+    `body` lives in dimension k; every projection volume is the row
+    _projection_values gives its basis alone, so a body with no projection
+    row for i raises ExperimentError.  Invalid indices raise EstimateError.
+    """
+    if not 1 <= i <= k:
+        raise EstimateError(f"invalid Kubota indices i={i}, k={k}")
+    if body.dim != k:
+        raise EstimateError("body must live in dimension k")
+    if i == k:
+        return volume_radial(body, k, rng=rng)
+    if m < 1:
+        raise EstimateError("need at least one subspace sample")
+    vols = np.array([_projection_values(body, basis[None])[0][0]
+                     for basis in sample_haar_bases(k, i, m, rng)])
+    c = flag_coefficient(k, i)
+    value = c * float(vols.mean())
+    stderr = c * float(vols.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    return IVEstimate(i, value, stderr, "kubota-mc", m)
 
 
 # ---------------------------------------------------------------------------

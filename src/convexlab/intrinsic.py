@@ -5,8 +5,9 @@ the circle, Fibonacci lattices on the sphere, boundary polylines for planar
 bodies, and Gauss-Legendre sums over the profile for the sections and
 projections of a body of revolution, which are again bodies of revolution,
 and along its axis for its slabs.
-The Kubota Monte-Carlo estimator averages projection volumes over
-Haar-random subspaces; the experiments keep it as a reference only.
+convexlab.experiments chooses the estimator of every section, slab and
+projection row, and keeps Kubota's Monte-Carlo formula, the Haar average of
+those projection rows, as a reference.
 
 Every estimator reports a stderr: Monte-Carlo paths use the sample standard
 error, deterministic paths use the N vs N/2 halving difference, exact paths
@@ -22,8 +23,8 @@ from functools import cache
 import numpy as np
 
 from .bodies import _profile_terms, _safeguarded_newton, profile, revolution_maximiser
-from .grassmann import RngStream, Subspace, kappa, rowwise, sample_haar_bases
-from .polykernel import Polygon, cauchy_projection_volumes, polygon_metrics, projection_polygon
+from .grassmann import RngStream, kappa, rowwise
+from .polykernel import Polygon, polygon_metrics
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 POLYLINE_NODES = 8192  # boundary angles of planar_metrics_from_oracle
@@ -293,57 +294,6 @@ def antipodal_sums(fn, us: np.ndarray) -> np.ndarray:
     stacked rows (u_0, -u_0, u_1, -u_1, ...)."""
     vals = np.asarray(fn(np.stack([us, -us], axis=1).reshape(-1, us.shape[1])), dtype=float)
     return vals[0::2] + vals[1::2]
-
-
-def projection_volumes(body, bases: np.ndarray, subspaces) -> list[tuple[float, float, str]]:
-    """(vol_k of body|V_j, stderr, method) for every n x k basis V_j of the
-    (m, n, k) stack bases.  subspaces() gives the Subspaces of the bases;
-    only a polytope's projected hull calls it, the others read the bases
-    alone, so a caller that projects several bodies on one stack can cache
-    it and check each basis once, and only when a body needs it.
-
-    A body with vertex data (body.vrep) is exact: widths for k = 1, Cauchy's
-    formula for k = n - 1 (cauchy_projection_volumes, `exact-cauchy`: the
-    facet volumes once per body, then one broadcast product for the whole
-    stack) and the hull of its projected vertices for k = 2 in R^4.  A ball
-    or translated ball (body.ball) projects to a k-ball of its radius R,
-    kappa_k R^k for every k >= 2 (`exact-ball`).  A body of revolution
-    (body.revolution) and a translate of one, which projects as its base,
-    take the profile quadrature of revolution_projection_volumes for every
-    k >= 2.  The k = 1 widths of a
-    body without vertex data come from one support call on the stacked rows
-    (u_0, -u_0, u_1, -u_1, ...), whatever the sample count.  Those bodies
-    (revolution, ball, translate) give each row the value it gets alone, so
-    every width is the one projection_volume gives its subspace.  A polytope
-    takes one subspace per product: its vertices @ u rounds its last ulp
-    differently with the row count.  Any other body raises EstimateError.
-    """
-    k = bases.shape[2]
-    vrep = body.vrep
-    if k == 1 and vrep is None:
-        return [(w, 0.0, "exact-width")
-                for w in antipodal_sums(body.support, bases[:, :, 0]).tolist()]
-    if k == 1:
-        heights = [vrep.vertices @ u for u in bases[:, :, 0]]
-        return [(float(h.max() - h.min()), 0.0, "exact-width") for h in heights]
-    if vrep is not None and k == body.dim - 1:
-        return [(v, 0.0, "exact-cauchy")
-                for v in cauchy_projection_volumes(body.polytope, bases).tolist()]
-    if body.ball is not None:
-        return [(kappa(k) * body.ball[0] ** k, 0.0, "exact-ball")] * len(bases)
-    base = body.translate[0] if body.translate is not None else body
-    if base.revolution is not None:
-        return revolution_projection_volumes(base.revolution, bases)
-    if vrep is not None and k == 2:
-        return [(polygon_metrics(projection_polygon(vrep, sub))[0], 0.0, "exact-polygon")
-                for sub in subspaces()]
-    raise EstimateError(f"no projection-volume path for k={k} on {body.kind}")
-
-
-def projection_volume(body, sub: Subspace) -> tuple[float, float, str]:
-    """(vol_k of body|sub, stderr, method): the one-subspace case of
-    projection_volumes."""
-    return projection_volumes(body, sub.basis[None], lambda: [sub])[0]
 
 
 def ball_section_volumes(ball, bases: np.ndarray, i: int) -> list[tuple[float, float, str]]:
@@ -946,28 +896,3 @@ def _axial_chunk(rows, spec, i):
     if i == 1:
         return (full + widest.sum(axis=1)) / math.pi, np.abs(full - half) / math.pi
     return full, np.abs(full - half)
-
-
-def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream) -> IVEstimate:
-    """V_i via Kubota's recursion: flag coefficient times the Haar average
-    of i-dimensional projection volumes over G(k, i).
-
-    `body` lives in dimension k; every projection volume comes from
-    projection_volume, so a body with no projection row for i raises
-    EstimateError.
-    """
-    if not 1 <= i <= k:
-        raise EstimateError(f"invalid Kubota indices i={i}, k={k}")
-    if body.dim != k:
-        raise EstimateError("body must live in dimension k")
-    if i == k:
-        return volume_radial(body, k, rng=rng)
-    if m < 1:
-        raise EstimateError("need at least one subspace sample")
-    vols = np.empty(m)
-    for j, basis in enumerate(sample_haar_bases(k, i, m, rng)):
-        vols[j] = projection_volume(body, Subspace(basis))[0]
-    c = flag_coefficient(k, i)
-    value = c * float(vols.mean())
-    stderr = c * float(vols.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return IVEstimate(i, value, stderr, "kubota-mc", m)

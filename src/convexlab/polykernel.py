@@ -628,7 +628,7 @@ def poly3_stack_volumes(polys) -> np.ndarray:
     the one its polytope gets alone.
     """
     if any(p.ambient_dim != 3 for p in polys):
-        raise PolytopeError("poly3_intrinsic_volumes needs a 3-dimensional polytope")
+        raise PolytopeError("poly3_stack_volumes needs 3-dimensional polytopes")
     g = _poly3_faces(polys)
     nrm = g.normals[g.poly, g.facet]
     cosang = np.clip(np.sum(nrm[g.fi] * nrm[g.fj], axis=1), -1.0, 1.0)

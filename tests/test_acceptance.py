@@ -15,13 +15,12 @@ import pytest
 import convexlab
 from convexlab.bodies import ball_oracle, oracle_of
 from convexlab.experiments import (BodyPair, certify_report,
-                                   convergence_experiment, lemma1_check,
-                                   noncongruence_certificates,
+                                   convergence_experiment, kubota_intrinsic_volume,
+                                   lemma1_check, noncongruence_certificates,
                                    projections_experiment, sections_experiment,
                                    slab_experiment)
 from convexlab.grassmann import RngStream, sample_haar_subspace
-from convexlab.intrinsic import (ball_intrinsic_volume, kubota_intrinsic_volume,
-                                 steiner_disc_area)
+from convexlab.intrinsic import ball_intrinsic_volume, steiner_disc_area
 from convexlab.polykernel import HPolytope, poly3_intrinsic_volumes, section_polygon
 from convexlab.transforms import SlabSpec, slab_oracle
 

@@ -171,7 +171,8 @@ def test_invalid_slab_width_exits_1_without_outputs(tmp_path, capsys):
      "error: pair 'polytope' supports n = 3 or 4, got n=2\n"),
     (["sections", "--pair", "control-rotated", "--n", "2"],
      "error: pair 'control-rotated' supports n = 3 or 4, got n=2\n"),
-    (["slabs", "--n", "4"], "error: no slab estimator for n=4, i=4\n"),
+    (["slabs", "--n", "4"],
+     "error: no slab estimator for a body of kind 'revolution' in R^4\n"),
     (["lemma1", "--spec-k", '{"type": "revolution", "epsilon": 0.5}',
       "--spec-l", '{"type": "revolution", "epsilon": 0.5, "variant": "L"}'],
      "error: revolution profile is not concave and positive: max f'' = 386.4, "

@@ -12,8 +12,9 @@ from convexlab import bodies, polykernel
 from convexlab.bodies import ConvexBodyOracle, ball_oracle
 from convexlab.experiments import (_distance_signature, _harmonic_grid,
                                    _orthogonal_complement, _radial_energy_spectrum)
-from convexlab.experiments import (BodyPair, ExperimentError, _section_values, _slab_values,
-                                   NoncongruenceCertificate, PAIR_NAMES,
+from convexlab.experiments import (BodyPair, ExperimentError, _projection_values,
+                                   _section_values, _slab_values, kubota_intrinsic_volume,
+                                   NoncongruenceCertificate, PAIR_NAMES, body_from_record,
                                    certify_report, convergence_experiment,
                                    lemma1_check, make_pair,
                                    noncongruence_certificates,
@@ -21,9 +22,8 @@ from convexlab.experiments import (BodyPair, ExperimentError, _section_values, _
                                    slab_experiment)
 from convexlab.grassmann import (RngStream, Subspace, embed, rowwise,
                                   sample_haar_bases, sample_haar_subspace, sample_sphere)
-from convexlab.intrinsic import (area_from_support_2d, centroid_3d, kubota_intrinsic_volume,
-                                 mean_width_v1, planar_metrics_from_oracle, projection_volumes,
-                                 volume_radial)
+from convexlab.intrinsic import (area_from_support_2d, centroid_3d, mean_width_v1,
+                                 planar_metrics_from_oracle, volume_radial)
 from convexlab.report import (canonical_json, report_to_dict, write_report_json,
                               write_samples_csv, write_suite_csv)
 from convexlab.transforms import section_oracle, translate_oracle
@@ -294,6 +294,55 @@ def test_a_body_outside_the_grammar_has_no_section_or_slab_row():
         _slab_values(odd3, np.eye(3)[:1], np.array([0.5]), 1)
 
 
+_SWEEP_SHIFT = [0.1, -0.05, 0.2, 0.05, -0.1]
+_SWEEP_BASES = {  # the polytope grammar builds boxes of dimension 2 to 4
+    "polytope": lambda n, v: {"type": "polytope", "a": [1.0, 1.2, 1.5, 1.8][:n],
+                              "lambda": 0.3, "variant": v},
+    "ball": lambda n, v: {"type": "ball", "n": n},
+    "revolution": lambda n, v: {"type": "revolution", "n": n, "variant": v},
+}
+_ROW_OF = {"sections": "section", "slabs": "slab", "projections": "projection"}
+
+
+def _sweep_runs(n):
+    """Every (command, arguments) of the row-picking commands at n."""
+    runs = [("sections", dict(k=k, i=i)) for k in range(1, n) for i in range(1, k + 1)]
+    runs += [("slabs", dict(t=0.5, i=i)) for i in range(1, n + 1)]
+    runs += [("projections", dict(k=k)) for k in range(1, n)]
+    return runs + ([("convergence", dict(i=i)) for i in (1, 2)] if n == 3 else [])
+
+
+@pytest.mark.parametrize("family, n", [
+    (f"{moved}{base}", n) for moved in ("", "translated-") for base in _SWEEP_BASES
+    for n in range(2, 5 if base == "polytope" else 6)])
+def test_every_run_the_cli_accepts_has_rows_or_names_its_gap(family, n):
+    """Every (command, k, i) of sections, slabs, projections and convergence
+    on each grammar family at n = 2 to 5, through the CLI's dispatch, gives
+    a row per sample or an ExperimentError naming the functional, the
+    body's kind and n; never a PolytopeError or an IndexError from a row
+    that was not built for the body.  The only gaps today are the slabs of
+    every body above R^3."""
+    from convexlab.cli import _experiment
+    base = _SWEEP_BASES[family.removeprefix("translated-")]
+    records = [base(n, v) for v in "KL"]
+    if family.startswith("translated-"):
+        records = [{"type": "derived", "base": r, "transform": "translate",
+                    "shift": _SWEEP_SHIFT[:n]} for r in records]
+    pair = BodyPair.from_bodies(family, *map(body_from_record, records))
+    kind = pair.oracle_K.kind
+    for cmd, arguments in _sweep_runs(n):
+        gap = cmd == "slabs" and n >= 4
+        try:
+            rep = _experiment(cmd, pair, RngStream(7, 9), samples=2, **arguments)
+        except ExperimentError as exc:
+            assert gap, (cmd, arguments, exc)
+            assert str(exc) == f"no {_ROW_OF[cmd]} estimator for a body of kind '{kind}' in R^{n}"
+        else:
+            assert not gap, (cmd, arguments)
+            assert len(rep.samples) == (4 if cmd == "convergence" else 2)
+            assert np.all(np.isfinite(rep.samples.value_K)), (cmd, arguments)
+
+
 def test_sections_reject_controls(rotated_pair, shifted_pair):
     rep = sections_experiment(rotated_pair.oracle_K, rotated_pair.oracle_L,
                               2, 2, 15, RngStream(4, 20), 1e-9)
@@ -355,7 +404,7 @@ def test_exact_ball_projections_agree_with_the_support_area(n, seed):
     reports no stderr: within the bias of its centered differences."""
     exact, generic = _ball_and_generic(n, seed)
     bases = sample_haar_bases(n, 2, 3, RngStream(12, seed))
-    rows = projection_volumes(exact, bases, lambda: [Subspace(b) for b in bases])
+    rows = _projection_values(exact, bases)
     radius = exact.ball[0]
     for (value, err, method), basis in zip(rows, bases, strict=True):
         sub = Subspace(basis)
@@ -682,7 +731,7 @@ def test_sample_j_is_row_j_of_the_root_draw(polytope_pair, monkeypatch):
     """Sample j of sections/projections gets row j of the stream's Haar
     draw, sample j of slabs and lemma1 the direction of row j, and Kubota's
     j-th subspace is row j too."""
-    from convexlab import intrinsic
+    from convexlab import experiments
     K, L = polytope_pair.oracle_K, polytope_pair.oracle_L
     rng = RngStream(13, 2)
     for k in (1, 2):
@@ -702,14 +751,14 @@ def test_sample_j_is_row_j_of_the_root_draw(polytope_pair, monkeypatch):
 
     seen = []
 
-    def record(body, sub):
-        seen.append(sub.basis)
-        return 1.0, "recorded"
+    def record(body, bases):
+        seen.append(bases[0])
+        return [(1.0, 0.0, "recorded")]
 
-    monkeypatch.setattr(intrinsic, "projection_volume", record)
+    monkeypatch.setattr(experiments, "_projection_values", record)
     for k, i in ((3, 1), (3, 2), (4, 2)):
         seen.clear()
-        intrinsic.kubota_intrinsic_volume(ball_oracle(k), k, i, 6, rng)
+        kubota_intrinsic_volume(ball_oracle(k), k, i, 6, rng)
         assert len(seen) == 6
         for j, basis in enumerate(seen):
             assert basis.tobytes() == sample_haar_bases(k, i, 6, rng)[j].tobytes()

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from convexlab.bodies import ball_oracle, make_revolution_spec, oracle_of
-from convexlab.experiments import _harmonic_grid
+from convexlab.experiments import ExperimentError, _harmonic_grid, kubota_intrinsic_volume
 from convexlab.grassmann import RngStream, kappa
 from convexlab.intrinsic import (EstimateError, IVEstimate, area_from_support_2d,
                                  ball_intrinsic_volume, boundary_polyline,
                                  centroid_3d, circle_grid, fibonacci_sphere,
-                                 flag_coefficient, hull_surface_v2,
-                                 kubota_intrinsic_volume, mean_width_v1,
+                                 flag_coefficient, hull_surface_v2, mean_width_v1,
                                  planar_metrics_from_oracle,
                                  sphere_grid, steiner_disc_area,
                                  support_from_radial, volume_radial)
@@ -216,7 +215,7 @@ def test_kubota_validation():
         kubota_intrinsic_volume(ball_oracle(3), 2, 1, 4, rng)
     with pytest.raises(EstimateError, match="at least one subspace"):
         kubota_intrinsic_volume(ball_oracle(3), 3, 1, 0, rng)
-    # every projection goes through projection_volume: a translated body of
+    # every projection goes through _projection_values: a translated body of
     # revolution projects as its base, and a body with no projection row
     # (a ball that lost its record) raises
     base = oracle_of(make_revolution_spec(4))
@@ -224,7 +223,8 @@ def test_kubota_validation():
     assert kubota_intrinsic_volume(moved, 4, 3, 2, rng) == kubota_intrinsic_volume(base, 4, 3, 2,
                                                                                    rng)
     odd = dataclasses.replace(ball_oracle(4), ball=None)
-    with pytest.raises(EstimateError, match="no projection-volume path for k=3 on ball"):
+    with pytest.raises(ExperimentError,
+                       match=r"no projection estimator for a body of kind 'ball' in R\^4"):
         kubota_intrinsic_volume(odd, 4, 3, 2, rng)
 
 

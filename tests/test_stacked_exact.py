@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from convexlab.bodies import build_polytope_pair, oracle_of
-from convexlab.grassmann import RngStream, Subspace, sample_haar_bases
-from convexlab.intrinsic import projection_volume, projection_volumes
+from convexlab.experiments import _projection_values
+from convexlab.grassmann import RngStream, sample_haar_bases
 from convexlab.polykernel import (HPolytope, PolytopeError, cauchy_projection_volumes,
                                   facet_volumes, poly3_intrinsic_volumes, poly3_stack_volumes,
                                   polygon_by_angle, polygon_metrics, polygon_stack_metrics,
@@ -105,6 +105,12 @@ def test_poly3_stack_raises_the_first_failing_polytope():
         poly3_stack_volumes([HPolytope.box([1.0, 1.0, 1.0]), bad, bad])
 
 
+def test_poly3_stack_names_itself_for_a_polytope_of_another_dimension():
+    square = HPolytope.box([1.0, 1.0])
+    with pytest.raises(PolytopeError, match="^poly3_stack_volumes needs 3-dimensional polytopes$"):
+        poly3_stack_volumes([HPolytope.box([1.0, 1.0, 1.0]), square])
+
+
 @pytest.mark.parametrize("a", [[1.0, 1.2, 1.5], [0.3, 2.0, 0.7]])
 def test_facet_areas_of_boxes(a):
     x, y, z = 2.0 * np.asarray(a)
@@ -163,10 +169,10 @@ def test_cauchy_rows_equal_one_basis_each_in_any_order(n):
     body = _pair_bodies(n)[0]
     oracle = oracle_of(body)
     bases = sample_haar_bases(n, n - 1, 30, RngStream(65, n))
-    rows = projection_volumes(oracle, bases, lambda: [Subspace(b) for b in bases])
+    rows = _projection_values(oracle, bases)
     assert {m for _, _, m in rows} == {"exact-cauchy"}
     for row, basis in zip(rows, bases, strict=True):
-        assert row == projection_volume(oracle, Subspace(basis))
+        assert row == _projection_values(oracle, basis[None])[0]
     order = RngStream(65, 0).generator().permutation(len(bases))
     values = cauchy_projection_volumes(body, bases)
     assert cauchy_projection_volumes(body, bases[order]).tobytes() == values[order].tobytes()

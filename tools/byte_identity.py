@@ -26,7 +26,9 @@ slabs of the smooth pair above and below n = 3, lemma1 at n = 2 and 5, and
 k = 1 projections at n = 4), the profile quadrature of smooth sections and
 projections above n = 3 (4-d sections in R^5 for i = 1 to 4, projections
 with k = 3 in R^4 and k = 2 to 4 in R^5), the exact V_1 and V_2 of 3-d
-polytope sections in R^4, the closed forms of the shifted ball (its
+polytope sections in R^4 and the hull of a polytope's projected vertices
+(k = 2 projections in R^4, the one polytope projection row neither the
+suite nor the benchmark reaches), the closed forms of the shifted ball (its
 radial, exact-ball sections and projections: 3-d sections in R^4, k = 2
 projections in R^3 and k = 3 in R^4, and the exact-ball slab volumes of
 n = 3 slabs of `control-shifted` at i = 1 and 3 and of its convergence at
@@ -107,6 +109,7 @@ EXTRA = (
     "projections --pair smooth --n 4 --k 1 --samples 50",
     "sections --pair polytope --n 4 --k 3 --i 1 --samples 5",
     "sections --pair polytope --n 4 --k 3 --i 2 --samples 5",
+    "projections --pair polytope --n 4 --k 2 --samples 20",
     "sections --pair control-shifted --n 4 --k 3 --i 1 --samples 2",
     "slabs --pair control-shifted --i 1 --samples 2",
     "slabs --pair smooth --i 1 --samples 2",
