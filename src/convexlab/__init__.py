@@ -60,15 +60,11 @@ from .grassmann import (
 from .intrinsic import (
     EstimateError,
     IVEstimate,
-    area_from_support_2d,
     ball_intrinsic_volume,
     boundary_polyline,
     flag_coefficient,
-    hull_surface_v2,
-    mean_width_v1,
     planar_metrics_from_oracle,
     steiner_disc_area,
-    support_from_radial,
     volume_radial,
 )
 from .polykernel import (
@@ -108,13 +104,13 @@ __all__ = [
     "NoncongruenceCertificate", "PAIR_NAMES", "Polygon",
     "PolytopeConstruction", "PolytopeError", "ProfileValidation",
     "RevolutionBodySpec", "RngStream", "SampleTable", "SlabSpec", "Subspace",
-    "VRep", "area_from_support_2d", "ball_intrinsic_volume", "ball_oracle",
+    "VRep", "ball_intrinsic_volume", "ball_oracle",
     "boundary_polyline", "build_polytope_pair", "bump",
     "canonical_json", "certify_report", "convergence_experiment",
     "convex_hull_2d", "embed", "enumerate_vertices", "flag_coefficient",
-    "hull_surface_v2", "kappa", "kubota_intrinsic_volume", "lemma1_check",
+    "kappa", "kubota_intrinsic_volume", "lemma1_check",
     "make_pair", "make_revolution_spec", "max_slab_halfwidth",
-    "mean_width_v1", "noncongruence_certificates", "oracle_of",
+    "noncongruence_certificates", "oracle_of",
     "planar_metrics_from_oracle", "poly3_intrinsic_volumes",
     "polygon_metrics", "polytope_radial", "profile", "projection_polygon",
     "projections_experiment", "report_to_dict",
@@ -122,7 +118,7 @@ __all__ = [
     "sample_haar_subspace", "sample_sphere", "section_hpolytope",
     "section_oracle", "section_polygon", "sections_experiment",
     "slab_experiment", "slab_oracle",
-    "steiner_disc_area", "support_from_radial", "translate_oracle",
+    "steiner_disc_area", "translate_oracle",
     "validate_revolution_spec", "volume_radial",
     "write_report_json", "write_samples_csv", "write_suite_csv",
 ]

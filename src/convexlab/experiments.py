@@ -23,7 +23,7 @@ from .bodies import (ConvexBodyOracle, RevolutionBodySpec, ball_oracle,
                      build_polytope_pair, oracle_of, validate_revolution_spec,
                      profile)
 from .grassmann import RngStream, Subspace, blocks, kappa, sample_haar_bases
-from .intrinsic import (POLYLINE_NODES, EstimateError, IVEstimate, antipodal_sums,
+from .intrinsic import (POLYLINE_NODES, EstimateError, IVEstimate, Rows, antipodal_sums,
                         ball_section_volumes, ball_slab_volumes, centroid_3d, flag_coefficient,
                         planar_metrics_from_oracle, revolution_projection_volumes,
                         revolution_section_volumes, revolution_slab_volumes, volume_radial)
@@ -114,12 +114,6 @@ def _judge(samples: SampleTable, tol: float) -> dict:
     }
 
 
-def _columns(rows) -> tuple[np.ndarray, np.ndarray, set]:
-    """The values, stderrs and set of methods of (value, stderr, method) rows."""
-    return (np.array([v for v, _, _ in rows], dtype=float),
-            np.array([e for _, e, _ in rows], dtype=float), {m for _, _, m in rows})
-
-
 def _shared_dim(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle) -> int:
     """The pair's ambient dimension, which K and L must share."""
     if oracle_K.dim != oracle_L.dim:
@@ -132,9 +126,10 @@ def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
                 tol: float, parameters: dict) -> ExperimentReport:
     """Compare one functional on K and on L, sample by sample.
 
-    values(oracle) gives [(value, stderr, method), ...], one triple per
-    sample in the order of bases, for K and for L alike; bases[j] is sample
-    j's subspace basis or normal, recorded row-major.  values runs once per
+    values(oracle) gives (values, stderrs, method): two float64 arrays with
+    one entry per sample in the order of bases, and the name of the
+    estimator that made them, for K and for L alike; bases[j] is sample j's
+    subspace basis or normal, recorded row-major.  values runs once per
     body, so work that all samples share (a grid, one stacked oracle call)
     is done once per body and experiment.  Rows of different samples share
     one oracle call only where the oracle gives each row the value it gets
@@ -142,12 +137,12 @@ def _paired_run(experiment: str, oracle_K: ConvexBodyOracle,
     every row of these), so each sample's value is the one it gets by
     itself.
     """
-    value_K, err_K, methods_K = _columns(values(oracle_K))
-    value_L, err_L, methods_L = _columns(values(oracle_L))
+    value_K, err_K, method_K = values(oracle_K)
+    value_L, err_L, method_L = values(oracle_L)
     samples = _sample_table(bases.reshape(len(bases), math.prod(bases.shape[1:])),
                             value_K, value_L, np.abs(value_K - value_L), err_K + err_L)
     summary = _judge(samples, tol)
-    summary["methods"] = sorted(methods_K | methods_L)
+    summary["methods"] = sorted({method_K, method_L})
     return ExperimentReport(experiment, {}, {
         **parameters, "samples": len(bases), "seed": rng.seed, "tol": tol,
         "dimension": oracle_K.dim,
@@ -258,9 +253,13 @@ class BodyPair:
     @classmethod
     def from_bodies(cls, name: str, body_K: tuple, body_L: tuple) -> "BodyPair":
         """The pair of two body_from_record results; congruent by construction
-        when L's record is K's or is derived from K's."""
+        when the two records agree once every derived layer is stripped, since
+        a quarter turn and a translate are isometries."""
+        def core(record):
+            return core(record["base"]) if record["type"] == "derived" else record
+
         (oracle_K, record_K), (oracle_L, record_L) = body_K, body_L
-        congruent = record_K in (record_L, record_L.get("base"))
+        congruent = core(record_K) == core(record_L)
         return cls(name, oracle_K, oracle_L, {"K": record_K, "L": record_L}, not congruent)
 
 
@@ -358,30 +357,31 @@ def lemma1_check(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
         }, samples, summary)
 
 
-def _exact_values(polys, i: int) -> list[tuple[float, float, str]]:
-    """(V_i, 0.0, method) of each polytope of an iterable of 2- or
+def _exact_values(polys, i: int) -> Rows:
+    """(V_i, zero stderrs, method) of the polytopes of an iterable of 2- or
     3-polytopes, in order: `exact-polygon` (polygon_stack_metrics) or
     `exact-poly3` (poly3_stack_volumes), one kernel pass per CHUNK
-    polytopes as the iterable yields them.  The kernels give each polytope
-    the value it gets alone, so a value does not depend on its stack."""
-    out, polys = [], iter(polys)
+    polytopes as the iterable yields them, the values of the passes
+    concatenated.  The kernels give each polytope the value it gets alone,
+    so a value does not depend on its stack."""
+    parts, method, polys = [np.empty(0)], "exact-polygon", iter(polys)
     while chunk := list(itertools.islice(polys, CHUNK)):
         if chunk[0].ambient_dim == 2:
             area, perim = polygon_stack_metrics([p.vrep.vertices for p in chunk])
-            values, method = (perim / 2.0, area)[i - 1], "exact-polygon"
+            parts.append((perim / 2.0, area)[i - 1])
         else:
-            values, method = poly3_stack_volumes(chunk)[:, i - 1], "exact-poly3"
-        out += [(v, 0.0, method) for v in values.tolist()]
-    return out
+            parts.append(poly3_stack_volumes(chunk)[:, i - 1])
+            method = "exact-poly3"
+    values = np.concatenate(parts)
+    return values, np.zeros(len(values)), method
 
 
 # ---------------------------------------------------------------------------
 # Sections
 
 
-def _section_values(body: ConvexBodyOracle, bases: np.ndarray,
-                    i: int) -> list[tuple[float, float, str]]:
-    """(V_i, stderr, method) of body cap span(B_j) for each B_j of the (S, n, k)
+def _section_values(body: ConvexBodyOracle, bases: np.ndarray, i: int) -> Rows:
+    """(V_i, stderrs, method) of body cap span(B_j) for each B_j of the (S, n, k)
     stack bases: the one choice of section estimator.  k = 1 gives segments;
     a ball or translated ball takes the closed form of ball_section_volumes,
     a body of revolution or a translate of one the profile quadrature of
@@ -390,10 +390,10 @@ def _section_values(body: ConvexBodyOracle, bases: np.ndarray,
     if bases.shape[2] == 1:
         us = bases[:, :, 0]
         if body.polytope is None:
-            segs = antipodal_sums(body.radial, us).tolist()
+            segs = antipodal_sums(body.radial, us)
         else:  # polytope_radial rounds with the row count: one row per call
-            segs = [float(body.radial(u)) + float(body.radial(-u)) for u in us]
-        return [(seg, 0.0, "exact-segment") for seg in segs]
+            segs = np.array([float(body.radial(u)) + float(body.radial(-u)) for u in us])
+        return segs, np.zeros(len(segs)), "exact-segment"
     if body.ball is not None:
         return ball_section_volumes(body.ball, bases, i)
     if (body.translate or (body,))[0].revolution is not None:
@@ -422,9 +422,8 @@ def sections_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 # Slabs
 
 
-def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray,
-                 i: int) -> list[tuple[float, float, str]]:
-    """(V_i, stderr, method) of body cap S_{t_j}(xi_j) for each unit row
+def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray, i: int) -> Rows:
+    """(V_i, stderrs, method) of body cap S_{t_j}(xi_j) for each unit row
     xi_j of xis and half-width t_j of ts: the one choice of slab estimator.
 
     A polytope's slabs are built and enumerated in stacks (slab_hpolytopes),
@@ -443,7 +442,8 @@ def _slab_values(body: ConvexBodyOracle, xis: np.ndarray, ts: np.ndarray,
     if body.dim == 2:
         ests = [planar_metrics_from_oracle(slab_oracle(body, SlabSpec(xi, t)))[i - 1]
                 for xi, t in zip(xis, ts.tolist())]
-        return [(est.value, est.stderr, est.method) for est in ests]
+        return (np.array([est.value for est in ests], dtype=float),
+                np.array([est.stderr for est in ests], dtype=float), "polyline")
     if body.dim == 3 and body.ball is not None:
         return ball_slab_volumes(body.ball, xis, -ts, ts, i)
     base, shift = body.translate or (body, np.zeros(body.dim))
@@ -475,9 +475,8 @@ def slab_experiment(oracle_K: ConvexBodyOracle, oracle_L: ConvexBodyOracle,
 # Projections
 
 
-def _projection_values(body: ConvexBodyOracle,
-                       bases: np.ndarray) -> list[tuple[float, float, str]]:
-    """(vol_k of body|V_j, stderr, method) for every n x k basis V_j of the
+def _projection_values(body: ConvexBodyOracle, bases: np.ndarray) -> Rows:
+    """(vol_k of body|V_j, stderrs, method) for every n x k basis V_j of the
     (m, n, k) stack bases: the one choice of projection estimator.
 
     A body with vertex data (body.vrep) is exact: widths for k = 1, one
@@ -493,24 +492,22 @@ def _projection_values(body: ConvexBodyOracle,
     which gives each row the value it gets alone.  Any other body raises
     ExperimentError.
     """
-    k = bases.shape[2]
+    k, zeros = bases.shape[2], np.zeros(len(bases))
     vrep = body.vrep
     if k == 1 and vrep is None:
-        return [(w, 0.0, "exact-width")
-                for w in antipodal_sums(body.support, bases[:, :, 0]).tolist()]
+        return antipodal_sums(body.support, bases[:, :, 0]), zeros, "exact-width"
     if k == 1:
         heights = [vrep.vertices @ u for u in bases[:, :, 0]]
-        return [(float(h.max() - h.min()), 0.0, "exact-width") for h in heights]
+        return np.array([h.max() - h.min() for h in heights], dtype=float), zeros, "exact-width"
     if vrep is not None and k == body.dim - 1:
-        return [(v, 0.0, "exact-cauchy")
-                for v in cauchy_projection_volumes(body.polytope, bases).tolist()]
+        return cauchy_projection_volumes(body.polytope, bases), zeros, "exact-cauchy"
     if body.ball is not None:
-        return [(kappa(k) * body.ball[0] ** k, 0.0, "exact-ball")] * len(bases)
+        return np.full(len(bases), kappa(k) * body.ball[0] ** k), zeros, "exact-ball"
     if (base := (body.translate or (body,))[0]).revolution is not None:
         return revolution_projection_volumes(base.revolution, bases)
     if vrep is not None and k == 2:
-        return [(polygon_metrics(projection_polygon(vrep, Subspace(b)))[0], 0.0, "exact-polygon")
-                for b in bases]
+        return (np.array([polygon_metrics(projection_polygon(vrep, Subspace(b)))[0]
+                          for b in bases], dtype=float), zeros, "exact-polygon")
     raise ExperimentError(
         f"no projection estimator for a body of kind '{body.kind}' in R^{body.dim}")
 
@@ -544,8 +541,7 @@ def kubota_intrinsic_volume(body, k: int, i: int, m: int, rng: RngStream) -> IVE
         return volume_radial(body, k, rng=rng)
     if m < 1:
         raise EstimateError("need at least one subspace sample")
-    vols = np.array([_projection_values(body, basis[None])[0][0]
-                     for basis in sample_haar_bases(k, i, m, rng)])
+    vols = _projection_values(body, sample_haar_bases(k, i, m, rng))[0]
     c = flag_coefficient(k, i)
     value = c * float(vols.mean())
     stderr = c * float(vols.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
@@ -582,11 +578,9 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
 
     # section value through the plane orthogonal to xi
     basis = _orthogonal_complement(xi)
-    [(sec_value, sec_err, _)] = _section_values(oracle, basis[None], i)
-    slabs = _slab_values(oracle, np.tile(xi, (len(ts), 1)), np.array(ts), i)
-
-    value, errs, _ = _columns(slabs)
-    errs += sec_err
+    (sec_value,), (sec_err,), _ = _section_values(oracle, basis[None], i)
+    value, errs, _ = _slab_values(oracle, np.tile(xi, (len(ts), 1)), np.array(ts), i)
+    errs = errs + sec_err
     diffs = value - sec_value
     samples = _sample_table(np.array(ts)[:, None], value, np.full(len(ts), float(sec_value)),
                             np.abs(diffs), errs)
@@ -600,7 +594,7 @@ def convergence_experiment(oracle: ConvexBodyOracle, xi: np.ndarray, i: int,
     final_ok = diffs[-1] <= ratio_c * ts[-1] + slack[-1]
     summary = _judge(samples, 0.0)
     summary.update({
-        "section_value": sec_value,
+        "section_value": float(sec_value),
         "diffs": diffs,
         "fitted_C": float(ratio_c),
         "monotone": bool(monotone),

@@ -36,6 +36,7 @@ GRADES, GRADE_RATIO, GRADE_SPAN = 10, 32.0, 0.05  # pole cuts of an axial slab i
 AXIAL_FLOOR = 1e-100  # |xi'| below this counts as this in an axial slab integral
 RIM_STEPS = 64  # secant steps of the slab rim solve; rows stop once they settle
 RIM_LEVEL_TOL = 2.0 ** -50  # |s <p, xi> - c| that counts as on the slab rim
+Rows = tuple[np.ndarray, np.ndarray, str]  # a stack's values, stderrs and method
 
 
 class EstimateError(ValueError):
@@ -296,8 +297,8 @@ def antipodal_sums(fn, us: np.ndarray) -> np.ndarray:
     return vals[0::2] + vals[1::2]
 
 
-def ball_section_volumes(ball, bases: np.ndarray, i: int) -> list[tuple[float, float, str]]:
-    """(V_i, 0.0, "exact-ball") of the ball (radius R, center c) cap span(B_j)
+def ball_section_volumes(ball, bases: np.ndarray, i: int) -> Rows:
+    """(V_i, zero stderrs, "exact-ball") of the ball (radius R, center c) cap span(B_j)
     for every n x k basis B_j of the stack bases: a k-ball of radius
     rho_j = sqrt(R^2 - |c - B_j B_j^T c|^2), so V_i = V_i(B^k) rho_j^i.  One
     pass over the stack, each sum taken per row, so each sample gets the
@@ -307,12 +308,12 @@ def ball_section_volumes(ball, bases: np.ndarray, i: int) -> list[tuple[float, f
     off = center - (bases * along[:, None, :]).sum(axis=2)     # c - B B^T c
     rho = np.sqrt(radius * radius - (off * off).sum(axis=1))
     values = ball_intrinsic_volume(bases.shape[2], i) * rho ** i
-    return [(v, 0.0, "exact-ball") for v in values.tolist()]
+    return values, np.zeros(len(values)), "exact-ball"
 
 
 def ball_slab_volumes(ball, xis: np.ndarray, lows: np.ndarray, highs: np.ndarray,
-                      i: int) -> list[tuple[float, float, str]]:
-    """(V_i, 0.0, "exact-ball") of the 3-d ball (radius R, center c) clipped to
+                      i: int) -> Rows:
+    """(V_i, zero stderrs, "exact-ball") of the 3-d ball (radius R, center c) clipped to
     the slab low_r <= <x, xi_r> <= high_r, for each unit row xi_r of xis.
     With the levels u = (level - <c, xi>) / R clipped to [-1, 1] (lo, hi):
     V_3 = pi R^3 [u - u^3 / 3] from lo to hi, V_2 = pi R^2 [(hi - lo)
@@ -335,7 +336,7 @@ def ball_slab_volumes(ball, xis: np.ndarray, lows: np.ndarray, highs: np.ndarray
     else:
         values = radius * (2.0 * (hi - lo) + np.sqrt(ww_hi) * np.arccos(hi)
                            + np.sqrt(ww_lo) * np.arccos(-lo))
-    return [(v, 0.0, "exact-ball") for v in values.tolist()]
+    return values, np.zeros(len(values)), "exact-ball"
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +407,18 @@ def _axis_cosines(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return b, c, np.sqrt((rest * rest).sum(axis=1))
 
 
-def _in_chunks(fn, bases: np.ndarray, *args, method: str = "quadrature"
-               ) -> list[tuple[float, float, str]]:
-    """[(value, stderr, method), ...] from fn(chunk, *args) -> (values,
-    stderrs) over PROFILE_CHUNK bases (or rows) at a time."""
-    out = []
-    for lo in range(0, len(bases), PROFILE_CHUNK):
-        values, errs = fn(bases[lo:lo + PROFILE_CHUNK], *args)
-        out += [(v, e, method) for v, e in zip(values.tolist(), errs.tolist())]
-    return out
+def _in_chunks(fn, bases: np.ndarray, *args, method: str = "quadrature") -> Rows:
+    """(values, stderrs, method): the values and stderrs that fn(chunk, *args)
+    gives PROFILE_CHUNK bases (or rows) at a time, each concatenated over
+    the chunks in order."""
+    chunks = [fn(bases[lo:lo + PROFILE_CHUNK], *args)
+              for lo in range(0, len(bases), PROFILE_CHUNK)] or [(np.empty(0), np.empty(0))]
+    values, errs = (np.concatenate(col) for col in zip(*chunks))
+    return values, errs, method
 
 
-def revolution_section_volumes(body, bases: np.ndarray, i: int) -> list[tuple[float, float, str]]:
-    """(V_i, stderr, "quadrature") of body cap span(B_j) for every n x k basis
+def revolution_section_volumes(body, bases: np.ndarray, i: int) -> Rows:
+    """(V_i, stderrs, "quadrature") of body cap span(B_j) for every n x k basis
     B_j, k >= 2, of the stack bases, where body is a body of revolution
     (body.revolution) or a translate K - s of one; stderr is |Q(N) - Q(N/2)|.
 
@@ -513,8 +513,8 @@ def _section_ends(spec, mid, c, ss, z0, q0) -> tuple[np.ndarray, np.ndarray]:
     return ends[:rows], ends[rows:]
 
 
-def revolution_projection_volumes(spec, bases: np.ndarray) -> list[tuple[float, float, str]]:
-    """(vol_k, stderr, "quadrature") of the body of spec projected on span(V_j)
+def revolution_projection_volumes(spec, bases: np.ndarray) -> Rows:
+    """(vol_k, stderrs, "quadrature") of the body of spec projected on span(V_j)
     for every n x k basis V_j, k >= 2, of the stack bases; stderr is
     |Q(N) - Q(N/2)|.
 
@@ -679,8 +679,8 @@ def revolution_slab_supports(spec, xis: np.ndarray, lows: np.ndarray, highs: np.
 
 
 def revolution_slab_volumes(spec, xis: np.ndarray, lows: np.ndarray, highs: np.ndarray,
-                            i: int) -> list[tuple[float, float, str]]:
-    """(V_i, stderr, "axial-gl") of the 3-d body of spec clipped to the slab
+                            i: int) -> Rows:
+    """(V_i, stderrs, "axial-gl") of the 3-d body of spec clipped to the slab
     low_r <= <x, xi_r> <= high_r, for each unit row xi_r of xis; stderr is
     |Q(N) - Q(N/2)| of the Gauss-Legendre sums.  The slab must meet the
     interior of the body.  The rim roots of PROFILE_CHUNK slabs come from

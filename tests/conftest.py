@@ -41,3 +41,18 @@ def ellipsoid():
             eval_tol=1e-15, kind="ellipsoid")
 
     return make
+
+
+@pytest.fixture(scope="session")
+def same_rows():
+    """Checker that a (values, stderrs, method) row stack equals the stacks
+    `parts`, concatenated in order: the same method and the same float64
+    values and stderrs, bit for bit."""
+    def check(got, *parts):
+        assert {got[2]} == {part[2] for part in parts}
+        for column in (0, 1):
+            want = np.concatenate([part[column] for part in parts])
+            assert got[column].dtype == want.dtype == np.float64
+            assert np.array_equal(got[column], want) and got[column].tobytes() == want.tobytes()
+
+    return check

@@ -474,6 +474,53 @@ def test_certify_spec_file_pair(tmp_path, capsys, pair, method):
         "inconclusive" if control else "noncongruent")
 
 
+_POLY3_RECORD = {"type": "polytope", "a": [1.0, 1.2, 1.5]}
+_SMOOTH3_RECORD = {"type": "revolution", "n": 3}
+
+
+def _turned(base):
+    return {"type": "derived", "base": base, "transform": "rotate-quarter-turn"}
+
+
+def _moved(base, shift):
+    return {"type": "derived", "base": base, "transform": "translate", "shift": shift}
+
+
+@pytest.mark.parametrize("records", [
+    (_turned(_POLY3_RECORD), _POLY3_RECORD),
+    (_moved({"type": "ball", "n": 3}, [0.3, 0.0, 0.0]), {"type": "ball", "n": 3}),
+    (_moved(_SMOOTH3_RECORD, [0.1, -0.05, 0.2]), _SMOOTH3_RECORD),
+    (_moved(_SMOOTH3_RECORD, [0.1, -0.05, 0.2]), _moved(_SMOOTH3_RECORD, [-0.2, 0.0, 0.1])),
+], ids=["control-rotated", "control-shifted", "translated-smooth", "two-translates"])
+def test_congruent_by_construction_in_either_order(tmp_path, capsys, records):
+    """Two records that agree once their derived layers (quarter turns and
+    translates, both isometries) are stripped make a congruent pair,
+    whichever body is K.  certify then expects no conclusive certificate
+    and exits 0 in both orders; two translates take the harmonic
+    certificate as a translate and its base do, so they skip its 1 s run."""
+    for order, pair in enumerate((records, records[::-1])):
+        assert not BodyPair.from_bodies("custom", *map(body_from_record, pair)).expect_noncongruent
+        if records[0]["type"] == records[1]["type"] == "derived":
+            continue
+        paths = [tmp_path / f"{order}-{side}.json" for side in "kl"]
+        for path, record in zip(paths, pair):
+            path.write_text(json.dumps(record), encoding="utf-8")
+        out = tmp_path / f"o{order}"
+        assert main(["certify", "--spec-k", str(paths[0]), "--spec-l", str(paths[1]),
+                     "--out", str(out)]) == 0, order
+        summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+        assert summary["expected_noncongruent"] is False and summary["pass"] is True
+
+
+def test_derived_layers_keep_the_pairs_noncongruent():
+    """A quarter turn or a translate of K against L, in either order, is
+    still a noncongruent pair."""
+    for k, l in ((_turned(_POLY3_RECORD), {**_POLY3_RECORD, "variant": "L"}),
+                 (_moved(_SMOOTH3_RECORD, [0.1, 0.0, 0.0]), {**_SMOOTH3_RECORD, "variant": "L"})):
+        for order in ((k, l), (l, k)):
+            assert BodyPair.from_bodies("custom", *map(body_from_record, order)).expect_noncongruent
+
+
 def test_sections_spec_file_pair_writes_profiles(tmp_path, capsys):
     k, l = tmp_path / "k.json", tmp_path / "l.json"
     assert main(["construct", "--out", str(k), str(l)]) == 0

@@ -312,9 +312,21 @@ def _sweep_runs(n):
     return runs + ([("convergence", dict(i=i)) for i in (1, 2)] if n == 3 else [])
 
 
-@pytest.mark.parametrize("family, n", [
-    (f"{moved}{base}", n) for moved in ("", "translated-") for base in _SWEEP_BASES
-    for n in range(2, 5 if base == "polytope" else 6)])
+_SWEEP_FAMILIES = [(f"{moved}{base}", n) for moved in ("", "translated-") for base in _SWEEP_BASES
+                   for n in range(2, 5 if base == "polytope" else 6)]
+
+
+def _sweep_pair(family: str, n: int) -> BodyPair:
+    """The K and L of a sweep family in R^n, from their records."""
+    base = _SWEEP_BASES[family.removeprefix("translated-")]
+    records = [base(n, v) for v in "KL"]
+    if family.startswith("translated-"):
+        records = [{"type": "derived", "base": r, "transform": "translate",
+                    "shift": _SWEEP_SHIFT[:n]} for r in records]
+    return BodyPair.from_bodies(family, *map(body_from_record, records))
+
+
+@pytest.mark.parametrize("family, n", _SWEEP_FAMILIES)
 def test_every_run_the_cli_accepts_has_rows_or_names_its_gap(family, n):
     """Every (command, k, i) of sections, slabs, projections and convergence
     on each grammar family at n = 2 to 5, through the CLI's dispatch, gives
@@ -323,12 +335,7 @@ def test_every_run_the_cli_accepts_has_rows_or_names_its_gap(family, n):
     that was not built for the body.  The only gaps today are the slabs of
     every body above R^3."""
     from convexlab.cli import _experiment
-    base = _SWEEP_BASES[family.removeprefix("translated-")]
-    records = [base(n, v) for v in "KL"]
-    if family.startswith("translated-"):
-        records = [{"type": "derived", "base": r, "transform": "translate",
-                    "shift": _SWEEP_SHIFT[:n]} for r in records]
-    pair = BodyPair.from_bodies(family, *map(body_from_record, records))
+    pair = _sweep_pair(family, n)
     kind = pair.oracle_K.kind
     for cmd, arguments in _sweep_runs(n):
         gap = cmd == "slabs" and n >= 4
@@ -341,6 +348,35 @@ def test_every_run_the_cli_accepts_has_rows_or_names_its_gap(family, n):
             assert not gap, (cmd, arguments)
             assert len(rep.samples) == (4 if cmd == "convergence" else 2)
             assert np.all(np.isfinite(rep.samples.value_K)), (cmd, arguments)
+
+
+@pytest.mark.parametrize("family, n", _SWEEP_FAMILIES)
+def test_every_row_function_gives_two_float64_columns_and_a_method(family, n):
+    """_section_values, _slab_values and _projection_values give (values,
+    stderrs, method): two float64 arrays with one entry per basis or normal
+    of the stack, and the method's name, on K and L of every sweep family
+    for every (k, i) of its sections, slabs (up to R^3) and projections,
+    with stacks of 3 and of none."""
+    pair = _sweep_pair(family, n)
+    rng = RngStream(7, 10)
+    for cmd, arguments in _sweep_runs(n):
+        if cmd == "convergence" or (cmd == "slabs" and n >= 4):
+            continue
+        for count in (3, 0):
+            bases = sample_haar_bases(n, arguments.get("k", 1), count, rng)
+            for body in (pair.oracle_K, pair.oracle_L):
+                if cmd == "sections":
+                    rows = _section_values(body, bases, arguments["i"])
+                elif cmd == "slabs":
+                    rows = _slab_values(body, bases[:, :, 0], np.full(count, arguments["t"]),
+                                        arguments["i"])
+                else:
+                    rows = _projection_values(body, bases)
+                assert type(rows) is tuple and len(rows) == 3, (cmd, arguments)
+                assert isinstance(rows[2], str), (cmd, arguments)
+                for column in rows[:2]:
+                    assert isinstance(column, np.ndarray), (cmd, arguments)
+                    assert column.dtype == np.float64 and column.shape == (count,), (cmd, arguments)
 
 
 def test_sections_reject_controls(rotated_pair, shifted_pair):
@@ -387,11 +423,11 @@ def test_exact_ball_sections_agree_with_the_section_oracle(n, k, i, seed):
     within that estimator's stderr plus the polyline bias."""
     exact, generic = _ball_and_generic(n, seed)
     bases = sample_haar_bases(n, k, 2, RngStream(11, seed))
-    rows = _section_values(exact, bases, i)
-    for (value, err, method), basis in zip(rows, bases, strict=True):
+    values, errs, method = _section_values(exact, bases, i)
+    assert method == "exact-ball" and np.array_equal(errs, np.zeros(len(bases)))
+    for value, basis in zip(values.tolist(), bases, strict=True):
         sec = section_oracle(generic, Subspace(basis))
         ref = planar_metrics_from_oracle(sec)[i - 1] if k == 2 else volume_radial(sec, k)
-        assert (err, method) == (0.0, "exact-ball")
         assert ref.method == ("polyline" if k == 2 else "quadrature")
         assert abs(value - ref.value) <= ref.stderr + POLYLINE_BIAS * value
 
@@ -404,12 +440,13 @@ def test_exact_ball_projections_agree_with_the_support_area(n, seed):
     reports no stderr: within the bias of its centered differences."""
     exact, generic = _ball_and_generic(n, seed)
     bases = sample_haar_bases(n, 2, 3, RngStream(12, seed))
-    rows = _projection_values(exact, bases)
+    values, errs, method = _projection_values(exact, bases)
     radius = exact.ball[0]
-    for (value, err, method), basis in zip(rows, bases, strict=True):
+    assert method == "exact-ball" and np.array_equal(errs, np.zeros(len(bases)))
+    assert np.array_equal(values, np.full(len(bases), math.pi * radius ** 2))
+    for value, basis in zip(values.tolist(), bases, strict=True):
         sub = Subspace(basis)
         ref = area_from_support_2d(lambda d: generic.support(embed(sub, d)), 8192)
-        assert (value, err, method) == (math.pi * radius ** 2, 0.0, "exact-ball")
         assert abs(value - ref) <= POLYLINE_BIAS * value
 
 
@@ -730,7 +767,7 @@ def test_numpy_replacements_equal_scipy_bitwise():
 def test_sample_j_is_row_j_of_the_root_draw(polytope_pair, monkeypatch):
     """Sample j of sections/projections gets row j of the stream's Haar
     draw, sample j of slabs and lemma1 the direction of row j, and Kubota's
-    j-th subspace is row j too."""
+    j-th subspace is row j too, all in one projection call per estimate."""
     from convexlab import experiments
     K, L = polytope_pair.oracle_K, polytope_pair.oracle_L
     rng = RngStream(13, 2)
@@ -752,16 +789,16 @@ def test_sample_j_is_row_j_of_the_root_draw(polytope_pair, monkeypatch):
     seen = []
 
     def record(body, bases):
-        seen.append(bases[0])
-        return [(1.0, 0.0, "recorded")]
+        seen.append(bases)
+        return np.ones(len(bases)), np.zeros(len(bases)), "recorded"
 
     monkeypatch.setattr(experiments, "_projection_values", record)
     for k, i in ((3, 1), (3, 2), (4, 2)):
         seen.clear()
         kubota_intrinsic_volume(ball_oracle(k), k, i, 6, rng)
-        assert len(seen) == 6
-        for j, basis in enumerate(seen):
-            assert basis.tobytes() == sample_haar_bases(k, i, 6, rng)[j].tobytes()
+        [bases] = seen
+        assert bases.shape == (6, k, i)
+        assert bases.tobytes() == sample_haar_bases(k, i, 6, rng).tobytes()
 
 
 def test_projections_of_a_translate_are_its_base_projections():

@@ -8,17 +8,21 @@ sample gets alone, and the shared calls must not grow with the sample
 count."""
 
 import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from convexlab import grassmann, intrinsic, polykernel
+from convexlab.bodies import ball_oracle, oracle_of
 from convexlab.experiments import (BodyPair, _exact_values, _orthogonal_complement,
-                                   body_from_record, convergence_experiment, make_pair,
-                                   projections_experiment, sections_experiment,
-                                   slab_experiment)
+                                   _projection_values, body_from_record, convergence_experiment,
+                                   kubota_intrinsic_volume, make_pair, projections_experiment,
+                                   sections_experiment, slab_experiment)
 from convexlab.grassmann import RngStream, Subspace, rowwise, sample_haar_bases
+from convexlab.polykernel import HPolytope
 from convexlab.transforms import SlabSpec, section_oracle, slab_oracle
 
 
@@ -28,15 +32,17 @@ def _slab_alone(body, xi, t, i):
     slab for a 3-d body of revolution, the closed forms of one slab for a
     3-d ball, the polyline of the slab oracle in the plane."""
     if body.polytope is not None:
-        return _exact_values([slab_oracle(body, SlabSpec(xi, t)).polytope], i)[0]
-    if body.revolution is not None and body.dim == 3:
-        return intrinsic.revolution_slab_volumes(body.revolution, xi[None], np.array([-t]),
-                                                 np.array([t]), i)[0]
-    if body.ball is not None and body.dim == 3:
-        return intrinsic.ball_slab_volumes(body.ball, xi[None], np.array([-t]), np.array([t]),
-                                           i)[0]
-    est = intrinsic.planar_metrics_from_oracle(slab_oracle(body, SlabSpec(xi, t)))[i - 1]
-    return est.value, est.stderr, est.method
+        rows = _exact_values([slab_oracle(body, SlabSpec(xi, t)).polytope], i)
+    elif body.revolution is not None and body.dim == 3:
+        rows = intrinsic.revolution_slab_volumes(body.revolution, xi[None], np.array([-t]),
+                                                 np.array([t]), i)
+    elif body.ball is not None and body.dim == 3:
+        rows = intrinsic.ball_slab_volumes(body.ball, xi[None], np.array([-t]), np.array([t]), i)
+    else:
+        est = intrinsic.planar_metrics_from_oracle(slab_oracle(body, SlabSpec(xi, t)))[i - 1]
+        return est.value, est.stderr, est.method
+    (value,), (err,), method = rows
+    return value, err, method
 
 
 def _section_alone(body, basis, i):
@@ -246,3 +252,43 @@ def test_projection_bases_are_checked_once_per_experiment(name, k, monkeypatch):
                         lambda bases: checks.append(len(bases)) or check(bases))
     projections_experiment(pair.oracle_K, pair.oracle_L, k, 7, RngStream(7, 8), 1e-6)
     assert checks == [7]
+
+
+def _kubota_bodies():
+    """(name, body) of every body whose Kubota projections are checked:
+    both bodies of the smooth, polytope and control-shifted pairs in R^3
+    and R^4, a box, the 4-ball, 3-d sections of the 4-d smooth K and
+    polytope K, and the smooth K in R^3 and R^4 translated off its axis."""
+    for name, n in itertools.product(("smooth", "polytope", "control-shifted"), (3, 4)):
+        pair = make_pair(name, n)
+        yield f"{name}-{n}-K", pair.oracle_K
+        yield f"{name}-{n}-L", pair.oracle_L
+    yield "box", oracle_of(HPolytope.box([1.0, 1.2, 1.5]))
+    yield "ball-4", ball_oracle(4)
+    for name in ("smooth", "polytope"):
+        sub = grassmann.sample_haar_subspace(4, 3, RngStream(7, 70))
+        yield f"section-of-{name}-4", section_oracle(make_pair(name, 4).oracle_K, sub)
+    for n in (3, 4):
+        yield f"translated-smooth-{n}", body_from_record(
+            {"type": "derived", "base": {"type": "revolution", "n": n},
+             "transform": "translate", "shift": [0.1, -0.05, 0.2, 0.05][:n]})[0]
+
+
+def test_stacked_kubota_is_the_per_basis_loop():
+    """Kubota's Haar average takes its projection volumes from one
+    _projection_values call on the whole stack; each equals, bit for bit,
+    the value its basis gets alone, so the estimate is the one a loop over
+    the bases gives, for every i < k with a projection row (a section of a
+    smooth body has only its k = 1 widths)."""
+    m, cases = 2 * intrinsic.PROFILE_CHUNK + 3, 0
+    for name, body in _kubota_bodies():
+        k = body.dim
+        for i in range(1, 2 if body.kind == "section" else k):
+            got = kubota_intrinsic_volume(body, k, i, m, RngStream(7, 71))
+            bases = sample_haar_bases(k, i, m, RngStream(7, 71))
+            vols = np.array([_projection_values(body, b[None])[0][0] for b in bases])
+            c = intrinsic.flag_coefficient(k, i)
+            assert got.value == c * float(vols.mean()), (name, i)
+            assert got.stderr == c * float(vols.std(ddof=1) / math.sqrt(m)), (name, i)
+            cases += 1
+    assert cases == 43

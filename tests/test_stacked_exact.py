@@ -165,14 +165,13 @@ def test_cauchy_matches_the_hull_of_projected_vertices(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_cauchy_rows_equal_one_basis_each_in_any_order(n):
+def test_cauchy_rows_equal_one_basis_each_in_any_order(n, same_rows):
     body = _pair_bodies(n)[0]
     oracle = oracle_of(body)
     bases = sample_haar_bases(n, n - 1, 30, RngStream(65, n))
     rows = _projection_values(oracle, bases)
-    assert {m for _, _, m in rows} == {"exact-cauchy"}
-    for row, basis in zip(rows, bases, strict=True):
-        assert row == _projection_values(oracle, basis[None])[0]
+    assert rows[2] == "exact-cauchy"
+    same_rows(rows, *(_projection_values(oracle, basis[None]) for basis in bases))
     order = RngStream(65, 0).generator().permutation(len(bases))
     values = cauchy_projection_volumes(body, bases)
     assert cauchy_projection_volumes(body, bases[order]).tobytes() == values[order].tobytes()
